@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import basis
-from .mesh import Mesh, EdgeRef
-from .spaces import FieldSpace, MasterGroup
+from .mesh import EdgeRef
+from .spaces import FieldSpace, MasterGroup, NodeGrid
 
 EDGE_QUAD_EXTRA = 2
 
@@ -334,87 +334,56 @@ def region_area(space: FieldSpace, region: frozenset | None = None) -> float:
 # Edge (boundary / interface) terms
 # ---------------------------------------------------------------------------
 
-def edge_rule(edge: EdgeRef):
-    r = basis.ref1d(edge.degree, edge.degree + EDGE_QUAD_EXTRA)
-    return r.rule.points, r.rule.weights, r.values
+def trace_operator(grid: NodeGrid, edges: Sequence[EdgeRef]):
+    """Trace operator ``T`` and quadrature weights ``w`` over a list of edges.
+
+    Rows of ``T`` are the edge quadrature points (``degree +
+    EDGE_QUAD_EXTRA`` Gauss points per edge, edges in list order), columns
+    the grid nodes; ``restrict_trace`` selects one field's columns.  With a
+    field vector ``v`` and point values ``g``, ``T @ v`` is the trace of
+    ``v``, ``T.T @ (w * g)`` the load <w_i, g>, ``w @ g`` the integral of
+    ``g`` over the edges and ``trace_mass(T, w, c)`` the edge mass.
+    """
+    if not edges:
+        return sp.csr_matrix((0, grid.n_nodes)), np.zeros(0)
+    rows, cols, vals, weights = [], [], [], []
+    n_pts = 0
+    for edge in edges:
+        r = basis.ref1d(edge.degree, edge.degree + EDGE_QUAD_EXTRA)
+        nq, nb = r.values.shape
+        rows.append(np.repeat(np.arange(n_pts, n_pts + nq), nb))
+        cols.append(np.tile(grid.edge_nodes(edge), nq))
+        vals.append(r.values.ravel())
+        weights.append(r.rule.weights * 0.5 * edge.length)
+        n_pts += nq
+    t = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_pts, grid.n_nodes))
+    return t, np.concatenate(weights)
 
 
-def edge_points(edge: EdgeRef) -> np.ndarray:
-    """Physical coordinates of the edge quadrature points, (nq, 2)."""
-    t, _, _ = edge_rule(edge)
-    p0 = np.asarray(edge.p0)
-    p1 = np.asarray(edge.p1)
-    return p0[None, :] + (t[:, None] + 1.0) * 0.5 * (p1 - p0)[None, :]
+def restrict_trace(space: FieldSpace, t: sp.csr_matrix) -> sp.csr_matrix:
+    """Restrict a grid-node trace operator to the DOFs of a scalar field."""
+    if space.arity != 1:
+        raise AssemblyError("traces are implemented for scalar fields")
+    cols = space.node_index[t.indices]
+    if np.any(cols < 0):
+        raise ValueError(f"trace operator reaches outside the support of "
+                         f"field '{space.name}'")
+    return sp.csr_matrix((t.data, cols, t.indptr),
+                         shape=(t.shape[0], space.ndof))
 
 
-def edge_weights(edge: EdgeRef) -> np.ndarray:
-    _, w, _ = edge_rule(edge)
-    return w * 0.5 * edge.length
+def trace_mass(t: sp.spmatrix, w: np.ndarray, coeff) -> sp.csr_matrix:
+    """Edge mass T^T diag(w c) T, i.e. <w_i, c w_j> over the edges of ``t``.
 
-
-def edge_trace(space: FieldSpace, vec: np.ndarray, edge: EdgeRef,
-               comp: int = 0) -> np.ndarray:
-    """Field trace along an edge at the edge quadrature points."""
-    _, _, bvals = edge_rule(edge)
-    fnodes = space.edge_field_nodes(edge)
-    return bvals @ vec[space.dofs_of_nodes(fnodes, comp)]
-
-
-def assemble_edge_mass(space: FieldSpace, edges: Sequence[EdgeRef],
-                       coeffs) -> sp.csr_matrix:
-    """Boundary mass matrix <w_i, c w_j> over the given edges.
-
-    ``coeffs`` is a scalar or a list of per-edge (nq,) arrays; it must be
+    ``coeff`` is a scalar or one value per quadrature point; it must be
     nonnegative (the matrix is positive semidefinite by construction).
     """
-    rows, cols, vals = [], [], []
-    for k, edge in enumerate(edges):
-        _, w, bvals = edge_rule(edge)
-        c = coeffs[k] if isinstance(coeffs, (list, tuple)) else \
-            np.full(len(w), float(coeffs))
-        if np.any(np.asarray(c) < 0.0):
-            raise AssemblyError("edge mass coefficient must be nonnegative")
-        me = np.einsum("q,qi,qj->ij", w * 0.5 * edge.length * np.asarray(c),
-                       bvals, bvals)
-        dofs = space.dofs_of_nodes(space.edge_field_nodes(edge))
-        n = len(dofs)
-        rows.append(np.repeat(dofs, n))
-        cols.append(np.tile(dofs, n))
-        vals.append(me.ravel())
-    if not rows:
-        return sp.csr_matrix((space.ndof, space.ndof))
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(space.ndof, space.ndof))
-    return mat.tocsr()
-
-
-def assemble_edge_load(space: FieldSpace, edges: Sequence[EdgeRef],
-                       values) -> np.ndarray:
-    """<w_i, g> load over the given edges; values scalar or per-edge arrays."""
-    b = np.zeros(space.ndof)
-    for k, edge in enumerate(edges):
-        _, w, bvals = edge_rule(edge)
-        g = values[k] if isinstance(values, (list, tuple)) else \
-            np.full(len(w), float(values))
-        be = bvals.T @ (w * 0.5 * edge.length * np.asarray(g))
-        dofs = space.dofs_of_nodes(space.edge_field_nodes(edge))
-        np.add.at(b, dofs, be)
-    return b
-
-
-def integrate_edges(edges: Sequence[EdgeRef], values) -> float:
-    total = 0.0
-    for k, edge in enumerate(edges):
-        w = edge_weights(edge)
-        g = values[k] if isinstance(values, (list, tuple)) else \
-            np.full(len(w), float(values))
-        total += float((w * np.asarray(g)).sum())
-    return total
-
-
-def boundary_measure(mesh: Mesh, part: str) -> float:
-    return sum(e.length for e in mesh.boundary_edges(part))
+    c = np.broadcast_to(np.asarray(coeff, dtype=float), w.shape)
+    if np.any(c < 0.0):
+        raise AssemblyError("edge mass coefficient must be nonnegative")
+    return (t.T @ sp.diags(w * c) @ t).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         kw["dt"] = args.dt
     if getattr(args, "tend", None) is not None:
         kw["t_end"] = args.tend
-    if getattr(args, "threads", None) is not None:
-        kw["threads"] = args.threads
     if getattr(args, "mesh", None):
         kw["mesh"] = {"coarse": MeshSpec.coarse,
                       "production": MeshSpec.production}[args.mesh]()
@@ -141,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tend", type=float, help="end time override [s]")
         p.add_argument("--mesh", choices=("coarse", "production"),
                        help="mesh resolution preset override")
-        p.add_argument("--threads", type=int,
-                       help="cap on intra-step parallelism (1 = deterministic)")
         if with_model:
             p.add_argument("--model", choices=("full", "electrochemical"),
                            help="model mode override")
@@ -179,11 +175,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage()
         return 2
-    if "VOLTACELL_THREADS" in os.environ and getattr(args, "threads", None) is None:
-        try:
-            args.threads = int(os.environ["VOLTACELL_THREADS"])
-        except ValueError:
-            print("ignoring non-integer VOLTACELL_THREADS", file=sys.stderr)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

@@ -53,7 +53,6 @@ class ScenarioConfig:
     fp_tol: float = 1e-8
     warmup_steps: int = 2
     snapshot_every: float = 60.0        # simulated seconds
-    threads: int = 1
     solver: str = "direct"
     solver_rtol: float = 1e-10
     material_overrides: dict = field(default_factory=dict)
@@ -91,8 +90,6 @@ class ScenarioConfig:
             errs.append("warmup_steps must be nonnegative")
         if self.snapshot_every <= 0.0:
             errs.append("snapshot_every must be positive")
-        if self.threads < 1:
-            errs.append("threads must be >= 1")
         if self.guard_action not in ("clamp", "abort"):
             errs.append("guard_action must be 'clamp' or 'abort'")
         if self.solver not in ("direct", "cg"):
@@ -191,7 +188,6 @@ _KEYS = {
     "fp_tol": ("fp_tol", _float),
     "warmup_steps": ("warmup_steps", _int),
     "snapshot_every": ("snapshot_every", _float),
-    "threads": ("threads", _int),
     "solver": ("solver", _str),
     "solver_rtol": ("solver_rtol", _float),
 }

@@ -86,8 +86,7 @@ def build_problem(config: ScenarioConfig) -> tuple[CellProblem, ScaledScenario]:
         mode=config.model, heat_convention=config.heat_convention,
         kappa_d_factor=config.kappa_d_factor,
         soc_init=(config.soc_init_anode, config.soc_init_cathode),
-        solver=config.solver, rtol=config.solver_rtol,
-        threads=config.threads)
+        solver=config.solver, rtol=config.solver_rtol)
     problem.set_load(scaled.i_app)
     return problem, scaled
 

@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assemble as asm
 from . import spaces as sps
@@ -95,32 +96,31 @@ def ohmic_heat(i, grad_phi, convention: str = "physical"):
 class InterfaceState:
     """Traces and derived kinetics at every interface quadrature point.
 
-    Arrays are lists aligned with the problem's interface edge list; each
-    entry has one value per edge quadrature point.
+    Each array holds one value per point of the problem's interface trace
+    operators; ``tags`` gives the electrode (ANODE or CATHODE) of each point.
     """
 
-    tags: list
-    theta: list
-    c_s: list
-    c_e: list
-    phi_s: list
-    phi_e: list
-    c_hat: list
-    ocp: list
-    eta: list
-    i_c: list
-    i_bv: list
-    coeff: list           # I_c F / (R theta), the linearized-BV coefficient
+    tags: np.ndarray
+    theta: np.ndarray
+    c_s: np.ndarray
+    c_e: np.ndarray
+    phi_s: np.ndarray
+    phi_e: np.ndarray
+    c_hat: np.ndarray
+    ocp: np.ndarray
+    eta: np.ndarray
+    i_c: np.ndarray
+    i_bv: np.ndarray
+    coeff: np.ndarray     # I_c F / (R theta), the linearized-BV coefficient
 
-    def ibv_integral(self, edges) -> float:
-        return asm.integrate_edges(edges, self.i_bv)
+    def ibv_integral(self, weights: np.ndarray) -> float:
+        return float(weights @ self.i_bv)
 
     def eta_ibv_min(self) -> float:
-        return min((float((e * i).min()) for e, i in zip(self.eta, self.i_bv)),
-                   default=0.0)
+        return float((self.eta * self.i_bv).min())
 
     def eta_max_abs(self) -> float:
-        return max((float(np.abs(e).max()) for e in self.eta), default=0.0)
+        return float(np.abs(self.eta).max())
 
 
 @dataclass
@@ -148,8 +148,7 @@ class CellProblem:
                  mode: str = "full", heat_convention: str = "physical",
                  kappa_d_factor: float = 1.0,
                  soc_init: tuple[float, float] = (0.5, 0.5),
-                 solver: str = "direct", rtol: float = 1e-10,
-                 threads: int = 1):
+                 solver: str = "direct", rtol: float = 1e-10):
         if mode not in ("full", "electrochemical"):
             raise ValueError(f"unknown model mode {mode!r}")
         if heat_convention not in ("physical", "reversed"):
@@ -163,7 +162,6 @@ class CellProblem:
         self.soc_init = soc_init
         self.solver = solver
         self.rtol = rtol
-        self.threads = max(int(threads), 1)
         self.i_app = 0.0
 
         grid = sps.NodeGrid.build(mesh)
@@ -199,10 +197,6 @@ class CellProblem:
         self.m_ce = asm.assemble_mass(self.s_ce, 1.0)
         self.k_ce = asm.assemble_stiffness(self.s_ce, e.diffusivity,
                                            "electrolyte diffusivity")
-        self.k_ps_bulk = asm.assemble_stiffness(self.s_ps, gam,
-                                                "electronic conductivity")
-        self.k_pe_bulk = asm.assemble_stiffness(self.s_pe, e.conductivity,
-                                                "ionic conductivity")
         ga, ka = a.lame
         gc, kc = c.lame
         self.k_u = asm.assemble_elasticity(
@@ -210,21 +204,38 @@ class CellProblem:
         self.k_u_red = asm.constrain(self.s_u, self.k_u)
         self._u_factor = SpdFactor(self.k_u_red, method=solver, rtol=rtol)
 
-        # Mass factorizations for rate evaluation (Euler predictor).
-        self._m_factors = {
-            "theta": SpdFactor(self.m_th, method=solver, rtol=rtol),
-            "c_s": SpdFactor(self.m_cs, method=solver, rtol=rtol),
-            "c_e": SpdFactor(self.m_ce, method=solver, rtol=rtol),
-        }
-
-        self.iface_edges = mesh.interface_edges()
-        if not self.iface_edges:
+        # Interface traces: the points of the anode interface edges, then
+        # those of the cathode, with one trace operator per field.
+        edges = mesh.interface_edges()
+        if not edges:
             raise ValueError("mesh carries no interface edges")
-        self.iface_tags = [int(mesh.cell_tag[e.solid_cell(mesh.cell_tag)])
-                           for e in self.iface_edges]
-        self.cc_plus_edges = mesh.boundary_edges(CC_PLUS)
-        self.cc_plus_len = asm.boundary_measure(mesh, CC_PLUS)
-        self.domain_area = asm.region_area(self.s_th)
+        by_tag = {ANODE: [], CATHODE: []}
+        for edge in edges:
+            tag = int(mesh.cell_tag[edge.solid_cell(mesh.cell_tag)])
+            by_tag[tag].append(edge)
+        parts = [asm.trace_operator(grid, by_tag[t]) for t in (ANODE, CATHODE)]
+        t_iface = sp.vstack([t for t, _ in parts], format="csr")
+        self.iface_w = np.concatenate([w for _, w in parts])
+        self.iface_tags = np.repeat([ANODE, CATHODE],
+                                    [len(w) for _, w in parts])
+        self.iface_tr = {k: asm.restrict_trace(self.spaces[k], t_iface)
+                         for k in ("theta", "c_s", "c_e", "phi_s", "phi_e")}
+
+        # The linearized potential pair on [phi_s free DOFs, phi_e]: bulk
+        # stiffness blocks, the interface jump operator D = [T_s, -T_e] and
+        # the unit cc_plus current load.
+        free_s = self.s_ps.free
+        k_ps = asm.assemble_stiffness(self.s_ps, gam,
+                                      "electronic conductivity")
+        k_pe = asm.assemble_stiffness(self.s_pe, e.conductivity,
+                                      "ionic conductivity")
+        self.k_pot = sp.block_diag((asm.constrain(self.s_ps, k_ps), k_pe),
+                                   format="csr")
+        self.iface_jump = sp.hstack([self.iface_tr["phi_s"][:, free_s],
+                                     -self.iface_tr["phi_e"]], format="csr")
+        t_cc, w_cc = asm.trace_operator(grid, mesh.boundary_edges(CC_PLUS))
+        self.cc_plus_load = (asm.restrict_trace(self.s_ps, t_cc).T
+                             @ w_cc)[free_s]
 
         # Strain-free reference concentrations (initial state of charge).
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
@@ -289,39 +300,34 @@ class CellProblem:
     # Interface kinetics
     # ------------------------------------------------------------------
 
-    def interface_state(self, theta_v, cs_v, ce_v, ps_v, pe_v) -> InterfaceState:
-        mats = self.mats
-        out = InterfaceState(tags=[], theta=[], c_s=[], c_e=[], phi_s=[],
-                             phi_e=[], c_hat=[], ocp=[], eta=[], i_c=[],
-                             i_bv=[], coeff=[])
-        for edge, tag in zip(self.iface_edges, self.iface_tags):
+    def _interface_kinetics(self, theta_v, cs_v, ce_v) -> dict:
+        """Guarded traces, open-circuit potential, exchange current and the
+        linearized-BV coefficient at the interface points."""
+        mats, tr = self.mats, self.iface_tr
+        th = tr["theta"] @ theta_v
+        cs = tr["c_s"] @ cs_v
+        ce = self.guard.c_e(tr["c_e"] @ ce_v, "c_e trace (interface)")
+        c_hat, ocp, i_c = (np.empty_like(cs) for _ in range(3))
+        for tag in (ANODE, CATHODE):
+            sel = self.iface_tags == tag
             electrode = mats.electrode(TAG_NAMES[tag])
-            th = asm.edge_trace(self.s_th, theta_v, edge)
-            cs = self.guard.c_s(asm.edge_trace(self.s_cs, cs_v, edge),
-                                electrode.c_max,
-                                f"c_s trace ({TAG_NAMES[tag]} interface)")
-            ce = self.guard.c_e(asm.edge_trace(self.s_ce, ce_v, edge),
-                                "c_e trace (interface)")
-            ps = asm.edge_trace(self.s_ps, ps_v, edge)
-            pe = asm.edge_trace(self.s_pe, pe_v, edge)
-            c_hat = cs / electrode.c_max
-            ocp = electrode.ocp(c_hat, clamp=True)
-            eta = ps - pe - ocp
-            i_c = exchange_current(cs, ce, electrode, mats)
-            i_bv = butler_volmer_current(i_c, eta, th, mats)
-            out.tags.append(tag)
-            out.theta.append(th)
-            out.c_s.append(cs)
-            out.c_e.append(ce)
-            out.phi_s.append(ps)
-            out.phi_e.append(pe)
-            out.c_hat.append(c_hat)
-            out.ocp.append(ocp)
-            out.eta.append(eta)
-            out.i_c.append(i_c)
-            out.i_bv.append(i_bv)
-            out.coeff.append(i_c * mats.faraday / (mats.gas_constant * th))
-        return out
+            cs[sel] = self.guard.c_s(cs[sel], electrode.c_max,
+                                     f"c_s trace ({TAG_NAMES[tag]} interface)")
+            c_hat[sel] = cs[sel] / electrode.c_max
+            ocp[sel] = electrode.ocp(c_hat[sel], clamp=True)
+            i_c[sel] = exchange_current(cs[sel], ce[sel], electrode, mats)
+        return {"theta": th, "c_s": cs, "c_e": ce, "c_hat": c_hat, "ocp": ocp,
+                "i_c": i_c,
+                "coeff": i_c * mats.faraday / (mats.gas_constant * th)}
+
+    def interface_state(self, theta_v, cs_v, ce_v, ps_v, pe_v) -> InterfaceState:
+        kin = self._interface_kinetics(theta_v, cs_v, ce_v)
+        ps = self.iface_tr["phi_s"] @ ps_v
+        pe = self.iface_tr["phi_e"] @ pe_v
+        eta = ps - pe - kin["ocp"]
+        i_bv = butler_volmer_current(kin["i_c"], eta, kin["theta"], self.mats)
+        return InterfaceState(tags=self.iface_tags, phi_s=ps, phi_e=pe,
+                              eta=eta, i_bv=i_bv, **kin)
 
     def interface_state_of(self, state: SimState) -> InterfaceState:
         return self.interface_state(state["theta"], state["c_s"], state["c_e"],
@@ -432,15 +438,10 @@ class CellProblem:
         inv_f = 1.0 / mats.faraday
         t_plus = mats.electrolyte.t_plus
         sign = 1.0 if self.heat_convention == "physical" else -1.0
-        cs_load = asm.assemble_edge_load(
-            self.s_cs, self.iface_edges, [-i * inv_f for i in ist.i_bv])
-        ce_load = asm.assemble_edge_load(
-            self.s_ce, self.iface_edges,
-            [(1.0 - t_plus) * inv_f * i for i in ist.i_bv])
-        heat_load = asm.assemble_edge_load(
-            self.s_th, self.iface_edges,
-            [sign * e * i for e, i in zip(ist.eta, ist.i_bv)])
-        return {"c_s": cs_load, "c_e": ce_load, "theta": heat_load}
+        tr, w = self.iface_tr, self.iface_w
+        return {"c_s": tr["c_s"].T @ (w * -ist.i_bv * inv_f),
+                "c_e": tr["c_e"].T @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
+                "theta": tr["theta"].T @ (w * sign * ist.eta * ist.i_bv)}
 
     def stage1(self, prev: SimState, mid: SimState, dt: float):
         """Solve the three parabolic updates; returns (new d-fields, audit).
@@ -448,9 +449,7 @@ class CellProblem:
         Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
         solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
         which avoids the cancellation of the large constant background in the
-        explicit operator.  Assembly runs serially (it shares the guard's
-        clamp log); the independent solves may run concurrently when
-        ``threads`` allows.
+        explicit operator.
         """
         ops = self._prepare_dt(dt)
         clamps_before = self.guard.log.events
@@ -470,21 +469,13 @@ class CellProblem:
             b_th = dt * (q_load + loads["theta"] - self.k_th @ prev["theta"])
             solves["theta"] = (ops["th_factor"], b_th)
 
-        if self.threads > 1 and len(solves) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(
-                    max_workers=min(len(solves), self.threads)) as pool:
-                futures = {k: pool.submit(f.solve, b)
-                           for k, (f, b) in solves.items()}
-                deltas = {k: fut.result() for k, fut in futures.items()}
-        else:
-            deltas = {k: f.solve(b) for k, (f, b) in solves.items()}
+        deltas = {k: f.solve(b) for k, (f, b) in solves.items()}
         new = {k: prev[k] + d for k, d in deltas.items()}
         if self.mode != "full":
             new["theta"] = prev["theta"].copy()
 
         audit = StageAudit(
-            ibv_integral=ist.ibv_integral(self.iface_edges),
+            ibv_integral=ist.ibv_integral(self.iface_w),
             eta_ibv_min=ist.eta_ibv_min(),
             eta_max=ist.eta_max_abs(),
             clamp_events=self.guard.log.events - clamps_before,
@@ -492,19 +483,28 @@ class CellProblem:
         return new, audit
 
     def d_rate(self, state: SimState) -> dict:
-        """f_d = M^-1 (-K d + b) at the given state (Euler predictor)."""
+        """f_d = M^-1 (-K d + b) at the given state (Euler predictor).
+
+        A run needs this once, for its first step, so the mass matrices are
+        factorized here instead of being held for the whole run.
+        """
+        def solve_mass(mass, rhs):
+            return SpdFactor(mass, method=self.solver,
+                             rtol=self.rtol).solve(rhs)
+
         ist = self.interface_state_of(state)
         loads = self.iface_loads(ist)
         rates = {}
         d_qp = self.solid_diffusivity_qp(state)
         k_cs = asm.assemble_stiffness(self.s_cs, d_qp, "solid diffusivity")
-        rates["c_s"] = self._m_factors["c_s"].solve(
-            -(k_cs @ state["c_s"]) + loads["c_s"])
-        rates["c_e"] = self._m_factors["c_e"].solve(
-            -(self.k_ce @ state["c_e"]) + loads["c_e"])
+        rates["c_s"] = solve_mass(self.m_cs,
+                                  -(k_cs @ state["c_s"]) + loads["c_s"])
+        rates["c_e"] = solve_mass(self.m_ce,
+                                  -(self.k_ce @ state["c_e"]) + loads["c_e"])
         if self.mode == "full":
             q_load = asm.assemble_load(self.s_th, self.heat_source_qp(state))
-            rates["theta"] = self._m_factors["theta"].solve(
+            rates["theta"] = solve_mass(
+                self.m_th,
                 -(self.k_th @ state["theta"]) + q_load + loads["theta"])
         else:
             rates["theta"] = np.zeros_like(state["theta"])
@@ -532,35 +532,27 @@ class CellProblem:
             kd_vec.append(vec)
         return asm.assemble_grad_load(self.s_pe, kd_vec)
 
-    def potential_systems(self, theta_v, cs_v, ce_v, ps_guess, pe_guess):
-        """Assemble the linearized phi_s and phi_e systems (reduced).
+    def potential_system(self, theta_v, cs_v, ce_v):
+        """The linearized phi_s/phi_e pair as one reduced block system.
 
-        One lagged assembly: each potential's load uses the other's guessed
-        trace (stage 2 iterates this pairing to convergence).
+        Unknowns are phi_s on its free DOFs followed by phi_e.  With the
+        interface jump operator D = [T_s, -T_e] and W_c = diag(w I_c F/(R
+        theta)), the matrix is blockdiag(K_s, K_e) + D^T W_c D and the load
+        carries the cc_plus current, the kappa_D term and D^T W_c U_ocp.  Its
+        energy x^T K_s x + y^T K_e y + int c (x - y)^2 makes it symmetric
+        positive definite, given the grounded collector.
         """
-        ist = self.interface_state(theta_v, cs_v, ce_v, ps_guess, pe_guess)
-        if max(float(np.max(c)) for c in ist.coeff) <= 0.0:
+        kin = self._interface_kinetics(theta_v, cs_v, ce_v)
+        coeff = kin["coeff"]
+        if float(np.max(coeff)) <= 0.0:
             raise ValueError(
                 "interface coefficient I_c*F/(R*theta) vanishes everywhere: "
                 "the phi_e system is singular")
-
-        a_ps = self.k_ps_bulk + asm.assemble_edge_mass(
-            self.s_ps, self.iface_edges, ist.coeff)
-        b_ps = asm.assemble_edge_load(self.s_ps, self.cc_plus_edges,
-                                      -self.i_app)
-        b_ps += asm.assemble_edge_load(
-            self.s_ps, self.iface_edges,
-            [c * (pe + o) for c, pe, o in zip(ist.coeff, ist.phi_e, ist.ocp)])
-
-        a_pe = self.k_pe_bulk + asm.assemble_edge_mass(
-            self.s_pe, self.iface_edges, ist.coeff)
-        b_pe = -self._kappa_d_grad_load(theta_v, ce_v)
-        b_pe += asm.assemble_edge_load(
-            self.s_pe, self.iface_edges,
-            [c * (ps - o) for c, ps, o in zip(ist.coeff, ist.phi_s, ist.ocp)])
-
-        return (asm.constrain(self.s_ps, a_ps, b_ps),
-                asm.constrain(self.s_pe, a_pe, b_pe))
+        a = self.k_pot + asm.trace_mass(self.iface_jump, self.iface_w, coeff)
+        b = np.concatenate([-self.i_app * self.cc_plus_load,
+                            -self._kappa_d_grad_load(theta_v, ce_v)])
+        b += self.iface_jump.T @ (self.iface_w * coeff * kin["ocp"])
+        return a, b
 
     def elasticity_load(self, theta_v, cs_v) -> np.ndarray:
         """(div v, 3K(alpha dtheta + omega dc)) load on the solid."""
@@ -581,75 +573,35 @@ class CellProblem:
             arrays.append(arr)
         return asm.assemble_div_load(self.s_u, arrays)
 
-    def _correct_solve(self, space, mat, rhs, guess_full, factor=None):
+    def _correct_solve(self, mat, rhs, guess, factor=None):
         # Solve for the correction against the guess: the right-hand side is
         # then the actual out-of-balance force, which keeps the solver's
         # relative residual meaningful for solutions riding a large offset.
-        guess_f = guess_full[space.free]
         solver = factor or SpdFactor(mat, method=self.solver, rtol=self.rtol)
-        delta = solver.solve(rhs - mat @ guess_f)
-        return asm.expand(space, guess_f + delta)
+        return guess + solver.solve(rhs - mat @ guess)
 
-    def stage2(self, t: float, d_new: dict, s_guess: SimState,
-               pair_tol: float = 1e-12, pair_max: int = 30) -> dict:
+    def stage2(self, t: float, d_new: dict, s_guess: SimState) -> dict:
         """Solve the quasi-static fields at the new time, then u.
 
-        The linearized interface terms couple phi_s and phi_e through each
-        other's traces, so the pair defines an implicit equation.  Its
-        matrices depend only on the dynamic fields, so they are factorized
-        once and the pair is iterated to ``pair_tol`` with cheap backsolves,
-        each potential solved against the other's latest trace.
+        The linearized interface terms couple phi_s and phi_e, so the pair is
+        solved at once as the block system of ``potential_system``; its
+        matrix depends only on the dynamic fields.
         """
         theta_v, cs_v, ce_v = d_new["theta"], d_new["c_s"], d_new["c_e"]
-        ist = self.interface_state(theta_v, cs_v, ce_v,
-                                   s_guess["phi_s"], s_guess["phi_e"])
-        if max(float(np.max(c)) for c in ist.coeff) <= 0.0:
-            raise ValueError(
-                "interface coefficient I_c*F/(R*theta) vanishes everywhere: "
-                "the phi_e system is singular")
-        a_ps = asm.constrain(self.s_ps, self.k_ps_bulk + asm.assemble_edge_mass(
-            self.s_ps, self.iface_edges, ist.coeff))
-        a_pe = asm.constrain(self.s_pe, self.k_pe_bulk + asm.assemble_edge_mass(
-            self.s_pe, self.iface_edges, ist.coeff))
-        f_ps = SpdFactor(a_ps, method=self.solver, rtol=self.rtol)
-        f_pe = SpdFactor(a_pe, method=self.solver, rtol=self.rtol)
-
-        b_ps_fixed = asm.assemble_edge_load(self.s_ps, self.cc_plus_edges,
-                                            -self.i_app)
-        b_pe_fixed = -self._kappa_d_grad_load(theta_v, ce_v)
-        volt_scale = max(self.field_scales["phi_s"], 1e-30)
-
-        # Dirichlet values are homogeneous, so reducing a load vector is a
-        # plain row selection (no lifting term).
-        ps, pe = s_guess["phi_s"], s_guess["phi_e"]
-        for _ in range(max(pair_max, 1)):
-            pe_tr = [asm.edge_trace(self.s_pe, pe, e)
-                     for e in self.iface_edges]
-            b_ps = b_ps_fixed + asm.assemble_edge_load(
-                self.s_ps, self.iface_edges,
-                [c * (tr + o) for c, tr, o in
-                 zip(ist.coeff, pe_tr, ist.ocp)])
-            ps_new = self._correct_solve(self.s_ps, a_ps, b_ps[self.s_ps.free],
-                                         ps, factor=f_ps)
-            ps_tr = [asm.edge_trace(self.s_ps, ps_new, e)
-                     for e in self.iface_edges]
-            b_pe = b_pe_fixed + asm.assemble_edge_load(
-                self.s_pe, self.iface_edges,
-                [c * (tr - o) for c, tr, o in
-                 zip(ist.coeff, ps_tr, ist.ocp)])
-            pe_new = self._correct_solve(self.s_pe, a_pe, b_pe[self.s_pe.free],
-                                         pe, factor=f_pe)
-            delta = max(np.abs(ps_new - ps).max(),
-                        np.abs(pe_new - pe).max()) / volt_scale
-            ps, pe = ps_new, pe_new
-            if delta < pair_tol:
-                break
+        a, b = self.potential_system(theta_v, cs_v, ce_v)
+        n_s = self.s_ps.n_free
+        guess = np.concatenate([s_guess["phi_s"][self.s_ps.free],
+                                s_guess["phi_e"]])
+        x = self._correct_solve(a, b, guess)
+        ps, pe = asm.expand(self.s_ps, x[:n_s]), x[n_s:]
 
         if self.mode == "full":
+            # The displacement constraints are homogeneous, so reducing the
+            # load is a plain row selection (no lifting term).
             b_u = self.elasticity_load(theta_v, cs_v)
-            _, b_u_red = asm.constrain(self.s_u, self.k_u, b_u)
-            u = self._correct_solve(self.s_u, self.k_u_red, b_u_red,
-                                    s_guess["u"], factor=self._u_factor)
+            u = asm.expand(self.s_u, self._correct_solve(
+                self.k_u_red, b_u[self.s_u.free], s_guess["u"][self.s_u.free],
+                factor=self._u_factor))
         else:
             u = np.zeros(self.s_u.ndof)
         return {"phi_s": ps, "phi_e": pe, "u": u}
@@ -660,14 +612,11 @@ class CellProblem:
 
     def boundary_average(self, space: sps.FieldSpace, vec: np.ndarray,
                          part: str) -> float:
-        edges = self.mesh.boundary_edges(part)
-        total = sum(float((asm.edge_weights(e)
-                           * asm.edge_trace(space, vec, e)).sum())
-                    for e in edges)
-        length = sum(e.length for e in edges)
+        t, w = asm.trace_operator(self.grid, self.mesh.boundary_edges(part))
+        length = float(w.sum())
         if length == 0.0:
             raise ValueError(f"boundary part {part!r} is empty")
-        return total / length
+        return float(w @ (asm.restrict_trace(space, t) @ vec)) / length
 
     def stress_qp(self, state: SimState) -> list:
         """StressState per master group at quadrature points (solid rows)."""

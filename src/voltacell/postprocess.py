@@ -349,8 +349,7 @@ def compare_models(config, out_dir=None):
         if out_dir is not None:
             import os
             sub_dir = os.path.join(out_dir, mode)
-        result = run_scenario(cfg, out_dir=sub_dir)
-        p_avg = result.power_density_w_per_m3()
+        p_avg = run_scenario(cfg, out_dir=sub_dir).power_density_w_per_m3()
         p_by_mode[mode] = p_avg
         rows.append(ComparisonRow(scenario=config.name, model=mode,
                                   p_avg_w_per_m3=p_avg))

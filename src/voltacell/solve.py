@@ -8,11 +8,30 @@ the requested tolerance and fails loudly otherwise.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_RTOL = 1e-10
+# Minimum-degree ordering on A^T + A: the systems are symmetric, and this
+# symmetric fill-reducing ordering keeps the LU factors (and memory) far
+# smaller than SuperLU's default column ordering.
+PERMC_SPEC = "MMD_AT_PLUS_A"
+
+# SuperLU reserves room for about twenty times nnz(A) factor entries and fills
+# only part of it.  Once glibc has freed one such block it raises its mmap
+# threshold, later reservations come from the heap, and their unfilled pages
+# pass to other allocations: a process that runs scenario after scenario grows
+# in resident size with every run.  Pinning the threshold keeps blocks of 1 MiB
+# and more in their own mappings, which are returned on release.
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 1 << 20
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):    # not a glibc process
+    _MALLOPT = None
 
 
 class SolveError(RuntimeError):
@@ -42,8 +61,10 @@ class SpdFactor:
         self._mat = mat.tocsr()
         self._a_max = np.abs(self._mat.data).max() if self._mat.nnz else 0.0
         if method == "direct":
+            if _MALLOPT is not None:
+                _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
             try:
-                self._lu = spla.splu(mat.tocsc())
+                self._lu = spla.splu(mat.tocsc(), permc_spec=PERMC_SPEC)
             except RuntimeError as exc:
                 raise SolveError(f"factorization failed: {exc}") from exc
         elif method == "cg":

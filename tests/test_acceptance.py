@@ -254,10 +254,8 @@ def _system_matrices(problem, dt):
     mats["theta system"] = problem.m_th + 0.5 * dt * problem.k_th
     mats["c_s system"] = problem.m_cs + 0.5 * dt * k_cs
     mats["c_e system"] = problem.m_ce + 0.5 * dt * problem.k_ce
-    (a_ps, _), (a_pe, _) = problem.potential_systems(
-        s0["theta"], s0["c_s"], s0["c_e"], s0["phi_s"], s0["phi_e"])
-    mats["phi_s system"] = a_ps
-    mats["phi_e system"] = a_pe
+    mats["potential block system"], _ = problem.potential_system(
+        s0["theta"], s0["c_s"], s0["c_e"])
     mats["elasticity"] = asm.constrain(problem.s_u, problem.k_u)
     return mats
 
@@ -323,9 +321,11 @@ def test_criterion_11_oracle_equivalence():
                          "top": "top", "bottom": "bottom"}[side])
     s2 = sps.build_field_space(m2, sps.OMEGA_E, name="phi_e")
     edges = m2.interface_edges()
-    trace_coeff = [2.0 + asm.edge_points(edges[0])[:, 1]]
+    t_grid, w = asm.trace_operator(s2.grid, edges)
+    t = asm.restrict_trace(s2, t_grid)
+    y = t @ s2.interpolate(lambda x, y: y)   # exact: y is in the space
     worst["interface mass"] = rel(
-        asm.assemble_edge_mass(s2, edges, trace_coeff),
+        asm.trace_mass(t, w, 2.0 + y),
         oracles.dense_edge_mass(s2, edges, lambda x, y: 2.0 + y))
 
     # elasticity on a 2x2 mixed-degree solid mesh

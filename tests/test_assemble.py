@@ -159,19 +159,24 @@ def test_elasticity_mixed_materials_dense_oracle():
 # interface / boundary edge terms
 # ---------------------------------------------------------------------------
 
+def _interface_trace(mesh, space):
+    t, w = asm.trace_operator(space.grid, mesh.interface_edges())
+    return asm.restrict_trace(space, t), w
+
+
 def test_edge_mass_row_sums_are_edge_length():
     m = two_cell_interface_mesh(p=2)
     s = _space(m, sps.OMEGA_S)
     edges = m.interface_edges()
     assert len(edges) == 1
-    em = asm.assemble_edge_mass(s, edges, 1.0)
+    em = asm.trace_mass(*_interface_trace(m, s), 1.0)
     assert em.sum() == pytest.approx(edges[0].length, rel=1e-14)
 
 
 def test_edge_mass_zero_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
-    em = asm.assemble_edge_mass(s, m.interface_edges(), 0.0)
+    em = asm.trace_mass(*_interface_trace(m, s), 0.0)
     assert em.nnz == 0 or np.abs(em.data).max() == 0.0
 
 
@@ -179,8 +184,9 @@ def test_edge_mass_matches_dense_oracle():
     m = two_cell_interface_mesh(p=3)
     s = _space(m, sps.OMEGA_E)
     edges = m.interface_edges()
-    coeff = [1.0 + asm.edge_points(edges[0])[:, 1] ** 2]
-    sparse = asm.assemble_edge_mass(s, edges, coeff)
+    t, w = _interface_trace(m, s)
+    y = t @ s.interpolate(lambda x, y: y)     # exact: y is in the space
+    sparse = asm.trace_mass(t, w, 1.0 + y ** 2)
     dense = oracles.dense_edge_mass(s, edges, lambda x, y: 1.0 + y * y)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
@@ -189,18 +195,21 @@ def test_edge_mass_rejects_negative_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
     with pytest.raises(asm.AssemblyError):
-        asm.assemble_edge_mass(s, m.interface_edges(), -1.0)
+        asm.trace_mass(*_interface_trace(m, s), -1.0)
 
 
-def test_edge_trace_and_load_partition_of_unity():
+def test_trace_and_load_partition_of_unity():
     m = two_cell_interface_mesh(p=3)
     s = _space(m, sps.OMEGA_S)
     edge = m.interface_edges()[0]
+    t, w = _interface_trace(m, s)
     f = s.interpolate(lambda x, y: 3.0 * y + 1.0)
-    trace = asm.edge_trace(s, f, edge)
-    pts = asm.edge_points(edge)
-    assert np.allclose(trace, 3.0 * pts[:, 1] + 1.0, atol=1e-12)
-    load = asm.assemble_edge_load(s, [edge], 2.0)
+    gauss, _ = np.polynomial.legendre.leggauss(
+        edge.degree + asm.EDGE_QUAD_EXTRA)
+    y = edge.p0[1] + (gauss + 1.0) * 0.5 * (edge.p1[1] - edge.p0[1])
+    assert np.allclose(t @ f, 3.0 * y + 1.0, atol=1e-12)
+    assert w.sum() == pytest.approx(edge.length, rel=1e-14)
+    load = t.T @ (w * 2.0)
     assert load.sum() == pytest.approx(2.0 * edge.length, rel=1e-14)
 
 
@@ -211,6 +220,9 @@ def test_edge_side_mismatch_raises():
     elyte_right = [e for e in m.boundary_edges("cc_plus")]
     with pytest.raises(ValueError, match="outside the support"):
         s_solid.edge_field_nodes(elyte_right[0])
+    t, _ = asm.trace_operator(s_solid.grid, elyte_right)
+    with pytest.raises(ValueError, match="outside the support"):
+        asm.restrict_trace(s_solid, t)
 
 
 # ---------------------------------------------------------------------------

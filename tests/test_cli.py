@@ -1,4 +1,3 @@
-import json
 import os
 
 from voltacell import cli
@@ -67,13 +66,3 @@ def test_mesh_subcommand(tmp_path, capsys):
     assert (out / "quality_report.txt").exists()
     assert (out / "domain.svg").exists()
     assert "no invariant violations" in capsys.readouterr().out
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("VOLTACELL_THREADS", "2")
-    out = tmp_path / "r2"
-    rc = run_cli(["run", "--scenario", "high_discharge", "--out", str(out),
-                  "--mesh", "coarse", "--dt", "30", "--tend", "30"])
-    assert rc == 0
-    man = json.loads((out / "manifest.json").read_text())
-    assert man["config"]["threads"] == 2

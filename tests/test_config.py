@@ -50,11 +50,11 @@ def test_unknown_key_suggestion(tmp_path):
 
 def test_all_violations_reported_together(tmp_path):
     f = tmp_path / "scn.txt"
-    f.write_text("soc_init = -2\nmodel = hybrid\nthreads = 0\n")
+    f.write_text("soc_init = -2\nmodel = hybrid\n")
     with pytest.raises(ConfigError) as err:
         parse_scenario(str(f))
     msg = str(err.value)
-    assert "soc_init" in msg and "model" in msg and "threads" in msg
+    assert "soc_init" in msg and "model" in msg
 
 
 def test_parse_error_carries_line_number(tmp_path):

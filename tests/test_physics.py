@@ -183,13 +183,13 @@ def test_stage1_concentration_system_hand_oracle(mats):
 
 
 def test_potential_system_hand_oracle(mats):
-    """Toy strip: hand-assembled bulk stiffness + interface mass + loads."""
+    """Toy strip: hand-assembled bulk stiffness, interface mass and coupling
+    blocks, and loads of the reduced phi_s/phi_e block system."""
     prob = toy_strip_problem(mats)
     i_app = 3.0
     prob.set_load(i_app)
     s0 = prob.initial_state()
-    (a_ps, b_ps), (a_pe, b_pe) = prob.potential_systems(
-        s0["theta"], s0["c_s"], s0["c_e"], s0["phi_s"], s0["phi_e"])
+    a, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
 
     theta0 = mats.theta_ref
     ocp_a = mats.anode.ocp(0.5)
@@ -200,47 +200,52 @@ def test_potential_system_hand_oracle(mats):
                                   mats.cathode, mats)
     cf_a = i_c_a * mats.faraday / (mats.gas_constant * theta0)
     cf_c = i_c_c * mats.faraday / (mats.gas_constant * theta0)
-    edge_m = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0   # unit edge mass
 
-    # phi_s space: nodes of the anode cell then the cathode cell
-    ps = prob.s_ps
-    xy = ps.node_xy()
-    a_hand = np.zeros((8, 8))
-    b_hand = np.zeros(8)
+    def edge_m(y_i, y_j):
+        """Unit vertical edge mass between nodes at heights y_i and y_j."""
+        same = np.isclose(y_i[:, None], y_j[None, :])
+        return np.where(same, 2.0, 1.0) / 6.0
+
+    # phi_s space: nodes of the anode cell then the cathode cell; phi_e
+    # space: the electrolyte cell, its left edge facing the anode
+    ps, pe = prob.s_ps, prob.s_pe
+    xy, xe = ps.node_xy(), pe.node_xy()
+    dofs_e = pe.cell_node_dofs[0][0]
+    left = dofs_e[np.isclose(xe[dofs_e, 0], 1.0)]
+    right = dofs_e[np.isclose(xe[dofs_e, 0], 2.0)]
+    a_ss = np.zeros((8, 8))
+    a_se = np.zeros((8, 4))
+    b_s = np.zeros(8)
+    a_ee = np.zeros((4, 4))
+    b_e = np.zeros(4)
+    a_ee[np.ix_(dofs_e, dofs_e)] += mats.electrolyte.conductivity * K1
     for g, rows, dofs in zip(ps.master, ps.member_rows, ps.cell_node_dofs):
         for k, row in enumerate(rows):
             idx = dofs[k]
             tag = int(g.tag[row])
             gamma = mats.electrode(geo.TAG_NAMES[tag]).conductivity
-            a_hand[np.ix_(idx, idx)] += gamma * K1
+            a_ss[np.ix_(idx, idx)] += gamma * K1
             if tag == geo.ANODE:
-                e_idx = idx[np.isclose(xy[idx, 0], 1.0)]
-                a_hand[np.ix_(e_idx, e_idx)] += cf_a * edge_m
-                b_hand[e_idx] += cf_a * (-ocp_a + ocp_a) * 0.5
+                x_face, e_idx, cf, ocp = 1.0, left, cf_a, ocp_a
             else:
-                e_idx = idx[np.isclose(xy[idx, 0], 2.0)]
-                a_hand[np.ix_(e_idx, e_idx)] += cf_c * edge_m
-                b_hand[e_idx] += cf_c * (-ocp_a + ocp_c) * 0.5
+                x_face, e_idx, cf, ocp = 2.0, right, cf_c, ocp_c
                 cc_idx = idx[np.isclose(xy[idx, 0], 3.0)]
-                b_hand[cc_idx] += -i_app * 0.5
+                b_s[cc_idx] += -i_app * 0.5
+            s_idx = idx[np.isclose(xy[idx, 0], x_face)]
+            y_s, y_e = xy[s_idx, 1], xe[e_idx, 1]
+            a_ss[np.ix_(s_idx, s_idx)] += cf * edge_m(y_s, y_s)
+            a_ee[np.ix_(e_idx, e_idx)] += cf * edge_m(y_e, y_e)
+            a_se[np.ix_(s_idx, e_idx)] -= cf * edge_m(y_s, y_e)
+            b_s[s_idx] += cf * ocp * 0.5
+            b_e[e_idx] -= cf * ocp * 0.5
     free = np.nonzero(ps.free)[0]
-    assert np.allclose(a_ps.toarray(), a_hand[np.ix_(free, free)],
-                       rtol=1e-12, atol=1e-12 * np.abs(a_hand).max())
-    assert np.allclose(b_ps, b_hand[free], rtol=1e-12,
-                       atol=1e-12 * max(np.abs(b_hand).max(), 1e-30))
-
-    # phi_e: bulk kappa_e stiffness plus both interface edge masses
-    pe = prob.s_pe
-    xe = pe.node_xy()
-    a_hand_e = np.zeros((4, 4))
-    dofs_e = pe.cell_node_dofs[0][0]
-    a_hand_e[np.ix_(dofs_e, dofs_e)] += mats.electrolyte.conductivity * K1
-    left = dofs_e[np.isclose(xe[dofs_e, 0], 1.0)]
-    right = dofs_e[np.isclose(xe[dofs_e, 0], 2.0)]
-    a_hand_e[np.ix_(left, left)] += cf_a * edge_m
-    a_hand_e[np.ix_(right, right)] += cf_c * edge_m
-    assert np.allclose(a_pe.toarray(), a_hand_e, rtol=1e-12,
-                       atol=1e-12 * np.abs(a_hand_e).max())
+    a_hand = np.block([[a_ss[np.ix_(free, free)], a_se[free]],
+                       [a_se[free].T, a_ee]])
+    b_hand = np.concatenate([b_s[free], b_e])
+    assert np.allclose(a.toarray(), a_hand, rtol=1e-12,
+                       atol=1e-12 * np.abs(a_hand).max())
+    assert np.allclose(b, b_hand, rtol=1e-12,
+                       atol=1e-12 * np.abs(b_hand).max())
 
 
 def test_potential_solve_preserves_equilibrium(mats):
@@ -257,13 +262,47 @@ def test_kappa_d_load_vanishes_for_uniform_concentration(mats):
     prob = toy_strip_problem(mats)
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    (a1, b1), (a2, b2) = prob.potential_systems(
-        s0["theta"], s0["c_s"], s0["c_e"], s0["phi_s"], s0["phi_e"])
+    _, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
     prob2 = toy_strip_problem(mats, kappa_d_factor=0.0)
     prob2.set_load(0.0)
-    (a1b, b1b), (a2b, b2b) = prob2.potential_systems(
-        s0["theta"], s0["c_s"], s0["c_e"], s0["phi_s"], s0["phi_e"])
-    assert np.allclose(b2, b2b, atol=1e-12 * max(np.abs(b2b).max(), 1e-30))
+    _, b_no_kd = prob2.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
+    assert np.allclose(b, b_no_kd,
+                       atol=1e-12 * max(np.abs(b_no_kd).max(), 1e-30))
+
+
+def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats_scaled,
+                                              scales):
+    """Under load, stage 2's phi_s and phi_e satisfy both linearized
+    potential equations at once: each field's residual, with the other
+    field's trace in its interface term, is at solver tolerance."""
+    from voltacell import units
+    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    s0 = prob.initial_state()
+    new = prob.stage2(0.0, {k: s0[k] for k in prob.D_FIELDS}, s0)
+    ist = prob.interface_state(s0["theta"], s0["c_s"], s0["c_e"],
+                               new["phi_s"], new["phi_e"])
+    assert np.abs(ist.eta).max() > 1e-3        # the pair is really loaded
+    wc = prob.iface_w * ist.coeff
+    t_s, t_e = prob.iface_tr["phi_s"], prob.iface_tr["phi_e"]
+    k_s = asm.assemble_stiffness(prob.s_ps, {
+        geo.ANODE: mats_scaled.anode.conductivity,
+        geo.CATHODE: mats_scaled.cathode.conductivity})
+    k_e = asm.assemble_stiffness(prob.s_pe,
+                                 mats_scaled.electrolyte.conductivity)
+    free = prob.s_ps.free
+    cc = np.zeros(prob.s_ps.ndof)
+    cc[free] = -prob.i_app * prob.cc_plus_load
+    # (K_s + T_s^T W T_s) phi_s = cc + T_s^T W (T_e phi_e + U), and
+    # (K_e + T_e^T W T_e) phi_e = T_e^T W (T_s phi_s - U); the kappa_D load
+    # vanishes for the uniform c_e.
+    load_s = cc + t_s.T @ (wc * (ist.phi_e + ist.ocp))
+    load_e = t_e.T @ (wc * (ist.phi_s - ist.ocp))
+    res_s = k_s @ new["phi_s"] + t_s.T @ (wc * ist.phi_s) - load_s
+    res_e = k_e @ new["phi_e"] + t_e.T @ (wc * ist.phi_e) - load_e
+    assert np.linalg.norm(res_s[free]) <= prob.rtol * np.linalg.norm(
+        load_s[free])
+    assert np.linalg.norm(res_e) <= prob.rtol * np.linalg.norm(load_e)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +321,7 @@ def test_interface_load_balance(coarse_mesh, mats_scaled):
     state["phi_e"] = s0["phi_e"] + 0.01 * rng.normal(size=prob.s_pe.ndof)
     ist = prob.interface_state_of(state)
     loads = prob.iface_loads(ist)
-    total_ibv = ist.ibv_integral(prob.iface_edges)
+    total_ibv = ist.ibv_integral(prob.iface_w)
     faraday = mats_scaled.faraday
     t_plus = mats_scaled.electrolyte.t_plus
     assert loads["c_s"].sum() == pytest.approx(-total_ibv / faraday,
@@ -301,9 +340,12 @@ def test_linearized_bv_matches_nonlinear_at_small_eta(coarse_mesh,
         state = s0.copy()
         state["phi_s"] = prob.s_ps.apply_constraints(s0["phi_s"] + eta0)
         ist = prob.interface_state_of(state)
-        for coeff, eta, ibv in zip(ist.coeff, ist.eta, ist.i_bv):
-            linear = coeff * eta
-            assert np.all(np.abs(linear - ibv) <= 0.01 * np.abs(ibv))
+        for tag in (geo.ANODE, geo.CATHODE):
+            sel = ist.tags == tag
+            assert np.any(sel)
+            linear = ist.coeff[sel] * ist.eta[sel]
+            assert np.all(np.abs(linear - ist.i_bv[sel])
+                          <= 0.01 * np.abs(ist.i_bv[sel]))
 
 
 def test_stage1_uniform_state_is_stationary(coarse_problem):
@@ -391,10 +433,9 @@ def test_interface_sample_fields(coarse_problem):
     s0 = prob.initial_state()
     ist = prob.interface_state_of(s0)
     assert set(ist.tags) == {geo.ANODE, geo.CATHODE}
-    for eta, ibv, coeff in zip(ist.eta, ist.i_bv, ist.coeff):
-        assert np.abs(eta).max() < 1e-10
-        assert np.abs(ibv).max() < 1e-8
-        assert np.all(coeff > 0.0)
+    assert np.abs(ist.eta).max() < 1e-10
+    assert np.abs(ist.i_bv).max() < 1e-8
+    assert np.all(ist.coeff > 0.0)
 
 
 def test_reversed_heat_terms_are_negated(coarse_mesh, mats_scaled,
@@ -455,5 +496,4 @@ def test_singular_phi_e_reported(mats):
     s0 = prob.initial_state()
     dead_ce = np.zeros(prob.s_ce.ndof)
     with pytest.raises(ValueError, match="singular"):
-        prob.potential_systems(s0["theta"], s0["c_s"], dead_ce,
-                               s0["phi_s"], s0["phi_e"])
+        prob.potential_system(s0["theta"], s0["c_s"], dead_ce)
