@@ -34,7 +34,7 @@ from .geometry import ANODE, CATHODE, ELYTE, CC_PLUS, TAG_NAMES
 from .materials import MaterialSet, hooke_plane_strain, hydrostatic_pressure, \
     stress_diffusivity, von_mises, StressState
 from .mesh import Mesh
-from .solve import SpdFactor
+from .solve import HeldFactor, SpdFactor
 from .state import Guard, SimState
 
 log = logging.getLogger(__name__)
@@ -222,6 +222,7 @@ class CellProblem:
                                     [len(w) for _, w in parts])
         self.iface_tr = {k: asm.restrict_trace(self.spaces[k], t_iface)
                          for k in ("theta", "c_s", "c_e", "phi_s", "phi_e")}
+        self.iface_tr_t = {k: t.T for k, t in self.iface_tr.items()}
 
         # The linearized potential pair on [phi_s free DOFs, phi_e]: bulk
         # stiffness blocks, the interface jump operator D = [T_s, -T_e] and
@@ -235,6 +236,7 @@ class CellProblem:
                                    format="csr")
         self.iface_jump = sp.hstack([self.iface_tr["phi_s"][:, free_s],
                                      -self.iface_tr["phi_e"]], format="csr")
+        self.iface_jump_t = self.iface_jump.T
         t_cc, w_cc = asm.trace_operator(grid, mesh.boundary_edges(CC_PLUS))
         self.cc_plus_load = (asm.restrict_trace(self.s_ps, t_cc).T
                              @ w_cc)[free_s]
@@ -243,6 +245,12 @@ class CellProblem:
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
                         CATHODE: soc_init[1] * c.c_max}
         self._dt_ops = None
+        # The c_s and potential-pair matrices change between sweeps and steps
+        # only through slowly varying coefficients: one held factor each
+        # preconditions them for the whole run.
+        self.cs_solver = HeldFactor(method=solver, rtol=rtol)
+        self.pot_solver = HeldFactor(method=solver, rtol=rtol)
+        self.held_factors = (self.cs_solver, self.pot_solver)
 
         # Characteristic magnitudes for relative-update norms; the
         # displacement (zero at rest) is measured against the cell height.
@@ -430,8 +438,10 @@ class CellProblem:
         ops = {}
         a_ce = self.m_ce + 0.5 * dt * self.k_ce
         ops["ce_factor"] = SpdFactor(a_ce, method=self.solver, rtol=self.rtol)
-        a_th = self.m_th + 0.5 * dt * self.k_th
-        ops["th_factor"] = SpdFactor(a_th, method=self.solver, rtol=self.rtol)
+        if self.mode == "full":     # the heat equation is solved only here
+            a_th = self.m_th + 0.5 * dt * self.k_th
+            ops["th_factor"] = SpdFactor(a_th, method=self.solver,
+                                         rtol=self.rtol)
         self._dt_ops = (dt, ops)
         return ops
 
@@ -440,10 +450,10 @@ class CellProblem:
         inv_f = 1.0 / mats.faraday
         t_plus = mats.electrolyte.t_plus
         sign = 1.0 if self.heat_convention == "physical" else -1.0
-        tr, w = self.iface_tr, self.iface_w
-        return {"c_s": tr["c_s"].T @ (w * -ist.i_bv * inv_f),
-                "c_e": tr["c_e"].T @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
-                "theta": tr["theta"].T @ (w * sign * ist.eta * ist.i_bv)}
+        tr_t, w = self.iface_tr_t, self.iface_w
+        return {"c_s": tr_t["c_s"] @ (w * -ist.i_bv * inv_f),
+                "c_e": tr_t["c_e"] @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
+                "theta": tr_t["theta"] @ (w * sign * ist.eta * ist.i_bv)}
 
     def stage1(self, prev: SimState, mid: SimState, dt: float,
                heat_start: bool = False):
@@ -452,7 +462,10 @@ class CellProblem:
         Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
         solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
         which avoids the cancellation of the large constant background in the
-        explicit operator.
+        explicit operator.  The c_s matrix carries the solid diffusivity at the
+        midpoint, so it changes with every sweep; its held factor
+        (``cs_solver``) preconditions CG on it.  c_e and theta have fixed
+        matrices, factorized once per dt.
 
         With ``heat_start`` (the step across the load switch-on) the heat
         equation instead takes two backward-Euler half-steps,
@@ -471,10 +484,9 @@ class CellProblem:
         k_cs = asm.assemble_stiffness(self.s_cs, d_qp, "solid diffusivity")
         a_cs = self.m_cs + 0.5 * dt * k_cs
         b_cs = dt * (loads["c_s"] - k_cs @ prev["c_s"])
-        cs_factor = SpdFactor(a_cs, method=self.solver, rtol=self.rtol)
         b_ce = dt * (loads["c_e"] - self.k_ce @ prev["c_e"])
 
-        new = {"c_s": prev["c_s"] + cs_factor.solve(b_cs),
+        new = {"c_s": prev["c_s"] + self.cs_solver.solve(a_cs, b_cs),
                "c_e": prev["c_e"] + ops["ce_factor"].solve(b_ce)}
         if self.mode == "full":
             q_load = asm.assemble_load(self.s_th, self.heat_source_qp(mid))
@@ -499,12 +511,12 @@ class CellProblem:
     def d_rate(self, state: SimState) -> dict:
         """f_d = M^-1 (-K d + b) at the given state (Euler predictor).
 
-        A run needs this once, for its first step, so the mass matrices are
-        factorized here instead of being held for the whole run.
+        A run needs this once, for its first step.  Jacobi-CG solves the
+        well-conditioned mass matrices in a few dozen iterations, faster than
+        a factorization and without its memory.
         """
         def solve_mass(mass, rhs):
-            return SpdFactor(mass, method=self.solver,
-                             rtol=self.rtol).solve(rhs)
+            return SpdFactor(mass, method="cg", rtol=self.rtol).solve(rhs)
 
         ist = self.interface_state_of(state)
         loads = self.iface_loads(ist)
@@ -565,7 +577,7 @@ class CellProblem:
         a = self.k_pot + asm.trace_mass(self.iface_jump, self.iface_w, coeff)
         b = np.concatenate([-self.i_app * self.cc_plus_load,
                             -self._kappa_d_grad_load(theta_v, ce_v)])
-        b += self.iface_jump.T @ (self.iface_w * coeff * kin["ocp"])
+        b += self.iface_jump_t @ (self.iface_w * coeff * kin["ocp"])
         return a, b
 
     def elasticity_load(self, theta_v, cs_v) -> np.ndarray:
@@ -587,35 +599,36 @@ class CellProblem:
             arrays.append(arr)
         return asm.assemble_div_load(self.s_u, arrays)
 
-    def _correct_solve(self, mat, rhs, guess, factor=None):
-        # Solve for the correction against the guess: the right-hand side is
-        # then the actual out-of-balance force, which keeps the solver's
-        # relative residual meaningful for solutions riding a large offset.
-        solver = factor or SpdFactor(mat, method=self.solver, rtol=self.rtol)
-        return guess + solver.solve(rhs - mat @ guess)
-
     def stage2(self, t: float, d_new: dict, s_guess: SimState) -> dict:
         """Solve the quasi-static fields at the new time, then u.
 
         The linearized interface terms couple phi_s and phi_e, so the pair is
         solved at once as the block system of ``potential_system``; its
-        matrix depends only on the dynamic fields.
+        matrix depends only on the dynamic fields and changes slowly, so the
+        held factor ``pot_solver`` preconditions CG on it.  The elasticity
+        matrix is fixed and factorized once per problem.
+
+        Both systems are solved for the correction against the guess: the
+        right-hand side is then the actual out-of-balance force, which keeps
+        the solver's relative residual meaningful for solutions riding a
+        large offset.
         """
         theta_v, cs_v, ce_v = d_new["theta"], d_new["c_s"], d_new["c_e"]
         a, b = self.potential_system(theta_v, cs_v, ce_v)
         n_s = self.s_ps.n_free
         guess = np.concatenate([s_guess["phi_s"][self.s_ps.free],
                                 s_guess["phi_e"]])
-        x = self._correct_solve(a, b, guess)
+        x = guess + self.pot_solver.solve(a, b - a @ guess)
         ps, pe = asm.expand(self.s_ps, x[:n_s]), x[n_s:]
 
         if self.mode == "full":
             # The displacement constraints are homogeneous, so reducing the
             # load is a plain row selection (no lifting term).
-            b_u = self.elasticity_load(theta_v, cs_v)
-            u = asm.expand(self.s_u, self._correct_solve(
-                self.k_u_red, b_u[self.s_u.free], s_guess["u"][self.s_u.free],
-                factor=self._u_factor))
+            free = self.s_u.free
+            b_u = self.elasticity_load(theta_v, cs_v)[free]
+            u_guess = s_guess["u"][free]
+            u = asm.expand(self.s_u, u_guess + self._u_factor.solve(
+                b_u - self.k_u_red @ u_guess))
         else:
             u = np.zeros(self.s_u.ndof)
         return {"phi_s": ps, "phi_e": pe, "u": u}

@@ -2,8 +2,11 @@
 
 Default method is a direct sparse factorization (reused across repeated
 solves with the same matrix); conjugate gradients with Jacobi preconditioning
-is available as a fallback.  Every solve checks the relative residual against
-the requested tolerance and fails loudly otherwise.
+is available as a fallback.  ``HeldFactor`` serves a sequence of nearby
+matrices (one per fixed-point sweep and step): it keeps the factor of one of
+them and solves the others by conjugate gradients preconditioned with it,
+refactorizing only when that falls short.  Every solve checks the relative
+residual against the requested tolerance and fails loudly otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ try:
     _MALLOPT = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):    # not a glibc process
     _MALLOPT = None
+
+# Preconditioned CG iterations a held factor spends on a new matrix before it
+# gives up and factorizes that matrix instead.
+HELD_CG_MAXITER = 10
 
 
 class SolveError(RuntimeError):
@@ -98,14 +105,91 @@ class SpdFactor:
                 raise SolveError(
                     f"CG did not converge (info={info}); achieved relative "
                     f"residual {res:.3e}", achieved=res)
-        res = np.linalg.norm(self._mat @ x - rhs)
-        allowed = self.rtol * norm_b \
-            + self.APPLY_NOISE * self._a_max * np.linalg.norm(x)
-        if not np.isfinite(res) or res > allowed:
+        res = _residual_excess(self._mat, self._a_max, rhs, x, self.rtol)
+        if res is not None:
             raise SolveError(
                 f"solve residual {res / norm_b:.3e} (relative) exceeds "
                 f"tolerance {self.rtol:.1e}", achieved=res / norm_b)
         return x
+
+
+def _residual_excess(mat, a_max, rhs, x, rtol) -> float | None:
+    """||A x - b|| when it fails SpdFactor's residual check, else None."""
+    res = np.linalg.norm(mat @ x - rhs)
+    allowed = rtol * np.linalg.norm(rhs) \
+        + SpdFactor.APPLY_NOISE * a_max * np.linalg.norm(x)
+    if not np.isfinite(res) or res > allowed:
+        return float(res)
+    return None
+
+
+class HeldFactor:
+    """Solver for a sequence of nearby SPD systems, holding one factor.
+
+    ``solve(mat, rhs)`` runs conjugate gradients on ``mat``, preconditioned by
+    the factor of an earlier matrix and started from its solve of ``rhs``,
+    until ||A x - b|| <= 0.01 rtol ||b|| (the target of SpdFactor's
+    refinement) and x passes SpdFactor's residual check.  When CG misses that
+    within ``HELD_CG_MAXITER`` iterations or meets a non-finite value, the
+    old factor is dropped and ``mat`` is factorized and solved directly, so a
+    system that no factor can solve still raises SolveError.  With
+    ``method="cg"`` there is no factor to hold, and every solve is a fresh
+    Jacobi-CG solve.
+
+    ``refactorizations`` and ``cg_iterations`` count the work done so far.
+    """
+
+    def __init__(self, method: str = "direct", rtol: float = DEFAULT_RTOL):
+        self.method = method
+        self.rtol = rtol
+        self.refactorizations = 0
+        self.cg_iterations = 0
+        self._lu = None
+
+    def solve(self, mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        if self._lu is not None:
+            x = self._preconditioned_cg(mat.tocsr(), rhs)
+            if x is not None:
+                return x
+        self._lu = None     # release the old factor before the new one
+        factor = SpdFactor(mat, method=self.method, rtol=self.rtol)
+        if self.method == "direct":
+            self._lu = factor._lu
+            self.refactorizations += 1
+        return factor.solve(rhs)
+
+    def _preconditioned_cg(self, mat, rhs) -> np.ndarray | None:
+        """The CG solution, or None when it misses the target."""
+        precond = self._lu.solve
+        target = 0.01 * self.rtol * np.linalg.norm(rhs)
+        x = precond(rhs)
+        r = rhs - mat @ x
+        p = rz = None
+        for it in range(HELD_CG_MAXITER + 1):
+            norm_r = np.linalg.norm(r)
+            if not np.isfinite(norm_r):
+                break
+            if norm_r <= target:
+                a_max = np.abs(mat.data).max() if mat.nnz else 0.0
+                if _residual_excess(mat, a_max, rhs, x, self.rtol) is None:
+                    return x
+                break
+            if it == HELD_CG_MAXITER:
+                break
+            z = precond(r)
+            rz_new = r @ z
+            p = z if p is None else z + (rz_new / rz) * p
+            rz = rz_new
+            ap = mat @ p
+            p_ap = p @ ap
+            if not p_ap > 0.0:      # not SPD along p, or non-finite
+                break
+            alpha = rz / p_ap
+            x = x + alpha * p
+            r = r - alpha * ap
+            self.cg_iterations += 1
+        return None
 
 
 def solve_spd(mat: sp.spmatrix, rhs: np.ndarray, method: str = "direct",

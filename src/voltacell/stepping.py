@@ -79,6 +79,8 @@ class StepReport:
     ibv_integral: float = 0.0
     eta_ibv_min: float = 0.0
     eta_max: float = 0.0
+    refactorizations: int = 0    # of the backend's held factors
+    cg_iterations: int = 0       # preconditioned CG on the held factors
 
 
 def predict(backend, history: History, dt: float) -> SimState:
@@ -115,6 +117,9 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     guard = getattr(backend, "guard", None)
     scales = getattr(backend, "field_scales", None)
     clamp0 = guard.log.events if guard else 0
+    held = getattr(backend, "held_factors", ())
+    refac0 = sum(h.refactorizations for h in held)
+    cg0 = sum(h.cg_iterations for h in held)
 
     iterate = predict(backend, history, dt)
     updates = []
@@ -136,9 +141,13 @@ def step(backend, history: History, grid: TimeGrid, n: int,
         ibv_integral=getattr(audit, "ibv_integral", 0.0),
         eta_ibv_min=getattr(audit, "eta_ibv_min", 0.0),
         eta_max=getattr(audit, "eta_max", 0.0),
+        refactorizations=sum(h.refactorizations for h in held) - refac0,
+        cg_iterations=sum(h.cg_iterations for h in held) - cg0,
     )
-    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  clamps=%d",
-             n, t_new, report.sweeps, report.max_update, report.clamp_events)
+    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  clamps=%d  "
+             "refactorizations=%d  cg_iterations=%d",
+             n, t_new, report.sweeps, report.max_update, report.clamp_events,
+             report.refactorizations, report.cg_iterations)
     return iterate, report
 
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from voltacell import driver
+import numpy as np
+
+from voltacell import driver, solve
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec
 
@@ -93,3 +95,61 @@ def test_power_density_sign_matches_current(short_run):
     cfg = preset("low_charge").replace(**DESK)
     res_charge = driver.run_scenario(cfg)
     assert res_charge.power_density_w_per_m3() < 0.0
+
+
+def test_held_factors_match_refactorizing_run(tmp_path, monkeypatch):
+    """Holding the c_s and potential-pair factors across sweeps and steps
+    gives the trajectory of a run that factorizes every system afresh, keeps
+    criterion 4's lithium bookkeeping, and factorizes only a handful of
+    matrices per run."""
+    lu_count = {"n": 0}
+    real_init = solve.SpdFactor.__init__
+
+    def counting_init(self, mat, method="direct", rtol=solve.DEFAULT_RTOL):
+        lu_count["n"] += method == "direct"
+        real_init(self, mat, method=method, rtol=rtol)
+
+    monkeypatch.setattr(solve.SpdFactor, "__init__", counting_init)
+    cfg = preset("high_discharge").replace(
+        mesh=MeshSpec.coarse(), dt=6.0, t_end=120.0, snapshot_every=120.0)
+
+    def run(name):
+        lu_count["n"] = 0
+        result = driver.run_scenario(cfg, out_dir=str(tmp_path / name))
+        rows = np.loadtxt(result.csv_path, delimiter=",", skiprows=1)
+        return result, rows, lu_count["n"]
+
+    held, rows_held, lu_held = run("held")
+    monkeypatch.setattr(solve, "HELD_CG_MAXITER", 0)
+    fresh, rows_fresh, lu_fresh = run("fresh")
+
+    assert len(held.reports) == 20
+    assert rows_held.shape == rows_fresh.shape
+    scale = np.maximum(np.abs(rows_fresh), 1e-300)
+    assert np.max(np.abs(rows_held - rows_fresh) / scale) < 1e-9
+
+    # one factor each for c_s, the potential pair, c_e, theta and u
+    assert lu_held <= 6
+    assert lu_fresh > 10 * lu_held
+    reports = held.warmup_reports + held.reports
+    assert sum(r.refactorizations for r in reports) == sum(
+        h.refactorizations for h in held.problem.held_factors) == 2
+    assert all(r.cg_iterations > 0 for r in held.reports)
+    assert all(r.cg_iterations == 0 for r in fresh.reports)
+
+    # acceptance criterion 4: each step's change of total lithium balances
+    # the interface current
+    prob = held.problem
+    mats = prob.mats
+    dt = held.grid.dt
+    s0 = held.snapshots[0][1]
+    int_cs = [float(np.sum(prob.m_cs @ s0["c_s"]))]
+    int_ce = [float(np.sum(prob.m_ce @ s0["c_e"]))]
+    int_cs += [e.int_cs for e in held.extras]
+    int_ce += [e.int_ce for e in held.extras]
+    for k, extra in enumerate(held.extras):
+        flux_s = -dt / mats.faraday * extra.ibv_mid
+        flux_e = dt * (1.0 - mats.electrolyte.t_plus) / mats.faraday \
+            * extra.ibv_mid
+        assert int_cs[k + 1] - int_cs[k] == pytest.approx(flux_s, rel=1e-8)
+        assert int_ce[k + 1] - int_ce[k] == pytest.approx(flux_e, rel=1e-8)

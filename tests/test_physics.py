@@ -511,6 +511,22 @@ def test_electrochemical_mode_freezes_theta_and_u(coarse_mesh, mats_scaled,
     assert not np.allclose(hist.prev["c_s"], prob.initial_state()["c_s"])
 
 
+def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh,
+                                                      mats_scaled):
+    """The isothermal model never solves the heat equation, so stage 1 must
+    not factorize (and hold) its matrix; the full model does."""
+    from voltacell.state import SimState
+    for mode, has_heat in (("electrochemical", False), ("full", True)):
+        prob = conftest.make_problem(coarse_mesh, mats_scaled, mode=mode)
+        s0 = prob.initial_state()
+        d0 = {k: s0[k] for k in prob.D_FIELDS}
+        mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
+        prob.stage1(s0, mid, 0.1)
+        _, ops = prob._dt_ops
+        assert ("th_factor" in ops) == has_heat
+        assert "ce_factor" in ops
+
+
 class _PassGuard(Guard):
     """Disabled bound guarding (the production guard makes I_c > 0 by
     construction, so the singularity below is only reachable without it)."""

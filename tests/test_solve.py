@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from voltacell import assemble as asm
 from voltacell import spaces as sps
 from voltacell.mesh import rectangle_mesh
-from voltacell.solve import SolveError, SpdFactor, solve_spd
+from voltacell import solve
+from voltacell.solve import HeldFactor, SolveError, SpdFactor, solve_spd
 
 
 def test_identity_returns_rhs():
@@ -57,3 +58,91 @@ def test_rtol_enforced():
     f = SpdFactor(a, rtol=1e-10)
     x = f.solve(np.ones(3))
     assert np.allclose(x, 1.0)
+
+
+def _spd_pair(scale):
+    """An assembled SPD matrix and a copy with its coefficients perturbed by
+    a relative ``scale`` (as between two sweeps of a coupled step)."""
+    m = rectangle_mesh(1.0, 1.0, 6, 6, degree=2)
+    s = sps.build_field_space(m, sps.OMEGA, name="t")
+    mass = asm.assemble_mass(s, 1.0)
+    a = mass + 0.5 * asm.assemble_stiffness(s, 2.0)
+    rng = np.random.default_rng(11)
+    n_qp = [np.ones((g.n_elems, len(g.ref.qw))) for g in s.master]
+    coeff = [2.0 * (1.0 + scale * rng.uniform(size=q.shape)) for q in n_qp]
+    b_mat = mass + 0.5 * asm.assemble_stiffness(s, coeff)
+    return a.tocsr(), b_mat.tocsr(), rng.normal(size=s.ndof)
+
+
+def test_held_factor_cg_matches_fresh_factor():
+    a, a_near, b = _spd_pair(0.05)
+    held = HeldFactor()
+    held.solve(a, b)
+    assert (held.refactorizations, held.cg_iterations) == (1, 0)
+    x = held.solve(a_near, b)
+    assert held.refactorizations == 1          # no new factor
+    assert 0 < held.cg_iterations <= solve.HELD_CG_MAXITER
+    x_ref = SpdFactor(a_near).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_held_factor_refactorizes_far_matrix():
+    a, a_far, b = _spd_pair(50.0)
+    held = HeldFactor()
+    held.solve(a, b)
+    x = held.solve(a_far, b)
+    assert held.refactorizations == 2
+    assert np.allclose(x, SpdFactor(a_far).solve(b), rtol=0, atol=1e-10
+                       * np.abs(x).max())
+    # the new factor is now the held one: the same matrix needs no CG
+    iters = held.cg_iterations
+    held.solve(a_far, 2.0 * b)
+    assert (held.refactorizations, held.cg_iterations) == (2, iters)
+
+
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_held_factor_nan_raises(where):
+    a, a_near, b = _spd_pair(0.05)
+    held = HeldFactor()
+    held.solve(a, b)
+    if where == "matrix":
+        a_near = a_near.copy()
+        a_near.data[0] = np.nan
+    else:
+        b = b.copy()
+        b[3] = np.nan
+    with pytest.raises(SolveError):
+        held.solve(a_near, b)
+    with pytest.raises(SolveError):
+        SpdFactor(a_near).solve(b)
+
+
+def test_held_factor_uses_the_residual_check(monkeypatch):
+    """A held-factor solution passes SpdFactor's residual bound, and a bound
+    that no solver meets fails both the same way."""
+    a, a_near, b = _spd_pair(0.05)
+    held = HeldFactor(rtol=1e-10)
+    held.solve(a, b)
+    x = held.solve(a_near, b)
+    allowed = 1e-10 * np.linalg.norm(b) \
+        + SpdFactor.APPLY_NOISE * np.abs(a_near.data).max() * np.linalg.norm(x)
+    assert np.linalg.norm(a_near @ x - b) <= allowed
+
+    monkeypatch.setattr(SpdFactor, "APPLY_NOISE", 0.0)
+    messages = []
+    for solver in (lambda: HeldFactor(rtol=1e-30).solve(a_near, b),
+                   lambda: SpdFactor(a_near, rtol=1e-30).solve(b)):
+        with pytest.raises(SolveError, match="exceeds tolerance") as err:
+            solver()
+        messages.append(str(err.value).split(" (relative)")[1])
+    assert messages[0] == messages[1]
+
+
+def test_held_factor_jacobi_cg_method():
+    a, a_near, b = _spd_pair(0.05)
+    held = HeldFactor(method="cg")
+    for mat in (a, a_near):
+        x = held.solve(mat, b)
+        assert np.linalg.norm(x - SpdFactor(mat).solve(b)) \
+            <= 1e-8 * np.linalg.norm(x)
+    assert held.refactorizations == 0
