@@ -51,10 +51,7 @@ class ScenarioConfig:
     guard_action: str = "clamp"
     extra_fp_iters: int = 4
     fp_tol: float = 1e-8
-    warmup_steps: int = 2
     snapshot_every: float = 60.0        # simulated seconds
-    solver: str = "direct"
-    solver_rtol: float = 1e-10
     material_overrides: dict = field(default_factory=dict)
 
     def replace(self, **kw) -> "ScenarioConfig":
@@ -86,14 +83,10 @@ class ScenarioConfig:
             errs.append("kappa_d_factor must be nonnegative")
         if self.extra_fp_iters < 0:
             errs.append("extra_fp_iters must be nonnegative")
-        if self.warmup_steps < 0:
-            errs.append("warmup_steps must be nonnegative")
         if self.snapshot_every <= 0.0:
             errs.append("snapshot_every must be positive")
         if self.guard_action not in ("clamp", "abort"):
             errs.append("guard_action must be 'clamp' or 'abort'")
-        if self.solver not in ("direct", "cg"):
-            errs.append("solver must be 'direct' or 'cg'")
         for nm in ("guard_eps_e", "guard_eps_s"):
             v = getattr(self, nm)
             if v is not None and v <= 0.0:
@@ -186,10 +179,7 @@ _KEYS = {
     "guard_action": ("guard_action", _str),
     "extra_fp_iters": ("extra_fp_iters", _int),
     "fp_tol": ("fp_tol", _float),
-    "warmup_steps": ("warmup_steps", _int),
     "snapshot_every": ("snapshot_every", _float),
-    "solver": ("solver", _str),
-    "solver_rtol": ("solver_rtol", _float),
 }
 
 _MESH_KEYS = {

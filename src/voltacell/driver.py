@@ -1,5 +1,11 @@
 """Run orchestration: build a configured problem, integrate, record, persist.
 
+A run starts from the problem's equilibrium initial state at t = 0, which is
+recorded as the first row.  Under a load the quasi-static fields are then
+re-solved against that state (consistent initialization); the matrices that
+the steps reuse are factorized (``CellProblem.prepare``), and step 1 takes the
+Euler predictor from there.
+
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
 cadence, and a manifest recording the configuration hash, parameter values,
@@ -12,7 +18,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .geometry import build_interdigitated_domain
 from .mesh import generate_layered_mesh
 from .physics import CellProblem
 from .state import Guard, History, SimState
-from .stepping import StepReport, TimeGrid, step, warmup
+from .stepping import StepReport, TimeGrid, step
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +58,6 @@ class RunResult:
     extras: list
     snapshots: list
     final_state: SimState
-    warmup_reports: list = field(default_factory=list)
     out_dir: str | None = None
     csv_path: str | None = None
     manifest_path: str | None = None
@@ -85,8 +90,7 @@ def build_problem(config: ScenarioConfig) -> tuple[CellProblem, ScaledScenario]:
         mesh, scaled.mats, Guard(scaled.guard),
         mode=config.model, heat_convention=config.heat_convention,
         kappa_d_factor=config.kappa_d_factor,
-        soc_init=(config.soc_init_anode, config.soc_init_cathode),
-        solver=config.solver, rtol=config.solver_rtol)
+        soc_init=(config.soc_init_anode, config.soc_init_cathode))
     problem.set_load(scaled.i_app)
     return problem, scaled
 
@@ -148,37 +152,28 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     reports: list[StepReport] = []
     extras: list[StepExtras] = []
     snapshots: list = []
-    warm_reports: list = []
     n_done = 0
     status = "failed"
     try:
-        if grid is not None and config.warmup_steps > 0:
-            hist, warm_reports = warmup(
-                problem, state0, grid, n_steps=config.warmup_steps,
-                extra_iters=config.extra_fp_iters, fp_tol=config.fp_tol)
-        else:
-            hist = History(prev=state0)
-        hist.prev.t = 0.0
-        if hist.prev2 is not None:
-            hist.prev2.t = -grid.dt
-
-        rec0 = post.record_state(problem, hist.prev, scales, 0)
+        hist = History(prev=state0)
+        rec0 = post.record_state(problem, state0, scales, 0)
         records.append(rec0)
         if csv_fh:
             csv_fh.write(post.format_record(rec0) + "\n")
             csv_fh.flush()
-        emit_snapshot(hist.prev, snapshots)
+        emit_snapshot(state0, snapshots)
 
         if grid is not None and scaled.i_app != 0.0:
             # Consistent initialization of the quasi-static fields under the
             # applied load: they jump when the current switches on, and
             # averaging the first step across that jump would cost one order
             # of accuracy.  The recorded t=0 state stays the pre-load one.
-            d0 = {k: hist.prev[k] for k in problem.D_FIELDS}
-            s_loaded = problem.stage2(0.0, d0, hist.prev)
+            d0 = {k: state0[k] for k in problem.D_FIELDS}
+            s_loaded = problem.stage2(0.0, d0, state0)
             hist = History(prev=SimState(0.0, {**d0, **s_loaded}))
 
         if grid is not None:
+            problem.prepare(hist.prev, grid.dt)
             ones_cs = np.ones(problem.s_cs.ndof)
             ones_ce = np.ones(problem.s_ce.ndof)
             next_snap = scaled.snapshot_every
@@ -212,8 +207,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         return RunResult(config=config, scaled=scaled, problem=problem,
                          grid=grid, records=records, reports=reports,
                          extras=extras, snapshots=snapshots,
-                         final_state=hist.prev,
-                         warmup_reports=warm_reports, out_dir=out_dir,
+                         final_state=hist.prev, out_dir=out_dir,
                          csv_path=csv_path, manifest_path=manifest_path)
     finally:
         if csv_fh:

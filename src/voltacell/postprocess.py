@@ -63,8 +63,8 @@ class ComparisonRow:
 # ---------------------------------------------------------------------------
 
 def cell_voltage(problem, phi_s_vec) -> float:
-    """Area-averaged solid potential on the positive collector face."""
-    return problem.boundary_average(problem.s_ps, phi_s_vec, "cc_plus")
+    """Mean solid potential over the positive collector face."""
+    return float(problem.cc_plus_w @ phi_s_vec) / problem.cc_plus_len
 
 
 def subdomain_average(space, vec, region: frozenset | None = None) -> float:

@@ -1,12 +1,14 @@
 """Sparse SPD solves with a verified residual.
 
-Default method is a direct sparse factorization (reused across repeated
-solves with the same matrix); conjugate gradients with Jacobi preconditioning
-is available as a fallback.  ``HeldFactor`` serves a sequence of nearby
-matrices (one per fixed-point sweep and step): it keeps the factor of one of
-them and solves the others by conjugate gradients preconditioned with it,
-refactorizing only when that falls short.  Every solve checks the relative
-residual against the requested tolerance and fails loudly otherwise.
+``SpdFactor`` factorizes a matrix once and reuses the factor across
+right-hand sides; with ``method="cg"`` it runs Jacobi-preconditioned
+conjugate gradients instead, for well-conditioned matrices solved once (the
+mass matrices of the Euler predictor).  ``HeldFactor`` serves a sequence of
+nearby matrices (one per fixed-point sweep and step): it keeps the factor of
+one of them and solves the others by conjugate gradients preconditioned with
+it, refactorizing only when that falls short.  Every solve checks the
+relative residual against the tolerance and fails loudly otherwise, with a
+``SolveError`` that names the system and the cause.
 """
 
 from __future__ import annotations
@@ -54,17 +56,19 @@ class SpdFactor:
     the second term is the irreducible float64 noise of applying A to the
     solution, which matters when b is a near-converged correction many orders
     below A's scale (it sits ~6 orders under any genuine solver failure).
+    ``name`` labels the system in the messages of ``SolveError``.
     """
 
     APPLY_NOISE = 1e-13
 
     def __init__(self, mat: sp.spmatrix, method: str = "direct",
-                 rtol: float = DEFAULT_RTOL):
+                 rtol: float = DEFAULT_RTOL, name: str = "SPD system"):
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
         self.n = mat.shape[0]
         self.method = method
         self.rtol = rtol
+        self.name = name
         self._mat = mat.tocsr()
         self._a_max = np.abs(self._mat.data).max() if self._mat.nnz else 0.0
         if method == "direct":
@@ -73,11 +77,13 @@ class SpdFactor:
             try:
                 self._lu = spla.splu(mat.tocsc(), permc_spec=PERMC_SPEC)
             except RuntimeError as exc:
-                raise SolveError(f"factorization failed: {exc}") from exc
+                raise SolveError(f"{name}: factorization failed: {exc}") \
+                    from exc
         elif method == "cg":
             diag = self._mat.diagonal()
             if np.any(diag <= 0.0):
-                raise SolveError("CG preconditioner needs positive diagonal")
+                raise SolveError(
+                    f"{name}: CG preconditioner needs positive diagonal")
             self._precond = spla.LinearOperator(
                 mat.shape, matvec=lambda v: v / diag)
         else:
@@ -85,7 +91,7 @@ class SpdFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        norm_b = np.linalg.norm(rhs)
+        norm_b = _rhs_norm(rhs, self.name)
         if norm_b == 0.0:
             return np.zeros(self.n)
         if self.method == "direct":
@@ -103,14 +109,26 @@ class SpdFactor:
             if info != 0:
                 res = np.linalg.norm(self._mat @ x - rhs) / norm_b
                 raise SolveError(
-                    f"CG did not converge (info={info}); achieved relative "
-                    f"residual {res:.3e}", achieved=res)
+                    f"{self.name}: CG did not converge (info={info}); "
+                    f"achieved relative residual {res:.3e}", achieved=res)
         res = _residual_excess(self._mat, self._a_max, rhs, x, self.rtol)
         if res is not None:
             raise SolveError(
-                f"solve residual {res / norm_b:.3e} (relative) exceeds "
-                f"tolerance {self.rtol:.1e}", achieved=res / norm_b)
+                f"{self.name}: solve residual {res / norm_b:.3e} (relative) "
+                f"exceeds tolerance {self.rtol:.1e}", achieved=res / norm_b)
         return x
+
+
+def _rhs_norm(rhs, name) -> float:
+    """||b||, or SolveError when b has a non-finite entry or its norm
+    overflows (a diverged state upstream of the solve)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_b = np.linalg.norm(rhs)
+    if np.isfinite(norm_b):
+        return float(norm_b)
+    b_max = np.abs(rhs).max()
+    cause = "norm overflows" if np.isfinite(b_max) else "is not finite"
+    raise SolveError(f"{name}: right-hand side {cause} (max |b| = {b_max:.1e})")
 
 
 def _residual_excess(mat, a_max, rhs, x, rtol) -> float | None:
@@ -132,37 +150,39 @@ class HeldFactor:
     refinement) and x passes SpdFactor's residual check.  When CG misses that
     within ``HELD_CG_MAXITER`` iterations or meets a non-finite value, the
     old factor is dropped and ``mat`` is factorized and solved directly, so a
-    system that no factor can solve still raises SolveError.  With
-    ``method="cg"`` there is no factor to hold, and every solve is a fresh
-    Jacobi-CG solve.
+    system that no factor can solve still raises SolveError.
 
     ``refactorizations`` and ``cg_iterations`` count the work done so far.
     """
 
-    def __init__(self, method: str = "direct", rtol: float = DEFAULT_RTOL):
-        self.method = method
+    def __init__(self, rtol: float = DEFAULT_RTOL, name: str = "SPD system"):
         self.rtol = rtol
+        self.name = name
         self.refactorizations = 0
         self.cg_iterations = 0
         self._lu = None
 
     def solve(self, mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
+        norm_b = _rhs_norm(rhs, self.name)
         if self._lu is not None:
-            x = self._preconditioned_cg(mat.tocsr(), rhs)
+            x = self._preconditioned_cg(mat.tocsr(), rhs, norm_b)
             if x is not None:
                 return x
-        self._lu = None     # release the old factor before the new one
-        factor = SpdFactor(mat, method=self.method, rtol=self.rtol)
-        if self.method == "direct":
-            self._lu = factor._lu
-            self.refactorizations += 1
-        return factor.solve(rhs)
+        return self.hold(mat).solve(rhs)
 
-    def _preconditioned_cg(self, mat, rhs) -> np.ndarray | None:
+    def hold(self, mat: sp.spmatrix) -> SpdFactor:
+        """Factorize ``mat`` and hold its factor for the solves that follow."""
+        self._lu = None     # release the old factor before the new one
+        factor = SpdFactor(mat, rtol=self.rtol, name=self.name)
+        self._lu = factor._lu
+        self.refactorizations += 1
+        return factor
+
+    def _preconditioned_cg(self, mat, rhs, norm_b) -> np.ndarray | None:
         """The CG solution, or None when it misses the target."""
         precond = self._lu.solve
-        target = 0.01 * self.rtol * np.linalg.norm(rhs)
+        target = 0.01 * self.rtol * norm_b
         x = precond(rhs)
         r = rhs - mat @ x
         p = rz = None

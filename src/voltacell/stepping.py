@@ -1,7 +1,8 @@
 """Two-stage staggered semi-implicit midpoint time integration.
 
-Each step first predicts the new-time solution (explicit Euler on the very
-first step, two-point linear extrapolation afterwards), then:
+A run starts from the backend's initial state with one history level.  Each
+step first predicts the new-time solution (explicit Euler on the very first
+step, two-point linear extrapolation afterwards), then:
 
   stage 1: advances the parabolic fields with the midpoint rule, nonlinear
            coefficients frozen at the predicted midpoint;
@@ -109,7 +110,7 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     """Advance one step: predict, correct, then extra fixed-point sweeps.
 
     Step ``n = 1`` starts the heat equation with backward Euler (see the
-    module docstring); every other step, warm-up included, is midpoint.
+    module docstring); every other step is midpoint.
     """
     prev = history.prev
     dt = grid.dt
@@ -151,34 +152,6 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     return iterate, report
 
 
-def warmup(backend, state0: SimState, grid: TimeGrid, n_steps: int = 2,
-           extra_iters: int = 4, fp_tol: float = 1e-8) -> tuple[History, list]:
-    """Run unloaded steps to fill the history levels at equilibrium.
-
-    The warm-up steps run at negative times so the loaded phase starts at
-    t = 0 with a fully populated two-level history.
-    """
-    reports = []
-    if n_steps == 0:
-        return History(prev=state0), reports
-    start = state0.copy()
-    start.t = -n_steps * grid.dt
-    saved_load = getattr(backend, "i_app", None)
-    if hasattr(backend, "set_load"):
-        backend.set_load(0.0)
-    try:
-        hist = History(prev=start)
-        for k in range(1, n_steps + 1):
-            state, rep = step(backend, hist, grid, k - n_steps - 1,
-                              extra_iters=extra_iters, fp_tol=fp_tol)
-            hist.push(state)
-            reports.append(rep)
-    finally:
-        if saved_load is not None:
-            backend.set_load(saved_load)
-    return hist, reports
-
-
 class LinearSurrogate:
     """Fixed-coefficient linear system M d' + K d = b for scheme verification.
 
@@ -189,13 +162,12 @@ class LinearSurrogate:
     D_FIELDS = ("d",)
     S_FIELDS = ()
 
-    def __init__(self, mass, stiffness, load, d0, solver: str = "direct"):
+    def __init__(self, mass, stiffness, load, d0):
         self.mass = mass
         self.stiffness = stiffness
         self.load = np.asarray(load, dtype=float)
         self.d0 = np.asarray(d0, dtype=float)
-        self.solver = solver
-        self._m_factor = SpdFactor(mass, method=solver)
+        self._m_factor = SpdFactor(mass)
         self._dt_ops = None
 
     def initial_state(self) -> SimState:
@@ -209,8 +181,7 @@ class LinearSurrogate:
         # Same signature as CellProblem.stage1; the surrogate has no heat
         # equation, so its field takes the midpoint rule in every step.
         if self._dt_ops is None or self._dt_ops[0] != dt:
-            lhs = SpdFactor(self.mass + 0.5 * dt * self.stiffness,
-                            method=self.solver)
+            lhs = SpdFactor(self.mass + 0.5 * dt * self.stiffness)
             self._dt_ops = (dt, lhs)
         _, lhs = self._dt_ops
         # increment form of the midpoint update (see CellProblem.stage1)

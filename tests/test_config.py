@@ -43,8 +43,8 @@ def test_invalid_soc_rejected(tmp_path):
 
 def test_unknown_key_suggestion(tmp_path):
     f = tmp_path / "scn.txt"
-    f.write_text("warmup_stepz = 3\n")
-    with pytest.raises(ConfigError, match="warmup_steps"):
+    f.write_text("extra_fp_iterz = 3\n")
+    with pytest.raises(ConfigError, match="extra_fp_iters"):
         parse_scenario(str(f))
 
 

@@ -6,8 +6,10 @@ import pytest
 import numpy as np
 
 from voltacell import driver, solve
+from voltacell import postprocess as post
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec
+from voltacell.physics import CellProblem
 
 DESK = dict(mesh=MeshSpec.coarse(), dt=6.0, t_end=60.0, snapshot_every=30.0)
 
@@ -78,7 +80,7 @@ def test_failure_preserves_prefix(tmp_path, monkeypatch):
         return real_step(*args, **kw)
 
     monkeypatch.setattr(driver, "step", exploding_step)
-    cfg = preset("high_discharge").replace(**{**DESK, "warmup_steps": 0})
+    cfg = preset("high_discharge").replace(**DESK)
     out = tmp_path / "crash"
     with pytest.raises(RuntimeError, match="synthetic"):
         driver.run_scenario(cfg, out_dir=str(out))
@@ -87,6 +89,27 @@ def test_failure_preserves_prefix(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["steps_completed"] == 5
+
+
+def test_loaded_run_starts_from_initial_state(tmp_path, monkeypatch):
+    """The t = 0 row of a loaded run is the problem's initial state, and the
+    first step starts from t = 0."""
+    starts = []
+    real_stage1 = CellProblem.stage1
+
+    def recording_stage1(self, prev, mid, dt, **kw):
+        starts.append(prev.t)
+        return real_stage1(self, prev, mid, dt, **kw)
+
+    monkeypatch.setattr(CellProblem, "stage1", recording_stage1)
+    cfg = preset("high_discharge").replace(**{**DESK, "t_end": 12.0})
+    result = driver.run_scenario(cfg, out_dir=str(tmp_path))
+    prob = result.problem
+    rec0 = post.record_state(prob, prob.initial_state(), result.scaled.scales)
+    row0 = (tmp_path / "timeseries.csv").read_text().splitlines()[1]
+    assert row0 == post.format_record(rec0)
+    assert rec0.u_max_m == 0.0
+    assert starts[0] == 0.0
 
 
 def test_power_density_sign_matches_current(short_run):
@@ -105,9 +128,9 @@ def test_held_factors_match_refactorizing_run(tmp_path, monkeypatch):
     lu_count = {"n": 0}
     real_init = solve.SpdFactor.__init__
 
-    def counting_init(self, mat, method="direct", rtol=solve.DEFAULT_RTOL):
+    def counting_init(self, mat, method="direct", **kw):
         lu_count["n"] += method == "direct"
-        real_init(self, mat, method=method, rtol=rtol)
+        real_init(self, mat, method=method, **kw)
 
     monkeypatch.setattr(solve.SpdFactor, "__init__", counting_init)
     cfg = preset("high_discharge").replace(
@@ -131,9 +154,11 @@ def test_held_factors_match_refactorizing_run(tmp_path, monkeypatch):
     # one factor each for c_s, the potential pair, c_e, theta and u
     assert lu_held <= 6
     assert lu_fresh > 10 * lu_held
-    reports = held.warmup_reports + held.reports
-    assert sum(r.refactorizations for r in reports) == sum(
-        h.refactorizations for h in held.problem.held_factors) == 2
+    # both held factors are built before step 1: c_s by CellProblem.prepare,
+    # the potential pair by the loaded initialization
+    assert sum(r.refactorizations for r in held.reports) == 0
+    assert sum(h.refactorizations
+               for h in held.problem.held_factors) == 2
     assert all(r.cg_iterations > 0 for r in held.reports)
     assert all(r.cg_iterations == 0 for r in fresh.reports)
 

@@ -26,12 +26,11 @@ def test_initial_cell_voltage(problem_state, mats_scaled, scales):
     assert v0 == pytest.approx(3.988, abs=0.01)
 
 
-def test_boundary_average_of_constant(problem_state):
+def test_cell_voltage_of_constant(problem_state):
     prob, s0 = problem_state
     c = prob.s_ps.apply_constraints(np.full(prob.s_ps.ndof, 2.5))
     # cc+ sits entirely on the cathode, where no Dirichlet rows interfere
-    assert prob.boundary_average(prob.s_ps, c, "cc_plus") \
-        == pytest.approx(2.5, rel=1e-13)
+    assert post.cell_voltage(prob, c) == pytest.approx(2.5, rel=1e-13)
 
 
 def test_subdomain_averages_at_start(problem_state, mats_scaled):

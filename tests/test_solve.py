@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -138,11 +140,19 @@ def test_held_factor_uses_the_residual_check(monkeypatch):
     assert messages[0] == messages[1]
 
 
-def test_held_factor_jacobi_cg_method():
+@pytest.mark.parametrize("held", [False, True])
+def test_overflowing_rhs_names_the_system(held):
+    """A right-hand side whose norm overflows float64 fails as a SolveError
+    that names the system and the cause, before any numpy warning."""
     a, a_near, b = _spd_pair(0.05)
-    held = HeldFactor(method="cg")
-    for mat in (a, a_near):
-        x = held.solve(mat, b)
-        assert np.linalg.norm(x - SpdFactor(mat).solve(b)) \
-            <= 1e-8 * np.linalg.norm(x)
-    assert held.refactorizations == 0
+    big = 1e200 * b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if held:
+            solver = HeldFactor(name="potential pair")
+            solver.solve(a, b)
+            call = lambda: solver.solve(a_near, big)
+        else:
+            call = lambda: SpdFactor(a, name="potential pair").solve(big)
+        with pytest.raises(SolveError, match=r"^potential pair: .*overflows"):
+            call()

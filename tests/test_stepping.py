@@ -7,7 +7,7 @@ from voltacell import state as vstate
 from voltacell import stepping
 from voltacell.state import Guard, GuardPolicy, History, SimState
 from voltacell.stepping import LinearSurrogate, TimeGrid, integrate_linear, \
-    predict, step, warmup
+    predict, step
 
 import conftest
 
@@ -158,8 +158,8 @@ def test_extra_sweeps_are_idempotent_on_linear_problem():
 
 
 def test_heat_start_only_on_step_one():
-    """The stepper asks for the heat start-up in every sweep of step 1 and
-    in no other step, warm-up steps included."""
+    """The stepper asks for the heat start-up in every sweep of step 1, the
+    step from t = 0, and in no other step."""
     class Recording(LinearSurrogate):
         def stage1(self, prev, mid, dt, heat_start=False):
             self.calls.append((prev.t, heat_start))
@@ -169,14 +169,13 @@ def test_heat_start_only_on_step_one():
                     np.array([0.0]), np.array([1.0]))
     sur.calls = []
     grid = TimeGrid(dt=0.5, n_steps=3)
-    hist, _ = warmup(sur, sur.initial_state(), grid, n_steps=2,
-                     extra_iters=1, fp_tol=0.0)
+    hist = History(prev=sur.initial_state())
     for n in range(1, 4):
         state, _ = step(sur, hist, grid, n, extra_iters=1, fp_tol=0.0)
         hist.push(state)
     starts = [t for t, flag in sur.calls if flag]
     assert starts == [0.0, 0.0]
-    assert len(sur.calls) == 10
+    assert len(sur.calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -193,40 +192,6 @@ def test_equilibrium_preserved_over_steps(coarse_mesh, mats_scaled):
         state, _ = step(prob, hist, grid, n)
         hist.push(state)
     assert hist.prev.max_rel_diff(s0, prob.field_scales) < 1e-7
-
-
-def test_warmup_returns_equilibrium_history(coarse_mesh, mats_scaled):
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(12.0)   # load must be ignored during warm-up
-    s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=4)
-    hist, reports = warmup(prob, s0, grid, n_steps=2)
-    assert len(reports) == 2
-    assert hist.depth == 2
-    assert hist.prev.max_rel_diff(s0, prob.field_scales) < 1e-8
-    assert prob.i_app == 12.0   # restored afterwards
-
-
-def test_warmup_zero_steps_bootstrap(coarse_mesh, mats_scaled):
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=1)
-    hist, reports = warmup(prob, s0, grid, n_steps=0)
-    assert reports == []
-    assert hist.depth == 1 and hist.prev is s0
-
-
-def test_warmup_relaxes_perturbed_potential(coarse_mesh, mats_scaled):
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(0.0)
-    s0 = prob.initial_state()
-    pert = s0.copy()
-    pert["phi_e"] = s0["phi_e"] + 0.010   # +10 mV off equilibrium
-    eta_before = prob.interface_state_of(pert).eta_max_abs()
-    hist, _ = warmup(prob, pert, TimeGrid(dt=0.1, n_steps=2), n_steps=2)
-    eta_after = prob.interface_state_of(hist.prev).eta_max_abs()
-    assert eta_before > 0.009
-    assert eta_after < 0.5 * eta_before
 
 
 def test_discharge_step_sign_audit(coarse_mesh, mats_scaled, scales):
