@@ -1,10 +1,17 @@
 """Sparse assembly of mass/stiffness/elasticity matrices and load vectors.
 
 All elements are axis-aligned rectangles, so jacobians are constant per
-element and assembly vectorizes into einsum contractions per degree group.
-Matrices are returned on the full DOF set of the field space; ``constrain``
-reduces a system to the free DOFs (essential constraints are eliminated by
-reduction, never by penalties, so SPD structure survives).
+element.  Per degree group, element matrices are a BLAS matmul of the
+quadrature-point coefficients against reference tables (``ref_tables``).
+Each matrix lives on a fixed CSR pattern (``FixedPattern``) that knows the
+data slot of every element-matrix or edge-pair entry, so assembling it is one
+``np.bincount`` into the data array: a matrix re-assembled with new
+coefficients (the c_s matrix every sweep, through ``ElementScatter``; the
+potential pair's interface mass, through ``TraceMass``) keeps its pattern and
+allocates no index arrays.  Matrices are returned on the full DOF set of the
+field space; ``constrain`` reduces a system to the free DOFs (essential
+constraints are eliminated by reduction, never by penalties, so SPD structure
+survives).
 
 Coefficients may be given as a scalar, a per-subdomain-tag dict, a callable
 ``f(x, y)`` evaluated at quadrature points, or a master-aligned list of
@@ -13,6 +20,8 @@ per-group (n_elems, nq) arrays as produced by ``eval_qp``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,23 +76,202 @@ def coeff_arrays(space: FieldSpace, coeff, *, member_only: bool = True) -> list:
     return out
 
 
-def _scatter(space: FieldSpace, blocks: list, dofs_list: list) -> sp.csr_matrix:
-    """Sum per-element dense blocks into a global sparse matrix."""
-    rows, cols, vals = [], [], []
-    for ke, dofs in zip(blocks, dofs_list):
-        if ke.size == 0:
-            continue
-        n = dofs.shape[1]
-        rows.append(np.repeat(dofs, n, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, n)).ravel())
-        vals.append(ke.ravel())
-    if not rows:
-        return sp.csr_matrix((space.ndof, space.ndof))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.ndof, space.ndof))
-    return mat.tocsr()
+# ---------------------------------------------------------------------------
+# Fixed sparsity patterns
+# ---------------------------------------------------------------------------
+
+class FixedPattern:
+    """A sorted CSR sparsity pattern and the data slot of each of its entries.
+
+    ``slots`` (set by subclasses) is the position in the CSR data array of
+    each entry of a list of (row, col) entries, duplicates allowed, so that
+    summing values given per entry is one ``np.bincount``.  Every matrix made
+    by ``with_data`` shares the two pattern arrays ``indptr`` and
+    ``indices``.
+    """
+
+    def __init__(self, pattern: sp.csr_matrix):
+        pattern.sum_duplicates()        # sorted rows, no duplicates
+        self.shape = pattern.shape
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.nnz = pattern.nnz
+        self.slots = None
+
+    def locate(self, rows, cols) -> np.ndarray:
+        """Data slots of (row, col) entries of the pattern."""
+        # scipy's element lookup: a binary search within each sorted row
+        ids = sp.csr_array((np.arange(self.nnz, dtype=float), self.indices,
+                            self.indptr), shape=self.shape)
+        return ids[rows, cols].astype(np.intp)
+
+    def sum(self, entries: np.ndarray) -> np.ndarray:
+        """CSR data array of the entries' values summed into their slots."""
+        return np.bincount(self.slots, weights=entries, minlength=self.nnz)
+
+    def with_data(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with this pattern and data array."""
+        mat = sp.csr_matrix((data, self.indices, self.indptr),
+                            shape=self.shape)
+        # the constructor takes views; keep the pattern arrays themselves
+        mat.indptr, mat.indices = self.indptr, self.indices
+        mat.has_canonical_format = True
+        return mat
+
+
+@dataclass(frozen=True)
+class RefTables:
+    """Reference integrals of one degree group, one row per quadrature point.
+
+    A (n, nq) coefficient array times ``mass`` gives n element mass matrices
+    flattened row-major, times ``load`` n element load vectors; the
+    gradient tables stack the xi rows over the eta rows and take (n, 2 nq)
+    coefficients.  The reference weights are folded in.
+    """
+
+    mass: np.ndarray        # (nq, nbf^2): qw v_i v_j
+    stiffness: np.ndarray   # (2 nq, nbf^2): qw dxi_i dxi_j; qw deta_i deta_j
+    load: np.ndarray        # (nq, nbf): qw v_i
+    grad_load: np.ndarray   # (2 nq, nbf): qw dxi_i; qw deta_i
+
+
+@lru_cache(maxsize=None)
+def ref_tables(px: int, py: int) -> RefTables:
+    ref = basis.ref_element(px, py)
+    qw = ref.qw[:, None]
+
+    def outer(a, b):
+        return (qw[:, :, None] * a[:, :, None] * b[:, None, :]) \
+            .reshape(len(qw), -1)
+
+    return RefTables(
+        mass=outer(ref.values, ref.values),
+        stiffness=np.vstack([outer(ref.grad_x, ref.grad_x),
+                             outer(ref.grad_y, ref.grad_y)]),
+        load=qw * ref.values,
+        grad_load=np.vstack([qw * ref.grad_x, qw * ref.grad_y]))
+
+
+class ElementScatter(FixedPattern):
+    """The pattern of the node couplings of a field space's elements.
+
+    Its entries are those of every element matrix, degree group after degree
+    group, each flattened row-major; ``groups`` holds (master group, member
+    rows, slice of its entries) for the groups the space occupies.  The
+    pattern depends only on the support, so one scatter serves every field
+    on it, and a matrix assembled again with new coefficients keeps it.
+    """
+
+    def __init__(self, space: FieldSpace):
+        self.space = space
+        self.groups = []
+        rows, cols = [], []
+        start = 0
+        for g, row_idx, dofs in zip(space.master, space.member_rows,
+                                    space.cell_node_dofs):
+            if len(row_idx) == 0:
+                continue
+            n = dofs.shape[1]
+            rows.append(np.repeat(dofs, n, axis=1).ravel())
+            cols.append(np.tile(dofs, (1, n)).ravel())
+            stop = start + dofs.size * n
+            self.groups.append((g, row_idx, slice(start, stop)))
+            start = stop
+        self.n_entries = start
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        super().__init__(sp.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)),
+            shape=(space.n_nodes, space.n_nodes)))
+        self.slots = self.locate(rows, cols)
+
+    def _coeffs(self, coeff) -> list:
+        """Coefficient rows of the occupied groups (see ``coeff_arrays``)."""
+        return [c for c, rows in zip(coeff_arrays(self.space, coeff),
+                                     self.space.member_rows) if len(rows)]
+
+    def _assemble(self, products) -> sp.csr_matrix:
+        """The matrix whose element matrices are, group by group, the
+        products (coefficient rows) @ (reference table)."""
+        entries = np.empty(self.n_entries)
+        for (_, rows, sl), (c, table) in zip(self.groups, products):
+            np.matmul(c, table, out=entries[sl].reshape(len(rows), -1))
+        return self.with_data(self.sum(entries))
+
+    def mass(self, coeff=1.0) -> sp.csr_matrix:
+        """Weighted L2 mass matrix (w_i, c w_j) over the support."""
+        products = []
+        for (g, rows, _), c in zip(self.groups, self._coeffs(coeff)):
+            if np.any(c <= 0.0):
+                raise AssemblyError("mass coefficient must be strictly "
+                                    "positive")
+            hx, hy = _member_geometry(g, rows)
+            products.append((c * (0.25 * hx * hy)[:, None],
+                             ref_tables(g.px, g.py).mass))
+        return self._assemble(products)
+
+    def stiffness(self, coeff=1.0,
+                  coeff_name: str = "diffusivity") -> sp.csr_matrix:
+        """Scalar diffusion matrix (grad w_i, c grad w_j); c must stay
+        positive."""
+        products = []
+        for (g, rows, _), c in zip(self.groups, self._coeffs(coeff)):
+            if np.any(c <= 0.0):
+                e, q = np.unravel_index(int(np.argmin(c)), c.shape)
+                qx, qy = g.qp_coords()
+                xq, yq = qx[rows][e, q], qy[rows][e, q]
+                raise AssemblyError(
+                    f"nonpositive {coeff_name} sample {c[e, q]:.6g} at "
+                    f"quadrature point ({xq:.6g}, {yq:.6g})")
+            hx, hy = _member_geometry(g, rows)
+            products.append((np.hstack([c * (hy / hx)[:, None],
+                                        c * (hx / hy)[:, None]]),
+                             ref_tables(g.px, g.py).stiffness))
+        return self._assemble(products)
+
+    def elasticity(self, shear, bulk) -> sp.csr_matrix:
+        """Plane-strain elasticity matrix (sym grad v : C : sym grad u) on
+        the 2-vector DOFs of the nodes (x and y of a node side by side).
+
+        ``shear``/``bulk`` are per-tag dicts (or scalars) of the moduli G, K;
+        the 3D isotropic tensor with lambda = K - 2G/3 is used in its
+        plane-strain restriction.  Each node coupling is a 2x2 block, so the
+        matrix is assembled as one block-sparse matrix on this pattern.
+        """
+        def per_elem(g, rows, spec):
+            if isinstance(spec, dict):
+                return np.array([spec[int(t)] for t in g.tag[rows]])
+            return np.full(len(rows), float(spec))
+
+        comps = np.empty((2, 2, self.n_entries))
+        for g, rows, sl in self.groups:
+            ref = g.ref
+            hx, hy = _member_geometry(g, rows)
+            g_e = per_elem(g, rows, shear)
+            k_e = per_elem(g, rows, bulk)
+            if np.any(g_e <= 0.0) or np.any(k_e <= 0.0):
+                raise AssemblyError("elastic moduli must be positive")
+            lam_e = k_e - 2.0 * g_e / 3.0
+
+            kxx = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_x)
+            kyy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_y, ref.grad_y)
+            kxy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_y)
+
+            rx = (hy / hx)[:, None, None]
+            ry = (hx / hy)[:, None, None]
+            lam, shr = lam_e[:, None, None], g_e[:, None, None]
+            # (x,x): (lam+2G) dxdx + G dydy ; (y,y): (lam+2G) dydy + G dxdx
+            comps[0, 0, sl] = ((lam + 2 * shr) * rx * kxx
+                               + shr * ry * kyy).ravel()
+            comps[1, 1, sl] = ((lam + 2 * shr) * ry * kyy
+                               + shr * rx * kxx).ravel()
+            # (x,y): lam dx_i dy_j + G dy_i dx_j  (unit jacobian factor)
+            kxy_e = lam * kxy + shr * kxy.T
+            comps[0, 1, sl] = kxy_e.ravel()
+            comps[1, 0, sl] = np.swapaxes(kxy_e, 1, 2).ravel()
+        blocks = np.stack([self.sum(comps[a, b])
+                           for a in (0, 1) for b in (0, 1)], axis=-1)
+        n = 2 * self.shape[0]
+        return sp.bsr_matrix((blocks.reshape(-1, 2, 2), self.indices,
+                              self.indptr), shape=(n, n)).tocsr()
 
 
 def _member_geometry(g: MasterGroup, rows: np.ndarray):
@@ -98,21 +286,7 @@ def assemble_mass(space: FieldSpace, coeff=1.0) -> sp.csr_matrix:
     """Weighted L2 mass matrix (w_i, c w_j) over the field support."""
     if space.arity != 1:
         raise AssemblyError("mass assembly implemented for scalar fields")
-    carr = coeff_arrays(space, coeff)
-    blocks, dofs_list = [], []
-    for g, rows, dofs, c in zip(space.master, space.member_rows,
-                                space.cell_node_dofs, carr):
-        if len(rows) == 0:
-            continue
-        if np.any(c <= 0.0):
-            raise AssemblyError("mass coefficient must be strictly positive")
-        ref = g.ref
-        hx, hy = _member_geometry(g, rows)
-        ceff = c * (0.25 * hx * hy)[:, None]
-        blocks.append(np.einsum("q,eq,qi,qj->eij", ref.qw, ceff,
-                                ref.values, ref.values, optimize=True))
-        dofs_list.append(dofs)
-    return _scatter(space, blocks, dofs_list)
+    return ElementScatter(space).mass(coeff)
 
 
 def assemble_stiffness(space: FieldSpace, coeff=1.0,
@@ -120,82 +294,15 @@ def assemble_stiffness(space: FieldSpace, coeff=1.0,
     """Scalar diffusion matrix (grad w_i, c grad w_j); c must stay positive."""
     if space.arity != 1:
         raise AssemblyError("use assemble_elasticity for vector fields")
-    carr = coeff_arrays(space, coeff)
-    blocks, dofs_list = [], []
-    for g, rows, dofs, c in zip(space.master, space.member_rows,
-                                space.cell_node_dofs, carr):
-        if len(rows) == 0:
-            continue
-        if np.any(c <= 0.0):
-            e, q = np.unravel_index(int(np.argmin(c)), c.shape)
-            qx, qy = g.qp_coords()
-            xq, yq = qx[rows][e, q], qy[rows][e, q]
-            raise AssemblyError(
-                f"nonpositive {coeff_name} sample {c[e, q]:.6g} at quadrature "
-                f"point ({xq:.6g}, {yq:.6g})")
-        ref = g.ref
-        hx, hy = _member_geometry(g, rows)
-        kxx = np.einsum("q,eq,qi,qj->eij", ref.qw, c,
-                        ref.grad_x, ref.grad_x, optimize=True)
-        kyy = np.einsum("q,eq,qi,qj->eij", ref.qw, c,
-                        ref.grad_y, ref.grad_y, optimize=True)
-        ke = (hy / hx)[:, None, None] * kxx + (hx / hy)[:, None, None] * kyy
-        blocks.append(ke)
-        dofs_list.append(dofs)
-    return _scatter(space, blocks, dofs_list)
+    return ElementScatter(space).stiffness(coeff, coeff_name)
 
 
 def assemble_elasticity(space: FieldSpace, shear, bulk) -> sp.csr_matrix:
-    """Plane-strain elasticity matrix (sym grad v : C : sym grad u).
-
-    ``shear``/``bulk`` are per-tag dicts (or scalars) of the moduli G, K;
-    the 3D isotropic tensor with lambda = K - 2G/3 is used in its plane-strain
-    restriction.
-    """
+    """Plane-strain elasticity matrix of a 2-vector space (see
+    ``ElementScatter.elasticity``)."""
     if space.arity != 2:
         raise AssemblyError("elasticity needs a 2-vector space")
-
-    def per_elem(g, rows, spec):
-        if isinstance(spec, dict):
-            return np.array([spec[int(t)] for t in g.tag[rows]])
-        return np.full(len(rows), float(spec))
-
-    blocks, dofs_list = [], []
-    for g, rows, node_dofs in zip(space.master, space.member_rows,
-                                  space.cell_node_dofs):
-        if len(rows) == 0:
-            continue
-        ref = g.ref
-        hx, hy = _member_geometry(g, rows)
-        g_e = per_elem(g, rows, shear)
-        k_e = per_elem(g, rows, bulk)
-        if np.any(g_e <= 0.0) or np.any(k_e <= 0.0):
-            raise AssemblyError("elastic moduli must be positive")
-        lam_e = k_e - 2.0 * g_e / 3.0
-
-        kxx = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_x)
-        kyy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_y, ref.grad_y)
-        kxy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_y)
-
-        rx = (hy / hx)
-        ry = (hx / hy)
-        nbf = ref.nbf
-        ke = np.zeros((len(rows), nbf, 2, nbf, 2))
-        # (x,x): (lam+2G) dxdx + G dydy ; (y,y): (lam+2G) dydy + G dxdx
-        ke[:, :, 0, :, 0] = ((lam_e + 2 * g_e) * rx)[:, None, None] * kxx \
-            + (g_e * ry)[:, None, None] * kyy
-        ke[:, :, 1, :, 1] = ((lam_e + 2 * g_e) * ry)[:, None, None] * kyy \
-            + (g_e * rx)[:, None, None] * kxx
-        # (x,y): lam dx_i dy_j + G dy_i dx_j  (unit jacobian factor)
-        ke[:, :, 0, :, 1] = lam_e[:, None, None] * kxy \
-            + g_e[:, None, None] * kxy.T
-        ke[:, :, 1, :, 0] = np.swapaxes(ke[:, :, 0, :, 1], 1, 2)
-
-        dofs = (node_dofs[:, :, None] * 2
-                + np.arange(2)[None, None, :]).reshape(len(rows), -1)
-        blocks.append(ke.reshape(len(rows), 2 * nbf, 2 * nbf))
-        dofs_list.append(dofs)
-    return _scatter(space, blocks, dofs_list)
+    return ElementScatter(space).elasticity(shear, bulk)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +317,8 @@ def assemble_load(space: FieldSpace, f) -> np.ndarray:
                                  space.cell_node_dofs, farr):
         if len(rows) == 0:
             continue
-        ref = g.ref
         hx, hy = _member_geometry(g, rows)
-        feff = fa * (0.25 * hx * hy)[:, None]
-        be = np.einsum("q,eq,qi->ei", ref.qw, feff, ref.values, optimize=True)
+        be = (fa * (0.25 * hx * hy)[:, None]) @ ref_tables(g.px, g.py).load
         np.add.at(b, dofs, be)
     return b
 
@@ -225,15 +330,12 @@ def assemble_grad_load(space: FieldSpace, vec_arrays: list) -> np.ndarray:
                                  space.cell_node_dofs, vec_arrays):
         if len(rows) == 0:
             continue
-        ref = g.ref
         hx, hy = _member_geometry(g, rows)
         v = va[rows]
         # (2/hx) * detJ = hy/2 ; (2/hy) * detJ = hx/2
-        bx = np.einsum("q,eq,qi->ei", ref.qw, v[:, :, 0] * (0.5 * hy)[:, None],
-                       ref.grad_x, optimize=True)
-        by = np.einsum("q,eq,qi->ei", ref.qw, v[:, :, 1] * (0.5 * hx)[:, None],
-                       ref.grad_y, optimize=True)
-        np.add.at(b, dofs, bx + by)
+        c = np.hstack([v[:, :, 0] * (0.5 * hy)[:, None],
+                       v[:, :, 1] * (0.5 * hx)[:, None]])
+        np.add.at(b, dofs, c @ ref_tables(g.px, g.py).grad_load)
     return b
 
 
@@ -247,14 +349,12 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
                                       space.cell_node_dofs, farr):
         if len(rows) == 0:
             continue
-        ref = g.ref
         hx, hy = _member_geometry(g, rows)
-        bx = np.einsum("q,eq,qi->ei", ref.qw, fa * (0.5 * hy)[:, None],
-                       ref.grad_x, optimize=True)
-        by = np.einsum("q,eq,qi->ei", ref.qw, fa * (0.5 * hx)[:, None],
-                       ref.grad_y, optimize=True)
-        np.add.at(b, node_dofs * 2, bx)
-        np.add.at(b, node_dofs * 2 + 1, by)
+        nq = fa.shape[1]
+        table = ref_tables(g.px, g.py).grad_load
+        np.add.at(b, node_dofs * 2, (fa * (0.5 * hy)[:, None]) @ table[:nq])
+        np.add.at(b, node_dofs * 2 + 1,
+                  (fa * (0.5 * hx)[:, None]) @ table[nq:])
     return b
 
 
@@ -374,16 +474,62 @@ def restrict_trace(space: FieldSpace, t: sp.csr_matrix) -> sp.csr_matrix:
                          shape=(t.shape[0], space.ndof))
 
 
+class TraceMass(FixedPattern):
+    """Edge masses T^T diag(w c) T of one trace operator, plus a fixed matrix.
+
+    Quadrature point q of ``t`` adds T[q, a] T[q, b] w_q c_q to entry (a, b)
+    for every pair (a, b) of its columns.  The pairs, their values without
+    c_q and their points are found once, on the union of ``base``'s pattern
+    and T^T T's; ``matrix(c)`` is then ``base`` plus one bincount.
+    """
+
+    def __init__(self, t: sp.spmatrix, w: np.ndarray,
+                 base: sp.spmatrix | None = None):
+        t = t.tocsr()
+        n = t.shape[1]
+        lens = np.diff(t.indptr)
+        point = np.repeat(np.arange(t.shape[0]), lens)  # of each entry of t
+        per = lens[point]           # pairs that each entry of t starts
+        first = np.repeat(np.arange(t.nnz), per)
+        second = np.repeat(t.indptr[point] - np.cumsum(per) + per, per) \
+            + np.arange(len(first))
+        self.w = w
+        self.pair_point = point[first]
+        self.pair_value = t.data[first] * t.data[second] * w[self.pair_point]
+        rows, cols = t.indices[first], t.indices[second]
+
+        base = sp.csr_matrix((n, n)) if base is None else sp.csr_matrix(base)
+        base.sum_duplicates()
+        pairs = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(n, n))
+        pairs.data[:] = 2.0
+        # The union pattern marks base entries 1 (or 3) and the others 2;
+        # both lists are row-major sorted, so the marked entries are the
+        # base's in order.
+        union = sp.csr_matrix((np.ones(base.nnz), base.indices, base.indptr),
+                              shape=(n, n)) + pairs
+        super().__init__(union)
+        self.base_data = np.zeros(self.nnz)
+        self.base_data[union.data != 2.0] = base.data
+        self.slots = self.locate(rows, cols)
+
+    def matrix(self, coeff) -> sp.csr_matrix:
+        """``base`` + T^T diag(w c) T; ``coeff`` is a scalar or one value per
+        quadrature point, and must be nonnegative."""
+        c = np.broadcast_to(np.asarray(coeff, dtype=float), self.w.shape)
+        if np.any(c < 0.0):
+            raise AssemblyError("edge mass coefficient must be nonnegative")
+        return self.with_data(self.base_data
+                              + self.sum(self.pair_value * c[self.pair_point]))
+
+
 def trace_mass(t: sp.spmatrix, w: np.ndarray, coeff) -> sp.csr_matrix:
     """Edge mass T^T diag(w c) T, i.e. <w_i, c w_j> over the edges of ``t``.
 
     ``coeff`` is a scalar or one value per quadrature point; it must be
     nonnegative (the matrix is positive semidefinite by construction).
     """
-    c = np.broadcast_to(np.asarray(coeff, dtype=float), w.shape)
-    if np.any(c < 0.0):
-        raise AssemblyError("edge mass coefficient must be nonnegative")
-    return (t.T @ sp.diags(w * c) @ t).tocsr()
+    return TraceMass(t, w).matrix(coeff)
 
 
 # ---------------------------------------------------------------------------

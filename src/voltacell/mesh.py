@@ -301,21 +301,11 @@ class EdgeRef:
     degree: int           # trace polynomial degree along the edge
     cells: tuple          # adjacent (j, i) cells, low side first
 
-    @property
-    def is_interface(self) -> bool:
-        return self.tag in (IFACE_SOLID_LO, IFACE_SOLID_HI)
-
     def solid_cell(self, cell_tag: np.ndarray) -> tuple[int, int]:
         for (j, i) in self.cells:
             if cell_tag[j, i] != ELYTE:
                 return (j, i)
         raise ValueError("edge has no solid neighbor")
-
-    def elyte_cell(self, cell_tag: np.ndarray) -> tuple[int, int]:
-        for (j, i) in self.cells:
-            if cell_tag[j, i] == ELYTE:
-                return (j, i)
-        raise ValueError("edge has no electrolyte neighbor")
 
 
 def generate_layered_mesh(geom: DomainGeometry, spec: MeshSpec | None = None) -> Mesh:

@@ -190,16 +190,21 @@ class CellProblem:
         rho_cv = {ANODE: a.rho_cv, CATHODE: c.rho_cv, ELYTE: e.rho_cv}
         lam = {ANODE: a.thermal_k, CATHODE: c.thermal_k, ELYTE: e.thermal_k}
         gam = {ANODE: a.conductivity, CATHODE: c.conductivity}
-        self.m_th = asm.assemble_mass(self.s_th, rho_cv)
-        self.k_th = asm.assemble_stiffness(self.s_th, lam, "thermal conductivity")
-        self.m_cs = asm.assemble_mass(self.s_cs, 1.0)
-        self.m_ce = asm.assemble_mass(self.s_ce, 1.0)
-        self.k_ce = asm.assemble_stiffness(self.s_ce, e.diffusivity,
-                                           "electrolyte diffusivity")
+        # One scatter per support serves every field on it; the c_s matrices
+        # are re-assembled every sweep on M_cs's pattern.
+        th_scatter = asm.ElementScatter(self.s_th)
+        self.m_th = th_scatter.mass(rho_cv)
+        self.k_th = th_scatter.stiffness(lam, "thermal conductivity")
+        self.cs_scatter = asm.ElementScatter(self.s_cs)   # c_s, phi_s, u
+        self.m_cs = self.cs_scatter.mass(1.0)
+        ce_scatter = asm.ElementScatter(self.s_ce)        # c_e, phi_e
+        self.m_ce = ce_scatter.mass(1.0)
+        self.k_ce = ce_scatter.stiffness(e.diffusivity,
+                                         "electrolyte diffusivity")
         ga, ka = a.lame
         gc, kc = c.lame
-        self.k_u = asm.assemble_elasticity(
-            self.s_u, {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
+        self.k_u = self.cs_scatter.elasticity(
+            {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
         self.k_u_red = asm.constrain(self.s_u, self.k_u)
         self._u_factor = SpdFactor(self.k_u_red, name="u")
 
@@ -224,15 +229,15 @@ class CellProblem:
         # The linearized potential pair on [phi_s free DOFs, phi_e]: bulk
         # stiffness blocks and the interface jump operator D = [T_s, -T_e].
         free_s = self.s_ps.free
-        k_ps = asm.assemble_stiffness(self.s_ps, gam,
-                                      "electronic conductivity")
-        k_pe = asm.assemble_stiffness(self.s_pe, e.conductivity,
-                                      "ionic conductivity")
-        self.k_pot = sp.block_diag((asm.constrain(self.s_ps, k_ps), k_pe),
-                                   format="csr")
+        k_ps = self.cs_scatter.stiffness(gam, "electronic conductivity")
+        k_pe = ce_scatter.stiffness(e.conductivity, "ionic conductivity")
         self.iface_jump = sp.hstack([self.iface_tr["phi_s"][:, free_s],
                                      -self.iface_tr["phi_e"]], format="csr")
         self.iface_jump_t = self.iface_jump.T
+        # blockdiag(K_s, K_e) + D^T diag(w c) D on one pattern for every c
+        self.pot_mass = asm.TraceMass(
+            self.iface_jump, self.iface_w,
+            base=sp.block_diag((asm.constrain(self.s_ps, k_ps), k_pe)))
         # The positive collector face: w_cc . (T_ps phi_s) integrates phi_s
         # over it, so T_ps^T w_cc is both its weight vector (V_out) and the
         # unit current load.
@@ -440,12 +445,14 @@ class CellProblem:
         1's Euler-predicted midpoint would (on the production presets 25 CG
         iterations per later step instead of 40)."""
         self._prepare_dt(dt)
-        self.cs_solver.hold(self.m_cs + 0.5 * dt * self._cs_stiffness(state))
+        self.cs_solver.hold(self.cs_matrices(state, dt)[1])
 
-    def _cs_stiffness(self, state: SimState):
-        return asm.assemble_stiffness(self.s_cs,
-                                      self.solid_diffusivity_qp(state),
+    def cs_matrices(self, state: SimState, dt: float):
+        """K_cs at the solid diffusivity of ``state`` and the midpoint matrix
+        M_cs + dt/2 K_cs, both on M_cs's pattern."""
+        k = self.cs_scatter.stiffness(self.solid_diffusivity_qp(state),
                                       "solid diffusivity")
+        return k, self.cs_scatter.with_data(self.m_cs.data + 0.5 * dt * k.data)
 
     def _prepare_dt(self, dt: float):
         if self._dt_ops is not None and self._dt_ops[0] == dt:
@@ -494,8 +501,7 @@ class CellProblem:
         ist = self.interface_state_of(mid)
         loads = self.iface_loads(ist)
 
-        k_cs = self._cs_stiffness(mid)
-        a_cs = self.m_cs + 0.5 * dt * k_cs
+        k_cs, a_cs = self.cs_matrices(mid, dt)
         b_cs = dt * (loads["c_s"] - k_cs @ prev["c_s"])
         b_ce = dt * (loads["c_e"] - self.k_ce @ prev["c_e"])
 
@@ -535,7 +541,7 @@ class CellProblem:
         ist = self.interface_state_of(state)
         loads = self.iface_loads(ist)
         rates = {}
-        k_cs = self._cs_stiffness(state)
+        k_cs, _ = self.cs_matrices(state, 0.0)
         rates["c_s"] = solve_mass(self.m_cs,
                                   -(k_cs @ state["c_s"]) + loads["c_s"], "c_s")
         rates["c_e"] = solve_mass(self.m_ce,
@@ -589,7 +595,7 @@ class CellProblem:
             raise ValueError(
                 "interface coefficient I_c*F/(R*theta) vanishes everywhere: "
                 "the phi_e system is singular")
-        a = self.k_pot + asm.trace_mass(self.iface_jump, self.iface_w, coeff)
+        a = self.pot_mass.matrix(coeff)
         b = np.concatenate([-self.i_app * self.cc_plus_load,
                             -self._kappa_d_grad_load(theta_v, ce_v)])
         b += self.iface_jump_t @ (self.iface_w * coeff * kin["ocp"])

@@ -55,9 +55,6 @@ class NodeGrid:
     def n_nodes(self) -> int:
         return self.nnx * self.nny
 
-    def node_id(self, ix, iy):
-        return np.asarray(iy) * self.nnx + np.asarray(ix)
-
     def node_xy(self, node_ids: np.ndarray) -> np.ndarray:
         node_ids = np.asarray(node_ids)
         return np.column_stack([self.xn[node_ids % self.nnx],

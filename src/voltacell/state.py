@@ -119,11 +119,6 @@ class ClampLog:
     max_violation: float = 0.0
     contexts: dict = field(default_factory=dict)
 
-    def reset(self):
-        self.events = 0
-        self.max_violation = 0.0
-        self.contexts.clear()
-
 
 class Guard:
     """Applies a GuardPolicy to evaluated arrays, recording clamp events."""

@@ -128,17 +128,23 @@ def dense_elasticity(space, shear_of_tag, bulk_of_tag, n_quad=12):
 
 def dense_edge_mass(space, edges, coeff_fn, n_quad=12):
     """Boundary mass over edges with coefficient coeff_fn(x, y)."""
-    n = space.ndof
-    out = np.zeros((n, n))
+    return dense_edge_coupling(space, space, edges, coeff_fn, n_quad)
+
+
+def dense_edge_coupling(space_a, space_b, edges, coeff_fn, n_quad=12):
+    """<w^a_i, c w^b_j> over edges that both spaces reach: the edge mass
+    between two fields' bases (the interface terms of a field pair)."""
+    out = np.zeros((space_a.ndof, space_b.ndof))
     pts, wts = _tensor_rule(n_quad)
     for edge in edges:
         polys = lagrange_polys(edge.degree)
-        dofs = space.dofs_of_nodes(space.edge_field_nodes(edge))
+        dofs_a = space_a.dofs_of_nodes(space_a.edge_field_nodes(edge))
+        dofs_b = space_b.dofs_of_nodes(space_b.edge_field_nodes(edge))
         p0 = np.asarray(edge.p0)
         p1 = np.asarray(edge.p1)
         for q, w in zip(pts, wts):
             xy = p0 + (q + 1) * 0.5 * (p1 - p0)
             c = coeff_fn(xy[0], xy[1]) * w * 0.5 * edge.length
             vals = np.array([p(q) for p in polys])
-            out[np.ix_(dofs, dofs)] += c * np.outer(vals, vals)
+            out[np.ix_(dofs_a, dofs_b)] += c * np.outer(vals, vals)
     return out

@@ -249,10 +249,8 @@ def test_criterion_09_model_comparison_pattern(desk_runs):
 def _system_matrices(problem, dt):
     s0 = problem.initial_state()
     mats = {}
-    d_qp = problem.solid_diffusivity_qp(s0)
-    k_cs = asm.assemble_stiffness(problem.s_cs, d_qp, "solid diffusivity")
     mats["theta system"] = problem.m_th + 0.5 * dt * problem.k_th
-    mats["c_s system"] = problem.m_cs + 0.5 * dt * k_cs
+    mats["c_s system"] = problem.cs_matrices(s0, dt)[1]
     mats["c_e system"] = problem.m_ce + 0.5 * dt * problem.k_ce
     mats["potential block system"], _ = problem.potential_system(
         s0["theta"], s0["c_s"], s0["c_e"])
@@ -336,6 +334,49 @@ def test_criterion_11_oracle_equivalence():
         asm.assemble_elasticity(s3, {geo.CATHODE: shear},
                                 {geo.CATHODE: bulk}),
         oracles.dense_elasticity(s3, lambda t: shear, lambda t: bulk))
+
+    # the per-sweep systems of a cell problem, on their fixed patterns, at
+    # the uniform start state (the diffusivity and the interface
+    # coefficient are constant per electrode): anode | electrolyte |
+    # cathode quadratic cells, in SI units
+    m4 = Mesh.from_grid(
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0]),
+        np.array([2, 2, 2]), np.array([2]),
+        np.array([[geo.ANODE, geo.ELYTE, geo.CATHODE]], dtype=np.int8),
+        lambda side, c: {"left": "cc_minus", "right": "cc_plus",
+                         "top": "top", "bottom": "bottom"}[side])
+    mats_si = mat.default_materials()
+    prob = CellProblem(m4, mats_si, Guard(GuardPolicy.defaults(mats_si)))
+    s0 = prob.initial_state()
+    electrode = {t: mats_si.electrode(geo.TAG_NAMES[t])
+                 for t in (geo.ANODE, geo.CATHODE)}
+    d_s = {t: mat.stress_diffusivity(prob.c_s_ref[t], 0.0, e, mats_si)
+           for t, e in electrode.items()}
+    m_dense = oracles.dense_mass(prob.s_cs, lambda x, y, t: 1.0)
+    k_dense = oracles.dense_stiffness(prob.s_cs, lambda x, y, t: d_s[t])
+    dt = 2.0 * np.abs(m_dense).max() / np.abs(k_dense).max()  # both count
+    worst["c_s system (fixed pattern)"] = rel(
+        prob.cs_matrices(s0, dt)[1], m_dense + 0.5 * dt * k_dense)
+
+    from voltacell.physics import exchange_current
+    cf = {t: exchange_current(prob.c_s_ref[t], mats_si.c_e_init, e, mats_si)
+          * mats_si.faraday / (mats_si.gas_constant * mats_si.theta_ref)
+          for t, e in electrode.items()}
+    iface = m4.interface_edges()
+    coeff = lambda x, y: cf[geo.ANODE] if x < 1.5 else cf[geo.CATHODE]
+    s_ps, s_pe = prob.s_ps, prob.s_pe
+    k_s = oracles.dense_stiffness(s_ps,
+                                  lambda x, y, t: electrode[t].conductivity)
+    k_e = oracles.dense_stiffness(
+        s_pe, lambda x, y, t: mats_si.electrolyte.conductivity)
+    e_ss, e_se, e_ee = (oracles.dense_edge_coupling(a, b, iface, coeff)
+                        for a, b in ((s_ps, s_ps), (s_ps, s_pe),
+                                     (s_pe, s_pe)))
+    free = np.nonzero(s_ps.free)[0]
+    pair = np.block([[(k_s + e_ss)[np.ix_(free, free)], -e_se[free]],
+                     [-e_se[free].T, k_e + e_ee]])
+    worst["potential pair (fixed pattern)"] = rel(
+        prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])[0], pair)
 
     ok = all(v < 1e-12 for v in worst.values())
     _report(11, ok, "sparse vs dense-oracle max relative deviation: "

@@ -22,6 +22,19 @@ def _max_rel(a_sparse, dense):
     return np.abs(a_sparse.toarray() - dense).max() / scale
 
 
+# Oracle points per direction on the mixed-degree mesh: exact for the
+# degree <= 2 bases against the quadratic coefficients used there.
+MIXED_QUAD = 5
+
+
+def mixed_degree_mesh():
+    """The desk-scale layout with linear bulk and quadratic normal degrees:
+    four degree groups, like the production mesh."""
+    return generate_layered_mesh(geo.build_interdigitated_domain(), MeshSpec(
+        nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1), n_layers=1, degree=1,
+        normal_degree=2))
+
+
 def two_cell_interface_mesh(p=1):
     """Two unit cells side by side: anode | electrolyte."""
     return Mesh.from_grid(
@@ -114,6 +127,43 @@ def test_stiffness_rejects_nonpositive_sample_with_location():
 
 
 # ---------------------------------------------------------------------------
+# fixed element patterns
+# ---------------------------------------------------------------------------
+
+def test_element_scatter_slots_point_at_their_entries():
+    s = _space(mixed_degree_mesh(), sps.OMEGA_S)
+    assert len({(g.px, g.py) for g, rows in zip(s.master, s.member_rows)
+                if len(rows)}) == 4
+    scatter = asm.ElementScatter(s)
+    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel()
+                           for d in s.cell_node_dofs if len(d)])
+    cols = np.concatenate([np.tile(d, (1, d.shape[1])).ravel()
+                           for d in s.cell_node_dofs if len(d)])
+    assert len(scatter.slots) == scatter.n_entries == len(rows)
+    assert np.array_equal(scatter.indices[scatter.slots], cols)
+    assert np.array_equal(
+        np.searchsorted(scatter.indptr, scatter.slots, side="right") - 1, rows)
+
+
+def test_element_scatter_reassembles_on_one_pattern():
+    """Matrices re-assembled with new coefficients share the pattern arrays
+    themselves and still match the dense oracle, across degree groups."""
+    s = _space(mixed_degree_mesh(), sps.OMEGA_S)
+    scatter = asm.ElementScatter(s)
+    mats_ = [scatter.mass(1.0)]
+    for k in (1.0, 2.0):
+        coeff = lambda x, y: k + x * y
+        mats_.append(scatter.stiffness(coeff))
+        dense = oracles.dense_stiffness(s, lambda x, y, tag: coeff(x, y),
+                                        n_quad=MIXED_QUAD)
+        assert _max_rel(mats_[-1], dense) < ORACLE_RTOL
+    for m_ in mats_:
+        assert m_.indices is scatter.indices
+        assert m_.indptr is scatter.indptr
+        assert m_.has_canonical_format
+
+
+# ---------------------------------------------------------------------------
 # elasticity
 # ---------------------------------------------------------------------------
 
@@ -152,6 +202,16 @@ def test_elasticity_mixed_materials_dense_oracle():
     bulk = {geo.ANODE: 5.0, geo.CATHODE: 7.0}
     sparse = asm.assemble_elasticity(s, shear, bulk)
     dense = oracles.dense_elasticity(s, lambda t: shear[t], lambda t: bulk[t])
+    assert _max_rel(sparse, dense) < ORACLE_RTOL
+
+
+def test_elasticity_mixed_degrees_dense_oracle():
+    s = _space(mixed_degree_mesh(), sps.OMEGA_S, arity=2)
+    shear = {geo.ANODE: 2.0, geo.CATHODE: 3.0}
+    bulk = {geo.ANODE: 5.0, geo.CATHODE: 7.0}
+    sparse = asm.assemble_elasticity(s, shear, bulk)
+    dense = oracles.dense_elasticity(s, lambda t: shear[t], lambda t: bulk[t],
+                                     n_quad=MIXED_QUAD)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
 
@@ -196,6 +256,25 @@ def test_edge_mass_rejects_negative_coefficient():
     s = _space(m, sps.OMEGA_S)
     with pytest.raises(asm.AssemblyError):
         asm.trace_mass(*_interface_trace(m, s), -1.0)
+
+
+def test_trace_mass_with_base_keeps_one_pattern():
+    """base + T^T diag(w c) T for changing c, against the dense product."""
+    m = mixed_degree_mesh()
+    s = _space(m, sps.OMEGA_S)
+    t, w = _interface_trace(m, s)
+    base = asm.assemble_stiffness(s, 1.0)
+    tm = asm.TraceMass(t, w, base=base)
+    td = t.toarray()
+    out = []
+    for c in (1.0 + np.arange(len(w)) % 3, np.linspace(0.0, 2.0, len(w))):
+        out.append(tm.matrix(c))
+        dense = base.toarray() + td.T @ ((w * c)[:, None] * td)
+        assert _max_rel(out[-1], dense) < 1e-13
+    assert out[0].indices is out[1].indices is tm.indices
+    assert out[0].indptr is out[1].indptr is tm.indptr
+    with pytest.raises(asm.AssemblyError, match="nonnegative"):
+        tm.matrix(np.where(np.arange(len(w)) == 3, -1.0, 1.0))
 
 
 def test_trace_and_load_partition_of_unity():

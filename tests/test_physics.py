@@ -307,6 +307,114 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats_scaled,
 
 
 # ---------------------------------------------------------------------------
+# per-sweep matrices on fixed patterns
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["coarse", "mixed degrees"])
+def pattern_problem(request, coarse_mesh, mats_scaled, geom_scaled):
+    """A cell problem on the coarse mesh (one degree group) and on a mesh
+    with four degree groups, like the production mesh."""
+    from voltacell.mesh import MeshSpec, generate_layered_mesh
+    mesh = coarse_mesh if request.param == "coarse" else \
+        generate_layered_mesh(geom_scaled, MeshSpec(
+            nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1), n_layers=1,
+            degree=1, normal_degree=2))
+    return conftest.make_problem(mesh, mats_scaled)
+
+
+def _sweep_states(prob, n=2):
+    """The initial state and perturbed copies of it, as sweeps see them."""
+    s0 = prob.initial_state()
+    states = [s0]
+    for k in range(1, n):
+        st = s0.copy()
+        wave = np.sin(np.arange(prob.s_cs.ndof) * (0.3 + k))
+        st["c_s"] = s0["c_s"] * (1.0 + 0.05 * k * wave)
+        st["c_e"] = s0["c_e"] * (1.0 + 0.1 * k * np.cos(
+            np.arange(prob.s_ce.ndof)))
+        st["theta"] = s0["theta"] + 3.0 * k
+        states.append(st)
+    return states
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
+    """K_cs and M_cs + dt/2 K_cs of each sweep equal the stand-alone
+    assembly and share M_cs's pattern arrays."""
+    prob = pattern_problem
+    dt = 0.1
+    pattern = (prob.m_cs.indptr, prob.m_cs.indices)
+    for state in _sweep_states(prob):
+        k, a = prob.cs_matrices(state, dt)
+        k_ref = asm.assemble_stiffness(prob.s_cs,
+                                       prob.solid_diffusivity_qp(state))
+        assert _rel(k.toarray(), k_ref.toarray()) <= 1e-13
+        assert _rel(a.toarray(),
+                    (prob.m_cs + 0.5 * dt * k_ref).toarray()) <= 1e-13
+        for mat_ in (k, a):
+            assert mat_.indptr is pattern[0] and mat_.indices is pattern[1]
+
+
+def test_potential_matrix_keeps_one_pattern(pattern_problem, mats_scaled):
+    """The potential-pair matrix equals blockdiag(K_s, K_e) + D^T diag(w c) D
+    formed densely, sweep after sweep, on one pattern."""
+    prob = pattern_problem
+    free = np.nonzero(prob.s_ps.free)[0]
+    k_s = asm.assemble_stiffness(prob.s_ps, {
+        geo.ANODE: mats_scaled.anode.conductivity,
+        geo.CATHODE: mats_scaled.cathode.conductivity}).toarray()
+    k_e = asm.assemble_stiffness(
+        prob.s_pe, mats_scaled.electrolyte.conductivity).toarray()
+    k_pot = np.block([
+        [k_s[np.ix_(free, free)], np.zeros((len(free), len(k_e)))],
+        [np.zeros((len(k_e), len(free))), k_e]])
+    d = prob.iface_jump.toarray()
+    patterns = []
+    for state in _sweep_states(prob):
+        a, _ = prob.potential_system(state["theta"], state["c_s"],
+                                     state["c_e"])
+        coeff = prob.interface_state_of(state).coeff
+        dense = k_pot + d.T @ ((prob.iface_w * coeff)[:, None] * d)
+        assert _rel(a.toarray(), dense) <= 1e-13
+        patterns.append((a.indptr, a.indices))
+    assert patterns[0][0] is patterns[1][0]
+    assert patterns[0][1] is patterns[1][1]
+
+
+def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
+    prob = coarse_problem
+    s0 = prob.initial_state()
+    d_qp = prob.solid_diffusivity_qp(s0)
+    g = prob.master[0]
+    e = int(prob.s_cs.member_rows[0][5])
+    d_qp[0][e, 2] = -1.0
+    qx, qy = g.qp_coords()
+    prob.solid_diffusivity_qp = lambda state: d_qp
+    with pytest.raises(asm.AssemblyError) as err:
+        prob.cs_matrices(s0, 0.1)
+    assert str(err.value) == (
+        f"nonpositive solid diffusivity sample -1 at quadrature point "
+        f"({qx[e, 2]:.6g}, {qy[e, 2]:.6g})")
+
+
+def test_negative_interface_coefficient_raises(coarse_problem):
+    """A negative I_c F/(R theta) at some interface points (here from a
+    negative temperature trace on the anode interface) is rejected by the
+    potential pair's interface mass."""
+    prob = coarse_problem
+    s0 = prob.initial_state()
+    tr = prob.iface_tr["theta"]
+    anode_nodes = np.unique(tr[prob.iface_tags == geo.ANODE].indices)
+    theta = s0["theta"].copy()
+    theta[anode_nodes] *= -1.0
+    with pytest.raises(asm.AssemblyError, match="nonnegative"):
+        prob.potential_system(theta, s0["c_s"], s0["c_e"])
+
+
+# ---------------------------------------------------------------------------
 # interface loads and their balance
 # ---------------------------------------------------------------------------
 
