@@ -14,8 +14,10 @@ constraints are eliminated by reduction, never by penalties, so SPD structure
 survives).
 
 Coefficients may be given as a scalar, a per-subdomain-tag dict, a callable
-``f(x, y)`` evaluated at quadrature points, or a master-aligned list of
-per-group (n_elems, nq) arrays as produced by ``eval_qp``.
+``f(x, y)`` evaluated at quadrature points, or a flat array over the mesh's
+quadrature points (``spaces.QuadPoints``) as produced by ``eval_qp``.  The
+assemblers and evaluators slice flat arrays per degree group for their
+matmuls.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 
 from . import basis
 from .mesh import EdgeRef
-from .spaces import FieldSpace, MasterGroup, NodeGrid
+from .spaces import FieldSpace, NodeGrid, tag_values
 
 EDGE_QUAD_EXTRA = 2
 
@@ -42,38 +44,17 @@ class AssemblyError(ValueError):
 # Coefficient resolution
 # ---------------------------------------------------------------------------
 
-def coeff_arrays(space: FieldSpace, coeff, *, member_only: bool = True) -> list:
-    """Resolve a coefficient spec into per-group (n, nq) arrays.
-
-    With ``member_only`` the rows correspond to the space's member cells of
-    each master group; otherwise to all cells of the group.
-    """
-    out = []
-    for g, rows in zip(space.master, space.member_rows):
-        nq = len(g.ref.qw)
-        if member_only:
-            hx = g.hx[rows]
-            n = len(rows)
-        else:
-            n = g.n_elems
-        if callable(coeff):
-            qx, qy = g.qp_coords()
-            if member_only:
-                qx, qy = qx[rows], qy[rows]
-            arr = np.broadcast_to(np.asarray(coeff(qx, qy), dtype=float),
-                                  (n, nq)).copy()
-        elif isinstance(coeff, dict):
-            tags = g.tag[rows] if member_only else g.tag
-            vals = np.array([coeff[int(t)] for t in tags])
-            arr = np.repeat(vals[:, None], nq, axis=1)
-        elif isinstance(coeff, (list, tuple)):
-            arr = np.asarray(coeff[len(out)], dtype=float)
-            if member_only:
-                arr = arr[rows]
-        else:
-            arr = np.full((n, nq), float(coeff))
-        out.append(arr)
-    return out
+def coeff_arrays(space: FieldSpace, coeff) -> list:
+    """Resolve a coefficient spec into (n_member, nq) arrays, one per group
+    the space occupies (see ``FieldSpace.occupied``)."""
+    qp = space.qp
+    if callable(coeff):
+        coeff = coeff(qp.x, qp.y)
+    elif isinstance(coeff, dict):
+        coeff = tag_values(coeff, qp.tag)
+    flat = np.broadcast_to(np.asarray(coeff, dtype=float), (qp.n,))
+    return [flat[block].reshape(g.n_elems, -1)[rows]
+            for g, rows, _, block in space.occupied()]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +137,8 @@ class ElementScatter(FixedPattern):
 
     Its entries are those of every element matrix, degree group after degree
     group, each flattened row-major; ``groups`` holds (master group, member
-    rows, slice of its entries) for the groups the space occupies.  The
+    rows, slice of its entries, block of the quadrature layout) for the
+    groups the space occupies.  The
     pattern depends only on the support, so one scatter serves every field
     on it, and a matrix assembled again with new coefficients keeps it.
     """
@@ -166,15 +148,12 @@ class ElementScatter(FixedPattern):
         self.groups = []
         rows, cols = [], []
         start = 0
-        for g, row_idx, dofs in zip(space.master, space.member_rows,
-                                    space.cell_node_dofs):
-            if len(row_idx) == 0:
-                continue
+        for g, row_idx, dofs, block in space.occupied():
             n = dofs.shape[1]
             rows.append(np.repeat(dofs, n, axis=1).ravel())
             cols.append(np.tile(dofs, (1, n)).ravel())
             stop = start + dofs.size * n
-            self.groups.append((g, row_idx, slice(start, stop)))
+            self.groups.append((g, row_idx, slice(start, stop), block))
             start = stop
         self.n_entries = start
         rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -183,27 +162,23 @@ class ElementScatter(FixedPattern):
             shape=(space.n_nodes, space.n_nodes)))
         self.slots = self.locate(rows, cols)
 
-    def _coeffs(self, coeff) -> list:
-        """Coefficient rows of the occupied groups (see ``coeff_arrays``)."""
-        return [c for c, rows in zip(coeff_arrays(self.space, coeff),
-                                     self.space.member_rows) if len(rows)]
-
     def _assemble(self, products) -> sp.csr_matrix:
         """The matrix whose element matrices are, group by group, the
         products (coefficient rows) @ (reference table)."""
         entries = np.empty(self.n_entries)
-        for (_, rows, sl), (c, table) in zip(self.groups, products):
+        for (_, rows, sl, _), (c, table) in zip(self.groups, products):
             np.matmul(c, table, out=entries[sl].reshape(len(rows), -1))
         return self.with_data(self.sum(entries))
 
     def mass(self, coeff=1.0) -> sp.csr_matrix:
         """Weighted L2 mass matrix (w_i, c w_j) over the support."""
         products = []
-        for (g, rows, _), c in zip(self.groups, self._coeffs(coeff)):
+        for (g, rows, _, _), c in zip(self.groups,
+                                      coeff_arrays(self.space, coeff)):
             if np.any(c <= 0.0):
                 raise AssemblyError("mass coefficient must be strictly "
                                     "positive")
-            hx, hy = _member_geometry(g, rows)
+            hx, hy = g.hx[rows], g.hy[rows]
             products.append((c * (0.25 * hx * hy)[:, None],
                              ref_tables(g.px, g.py).mass))
         return self._assemble(products)
@@ -213,15 +188,16 @@ class ElementScatter(FixedPattern):
         """Scalar diffusion matrix (grad w_i, c grad w_j); c must stay
         positive."""
         products = []
-        for (g, rows, _), c in zip(self.groups, self._coeffs(coeff)):
+        qp = self.space.qp
+        for (g, rows, _, block), c in zip(self.groups,
+                                          coeff_arrays(self.space, coeff)):
             if np.any(c <= 0.0):
                 e, q = np.unravel_index(int(np.argmin(c)), c.shape)
-                qx, qy = g.qp_coords()
-                xq, yq = qx[rows][e, q], qy[rows][e, q]
+                i = block.start + rows[e] * c.shape[1] + q
                 raise AssemblyError(
                     f"nonpositive {coeff_name} sample {c[e, q]:.6g} at "
-                    f"quadrature point ({xq:.6g}, {yq:.6g})")
-            hx, hy = _member_geometry(g, rows)
+                    f"quadrature point ({qp.x[i]:.6g}, {qp.y[i]:.6g})")
+            hx, hy = g.hx[rows], g.hy[rows]
             products.append((np.hstack([c * (hy / hx)[:, None],
                                         c * (hx / hy)[:, None]]),
                              ref_tables(g.px, g.py).stiffness))
@@ -236,17 +212,17 @@ class ElementScatter(FixedPattern):
         plane-strain restriction.  Each node coupling is a 2x2 block, so the
         matrix is assembled as one block-sparse matrix on this pattern.
         """
-        def per_elem(g, rows, spec):
+        def per_elem(tags, spec):
             if isinstance(spec, dict):
-                return np.array([spec[int(t)] for t in g.tag[rows]])
-            return np.full(len(rows), float(spec))
+                return tag_values(spec, tags)
+            return np.full(len(tags), float(spec))
 
         comps = np.empty((2, 2, self.n_entries))
-        for g, rows, sl in self.groups:
+        for g, rows, sl, _ in self.groups:
             ref = g.ref
-            hx, hy = _member_geometry(g, rows)
-            g_e = per_elem(g, rows, shear)
-            k_e = per_elem(g, rows, bulk)
+            hx, hy = g.hx[rows], g.hy[rows]
+            g_e = per_elem(g.tag[rows], shear)
+            k_e = per_elem(g.tag[rows], bulk)
             if np.any(g_e <= 0.0) or np.any(k_e <= 0.0):
                 raise AssemblyError("elastic moduli must be positive")
             lam_e = k_e - 2.0 * g_e / 3.0
@@ -272,10 +248,6 @@ class ElementScatter(FixedPattern):
         n = 2 * self.shape[0]
         return sp.bsr_matrix((blocks.reshape(-1, 2, 2), self.indices,
                               self.indptr), shape=(n, n)).tocsr()
-
-
-def _member_geometry(g: MasterGroup, rows: np.ndarray):
-    return g.hx[rows], g.hy[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +283,21 @@ def assemble_elasticity(space: FieldSpace, shear, bulk) -> sp.csr_matrix:
 
 def assemble_load(space: FieldSpace, f) -> np.ndarray:
     """(w_i, f) load vector for a scalar field."""
-    farr = coeff_arrays(space, f)
     b = np.zeros(space.ndof)
-    for g, rows, dofs, fa in zip(space.master, space.member_rows,
-                                 space.cell_node_dofs, farr):
-        if len(rows) == 0:
-            continue
-        hx, hy = _member_geometry(g, rows)
-        be = (fa * (0.25 * hx * hy)[:, None]) @ ref_tables(g.px, g.py).load
+    for (g, rows, dofs, _), fa in zip(space.occupied(),
+                                      coeff_arrays(space, f)):
+        be = (fa * (0.25 * g.hx[rows] * g.hy[rows])[:, None]) \
+            @ ref_tables(g.px, g.py).load
         np.add.at(b, dofs, be)
     return b
 
 
-def assemble_grad_load(space: FieldSpace, vec_arrays: list) -> np.ndarray:
-    """(grad w_i, v) with a master-aligned vector field v of shape (ne, nq, 2)."""
+def assemble_grad_load(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
+    """(grad w_i, v) with a vector field v given as a flat (n_qp, 2) array."""
     b = np.zeros(space.ndof)
-    for g, rows, dofs, va in zip(space.master, space.member_rows,
-                                 space.cell_node_dofs, vec_arrays):
-        if len(rows) == 0:
-            continue
-        hx, hy = _member_geometry(g, rows)
-        v = va[rows]
+    for g, rows, dofs, block in space.occupied():
+        hx, hy = g.hx[rows], g.hy[rows]
+        v = vec[block].reshape(g.n_elems, -1, 2)[rows]
         # (2/hx) * detJ = hy/2 ; (2/hy) * detJ = hx/2
         c = np.hstack([v[:, :, 0] * (0.5 * hy)[:, None],
                        v[:, :, 1] * (0.5 * hx)[:, None]])
@@ -343,13 +309,10 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
     """(div v_i, f) load for a 2-vector space."""
     if space.arity != 2:
         raise AssemblyError("div load needs a 2-vector space")
-    farr = coeff_arrays(space, f)
     b = np.zeros(space.ndof)
-    for g, rows, node_dofs, fa in zip(space.master, space.member_rows,
-                                      space.cell_node_dofs, farr):
-        if len(rows) == 0:
-            continue
-        hx, hy = _member_geometry(g, rows)
+    for (g, rows, node_dofs, _), fa in zip(space.occupied(),
+                                           coeff_arrays(space, f)):
+        hx, hy = g.hx[rows], g.hy[rows]
         nq = fa.shape[1]
         table = ref_tables(g.px, g.py).grad_load
         np.add.at(b, node_dofs * 2, (fa * (0.5 * hy)[:, None]) @ table[:nq])
@@ -358,76 +321,83 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
     return b
 
 
-def eval_qp(space: FieldSpace, vec: np.ndarray) -> list:
-    """Scalar field values at master quadrature points (zeros off-support)."""
-    out = []
-    for g, rows, dofs in zip(space.master, space.member_rows,
-                             space.cell_node_dofs):
-        arr = np.zeros((g.n_elems, len(g.ref.qw)))
-        if len(rows):
-            arr[rows] = np.einsum("ei,qi->eq", vec[dofs], g.ref.values)
-        out.append(arr)
+def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
+    """Scalar field values at the quadrature points, (n_qp,) (zeros
+    off-support)."""
+    out = np.zeros(space.qp.n)
+    for g, rows, dofs, block in space.occupied():
+        out[block].reshape(g.n_elems, -1)[rows] = np.einsum(
+            "ei,qi->eq", vec[dofs], g.ref.values)
     return out
 
 
-def eval_grad_qp(space: FieldSpace, vec: np.ndarray) -> list:
-    """Scalar field gradients at master quadrature points, (ne, nq, 2)."""
-    out = []
-    for g, rows, dofs in zip(space.master, space.member_rows,
-                             space.cell_node_dofs):
-        arr = np.zeros((g.n_elems, len(g.ref.qw), 2))
-        if len(rows):
-            hx, hy = _member_geometry(g, rows)
-            c = vec[dofs]
-            arr[rows, :, 0] = np.einsum("ei,qi->eq", c, g.ref.grad_x) \
-                * (2.0 / hx)[:, None]
-            arr[rows, :, 1] = np.einsum("ei,qi->eq", c, g.ref.grad_y) \
-                * (2.0 / hy)[:, None]
-        out.append(arr)
+def eval_grad_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
+    """Scalar field gradients at the quadrature points, (n_qp, 2)."""
+    out = np.zeros((space.qp.n, 2))
+    for g, rows, dofs, block in space.occupied():
+        arr = out[block].reshape(g.n_elems, -1, 2)
+        c = vec[dofs]
+        arr[rows, :, 0] = np.einsum("ei,qi->eq", c, g.ref.grad_x) \
+            * (2.0 / g.hx[rows])[:, None]
+        arr[rows, :, 1] = np.einsum("ei,qi->eq", c, g.ref.grad_y) \
+            * (2.0 / g.hy[rows])[:, None]
     return out
 
 
-def eval_strain_qp(space: FieldSpace, vec: np.ndarray) -> list:
-    """(eps11, eps22, eps12) of a displacement field at quadrature points."""
+def eval_strain_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
+    """(eps11, eps22, eps12) of a displacement field at the quadrature
+    points, (n_qp, 3)."""
+    return _eval_strain(space, vec, [(g.ref.grad_x, g.ref.grad_y)
+                                     for g in space.master])
+
+
+def eval_strain_nodes(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
+    """(eps11, eps22, eps12) of a displacement field at the nodes of every
+    cell, (n, 3): the cells in the order of the quadrature layout, each
+    cell's nodes in the order of ``MasterGroup.nodes``."""
+    tables = []
+    for g in space.master:
+        _, grads = basis.shape_eval((g.px, g.py), g.ref.node_grid())
+        tables.append((grads[:, :, 0], grads[:, :, 1]))
+    return _eval_strain(space, vec, tables)
+
+
+def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
+    """Strains at the points whose basis gradients ``tables`` holds, one
+    (grad_x, grad_y) pair per master group (zeros off-support)."""
     if space.arity != 2:
         raise AssemblyError("strain evaluation needs a 2-vector space")
-    out = []
-    for g, rows, node_dofs in zip(space.master, space.member_rows,
-                                  space.cell_node_dofs):
-        arr = np.zeros((g.n_elems, len(g.ref.qw), 3))
-        if len(rows):
-            hx, hy = _member_geometry(g, rows)
-            ux = vec[node_dofs * 2]
-            uy = vec[node_dofs * 2 + 1]
-            dux_dx = np.einsum("ei,qi->eq", ux, g.ref.grad_x) * (2.0 / hx)[:, None]
-            duy_dy = np.einsum("ei,qi->eq", uy, g.ref.grad_y) * (2.0 / hy)[:, None]
-            dux_dy = np.einsum("ei,qi->eq", ux, g.ref.grad_y) * (2.0 / hy)[:, None]
-            duy_dx = np.einsum("ei,qi->eq", uy, g.ref.grad_x) * (2.0 / hx)[:, None]
-            arr[rows, :, 0] = dux_dx
-            arr[rows, :, 1] = duy_dy
-            arr[rows, :, 2] = 0.5 * (dux_dy + duy_dx)
-        out.append(arr)
+    sizes = [g.n_elems * len(gx) for g, (gx, _) in zip(space.master, tables)]
+    offsets = np.cumsum([0] + sizes)
+    out = np.zeros((offsets[-1], 3))
+    for k, (g, rows, node_dofs) in enumerate(zip(
+            space.master, space.member_rows, space.cell_node_dofs)):
+        if len(rows) == 0:
+            continue
+        grad_x, grad_y = tables[k]
+        sx, sy = (2.0 / g.hx[rows])[:, None], (2.0 / g.hy[rows])[:, None]
+        ux = vec[node_dofs * 2]
+        uy = vec[node_dofs * 2 + 1]
+        arr = out[offsets[k]:offsets[k + 1]].reshape(g.n_elems, -1, 3)
+        arr[rows, :, 0] = np.einsum("ei,qi->eq", ux, grad_x) * sx
+        arr[rows, :, 1] = np.einsum("ei,qi->eq", uy, grad_y) * sy
+        arr[rows, :, 2] = 0.5 * (np.einsum("ei,qi->eq", ux, grad_y) * sy
+                                 + np.einsum("ei,qi->eq", uy, grad_x) * sx)
     return out
 
 
-def integrate(space: FieldSpace, arrays: list, region: frozenset | None = None) -> float:
-    """Integral of a master-aligned qp array over the support (or a region)."""
-    total = 0.0
-    for g, rows, arr in zip(space.master, space.member_rows, arrays):
-        if len(rows) == 0:
-            continue
-        jw = g.jac_weights()[rows]
-        vals = arr[rows]
-        if region is not None:
-            keep = np.isin(g.tag[rows], list(region))
-            jw, vals = jw[keep], vals[keep]
-        total += float((jw * vals).sum())
-    return total
+def integrate(space: FieldSpace, values: np.ndarray,
+              region: frozenset | None = None) -> float:
+    """Integral of a flat quadrature-point array over the support (or the
+    part of it in a region)."""
+    qp = space.qp
+    tags = space.selector if region is None else space.selector & region
+    keep = np.isin(qp.tag, list(tags))
+    return float((qp.weight[keep] * values[keep]).sum())
 
 
 def region_area(space: FieldSpace, region: frozenset | None = None) -> float:
-    ones = [np.ones((g.n_elems, len(g.ref.qw))) for g in space.master]
-    return integrate(space, ones, region)
+    return integrate(space, np.ones(space.qp.n), region)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +527,3 @@ def expand(space: FieldSpace, x_free: np.ndarray) -> np.ndarray:
     out[space.free] = x_free
     return out
 
-
-def relative_asymmetry(mat: sp.spmatrix) -> float:
-    """max |A - A^T| / max |A| (0 for an empty matrix)."""
-    a = mat.tocsr()
-    scale = np.abs(a.data).max() if a.nnz else 0.0
-    if scale == 0.0:
-        return 0.0
-    diff = (a - a.T).tocoo()
-    err = np.abs(diff.data).max() if diff.nnz else 0.0
-    return float(err / scale)

@@ -122,9 +122,6 @@ class DomainGeometry:
     def area(self, tag: int) -> float:
         return abs(_shoelace(self.polygons[tag]))
 
-    def interface_components(self) -> int:
-        return len(self.interface)
-
 
 def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeometry:
     """Construct the canonical interdigitated unit-cell geometry."""

@@ -97,6 +97,44 @@ class ElectrodeMaterial:
 
 
 @dataclass(frozen=True)
+class ElectrodeConstants:
+    """Electrode constants at a set of solid points, one value per point.
+
+    It carries the ElectrodeMaterial attributes that the constitutive laws
+    read, so each law runs at once over points of both electrodes.
+    """
+
+    c_max: np.ndarray
+    diffusivity0: np.ndarray
+    conductivity: np.ndarray
+    shear: np.ndarray
+    bulk: np.ndarray
+    alpha: np.ndarray
+    omega: np.ndarray
+    c_s_ref: np.ndarray     # strain-free concentration
+
+    @property
+    def lame(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.shear, self.bulk
+
+    @classmethod
+    def at(cls, index: np.ndarray, electrodes: tuple,
+           c_s_ref: tuple) -> "ElectrodeConstants":
+        """Constants of ``electrodes[index[k]]`` at each point k."""
+        def take(values):
+            return np.asarray(values, dtype=float)[index]
+        return cls(
+            c_max=take([e.c_max for e in electrodes]),
+            diffusivity0=take([e.diffusivity0 for e in electrodes]),
+            conductivity=take([e.conductivity for e in electrodes]),
+            shear=take([e.lame[0] for e in electrodes]),
+            bulk=take([e.lame[1] for e in electrodes]),
+            alpha=take([e.alpha for e in electrodes]),
+            omega=take([e.omega for e in electrodes]),
+            c_s_ref=take(c_s_ref))
+
+
+@dataclass(frozen=True)
 class ElectrolyteMaterial:
     rho_cv: float          # [J/(m^3 K)]
     conductivity: float    # ionic conductivity kappa_e [S/m]
@@ -231,8 +269,10 @@ def diffusional_conductivity(theta, mats: MaterialSet):
             / mats.faraday) * (1.0 - mats.electrolyte.t_plus)
 
 
-def stress_diffusivity(c_s, pi, electrode: ElectrodeMaterial, mats: MaterialSet):
-    """Solid diffusivity D_s(c_s, pi), bounded in [D0 e^-beta, D0 e^alpha]."""
+def stress_diffusivity(c_s, pi, electrode, mats: MaterialSet):
+    """Solid diffusivity D_s(c_s, pi), bounded in [D0 e^-beta, D0 e^alpha].
+
+    ``electrode`` is an ElectrodeMaterial or per-point ElectrodeConstants."""
     c_s = np.asarray(c_s, dtype=float)
     pi = np.asarray(pi, dtype=float)
     expo = mats.alpha_d * c_s / electrode.c_max
@@ -260,10 +300,11 @@ class StressState:
     s33: np.ndarray | float
 
 
-def hooke_plane_strain(eps11, eps22, eps12, theta, c_s,
-                       electrode: ElectrodeMaterial, mats: MaterialSet,
-                       c_s_ref: float) -> StressState:
+def hooke_plane_strain(eps11, eps22, eps12, theta, c_s, electrode,
+                       mats: MaterialSet, c_s_ref) -> StressState:
     """Isotropic Hooke's law under plane strain with eigenstrains.
+
+    ``electrode`` is an ElectrodeMaterial or per-point ElectrodeConstants.
 
     The mechanical strain subtracts the thermal strain alpha*(theta-theta_ref)*I
     and the chemical strain omega*(c_s - c_s_ref)*I; the out-of-plane total

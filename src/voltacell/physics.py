@@ -30,8 +30,9 @@ import scipy.sparse as sp
 
 from . import assemble as asm
 from . import spaces as sps
-from .geometry import ANODE, CATHODE, ELYTE, CC_PLUS, TAG_NAMES
-from .materials import MaterialSet, hooke_plane_strain, hydrostatic_pressure, \
+from .geometry import ANODE, CATHODE, ELYTE, CC_PLUS, SOLID, TAG_NAMES
+from .materials import ElectrodeConstants, MaterialSet, \
+    diffusional_conductivity, hooke_plane_strain, hydrostatic_pressure, \
     stress_diffusivity, von_mises, StressState
 from .mesh import Mesh
 from .solve import HeldFactor, SpdFactor
@@ -41,13 +42,18 @@ log = logging.getLogger(__name__)
 
 SINH_ARG_LIMIT = 500.0
 
+# Clamp contexts of the solid concentration, indexed by electrode tag
+_CS_VOLUME = tuple(f"c_s volume ({TAG_NAMES[t]})" for t in SOLID)
+_CS_TRACE = tuple(f"c_s trace ({TAG_NAMES[t]} interface)" for t in SOLID)
+
 
 class DivergenceError(RuntimeError):
     """Raised when the Butler-Volmer argument leaves the representable range."""
 
 
 def exchange_current(c_s, c_e, electrode, mats: MaterialSet):
-    """I_c = k_BV * F * sqrt(c_e) * sqrt(c_max - c_s) * sqrt(c_s)."""
+    """I_c = k_BV * F * sqrt(c_e) * sqrt(c_max - c_s) * sqrt(c_s), with
+    c_max from an ElectrodeMaterial or per-point ElectrodeConstants."""
     c_s = np.asarray(c_s, dtype=float)
     c_e = np.asarray(c_e, dtype=float)
     if np.any(c_e < 0.0) or np.any(c_s < 0.0) or np.any(c_s > electrode.c_max):
@@ -68,30 +74,6 @@ def butler_volmer_current(i_c, eta, theta, mats: MaterialSet):
             f"{SINH_ARG_LIMIT:g}; the iteration is diverging")
     out = 2.0 * np.asarray(i_c, dtype=float) * np.sinh(arg)
     return out if out.ndim else float(out)
-
-
-def current_density(medium: str, grad_phi, mats: MaterialSet, c_e=None,
-                    grad_c_e=None, theta=None, kappa_d_factor: float = 1.0):
-    """Constitutive current density: Ohmic in the solid, with the
-    concentration-driven term in the electrolyte."""
-    grad_phi = np.asarray(grad_phi, dtype=float)
-    if medium in ("sa", "sc"):
-        return -mats.electrode(medium).conductivity * grad_phi
-    if medium != "e":
-        raise KeyError(f"unknown medium {medium!r}")
-    c_e = np.asarray(c_e, dtype=float)
-    if np.any(c_e <= 0.0):
-        raise ValueError("electrolyte current density needs c_e > 0")
-    from .materials import diffusional_conductivity
-    kd = diffusional_conductivity(theta, mats) * kappa_d_factor
-    return (-mats.electrolyte.conductivity * grad_phi
-            - kd * np.asarray(grad_c_e, dtype=float) / c_e)
-
-
-def ohmic_heat(i, grad_phi, convention: str = "physical"):
-    """Volumetric Ohmic source from a current density and potential gradient."""
-    dot = (np.asarray(i, dtype=float) * np.asarray(grad_phi, dtype=float)).sum(axis=-1)
-    return -dot if convention == "physical" else dot
 
 
 @dataclass
@@ -132,7 +114,6 @@ class StageAudit:
     ibv_integral: float = 0.0
     eta_ibv_min: float = 0.0
     eta_max: float = 0.0
-    clamp_events: int = 0
 
 
 class CellProblem:
@@ -165,11 +146,12 @@ class CellProblem:
 
         grid = sps.NodeGrid.build(mesh)
         master = sps.build_master_groups(mesh, grid)
-        self.grid, self.master = grid, master
+        qp = sps.QuadPoints.build(master)
+        self.grid, self.master, self.qp = grid, master, qp
 
         def space(name, sel, arity=1, bcs=()):
             return sps.build_field_space(mesh, sel, arity, bcs, name=name,
-                                         grid=grid, master=master)
+                                         grid=grid, master=master, qp=qp)
 
         self.s_th = space("theta", sps.OMEGA)
         self.s_cs = space("c_s", sps.OMEGA_S)
@@ -249,6 +231,13 @@ class CellProblem:
         # Strain-free reference concentrations (initial state of charge).
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
                         CATHODE: soc_init[1] * c.c_max}
+        # The pointwise laws run once over the solid or the electrolyte
+        # quadrature points, with the electrode constants of each point.
+        self.solid_qp = np.flatnonzero(qp.tag != ELYTE)
+        self.elyte_qp = np.flatnonzero(qp.tag == ELYTE)
+        self.solid_tags = qp.tag[self.solid_qp]
+        self.solid = self.electrode_constants(self.solid_tags)
+        self.iface_el = self.electrode_constants(self.iface_tags)
         self._dt_ops = None
         # The c_s and potential-pair matrices change between sweeps and steps
         # only through slowly varying coefficients: one held factor each
@@ -274,16 +263,18 @@ class CellProblem:
     # State handling
     # ------------------------------------------------------------------
 
+    def electrode_constants(self, tags: np.ndarray) -> ElectrodeConstants:
+        """Electrode constants at points with the given solid tags."""
+        # SOLID = (ANODE, CATHODE) = (0, 1), so a tag indexes these tuples
+        return ElectrodeConstants.at(
+            tags, tuple(self.mats.electrode(TAG_NAMES[t]) for t in SOLID),
+            tuple(self.c_s_ref[t] for t in SOLID))
+
     def nodes_of_tag(self, space: sps.FieldSpace, tag: int) -> np.ndarray:
-        picks = []
-        for g, rows, dofs in zip(space.master, space.member_rows,
-                                 space.cell_node_dofs):
-            if len(rows) == 0:
-                continue
-            sel = g.tag[rows] == tag
-            if np.any(sel):
-                picks.append(np.unique(dofs[sel]))
-        return np.unique(np.concatenate(picks)) if picks else np.array([], int)
+        """Field nodes of the space's cells with the given tag."""
+        return np.unique(np.concatenate(
+            [dofs[g.tag[rows] == tag].ravel()
+             for g, rows, dofs, _ in space.occupied()]))
 
     def initial_state(self) -> SimState:
         """Uniform equilibrium start: zero strain, reference temperature,
@@ -318,19 +309,17 @@ class CellProblem:
     def _interface_kinetics(self, theta_v, cs_v, ce_v) -> dict:
         """Guarded traces, open-circuit potential, exchange current and the
         linearized-BV coefficient at the interface points."""
-        mats, tr = self.mats, self.iface_tr
+        mats, tr, el = self.mats, self.iface_tr, self.iface_el
         th = tr["theta"] @ theta_v
-        cs = tr["c_s"] @ cs_v
         ce = self.guard.c_e(tr["c_e"] @ ce_v, "c_e trace (interface)")
-        c_hat, ocp, i_c = (np.empty_like(cs) for _ in range(3))
-        for tag in (ANODE, CATHODE):
-            sel = self.iface_tags == tag
-            electrode = mats.electrode(TAG_NAMES[tag])
-            cs[sel] = self.guard.c_s(cs[sel], electrode.c_max,
-                                     f"c_s trace ({TAG_NAMES[tag]} interface)")
-            c_hat[sel] = cs[sel] / electrode.c_max
-            ocp[sel] = electrode.ocp(c_hat[sel], clamp=True)
-            i_c[sel] = exchange_current(cs[sel], ce[sel], electrode, mats)
+        cs = self.guard.c_s(tr["c_s"] @ cs_v, el.c_max, _CS_TRACE,
+                            self.iface_tags)
+        c_hat = cs / el.c_max
+        anode = self.iface_tags == ANODE
+        ocp = np.empty_like(cs)
+        ocp[anode] = mats.anode.ocp(c_hat[anode], clamp=True)
+        ocp[~anode] = mats.cathode.ocp(c_hat[~anode], clamp=True)
+        i_c = exchange_current(cs, ce, el, mats)
         return {"theta": th, "c_s": cs, "c_e": ce, "c_hat": c_hat, "ocp": ocp,
                 "i_c": i_c,
                 "coeff": i_c * mats.faraday / (mats.gas_constant * th)}
@@ -352,86 +341,58 @@ class CellProblem:
     # Pointwise evaluations on the volume
     # ------------------------------------------------------------------
 
-    def _guarded_cs_qp(self, cs_v) -> list:
-        arrays = asm.eval_qp(self.s_cs, cs_v)
-        out = []
-        for g, arr in zip(self.master, arrays):
-            a = arr.copy()
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows):
-                    cmax = self.mats.electrode(TAG_NAMES[tag]).c_max
-                    a[rows] = self.guard.c_s(a[rows], cmax,
-                                             f"c_s volume ({TAG_NAMES[tag]})")
-            out.append(a)
-        return out
+    def _guarded_cs_qp(self, cs_v) -> np.ndarray:
+        """c_s at the solid quadrature points, guarded."""
+        cs = asm.eval_qp(self.s_cs, cs_v)[self.solid_qp]
+        return self.guard.c_s(cs, self.solid.c_max, _CS_VOLUME,
+                              self.solid_tags)
 
-    def solid_pressure_qp(self, u_v, theta_v, cs_qp) -> list:
-        """Hydrostatic pressure at solid quadrature points (zeros elsewhere)."""
+    def solid_stress(self, strain, theta, c_s,
+                     el: ElectrodeConstants) -> StressState:
+        """Hooke's law at solid points: strains (n, 3), theta and c_s (n,),
+        and the electrode constants ``el`` of the points."""
+        return hooke_plane_strain(strain[:, 0], strain[:, 1], strain[:, 2],
+                                  theta, c_s, el, self.mats, el.c_s_ref)
+
+    def solid_pressure_qp(self, u_v, theta_v, cs_solid) -> np.ndarray:
+        """Hydrostatic pressure at the solid quadrature points, from c_s
+        there (zero in the electrochemical model)."""
         if self.mode == "electrochemical":
-            return [np.zeros((g.n_elems, len(g.ref.qw))) for g in self.master]
-        strains = asm.eval_strain_qp(self.s_u, u_v)
-        th_qp = asm.eval_qp(self.s_th, theta_v)
-        out = []
-        for g, eps, th, cs in zip(self.master, strains, th_qp, cs_qp):
-            pi = np.zeros((g.n_elems, len(g.ref.qw)))
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows) == 0:
-                    continue
-                electrode = self.mats.electrode(TAG_NAMES[tag])
-                stress = hooke_plane_strain(
-                    eps[rows, :, 0], eps[rows, :, 1], eps[rows, :, 2],
-                    th[rows], cs[rows], electrode, self.mats,
-                    self.c_s_ref[tag])
-                pi[rows] = hydrostatic_pressure(stress)
-            out.append(pi)
-        return out
+            return np.zeros(len(self.solid_qp))
+        s = self.solid_qp
+        stress = self.solid_stress(asm.eval_strain_qp(self.s_u, u_v)[s],
+                                   asm.eval_qp(self.s_th, theta_v)[s],
+                                   cs_solid, self.solid)
+        return hydrostatic_pressure(stress)
 
-    def solid_diffusivity_qp(self, mid: SimState) -> list:
-        cs_qp = self._guarded_cs_qp(mid["c_s"])
-        pi_qp = self.solid_pressure_qp(mid["u"], mid["theta"], cs_qp)
-        out = []
-        for g, cs, pi in zip(self.master, cs_qp, pi_qp):
-            d = np.ones((g.n_elems, len(g.ref.qw)))
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows):
-                    electrode = self.mats.electrode(TAG_NAMES[tag])
-                    d[rows] = stress_diffusivity(cs[rows], pi[rows],
-                                                 electrode, self.mats)
-            out.append(d)
-        return out
+    def solid_diffusivity_qp(self, mid: SimState) -> np.ndarray:
+        """D_s at the quadrature points (1 off the solid)."""
+        cs = self._guarded_cs_qp(mid["c_s"])
+        pi = self.solid_pressure_qp(mid["u"], mid["theta"], cs)
+        d = np.ones(self.qp.n)
+        d[self.solid_qp] = stress_diffusivity(cs, pi, self.solid, self.mats)
+        return d
 
-    def heat_source_qp(self, mid: SimState) -> list:
-        """Ohmic volumetric source at quadrature points (master-aligned)."""
-        from .materials import diffusional_conductivity
-        mats = self.mats
-        gps = asm.eval_grad_qp(self.s_ps, mid["phi_s"])
-        gpe = asm.eval_grad_qp(self.s_pe, mid["phi_e"])
-        gce = asm.eval_grad_qp(self.s_ce, mid["c_e"])
-        ce_qp = asm.eval_qp(self.s_ce, mid["c_e"])
-        th_qp = asm.eval_qp(self.s_th, mid["theta"])
+    def heat_source_qp(self, mid: SimState) -> np.ndarray:
+        """Ohmic volumetric source at the quadrature points: gamma
+        |grad phi_s|^2 in the solid, kappa |grad phi_e|^2 + kappa_D grad c_e
+        . grad phi_e / c_e in the electrolyte (negated under the 'reversed'
+        convention)."""
+        mats, s, e = self.mats, self.solid_qp, self.elyte_qp
+        q = np.zeros(self.qp.n)
+        gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])[s]
+        q[s] = self.solid.conductivity * (gs ** 2).sum(axis=-1)
+        ge = asm.eval_grad_qp(self.s_pe, mid["phi_e"])[e]
+        gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])[e]
+        ce = self.guard.c_e(asm.eval_qp(self.s_ce, mid["c_e"])[e],
+                            "c_e volume (heat source)")
+        kd = diffusional_conductivity(asm.eval_qp(self.s_th, mid["theta"])[e],
+                                      mats) * self.kappa_d_factor
+        cross = (gc * ge).sum(axis=-1) / ce
+        q[e] = mats.electrolyte.conductivity * (ge ** 2).sum(axis=-1) \
+            + kd * cross
         sign = 1.0 if self.heat_convention == "physical" else -1.0
-        out = []
-        for g, gs, ge, gc, ce, th in zip(self.master, gps, gpe, gce,
-                                         ce_qp, th_qp):
-            q = np.zeros((g.n_elems, len(g.ref.qw)))
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows):
-                    gamma = mats.electrode(TAG_NAMES[tag]).conductivity
-                    q[rows] = gamma * (gs[rows] ** 2).sum(axis=-1)
-            rows = np.nonzero(g.tag == ELYTE)[0]
-            if len(rows):
-                ce_r = self.guard.c_e(ce[rows], "c_e volume (heat source)")
-                kd = diffusional_conductivity(th[rows], mats) \
-                    * self.kappa_d_factor
-                cross = (gc[rows] * ge[rows]).sum(axis=-1) / ce_r
-                q[rows] = mats.electrolyte.conductivity \
-                    * (ge[rows] ** 2).sum(axis=-1) + kd * cross
-            out.append(sign * q)
-        return out
+        return sign * q
 
     # ------------------------------------------------------------------
     # Stage 1: parabolic systems at the midpoint
@@ -497,7 +458,6 @@ class CellProblem:
         stays evaluated at the midpoint, and c_s, c_e keep the midpoint rule.
         """
         ops = self._prepare_dt(dt)
-        clamps_before = self.guard.log.events
         ist = self.interface_state_of(mid)
         loads = self.iface_loads(ist)
 
@@ -523,7 +483,6 @@ class CellProblem:
             ibv_integral=ist.ibv_integral(self.iface_w),
             eta_ibv_min=ist.eta_ibv_min(),
             eta_max=ist.eta_max_abs(),
-            clamp_events=self.guard.log.events - clamps_before,
         )
         return new, audit
 
@@ -563,21 +522,15 @@ class CellProblem:
 
     def _kappa_d_grad_load(self, theta_v, ce_v) -> np.ndarray:
         """(grad psi_e, kappa_D grad ln c_e) load vector (full DOFs)."""
-        from .materials import diffusional_conductivity
-        th_qp = asm.eval_qp(self.s_th, theta_v)
-        ce_qp = asm.eval_qp(self.s_ce, ce_v)
-        gce = asm.eval_grad_qp(self.s_ce, ce_v)
-        kd_vec = []
-        for g, th, ce, gc in zip(self.master, th_qp, ce_qp, gce):
-            vec = np.zeros_like(gc)
-            rows = np.nonzero(g.tag == ELYTE)[0]
-            if len(rows):
-                ce_r = self.guard.c_e(ce[rows], "c_e volume (kappa_D load)")
-                kd = diffusional_conductivity(th[rows], self.mats) \
-                    * self.kappa_d_factor
-                vec[rows] = kd[:, :, None] * gc[rows] / ce_r[:, :, None]
-            kd_vec.append(vec)
-        return asm.assemble_grad_load(self.s_pe, kd_vec)
+        e = self.elyte_qp
+        ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v)[e],
+                            "c_e volume (kappa_D load)")
+        kd = diffusional_conductivity(asm.eval_qp(self.s_th, theta_v)[e],
+                                      self.mats) * self.kappa_d_factor
+        vec = np.zeros((self.qp.n, 2))
+        vec[e] = kd[:, None] * asm.eval_grad_qp(self.s_ce, ce_v)[e] \
+            / ce[:, None]
+        return asm.assemble_grad_load(self.s_pe, vec)
 
     def potential_system(self, theta_v, cs_v, ce_v):
         """The linearized phi_s/phi_e pair as one reduced block system.
@@ -603,22 +556,13 @@ class CellProblem:
 
     def elasticity_load(self, theta_v, cs_v) -> np.ndarray:
         """(div v, 3K(alpha dtheta + omega dc)) load on the solid."""
-        th_qp = asm.eval_qp(self.s_th, theta_v)
-        cs_qp = asm.eval_qp(self.s_cs, cs_v)
-        arrays = []
-        for g, th, cs in zip(self.master, th_qp, cs_qp):
-            arr = np.zeros((g.n_elems, len(g.ref.qw)))
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows) == 0:
-                    continue
-                electrode = self.mats.electrode(TAG_NAMES[tag])
-                _, bulk = electrode.lame
-                arr[rows] = 3.0 * bulk * (
-                    electrode.alpha * (th[rows] - self.mats.theta_ref)
-                    + electrode.omega * (cs[rows] - self.c_s_ref[tag]))
-            arrays.append(arr)
-        return asm.assemble_div_load(self.s_u, arrays)
+        s, el = self.solid_qp, self.solid
+        th = asm.eval_qp(self.s_th, theta_v)[s]
+        cs = asm.eval_qp(self.s_cs, cs_v)[s]
+        load = np.zeros(self.qp.n)
+        load[s] = 3.0 * el.bulk * (el.alpha * (th - self.mats.theta_ref)
+                                   + el.omega * (cs - el.c_s_ref))
+        return asm.assemble_div_load(self.s_u, load)
 
     def stage2(self, t: float, d_new: dict, s_guess: SimState) -> dict:
         """Solve the quasi-static fields at the new time, then u.
@@ -658,41 +602,20 @@ class CellProblem:
     # Derived fields and summaries
     # ------------------------------------------------------------------
 
-    def stress_qp(self, state: SimState) -> list:
-        """StressState per master group at quadrature points (solid rows)."""
-        strains = asm.eval_strain_qp(self.s_u, state["u"])
-        th_qp = asm.eval_qp(self.s_th, state["theta"])
-        cs_qp = asm.eval_qp(self.s_cs, state["c_s"])
-        out = []
-        for g, eps, th, cs in zip(self.master, strains, th_qp, cs_qp):
-            shape = (g.n_elems, len(g.ref.qw))
-            comp = {k: np.zeros(shape) for k in ("s11", "s22", "s12", "s33")}
-            for tag in (ANODE, CATHODE):
-                rows = np.nonzero(g.tag == tag)[0]
-                if len(rows) == 0:
-                    continue
-                electrode = self.mats.electrode(TAG_NAMES[tag])
-                st = hooke_plane_strain(
-                    eps[rows, :, 0], eps[rows, :, 1], eps[rows, :, 2],
-                    th[rows], cs[rows], electrode, self.mats,
-                    self.c_s_ref[tag])
-                for k in comp:
-                    comp[k][rows] = getattr(st, k)
-            out.append(StressState(**comp))
-        return out
+    def stress_qp(self, state: SimState) -> StressState:
+        """Stress at the solid quadrature points."""
+        s = self.solid_qp
+        return self.solid_stress(asm.eval_strain_qp(self.s_u, state["u"])[s],
+                                 asm.eval_qp(self.s_th, state["theta"])[s],
+                                 asm.eval_qp(self.s_cs, state["c_s"])[s],
+                                 self.solid)
 
     def von_mises_qp(self, state: SimState):
-        """Von Mises stress at solid quadrature points; returns
-        (master-aligned arrays, max value, location of the max)."""
-        stresses = self.stress_qp(state)
-        arrays, vmax, loc = [], 0.0, (np.nan, np.nan)
-        for g, st in zip(self.master, stresses):
-            vm = von_mises(st)
-            solid = np.isin(g.tag, (ANODE, CATHODE))
-            vm[~solid] = 0.0
-            arrays.append(vm)
-            if vm.size and vm.max() > vmax:
-                e, q = np.unravel_index(int(np.argmax(vm)), vm.shape)
-                qx, qy = g.qp_coords()
-                vmax, loc = float(vm[e, q]), (float(qx[e, q]), float(qy[e, q]))
-        return arrays, vmax, loc
+        """Von Mises stress at the quadrature points (zero off the solid);
+        returns (flat array, max value, location of the max)."""
+        vm = np.zeros(self.qp.n)
+        vm[self.solid_qp] = von_mises(self.stress_qp(state))
+        i = int(np.argmax(vm))
+        if vm[i] > 0.0:
+            return vm, float(vm[i]), (float(self.qp.x[i]), float(self.qp.y[i]))
+        return vm, 0.0, (np.nan, np.nan)

@@ -7,7 +7,6 @@ convenience values where customary).
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 from dataclasses import dataclass
@@ -15,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assemble as asm
-from . import basis, units
-from .geometry import ANODE, CATHODE
-from .materials import hooke_plane_strain, von_mises
+from . import units
+from .geometry import ANODE, CATHODE, ELYTE
+from .materials import von_mises
 from .mesh import Mesh
 from .state import SimState
 from .units import ScaleSet
@@ -95,11 +94,6 @@ def displacement_max(problem, u_vec) -> float:
     return float(mag.max()) if mag.size else 0.0
 
 
-def von_mises_field(problem, state: SimState):
-    """Von Mises stress at solid quadrature points: (arrays, max, location)."""
-    return problem.von_mises_qp(state)
-
-
 def record_state(problem, state: SimState, scales: ScaleSet,
                  clamp_events: int = 0) -> TimeSeriesRecord:
     """Summarize one state into SI quantities of interest."""
@@ -150,29 +144,6 @@ def format_record(rec: TimeSeriesRecord) -> str:
         str(rec.clamp_events)])
 
 
-def export_timeseries_csv(records, path):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rec in records:
-                fh.write(format_record(rec) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write time series to {path}: {exc}") from exc
-
-
-def read_timeseries_csv(path) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(f"unexpected time series header in {path}")
-        for row in reader:
-            vals = [float(v) for v in row[:8]] + [int(row[8])]
-            out.append(TimeSeriesRecord(*vals))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Legacy VTK output
 # ---------------------------------------------------------------------------
@@ -184,35 +155,49 @@ def _nodal_values(problem, space, vec, comp=0):
     return out
 
 
-def _nodal_von_mises(problem, state: SimState) -> dict:
-    """Von Mises stress sampled at element nodes, keyed by (group, row)."""
-    out = {}
-    mats = problem.mats
-    for gi, (g, rows_u, node_dofs_u) in enumerate(zip(
-            problem.master, problem.s_u.member_rows,
-            problem.s_u.cell_node_dofs)):
-        if len(rows_u) == 0:
-            continue
+def _rows(fmt: str, values) -> str:
+    """One line per row of ``values``, through the printf format ``fmt``."""
+    values = np.asarray(values)
+    return (fmt + "\n") * len(values) % tuple(values.ravel().tolist())
+
+
+def _cell_points(problem):
+    """The nodes of every cell, cells in the order of the quadrature layout:
+    coordinates (n, 2), global node ids, cell tags, and the point indices of
+    the corners of each cell's (px x py) nodal subcells."""
+    xy, cells, start = [], [], 0
+    for g in problem.master:
         ref_nodes = g.ref.node_grid()
-        _, grads = basis.shape_eval((g.px, g.py), ref_nodes)
-        hx, hy = g.hx[rows_u], g.hy[rows_u]
-        ux = state["u"][node_dofs_u * 2]
-        uy = state["u"][node_dofs_u * 2 + 1]
-        de_dx = np.einsum("ei,ni->en", ux, grads[:, :, 0]) * (2.0 / hx)[:, None]
-        du_dy = np.einsum("ei,ni->en", uy, grads[:, :, 1]) * (2.0 / hy)[:, None]
-        gxy = 0.5 * (np.einsum("ei,ni->en", ux, grads[:, :, 1])
-                     * (2.0 / hy)[:, None]
-                     + np.einsum("ei,ni->en", uy, grads[:, :, 0])
-                     * (2.0 / hx)[:, None])
-        th = state["theta"][problem.s_th.node_index[g.nodes[rows_u]]]
-        cs = state["c_s"][problem.s_cs.node_index[g.nodes[rows_u]]]
-        for k, row in enumerate(rows_u):
-            tag = int(g.tag[row])
-            electrode = mats.electrode({ANODE: "sa", CATHODE: "sc"}[tag])
-            st = hooke_plane_strain(de_dx[k], du_dy[k], gxy[k], th[k], cs[k],
-                                    electrode, mats, problem.c_s_ref[tag])
-            out[(gi, int(row))] = von_mises(st)
-    return out
+        nxl = g.px + 1
+        xy.append(np.stack([
+            g.x0[:, None] + (ref_nodes[:, 0] + 1) * 0.5 * g.hx[:, None],
+            g.y0[:, None] + (ref_nodes[:, 1] + 1) * 0.5 * g.hy[:, None]],
+            axis=-1).reshape(-1, 2))
+        a, b = np.meshgrid(np.arange(g.px), np.arange(g.py))
+        i0 = (b * nxl + a).ravel()
+        quads = np.stack([i0, i0 + 1, i0 + nxl + 1, i0 + nxl], axis=1)
+        firsts = start + len(ref_nodes) * np.arange(g.n_elems)
+        cells.append((firsts[:, None, None] + quads).reshape(-1, 4))
+        start += g.nodes.size
+    return (np.vstack(xy),
+            np.concatenate([g.nodes.ravel() for g in problem.master]),
+            np.concatenate([np.repeat(g.tag, g.nodes.shape[1])
+                            for g in problem.master]),
+            np.vstack(cells))
+
+
+def _nodal_von_mises(problem, state: SimState, node_ids, tags) -> np.ndarray:
+    """Von Mises stress at the cell nodes of ``_cell_points`` (zero off the
+    solid), from each cell's strain and the nodal theta and c_s."""
+    solid = tags != ELYTE
+    ids = node_ids[solid]
+    vm = np.zeros(len(tags))
+    vm[solid] = von_mises(problem.solid_stress(
+        asm.eval_strain_nodes(problem.s_u, state["u"])[solid],
+        state["theta"][problem.s_th.node_index[ids]],
+        state["c_s"][problem.s_cs.node_index[ids]],
+        problem.electrode_constants(tags[solid])))
+    return vm
 
 
 def export_vtk(problem, state: SimState, path, scales: ScaleSet):
@@ -228,81 +213,39 @@ def export_vtk(problem, state: SimState, path, scales: ScaleSet):
         "c_e": scales.factor(units.CONCENTRATION),
         "theta": scales.factor(units.TEMPERATURE),
     }
-    nodal = {k: _nodal_values(problem, problem.spaces[k], state[k]) * f[k]
-             for k in f}
+    xy, node_ids, tags, cells = _cell_points(problem)
+    data = {k: (_nodal_values(problem, problem.spaces[k], state[k]) * f[k])
+            [node_ids] for k in f}
+    data["von_mises"] = (
+        _nodal_von_mises(problem, state, node_ids, tags)
+        * scales.factor(units.STRESS) if problem.mode == "full"
+        else np.zeros(len(node_ids)))
     u_fac = scales.factor(units.LENGTH)
-    u1 = _nodal_values(problem, problem.s_u, state["u"], 0) * u_fac
-    u2 = _nodal_values(problem, problem.s_u, state["u"], 1) * u_fac
-    vm_nodal = _nodal_von_mises(problem, state) if problem.mode == "full" else {}
-    vm_fac = scales.factor(units.STRESS)
+    u = np.column_stack([
+        (_nodal_values(problem, problem.s_u, state["u"], comp) * u_fac)
+        [node_ids] for comp in (0, 1)])
 
-    pts = []
-    cells = []
-    data = {k: [] for k in ("phi_s", "phi_e", "c_s", "c_e", "theta",
-                            "von_mises")}
-    uvec = []
-    offset = 0
-    len_fac = scales.factor(units.LENGTH)
-    for gi, g in enumerate(problem.master):
-        nxl, nyl = g.px + 1, g.py + 1
-        ref_nodes = g.ref.node_grid()
-        for row in range(g.n_elems):
-            px_phys = (g.x0[row] + (ref_nodes[:, 0] + 1) * 0.5 * g.hx[row]) \
-                * len_fac
-            py_phys = (g.y0[row] + (ref_nodes[:, 1] + 1) * 0.5 * g.hy[row]) \
-                * len_fac
-            pts.append(np.column_stack([px_phys, py_phys]))
-            gn = g.nodes[row]
-            for k in nodal:
-                data[k].append(nodal[k][gn])
-            uvec.append(np.column_stack([u1[gn], u2[gn]]))
-            vm = vm_nodal.get((gi, row))
-            data["von_mises"].append(
-                vm * vm_fac if vm is not None else np.zeros(len(gn)))
-            for b in range(g.py):
-                for a in range(g.px):
-                    i0 = offset + b * nxl + a
-                    cells.append((i0, i0 + 1, i0 + nxl + 1, i0 + nxl))
-            offset += nxl * nyl
-
-    pts = np.vstack(pts)
     buf = io.StringIO()
     buf.write("# vtk DataFile Version 3.0\n")
     buf.write("voltacell snapshot t=%.9g s\n" % scales.to_si(state.t, units.TIME))
     buf.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    buf.write(f"POINTS {len(pts)} double\n")
-    for x, y in pts:
-        buf.write(f"{x:.12g} {y:.12g} 0\n")
+    buf.write(f"POINTS {len(xy)} double\n")
+    buf.write(_rows("%.12g %.12g 0", xy * scales.factor(units.LENGTH)))
     buf.write(f"\nCELLS {len(cells)} {5 * len(cells)}\n")
-    for c in cells:
-        buf.write("4 %d %d %d %d\n" % c)
+    buf.write(_rows("4 %d %d %d %d", cells))
     buf.write(f"\nCELL_TYPES {len(cells)}\n")
-    buf.write("\n".join(["9"] * len(cells)) + "\n")
-    buf.write(f"\nPOINT_DATA {len(pts)}\n")
+    buf.write("9\n" * len(cells))
+    buf.write(f"\nPOINT_DATA {len(xy)}\n")
     for name in ("phi_s", "phi_e", "c_s", "c_e", "theta", "von_mises"):
         buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        vals = np.concatenate(data[name])
-        buf.write("\n".join(f"{v:.12g}" for v in vals) + "\n")
+        buf.write(_rows("%.12g", data[name]))
     buf.write("VECTORS u double\n")
-    uall = np.vstack(uvec)
-    for x, y in uall:
-        buf.write(f"{x:.12g} {y:.12g} 0\n")
+    buf.write(_rows("%.12g %.12g 0", u))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
         raise OSError(f"failed to write VTK snapshot to {path}: {exc}") from exc
-
-
-def vtk_counts(mesh: Mesh) -> tuple[int, int]:
-    """(points, cells) the subcell decomposition emits for a mesh."""
-    n_pts = n_cells = 0
-    for j in range(mesh.ncy):
-        for i in range(mesh.ncx):
-            px, py = int(mesh.px[i]), int(mesh.py[j])
-            n_pts += (px + 1) * (py + 1)
-            n_cells += px * py
-    return n_pts, n_cells
 
 
 def export_mesh_vtk(mesh: Mesh, path):
@@ -313,20 +256,18 @@ def export_mesh_vtk(mesh: Mesh, path):
         fh.write("# vtk DataFile Version 3.0\nvoltacell mesh\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(coords)} double\n")
-        for x, y in coords:
-            fh.write(f"{x:.12g} {y:.12g} 0\n")
+        fh.write(_rows("%.12g %.12g 0", coords))
         fh.write(f"\nCELLS {len(conn)} {5 * len(conn)}\n")
-        for c in conn:
-            fh.write("4 %d %d %d %d\n" % tuple(c))
+        fh.write(_rows("4 %d %d %d %d", conn))
         fh.write(f"\nCELL_TYPES {len(conn)}\n")
-        fh.write("\n".join(["9"] * len(conn)) + "\n")
+        fh.write("9\n" * len(conn))
         fh.write(f"\nCELL_DATA {len(conn)}\n")
         fh.write("SCALARS subdomain int 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(str(int(t)) for t in mesh.element_tags()) + "\n")
+        fh.write(_rows("%d", mesh.element_tags()))
         deg = mesh.cell_degrees().reshape(-1, 2)
         for name, col in (("degree_x", 0), ("degree_y", 1)):
             fh.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(str(int(d)) for d in deg[:, col]) + "\n")
+            fh.write(_rows("%d", deg[:, col]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,21 @@ supporting subdomain(s) and applies essential constraints.
 
 Element bookkeeping is organized around the mesh-wide "master" grouping of
 cells by degree pair; field spaces store, per master group, which rows they
-occupy.  Coefficient arrays evaluated at quadrature points are master-aligned,
-which lets different fields exchange pointwise data (sources, couplings)
-without re-indexing.
+occupy.  Pointwise data lives in one flat layout of the mesh's quadrature
+points (``QuadPoints``: group after group), shared by every field, so fields
+exchange pointwise data (sources, couplings) without re-indexing and a
+pointwise law runs once over all the points it applies to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import basis
-from .geometry import ANODE, CATHODE, ELYTE
+from .geometry import ANODE, CATHODE, ELYTE, TAG_NAMES
 from .mesh import Mesh, EdgeRef
 
 # Support selectors
@@ -119,18 +120,6 @@ class MasterGroup:
     def ref(self) -> basis.RefElement:
         return basis.ref_element(self.px, self.py)
 
-    def qp_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical quadrature point coordinates, shape (ne, nq) each."""
-        ref = self.ref
-        qx = self.x0[:, None] + (ref.qp[None, :, 0] + 1.0) * 0.5 * self.hx[:, None]
-        qy = self.y0[:, None] + (ref.qp[None, :, 1] + 1.0) * 0.5 * self.hy[:, None]
-        return qx, qy
-
-    def jac_weights(self) -> np.ndarray:
-        """detJ * reference weight, shape (ne, nq)."""
-        ref = self.ref
-        return 0.25 * (self.hx * self.hy)[:, None] * ref.qw[None, :]
-
 
 def build_master_groups(mesh: Mesh, grid: NodeGrid) -> list[MasterGroup]:
     by_deg: dict[tuple[int, int], list] = {}
@@ -153,6 +142,52 @@ def build_master_groups(mesh: Mesh, grid: NodeGrid) -> list[MasterGroup]:
 
 
 @dataclass(frozen=True)
+class QuadPoints:
+    """The quadrature points of every mesh cell in one flat layout.
+
+    Points run master group after master group, each group's cells in row
+    order and each cell's points in reference order: group k owns the block
+    ``block(k)``, and that block of a flat array reshapes to (n_elems, nq).
+    """
+
+    offsets: np.ndarray     # (n_groups + 1,) first point of each group
+    tag: np.ndarray         # (n,) subdomain tag of the point's cell
+    x: np.ndarray           # (n,) physical coordinates
+    y: np.ndarray
+    weight: np.ndarray      # (n,) detJ * reference weight
+
+    @property
+    def n(self) -> int:
+        return len(self.tag)
+
+    def block(self, k: int) -> slice:
+        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
+
+    @classmethod
+    def build(cls, master: list) -> "QuadPoints":
+        tag, x, y, weight = [], [], [], []
+        for g in master:
+            ref = g.ref
+            tag.append(np.repeat(g.tag, len(ref.qw)))
+            x.append(g.x0[:, None]
+                     + (ref.qp[None, :, 0] + 1.0) * 0.5 * g.hx[:, None])
+            y.append(g.y0[:, None]
+                     + (ref.qp[None, :, 1] + 1.0) * 0.5 * g.hy[:, None])
+            weight.append(0.25 * (g.hx * g.hy)[:, None] * ref.qw[None, :])
+        offsets = np.cumsum([0] + [len(t) for t in tag])
+        return cls(offsets, *(np.concatenate([a.ravel() for a in arrays])
+                              for arrays in (tag, x, y, weight)))
+
+
+def tag_values(values: dict, tags: np.ndarray) -> np.ndarray:
+    """Per-point values from a per-tag dict, looked up by each point's tag
+    (0 at tags the dict lacks)."""
+    table = np.zeros(len(TAG_NAMES))
+    table[list(values)] = list(values.values())
+    return table[tags]
+
+
+@dataclass(frozen=True)
 class EssentialBC:
     """Zero one displacement/scalar component on a named boundary part."""
 
@@ -169,6 +204,7 @@ class FieldSpace:
     mesh: Mesh
     grid: NodeGrid
     master: list
+    qp: QuadPoints
     selector: frozenset
     arity: int
     node_ids: np.ndarray        # sorted global node ids in the support
@@ -196,6 +232,13 @@ class FieldSpace:
 
     def node_xy(self) -> np.ndarray:
         return self.grid.node_xy(self.node_ids)
+
+    def occupied(self) -> list:
+        """(master group, member rows, their field node indices, the group's
+        block of the quadrature layout) of each group the space occupies."""
+        return [(g, rows, dofs, self.qp.block(k)) for k, (g, rows, dofs)
+                in enumerate(zip(self.master, self.member_rows,
+                                 self.cell_node_dofs)) if len(rows)]
 
     def dofs_of_nodes(self, field_nodes: np.ndarray, comp: int = 0) -> np.ndarray:
         return np.asarray(field_nodes) * self.arity + comp
@@ -232,10 +275,16 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
                       constraints: Sequence[EssentialBC] = (),
                       name: str = "field",
                       grid: NodeGrid | None = None,
-                      master: list | None = None) -> FieldSpace:
-    """Build the DOF map of a field supported on ``selector`` subdomains."""
+                      master: list | None = None,
+                      qp: QuadPoints | None = None) -> FieldSpace:
+    """Build the DOF map of a field supported on ``selector`` subdomains.
+
+    Fields that exchange pointwise data share ``grid``, ``master`` and
+    ``qp``; each is built here when not given.
+    """
     grid = grid or NodeGrid.build(mesh)
     master = master if master is not None else build_master_groups(mesh, grid)
+    qp = qp or QuadPoints.build(master)
 
     member_rows = []
     used = np.zeros(grid.n_nodes, dtype=bool)
@@ -259,7 +308,8 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
                               else np.empty((0, (g.px + 1) * (g.py + 1)), dtype=int))
 
     space = FieldSpace(
-        name=name, mesh=mesh, grid=grid, master=master, selector=selector,
+        name=name, mesh=mesh, grid=grid, master=master, qp=qp,
+        selector=selector,
         arity=arity, node_ids=node_ids, node_index=node_index,
         member_rows=member_rows, cell_node_dofs=cell_node_dofs,
     )

@@ -127,28 +127,44 @@ class Guard:
         self.policy = policy
         self.log = ClampLog()
 
-    def clamp(self, values: np.ndarray, lo: float, hi: float,
-              context: str) -> np.ndarray:
+    def clamp(self, values: np.ndarray, lo, hi, context,
+              labels: np.ndarray | None = None) -> np.ndarray:
+        """Clip ``values`` into [lo, hi] (scalars or one bound per value).
+
+        Clamp events are counted under the name ``context``; with
+        ``labels`` (an index per value), ``context`` is a sequence of names
+        indexed by label, and events are counted per name.
+        """
         clipped = np.clip(values, lo, hi)
         bad = clipped != values
-        n = int(np.count_nonzero(bad))
-        if n:
-            worst = float(np.abs(values - clipped).max())
+        if not bad.any():
+            return clipped
+        excess = np.abs(values - clipped)
+        if labels is None:
+            named = [(context, bad)]
+        else:
+            named = [(context[k], bad & (labels == k))
+                     for k in np.unique(labels[bad])]
+        for name, sel in named:
+            n = int(np.count_nonzero(sel))
+            worst = float(excess[sel].max())
             if self.policy.action == "abort":
+                lo_k = np.broadcast_to(lo, values.shape)[sel][0]
+                hi_k = np.broadcast_to(hi, values.shape)[sel][0]
                 raise GuardViolation(
-                    f"{context}: {n} value(s) out of [{lo:.6g}, {hi:.6g}], "
+                    f"{name}: {n} value(s) out of [{lo_k:.6g}, {hi_k:.6g}], "
                     f"worst excess {worst:.3e}")
             self.log.events += n
             self.log.max_violation = max(self.log.max_violation, worst)
-            self.log.contexts[context] = self.log.contexts.get(context, 0) + n
+            self.log.contexts[name] = self.log.contexts.get(name, 0) + n
             log.debug("guard: clamped %d value(s) in %s (worst excess %.3e)",
-                      n, context, worst)
+                      n, name, worst)
         return clipped
 
     def c_e(self, values: np.ndarray, context: str = "c_e") -> np.ndarray:
         return self.clamp(values, self.policy.eps_e, np.inf, context)
 
-    def c_s(self, values: np.ndarray, c_max: float,
-            context: str = "c_s") -> np.ndarray:
+    def c_s(self, values: np.ndarray, c_max, context="c_s",
+            labels: np.ndarray | None = None) -> np.ndarray:
         return self.clamp(values, self.policy.eps_s,
-                          c_max - self.policy.eps_s, context)
+                          c_max - self.policy.eps_s, context, labels)

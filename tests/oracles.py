@@ -148,3 +148,26 @@ def dense_edge_coupling(space_a, space_b, edges, coeff_fn, n_quad=12):
             vals = np.array([p(q) for p in polys])
             out[np.ix_(dofs_a, dofs_b)] += c * np.outer(vals, vals)
     return out
+
+
+def relative_asymmetry(mat):
+    """max |A - A^T| / max |A| (0 for an empty matrix)."""
+    a = mat.tocsr()
+    scale = np.abs(a.data).max() if a.nnz else 0.0
+    if scale == 0.0:
+        return 0.0
+    diff = (a - a.T).tocoo()
+    err = np.abs(diff.data).max() if diff.nnz else 0.0
+    return float(err / scale)
+
+
+def vtk_counts(mesh):
+    """(points, cells) the subcell decomposition of a VTK snapshot emits for
+    a mesh: (px + 1)(py + 1) points and px py cells per mesh cell."""
+    n_pts = n_cells = 0
+    for j in range(mesh.ncy):
+        for i in range(mesh.ncx):
+            px, py = int(mesh.px[i]), int(mesh.py[j])
+            n_pts += (px + 1) * (py + 1)
+            n_cells += px * py
+    return n_pts, n_cells

@@ -20,6 +20,7 @@ from voltacell.state import Guard, GuardPolicy, History
 from voltacell.stepping import TimeGrid, step
 
 import conftest
+import oracles
 
 
 def _report(num, ok, detail):
@@ -261,7 +262,7 @@ def _system_matrices(problem, dt):
 def test_criterion_10_matrix_structure(coarse_mesh, mats_scaled):
     # symmetry on the working desk-scale systems
     prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    worst_asym = max(asm.relative_asymmetry(m)
+    worst_asym = max(oracles.relative_asymmetry(m)
                      for m in _system_matrices(prob, 0.1).values())
 
     # dense positive definiteness on a mesh small enough to eigensolve

@@ -351,11 +351,10 @@ def test_eval_qp_consistency():
     f = s.interpolate(lambda x, y: x * y + y * y)
     vals = asm.eval_qp(s, f)
     grads = asm.eval_grad_qp(s, f)
-    for g, v, dv in zip(s.master, vals, grads):
-        qx, qy = g.qp_coords()
-        assert np.allclose(v, qx * qy + qy * qy, atol=1e-12)
-        assert np.allclose(dv[:, :, 0], qy, atol=1e-12)
-        assert np.allclose(dv[:, :, 1], qx + 2 * qy, atol=1e-12)
+    qx, qy = s.qp.x, s.qp.y
+    assert np.allclose(vals, qx * qy + qy * qy, atol=1e-12)
+    assert np.allclose(grads[:, 0], qy, atol=1e-12)
+    assert np.allclose(grads[:, 1], qx + 2 * qy, atol=1e-12)
 
 
 def test_eval_strain_linear_field():
@@ -365,11 +364,10 @@ def test_eval_strain_linear_field():
     u = np.empty(s.ndof)
     u[0::2] = 2.0 * xy[:, 0] + 0.5 * xy[:, 1]       # u_x
     u[1::2] = -0.25 * xy[:, 0] + 3.0 * xy[:, 1]     # u_y
-    strains = asm.eval_strain_qp(s, u)
-    for arr in strains:
-        assert np.allclose(arr[:, :, 0], 2.0, atol=1e-12)
-        assert np.allclose(arr[:, :, 1], 3.0, atol=1e-12)
-        assert np.allclose(arr[:, :, 2], 0.5 * (0.5 - 0.25), atol=1e-12)
+    for strain in (asm.eval_strain_qp(s, u), asm.eval_strain_nodes(s, u)):
+        assert np.allclose(strain[:, 0], 2.0, atol=1e-12)
+        assert np.allclose(strain[:, 1], 3.0, atol=1e-12)
+        assert np.allclose(strain[:, 2], 0.5 * (0.5 - 0.25), atol=1e-12)
 
 
 def test_relative_asymmetry_of_assembled_matrices():
@@ -379,4 +377,4 @@ def test_relative_asymmetry_of_assembled_matrices():
     for mat_ in (asm.assemble_mass(s, {geo.ANODE: 2.0, geo.CATHODE: 1.0,
                                        geo.ELYTE: 3.0}),
                  asm.assemble_stiffness(s, lambda x, y: 1 + x)):
-        assert asm.relative_asymmetry(mat_) <= 1e-12
+        assert oracles.relative_asymmetry(mat_) <= 1e-12

@@ -9,14 +9,14 @@ def test_table_dimensions_bounding_box():
     w, h = g.bounding_box
     assert w == pytest.approx(1000e-6, rel=1e-12)
     assert h == pytest.approx(100e-6, rel=1e-12)
-    assert g.interface_components() == 2
+    assert len(g.interface) == 2
 
 
 def test_symmetric_dimensions_still_valid():
     d = geo.CellDimensions(h_s=40e-6, h_e=40e-6, length=50e-6, gap=49e-6,
                            cap=50e-6)
     g = geo.build_interdigitated_domain(d)
-    assert g.interface_components() == 2
+    assert len(g.interface) == 2
 
 
 def test_degenerate_gap_rejected():

@@ -106,40 +106,72 @@ def test_interface_mass_coefficient_value(mats):
 
 
 # ---------------------------------------------------------------------------
-# constitutive currents / heat
+# Ohmic heat source at the quadrature points
 # ---------------------------------------------------------------------------
 
+def _hand_set_state(prob, grad_phi_s, grad_phi_e, c_e):
+    """The initial state with linear potentials of the given gradients and
+    the electrolyte concentration c_e(x, y)."""
+    state = prob.initial_state()
+    for name, (gx, gy) in (("phi_s", grad_phi_s), ("phi_e", grad_phi_e)):
+        state[name] = prob.spaces[name].interpolate(
+            lambda x, y, gx=gx, gy=gy: gx * x + gy * y)
+    state["c_e"] = prob.s_ce.interpolate(c_e)
+    return state
+
+
 def test_current_density_solid(mats):
-    i = phys.current_density("sa", np.array([1.0, 0.0]), mats)
-    assert np.allclose(i, [-100.0, 0.0])
+    """In each electrode the source is gamma |grad phi_s|^2 (the Ohmic heat
+    -i.grad phi_s of i = -gamma grad phi_s)."""
+    prob = toy_strip_problem(mats)
+    state = _hand_set_state(prob, (1.0, -0.5), (0.0, 0.0),
+                            lambda x, y: 2000.0 + 0.0 * x)
+    q = prob.heat_source_qp(state)
+    tag = prob.qp.tag
+    assert q[tag == geo.ANODE] == pytest.approx(100.0 * 1.25, rel=1e-12)
+    assert q[tag == geo.CATHODE] == pytest.approx(3.8 * 1.25, rel=1e-12)
 
 
 def test_current_density_electrolyte_uniform_concentration(mats):
-    gp = np.array([0.5, -0.25])
-    i = phys.current_density("e", gp, mats, c_e=2000.0,
-                             grad_c_e=np.zeros(2), theta=298.15)
-    assert np.allclose(i, -mats.electrolyte.conductivity * gp, rtol=1e-14)
+    """With uniform c_e the electrolyte source is kappa |grad phi_e|^2."""
+    prob = toy_strip_problem(mats)
+    gp = (0.5, -0.25)
+    state = _hand_set_state(prob, (0.0, 0.0), gp,
+                            lambda x, y: 2000.0 + 0.0 * x)
+    q = prob.heat_source_qp(state)
+    assert q[prob.qp.tag == geo.ELYTE] == pytest.approx(
+        mats.electrolyte.conductivity * (0.5 ** 2 + 0.25 ** 2), rel=1e-12)
+    assert np.all(q[prob.qp.tag != geo.ELYTE] == 0.0)
 
 
 def test_current_density_diffusional_term(mats):
-    i = phys.current_density("e", np.zeros(2), mats, c_e=2000.0,
-                             grad_c_e=np.array([2000.0, 0.0]), theta=298.15)
-    kd = mat.diffusional_conductivity(298.15, mats)
-    assert i[0] == pytest.approx(-kd, rel=1e-14)
-    assert i[0] == pytest.approx(6.546e-3, abs=1e-5)
-    with pytest.raises(ValueError):
-        phys.current_density("e", np.zeros(2), mats, c_e=0.0,
-                             grad_c_e=np.zeros(2), theta=298.15)
+    """A c_e gradient adds kappa_D grad c_e . grad phi_e / c_e."""
+    prob = toy_strip_problem(mats)
+    state = _hand_set_state(prob, (0.0, 0.0), (0.3, 0.1),
+                            lambda x, y: 1500.0 + 200.0 * x)
+    e = prob.qp.tag == geo.ELYTE
+    c_e = 1500.0 + 200.0 * prob.qp.x[e]
+    kd = mat.diffusional_conductivity(mats.theta_ref, mats)
+    assert kd == pytest.approx(-6.546e-3, abs=1e-5)
+    expected = mats.electrolyte.conductivity * (0.3 ** 2 + 0.1 ** 2) \
+        + kd * 200.0 * 0.3 / c_e
+    assert prob.heat_source_qp(state)[e] == pytest.approx(expected,
+                                                          rel=1e-12)
 
 
 def test_ohmic_heat_conventions(mats):
-    gp = np.array([2.0, -1.0])
-    i = phys.current_density("sa", gp, mats)
-    q_default = phys.ohmic_heat(i, gp)
-    assert q_default == pytest.approx(100.0 * (gp ** 2).sum(), rel=1e-14)
-    assert q_default >= 0.0
-    assert phys.ohmic_heat(i, gp, "reversed") == pytest.approx(-q_default)
-    assert phys.ohmic_heat(np.zeros(2), np.zeros(2)) == 0.0
+    """The source is nonnegative in each conductor, flips sign under the
+    'reversed' convention and vanishes without gradients."""
+    probs = {c: toy_strip_problem(mats, heat_convention=c)
+             for c in ("physical", "reversed")}
+    state = _hand_set_state(probs["physical"], (2.0, -1.0), (0.5, 0.2),
+                            lambda x, y: 2000.0 + 0.0 * x)
+    q = probs["physical"].heat_source_qp(state)
+    assert np.all(q > 0.0)
+    assert probs["reversed"].heat_source_qp(state) == pytest.approx(-q,
+                                                                    rel=1e-14)
+    rest = probs["physical"].initial_state()
+    assert np.abs(probs["physical"].heat_source_qp(rest)).max() <= 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +416,136 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats_scaled):
     assert patterns[0][1] is patterns[1][1]
 
 
+# ---------------------------------------------------------------------------
+# the flat quadrature-point layout
+# ---------------------------------------------------------------------------
+
+def _layout_state(prob):
+    """A state with every field varying in space (u small but nonzero)."""
+    rng = np.random.default_rng(5)
+    state = _sweep_states(prob)[1]
+    state["u"] = 1e-4 * rng.standard_normal(prob.s_u.ndof)
+    state["theta"] = state["theta"] + rng.uniform(0.0, 2.0,
+                                                  prob.s_th.ndof)
+    return state
+
+
+def test_layout_constants_follow_the_point_tags(pattern_problem,
+                                                mats_scaled):
+    """Each solid quadrature point carries its own electrode's constants;
+    the solid and electrolyte points split the layout."""
+    prob = pattern_problem
+    qp = prob.qp
+    assert np.array_equal(np.sort(np.concatenate(
+        [prob.solid_qp, prob.elyte_qp])), np.arange(qp.n))
+    assert np.all(qp.tag[prob.elyte_qp] == geo.ELYTE)
+    el = prob.solid
+    for k, tag in zip(prob.solid_qp, prob.solid_tags):
+        assert qp.tag[k] == tag
+    for tag in (geo.ANODE, geo.CATHODE):
+        ref = mats_scaled.electrode(geo.TAG_NAMES[tag])
+        at = prob.solid_tags == tag
+        assert np.any(at)
+        shear, bulk = ref.lame
+        for name, value in (("c_max", ref.c_max),
+                            ("diffusivity0", ref.diffusivity0),
+                            ("conductivity", ref.conductivity),
+                            ("shear", shear), ("bulk", bulk),
+                            ("alpha", ref.alpha), ("omega", ref.omega),
+                            ("c_s_ref", prob.c_s_ref[tag])):
+            assert np.all(getattr(el, name)[at] == value), (tag, name)
+
+
+def test_layout_matches_per_element_evaluation(pattern_problem):
+    """Flat eval_qp, eval_grad_qp, assemble_load and integrate agree with a
+    cell-by-cell evaluation through the oracle's Lagrange polynomials."""
+    import oracles
+    prob = pattern_problem
+    qp, space = prob.qp, prob.s_cs
+    vec = _layout_state(prob)["c_s"]
+    vals = asm.eval_qp(space, vec)
+    grads = asm.eval_grad_qp(space, vec)
+    f = np.cos(qp.x) + qp.y ** 2                # a flat load density
+    load = asm.assemble_load(space, f)
+    ref_vals = np.zeros(qp.n)
+    ref_grads = np.zeros((qp.n, 2))
+    ref_load = np.zeros(space.ndof)
+    total = 0.0
+    for k, (g, rows, dofs) in enumerate(zip(
+            space.master, space.member_rows, space.cell_node_dofs)):
+        ref = g.ref
+        nq = len(ref.qw)
+        lx, ly = oracles.lagrange_polys(g.px), oracles.lagrange_polys(g.py)
+        dlx, dly = [p.deriv() for p in lx], [p.deriv() for p in ly]
+        for e, row in enumerate(rows):
+            pts = qp.offsets[k] + row * nq + np.arange(nq)
+            xi = ref.qp[:, 0]
+            eta = ref.qp[:, 1]
+            assert np.allclose(qp.x[pts], g.x0[row] + (xi + 1) * 0.5
+                               * g.hx[row], rtol=1e-14)
+            assert np.allclose(qp.y[pts], g.y0[row] + (eta + 1) * 0.5
+                               * g.hy[row], rtol=1e-14)
+            assert np.allclose(qp.weight[pts], 0.25 * g.hx[row] * g.hy[row]
+                               * ref.qw, rtol=1e-14)
+            phi = np.array([ly[b](eta) * lx[a](xi) for b in range(g.py + 1)
+                            for a in range(g.px + 1)])       # (nbf, nq)
+            dx = np.array([ly[b](eta) * dlx[a](xi) for b in range(g.py + 1)
+                           for a in range(g.px + 1)]) * 2.0 / g.hx[row]
+            dy = np.array([dly[b](eta) * lx[a](xi) for b in range(g.py + 1)
+                           for a in range(g.px + 1)]) * 2.0 / g.hy[row]
+            c = vec[dofs[e]]
+            ref_vals[pts] = c @ phi
+            ref_grads[pts] = np.column_stack([c @ dx, c @ dy])
+            np.add.at(ref_load, dofs[e], phi @ (qp.weight[pts] * f[pts]))
+            total += (qp.weight[pts] * vals[pts]).sum()
+    assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(
+        ref_vals).max())
+    assert np.allclose(grads, ref_grads, rtol=1e-10, atol=1e-10 * np.abs(
+        ref_grads).max())
+    assert np.allclose(load, ref_load, rtol=1e-12, atol=1e-12 * np.abs(
+        ref_load).max())
+    assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12)
+    assert np.all(vals[prob.elyte_qp] == 0.0)
+
+
+def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
+                                                      mats_scaled):
+    """solid_pressure_qp and von_mises_qp equal Hooke's law with each
+    electrode's own material at sampled solid points."""
+    prob = pattern_problem
+    state = _layout_state(prob)
+    s = prob.solid_qp
+    strain = asm.eval_strain_qp(prob.s_u, state["u"])
+    theta = asm.eval_qp(prob.s_th, state["theta"])
+    c_s = asm.eval_qp(prob.s_cs, state["c_s"])
+    pi = prob.solid_pressure_qp(state["u"], state["theta"], c_s[s])
+    vm, vmax, _ = prob.von_mises_qp(state)
+    assert vmax == vm.max() > 0.0
+    assert np.all(vm[prob.elyte_qp] == 0.0)
+    for j in range(0, len(s), 7):
+        k, tag = s[j], prob.solid_tags[j]
+        stress = mat.hooke_plane_strain(
+            *strain[k], theta[k], c_s[k],
+            mats_scaled.electrode(geo.TAG_NAMES[tag]), mats_scaled,
+            prob.c_s_ref[tag])
+        assert pi[j] == pytest.approx(mat.hydrostatic_pressure(stress),
+                                      rel=1e-12, abs=1e-12 * np.abs(pi).max())
+        assert vm[k] == pytest.approx(mat.von_mises(stress), rel=1e-12)
+
+
 def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
     d_qp = prob.solid_diffusivity_qp(s0)
-    g = prob.master[0]
-    e = int(prob.s_cs.member_rows[0][5])
-    d_qp[0][e, 2] = -1.0
-    qx, qy = g.qp_coords()
+    nq = len(prob.master[0].ref.qw)
+    i = int(prob.s_cs.member_rows[0][5]) * nq + 2    # a point of group 0
+    d_qp[i] = -1.0
     prob.solid_diffusivity_qp = lambda state: d_qp
     with pytest.raises(asm.AssemblyError) as err:
         prob.cs_matrices(s0, 0.1)
     assert str(err.value) == (
         f"nonpositive solid diffusivity sample -1 at quadrature point "
-        f"({qx[e, 2]:.6g}, {qy[e, 2]:.6g})")
+        f"({prob.qp.x[i]:.6g}, {prob.qp.y[i]:.6g})")
 
 
 def test_negative_interface_coefficient_raises(coarse_problem):
@@ -593,8 +741,7 @@ def test_reversed_heat_terms_are_negated(coarse_mesh, mats_scaled,
         prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
     q_phys = probs["physical"].heat_source_qp(state)
     q_lit = probs["reversed"].heat_source_qp(state)
-    for a, b in zip(q_phys, q_lit):
-        assert np.allclose(a, -b, atol=1e-30)
+    assert np.allclose(q_phys, -q_lit, atol=1e-30)
     ist = probs["physical"].interface_state_of(state)
     h_phys = probs["physical"].iface_loads(ist)["theta"]
     h_lit = probs["reversed"].iface_loads(ist)["theta"]
@@ -640,7 +787,7 @@ class _PassGuard(Guard):
     """Disabled bound guarding (the production guard makes I_c > 0 by
     construction, so the singularity below is only reachable without it)."""
 
-    def clamp(self, values, lo, hi, context):
+    def clamp(self, values, lo, hi, context, labels=None):
         return values
 
 

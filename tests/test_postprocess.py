@@ -1,11 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 
 from voltacell import postprocess as post
 from voltacell import units
+from voltacell.config import preset
 from voltacell.geometry import ANODE, CATHODE
 
 import conftest
+import oracles
 
 
 @pytest.fixture()
@@ -54,7 +58,7 @@ def test_average_of_constant_field_is_exact(problem_state):
 
 def test_von_mises_zero_at_rest(problem_state):
     prob, s0 = problem_state
-    _, vmax, _ = post.von_mises_field(prob, s0)
+    _, vmax, _ = prob.von_mises_qp(s0)
     assert vmax < 1e-9
 
 
@@ -79,43 +83,40 @@ def test_power_density_empty_series_rejected():
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# the run's CSV time series
 # ---------------------------------------------------------------------------
 
-def _dummy_record(t):
-    return post.TimeSeriesRecord(
-        t_s=t, v_out_v=3.9 + 1e-13 * t, phi_e_avg_v=-0.13453,
-        soc_anode=0.5 - 1e-5 * t, soc_cathode=0.5 + 1e-5 * t,
-        temp_k=298.15 + 0.01 * t, u_max_m=1.2e-8 * t, vm_max_pa=3.4e6,
-        clamp_events=int(t) % 3)
+@pytest.fixture(scope="module")
+def csv_run(tmp_path_factory):
+    """A two-step coarse run writing its outputs."""
+    from voltacell.driver import run_scenario
+    out = tmp_path_factory.mktemp("csv_run")
+    cfg = preset("high_discharge").replace(**{**conftest.DESK_KW,
+                                              "t_end": 12.0})
+    result = run_scenario(cfg, out_dir=str(out))
+    with open(result.csv_path, encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return result, rows
 
 
-def test_csv_header_only_for_empty(tmp_path):
-    path = tmp_path / "ts.csv"
-    post.export_timeseries_csv([], path)
-    lines = path.read_text().splitlines()
-    assert lines == [post.CSV_HEADER]
+def test_csv_line_count(csv_run):
+    """The header, then one row per record."""
+    result, rows = csv_run
+    assert ",".join(rows[0]) == post.CSV_HEADER
+    assert len(rows) == 1 + len(result.records) == 4   # t = 0, 6, 12 s
 
 
-def test_csv_line_count(tmp_path):
-    path = tmp_path / "ts.csv"
-    post.export_timeseries_csv([_dummy_record(t) for t in (0.0, 1.0, 2.0)],
-                               path)
-    assert len(path.read_text().splitlines()) == 4
-
-
-def test_csv_round_trip_precision(tmp_path):
-    path = tmp_path / "ts.csv"
-    records = [_dummy_record(t) for t in np.linspace(0, 90, 7)]
-    post.export_timeseries_csv(records, path)
-    back = post.read_timeseries_csv(path)
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        for name in ("t_s", "v_out_v", "phi_e_avg_v", "soc_anode",
-                     "soc_cathode", "temp_k", "u_max_m", "vm_max_pa"):
-            va, vb = getattr(a, name), getattr(b, name)
-            assert vb == pytest.approx(va, rel=1e-12, abs=1e-300)
-        assert a.clamp_events == b.clamp_events
+def test_csv_round_trip_precision(csv_run):
+    """Every CSV row reads back to the run's record exactly (17 digits)."""
+    result, rows = csv_run
+    names = post.CSV_HEADER.split(",")
+    fields = ("t_s", "v_out_v", "phi_e_avg_v", "soc_anode", "soc_cathode",
+              "temp_k", "u_max_m", "vm_max_pa")
+    for rec, row in zip(result.records, rows[1:]):
+        assert len(row) == len(names)
+        for name, text in zip(fields, row[:8]):
+            assert float(text) == getattr(rec, name)
+        assert int(row[8]) == rec.clamp_events
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_vtk_snapshot_format(problem_state, scales, tmp_path):
     post.export_vtk(prob, s0, path, scales)
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 3.0"
-    n_pts, n_cells = post.vtk_counts(prob.mesh)
+    n_pts, n_cells = oracles.vtk_counts(prob.mesh)
     assert f"POINTS {n_pts} double" in text
     assert f"CELL_TYPES {n_cells}" in text
     # the displacement block is all zeros at the initial state
@@ -141,15 +142,36 @@ def test_vtk_snapshot_format(problem_state, scales, tmp_path):
         assert f"SCALARS {name} double 1" in text
 
 
-def test_vtk_counts_formula(problem_state):
-    prob, _ = problem_state
-    mesh = prob.mesh
-    n_pts, n_cells = post.vtk_counts(mesh)
-    exp_pts = sum((int(mesh.px[i]) + 1) * (int(mesh.py[j]) + 1)
-                  for j in range(mesh.ncy) for i in range(mesh.ncx))
-    exp_cells = sum(int(mesh.px[i]) * int(mesh.py[j])
-                    for j in range(mesh.ncy) for i in range(mesh.ncx))
-    assert (n_pts, n_cells) == (exp_pts, exp_cells)
+def test_vtk_counts_formula(mats_scaled, geom_scaled, scales, tmp_path):
+    """On a mesh with four degree groups the snapshot has the subcell counts
+    of every cell, and each subcell is a counterclockwise rectangle."""
+    from voltacell.mesh import MeshSpec, generate_layered_mesh
+    mesh = generate_layered_mesh(geom_scaled, MeshSpec(
+        nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1), n_layers=1, degree=1,
+        normal_degree=2))
+    prob = conftest.make_problem(mesh, mats_scaled)
+    assert len(prob.master) == 4
+    path = tmp_path / "snap.vtk"
+    post.export_vtk(prob, prob.initial_state(), path, scales)
+    text = path.read_text().splitlines()
+    n_pts, n_cells = oracles.vtk_counts(mesh)
+    k = text.index(f"POINTS {n_pts} double") + 1
+    xy = np.array([[float(v) for v in line.split()[:2]]
+                   for line in text[k:k + n_pts]])
+    k = text.index(f"CELLS {n_cells} {5 * n_cells}") + 1
+    quads = np.array([[int(v) for v in line.split()]
+                      for line in text[k:k + n_cells]])
+    assert np.all(quads[:, 0] == 4)
+    p = xy[quads[:, 1:]]                        # (n_cells, 4 corners, 2)
+    assert np.all(p[:, 1, 0] > p[:, 0, 0]) and np.all(p[:, 1, 1] == p[:, 0, 1])
+    assert np.all(p[:, 2, 0] == p[:, 1, 0]) and np.all(p[:, 2, 1] > p[:, 1, 1])
+    assert np.all(p[:, 3, 0] == p[:, 0, 0]) and np.all(p[:, 3, 1] == p[:, 2, 1])
+    # the subcells tile the domain
+    area = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 1, 1])).sum()
+    width, height = (float(mesh.x[-1] - mesh.x[0]),
+                     float(mesh.y[-1] - mesh.y[0]))
+    assert area == pytest.approx(width * height * scales.length ** 2,
+                                 rel=1e-9)
 
 
 def test_vtk_zero_fill_outside_support(problem_state, scales, tmp_path):
@@ -157,7 +179,7 @@ def test_vtk_zero_fill_outside_support(problem_state, scales, tmp_path):
     path = tmp_path / "snap.vtk"
     post.export_vtk(prob, s0, path, scales)
     text = path.read_text().splitlines()
-    n_pts, _ = post.vtk_counts(prob.mesh)
+    n_pts, _ = oracles.vtk_counts(prob.mesh)
 
     def block(name):
         k = text.index(f"SCALARS {name} double 1") + 2

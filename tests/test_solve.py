@@ -70,8 +70,7 @@ def _spd_pair(scale):
     mass = asm.assemble_mass(s, 1.0)
     a = mass + 0.5 * asm.assemble_stiffness(s, 2.0)
     rng = np.random.default_rng(11)
-    n_qp = [np.ones((g.n_elems, len(g.ref.qw))) for g in s.master]
-    coeff = [2.0 * (1.0 + scale * rng.uniform(size=q.shape)) for q in n_qp]
+    coeff = 2.0 * (1.0 + scale * rng.uniform(size=s.qp.n))
     b_mat = mass + 0.5 * asm.assemble_stiffness(s, coeff)
     return a.tocsr(), b_mat.tocsr(), rng.normal(size=s.ndof)
 

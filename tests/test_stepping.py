@@ -112,6 +112,25 @@ def test_guard_saturation_keeps_exchange_current_positive():
     assert i_c[0] > 0.0
 
 
+def test_guard_labels_count_per_context():
+    """One clamp over points of two electrodes, with a bound per point,
+    counts its events under each point's own context name."""
+    g = Guard(GuardPolicy(eps_e=2.0, eps_s=1.0))
+    names = ("c_s (sa)", "c_s (sc)")
+    labels = np.array([0, 1, 1, 0, 1])
+    c_max = np.array([10.0, 20.0, 20.0, 10.0, 20.0])
+    out = g.c_s(np.array([9.5, 19.5, 25.0, -3.0, 0.5]), c_max, names, labels)
+    assert np.array_equal(out, [9.0, 19.0, 19.0, 1.0, 1.0])
+    assert g.log.contexts == {"c_s (sa)": 2, "c_s (sc)": 3}
+    assert g.log.events == 5
+    assert g.log.max_violation == pytest.approx(6.0)
+    abort = Guard(GuardPolicy(eps_e=2.0, eps_s=1.0, action="abort"))
+    with pytest.raises(vstate.GuardViolation,
+                       match=r"c_s \(sc\): 1 value\(s\) out of \[1, 19\]"):
+        abort.c_s(np.array([5.0, 25.0]), np.array([10.0, 20.0]), names,
+                  np.array([0, 1]))
+
+
 def test_guard_abort_action():
     g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.0, action="abort"))
     with pytest.raises(vstate.GuardViolation):
