@@ -99,6 +99,22 @@ def csv_run(tmp_path_factory):
     return result, rows
 
 
+def test_csv_header_only_for_empty(tmp_path, monkeypatch):
+    """A run that fails before its first record leaves just the header."""
+    from voltacell.driver import run_scenario
+
+    def failing_record(*args, **kw):
+        raise RuntimeError("synthetic failure before the first record")
+
+    monkeypatch.setattr(post, "record_state", failing_record)
+    cfg = preset("high_discharge").replace(**{**conftest.DESK_KW,
+                                              "t_end": 12.0})
+    with pytest.raises(RuntimeError, match="synthetic"):
+        run_scenario(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+    assert lines == [post.CSV_HEADER]
+
+
 def test_csv_line_count(csv_run):
     """The header, then one row per record."""
     result, rows = csv_run
