@@ -386,18 +386,10 @@ def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
     return out
 
 
-def integrate(space: FieldSpace, values: np.ndarray,
-              region: frozenset | None = None) -> float:
-    """Integral of a flat quadrature-point array over the support (or the
-    part of it in a region)."""
-    qp = space.qp
-    tags = space.selector if region is None else space.selector & region
-    keep = np.isin(qp.tag, list(tags))
-    return float((qp.weight[keep] * values[keep]).sum())
-
-
-def region_area(space: FieldSpace, region: frozenset | None = None) -> float:
-    return integrate(space, np.ones(space.qp.n), region)
+def integrate(space: FieldSpace, values: np.ndarray) -> float:
+    """Integral over the support of a flat quadrature-point array that is
+    zero off it (as ``eval_qp`` returns fields)."""
+    return float(space.qp.weight @ values)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import ConfigError, PRESETS, ScenarioConfig, parse_scenario
-from .mesh import MeshSpec, generate_layered_mesh, validate_mesh
+from .mesh import MESH_PRESETS, generate_layered_mesh, validate_mesh
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +37,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "tend", None) is not None:
         kw["t_end"] = args.tend
     if getattr(args, "mesh", None):
-        kw["mesh"] = {"coarse": MeshSpec.coarse,
-                      "production": MeshSpec.production}[args.mesh]()
+        kw["mesh"] = MESH_PRESETS[args.mesh]()
     return cfg.replace(**kw) if kw else cfg
 
 
@@ -101,10 +100,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_mesh(args) -> int:
     from .geometry import build_interdigitated_domain, domain_svg
     from .postprocess import export_mesh_vtk
-    if args.spec in ("coarse", "production"):
-        spec = {"coarse": MeshSpec.coarse,
-                "production": MeshSpec.production}[args.spec]()
-        cfg = ScenarioConfig(mesh=spec)
+    if args.spec in MESH_PRESETS:
+        cfg = ScenarioConfig(mesh=MESH_PRESETS[args.spec]())
     else:
         cfg = parse_scenario(args.spec)
     geom = build_interdigitated_domain(cfg.dims)
@@ -137,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--dt", type=float, help="time step override [s]")
         p.add_argument("--tend", type=float, help="end time override [s]")
-        p.add_argument("--mesh", choices=("coarse", "production"),
+        p.add_argument("--mesh", choices=tuple(MESH_PRESETS),
                        help="mesh resolution preset override")
         if with_model:
             p.add_argument("--model", choices=("full", "electrochemical"),

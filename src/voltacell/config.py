@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import units
 from .geometry import CellDimensions, scaled_dimensions
 from .materials import MaterialSet, default_materials
-from .mesh import MeshSpec
+from .mesh import MESH_PRESETS, MeshSpec
 from .state import GuardPolicy
 from .units import ScaleSet
 
@@ -41,13 +41,9 @@ class ScenarioConfig:
     soc_init_anode: float = 0.5
     soc_init_cathode: float = 0.5
     model: str = "full"                 # 'full' | 'electrochemical'
-    heat_convention: str = "physical"   # 'physical' | 'reversed'
     kappa_d_factor: float = 1.0
     mesh: MeshSpec = field(default_factory=MeshSpec.production)
     dims: CellDimensions = field(default_factory=CellDimensions)
-    scales: ScaleSet = field(default_factory=ScaleSet)
-    guard_eps_e: float | None = None    # mol/m^3; None -> policy default
-    guard_eps_s: float | None = None
     guard_action: str = "clamp"
     extra_fp_iters: int = 4
     fp_tol: float = 1e-8
@@ -77,8 +73,6 @@ class ScenarioConfig:
         if self.model not in ("full", "electrochemical"):
             errs.append(f"model must be 'full' or 'electrochemical', "
                         f"got {self.model!r}")
-        if self.heat_convention not in ("physical", "reversed"):
-            errs.append("heat_convention must be 'physical' or 'reversed'")
         if self.kappa_d_factor < 0.0:
             errs.append("kappa_d_factor must be nonnegative")
         if self.extra_fp_iters < 0:
@@ -87,10 +81,6 @@ class ScenarioConfig:
             errs.append("snapshot_every must be positive")
         if self.guard_action not in ("clamp", "abort"):
             errs.append("guard_action must be 'clamp' or 'abort'")
-        for nm in ("guard_eps_e", "guard_eps_s"):
-            v = getattr(self, nm)
-            if v is not None and v <= 0.0:
-                errs.append(f"{nm} must be positive")
         return errs
 
     def materials(self) -> MaterialSet:
@@ -101,7 +91,6 @@ class ScenarioConfig:
         d = dataclasses.asdict(self)
         d["mesh"] = dataclasses.asdict(self.mesh)
         d["dims"] = dataclasses.asdict(self.dims)
-        d["scales"] = dataclasses.asdict(self.scales)
         return d
 
 
@@ -172,10 +161,7 @@ _KEYS = {
     "soc_init_anode": ("soc_init_anode", _float),
     "soc_init_cathode": ("soc_init_cathode", _float),
     "model": ("model", _str),
-    "heat_convention": ("heat_convention", _str),
     "kappa_d_factor": ("kappa_d_factor", _float),
-    "guard_eps_e": ("guard_eps_e", _float),
-    "guard_eps_s": ("guard_eps_s", _float),
     "guard_action": ("guard_action", _str),
     "extra_fp_iters": ("extra_fp_iters", _int),
     "fp_tol": ("fp_tol", _float),
@@ -194,10 +180,6 @@ _MESH_KEYS = {
 
 _DIM_KEYS = {f"dims.{n}": (n, _float)
              for n in ("h_s", "h_e", "length", "gap", "cap")}
-
-_SCALE_KEYS = {f"scale.{n}": (n, _float)
-               for n in ("length", "time", "potential", "temperature",
-                         "concentration", "stress")}
 
 
 def parse_scenario(path) -> ScenarioConfig:
@@ -230,12 +212,11 @@ def parse_scenario(path) -> ScenarioConfig:
 
     mesh_kw: dict = {}
     dim_kw: dict = {}
-    scale_kw: dict = {}
     plain_kw: dict = {}
     mesh_preset: str | None = None
     overrides: dict = {}
     all_keys = (set(_KEYS) | set(_MESH_KEYS) | set(_DIM_KEYS)
-                | set(_SCALE_KEYS) | {"preset", "soc_init", "mesh.preset"})
+                | {"preset", "soc_init", "mesh.preset"})
 
     for lineno, key, value in raw:
         try:
@@ -256,9 +237,6 @@ def parse_scenario(path) -> ScenarioConfig:
             elif key in _DIM_KEYS:
                 attr, conv = _DIM_KEYS[key]
                 dim_kw[attr] = conv(value)
-            elif key in _SCALE_KEYS:
-                attr, conv = _SCALE_KEYS[key]
-                scale_kw[attr] = conv(value)
             elif key.startswith("mat."):
                 overrides[key[4:]] = _float(value)
             else:
@@ -271,8 +249,7 @@ def parse_scenario(path) -> ScenarioConfig:
     if not errors:
         try:
             if mesh_preset is not None:
-                base_mesh = {"coarse": MeshSpec.coarse,
-                             "production": MeshSpec.production}.get(mesh_preset)
+                base_mesh = MESH_PRESETS.get(mesh_preset)
                 if base_mesh is None:
                     errors.append(f"mesh.preset must be 'coarse' or 'production', "
                                   f"got {mesh_preset!r}")
@@ -284,9 +261,6 @@ def parse_scenario(path) -> ScenarioConfig:
             if dim_kw:
                 cfg = cfg.replace(
                     dims=dataclasses.replace(cfg.dims, **dim_kw))
-            if scale_kw:
-                cfg = cfg.replace(
-                    scales=dataclasses.replace(cfg.scales, **scale_kw))
             if overrides:
                 merged = dict(cfg.material_overrides)
                 merged.update(overrides)
@@ -330,21 +304,13 @@ def nondimensionalize(config: ScenarioConfig,
                       mats: MaterialSet | None = None) -> ScaledScenario:
     """Rescale every run input into the internal unit system.
 
-    The rescaling is a pure change of units: re-dimensionalizing any value
-    with the same ScaleSet reproduces the SI input exactly (one rounding).
+    The internal unit system is the fixed ``ScaleSet()``.  The rescaling is
+    a pure change of units: re-dimensionalizing any value with the same
+    ScaleSet reproduces the SI input exactly (one rounding).
     """
-    scales = config.scales
+    scales = ScaleSet()
     mats_si = mats if mats is not None else config.materials()
     mats_s = mats_si.scaled(scales)
-    conc = scales.factor(units.CONCENTRATION)
-    if config.guard_eps_e is not None:
-        eps_e = config.guard_eps_e / conc
-    else:
-        eps_e = 1e-3 * mats_s.c_e_init
-    if config.guard_eps_s is not None:
-        eps_s = config.guard_eps_s / conc
-    else:
-        eps_s = 1e-4 * min(mats_s.anode.c_max, mats_s.cathode.c_max)
     return ScaledScenario(
         scales=scales,
         mats=mats_s,
@@ -353,6 +319,6 @@ def nondimensionalize(config: ScenarioConfig,
         dt=scales.to_internal(config.dt, units.TIME),
         t_end=scales.to_internal(config.t_end, units.TIME),
         snapshot_every=scales.to_internal(config.snapshot_every, units.TIME),
-        guard=GuardPolicy(eps_e=eps_e, eps_s=eps_s,
-                          action=config.guard_action),
+        guard=dataclasses.replace(GuardPolicy.defaults(mats_s),
+                                  action=config.guard_action),
     )

@@ -20,8 +20,6 @@ import logging
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import postprocess as post
 from . import units
 from . import __version__
@@ -88,8 +86,7 @@ def build_problem(config: ScenarioConfig) -> tuple[CellProblem, ScaledScenario]:
     mesh = generate_layered_mesh(geom, config.mesh)
     problem = CellProblem(
         mesh, scaled.mats, Guard(scaled.guard),
-        mode=config.model, heat_convention=config.heat_convention,
-        kappa_d_factor=config.kappa_d_factor,
+        mode=config.model, kappa_d_factor=config.kappa_d_factor,
         soc_init=(config.soc_init_anode, config.soc_init_cathode))
     problem.set_load(scaled.i_app)
     return problem, scaled
@@ -174,8 +171,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
 
         if grid is not None:
             problem.prepare(hist.prev, grid.dt)
-            ones_cs = np.ones(problem.s_cs.ndof)
-            ones_ce = np.ones(problem.s_ce.ndof)
             next_snap = scaled.snapshot_every
             for n in range(1, grid.n_steps + 1):
                 state, rep = step(problem, hist, grid, n,
@@ -185,11 +180,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                 reports.append(rep)
                 extras.append(StepExtras(
                     t=state.t,
-                    int_cs=float(ones_cs @ (problem.m_cs @ state["c_s"])),
-                    int_ce=float(ones_ce @ (problem.m_ce @ state["c_e"])),
+                    int_cs=problem.readout(state, "int_cs"),
+                    int_ce=problem.readout(state, "int_ce"),
                     ibv_mid=rep.ibv_integral,
-                    theta_weighted=post.weighted_temperature(
-                        problem, state["theta"]),
+                    theta_weighted=problem.readout(state, "theta_weighted"),
                 ))
                 rec = post.record_state(problem, state, scales,
                                         rep.clamp_events)

@@ -72,6 +72,10 @@ class MeshSpec:
                    n_layers=1, degree=2, normal_degree=2)
 
 
+# The named resolutions of scenario files and the command line
+MESH_PRESETS = {"coarse": MeshSpec.coarse, "production": MeshSpec.production}
+
+
 def _graded_interval(a: float, b: float, n_base: int, grade_lo: bool,
                      grade_hi: bool, n_layers: int, ratio: float,
                      p: int, p_boost: int) -> tuple[list[float], list[int]]:

@@ -14,10 +14,9 @@ and heat loads.
 
 Sign conventions: the interface normal points from the electrode into the
 electrolyte; the reaction current I_BV is positive when lithium leaves the
-electrode.  Under the default 'physical' heat convention the bulk Ohmic
-source is -i.grad(phi) (nonnegative in each conductor) and the interface
-polarization heat enters as +eta*I_BV (nonnegative); the 'reversed'
-convention flips both signs.
+electrode.  The bulk Ohmic source is -i.grad(phi) (nonnegative in each
+conductor) and the interface polarization heat enters as +eta*I_BV
+(nonnegative).
 """
 
 from __future__ import annotations
@@ -128,18 +127,14 @@ class CellProblem:
     S_FIELDS = ("phi_s", "phi_e", "u")
 
     def __init__(self, mesh: Mesh, mats: MaterialSet, guard: Guard,
-                 mode: str = "full", heat_convention: str = "physical",
-                 kappa_d_factor: float = 1.0,
+                 mode: str = "full", kappa_d_factor: float = 1.0,
                  soc_init: tuple[float, float] = (0.5, 0.5)):
         if mode not in ("full", "electrochemical"):
             raise ValueError(f"unknown model mode {mode!r}")
-        if heat_convention not in ("physical", "reversed"):
-            raise ValueError(f"unknown heat convention {heat_convention!r}")
         self.mesh = mesh
         self.mats = mats
         self.guard = guard
         self.mode = mode
-        self.heat_convention = heat_convention
         self.kappa_d_factor = kappa_d_factor
         self.soc_init = soc_init
         self.i_app = 0.0
@@ -227,6 +222,25 @@ class CellProblem:
         self.cc_plus_w = asm.restrict_trace(self.s_ps, t_cc).T @ w_cc
         self.cc_plus_len = float(w_cc.sum())
         self.cc_plus_load = self.cc_plus_w[free_s]
+        # Every other recorded summary is likewise one dot product, w . v:
+        # a mean over a region (the load of the region's indicator, over its
+        # area), the rho*C_v-weighted mean temperature (the adiabatic heat
+        # invariant) or a lithium integral 1 . (M v).
+        def mean_w(space, region=None):
+            w = asm.assemble_load(space, 1.0 if region is None
+                                  else qp.tag == region)
+            return w / w.sum()
+
+        rho_cv_w = self.m_th @ np.ones(self.s_th.ndof)
+        self.readouts = {
+            "phi_e_avg": ("phi_e", mean_w(self.s_pe)),
+            "soc_anode": ("c_s", mean_w(self.s_cs, ANODE) / a.c_max),
+            "soc_cathode": ("c_s", mean_w(self.s_cs, CATHODE) / c.c_max),
+            "theta_avg": ("theta", mean_w(self.s_th)),
+            "theta_weighted": ("theta", rho_cv_w / rho_cv_w.sum()),
+            "int_cs": ("c_s", np.ones(self.s_cs.ndof) @ self.m_cs),
+            "int_ce": ("c_e", np.ones(self.s_ce.ndof) @ self.m_ce),
+        }
 
         # Strain-free reference concentrations (initial state of charge).
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
@@ -302,6 +316,11 @@ class CellProblem:
     def set_load(self, i_app: float):
         self.i_app = float(i_app)
 
+    def readout(self, state: SimState, name: str) -> float:
+        """One recorded summary of ``state`` (see ``readouts``)."""
+        field, w = self.readouts[name]
+        return float(w @ state[field])
+
     # ------------------------------------------------------------------
     # Interface kinetics
     # ------------------------------------------------------------------
@@ -376,8 +395,7 @@ class CellProblem:
     def heat_source_qp(self, mid: SimState) -> np.ndarray:
         """Ohmic volumetric source at the quadrature points: gamma
         |grad phi_s|^2 in the solid, kappa |grad phi_e|^2 + kappa_D grad c_e
-        . grad phi_e / c_e in the electrolyte (negated under the 'reversed'
-        convention)."""
+        . grad phi_e / c_e in the electrolyte."""
         mats, s, e = self.mats, self.solid_qp, self.elyte_qp
         q = np.zeros(self.qp.n)
         gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])[s]
@@ -391,8 +409,7 @@ class CellProblem:
         cross = (gc * ge).sum(axis=-1) / ce
         q[e] = mats.electrolyte.conductivity * (ge ** 2).sum(axis=-1) \
             + kd * cross
-        sign = 1.0 if self.heat_convention == "physical" else -1.0
-        return sign * q
+        return q
 
     # ------------------------------------------------------------------
     # Stage 1: parabolic systems at the midpoint
@@ -431,11 +448,10 @@ class CellProblem:
         mats = self.mats
         inv_f = 1.0 / mats.faraday
         t_plus = mats.electrolyte.t_plus
-        sign = 1.0 if self.heat_convention == "physical" else -1.0
         tr_t, w = self.iface_tr_t, self.iface_w
         return {"c_s": tr_t["c_s"] @ (w * -ist.i_bv * inv_f),
                 "c_e": tr_t["c_e"] @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
-                "theta": tr_t["theta"] @ (w * sign * ist.eta * ist.i_bv)}
+                "theta": tr_t["theta"] @ (w * ist.eta * ist.i_bv)}
 
     def stage1(self, prev: SimState, mid: SimState, dt: float,
                heat_start: bool = False):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import assemble as asm
 from . import units
-from .geometry import ANODE, CATHODE, ELYTE
+from .geometry import ELYTE
 from .materials import von_mises
 from .mesh import Mesh
 from .state import SimState
@@ -66,29 +66,6 @@ def cell_voltage(problem, phi_s_vec) -> float:
     return float(problem.cc_plus_w @ phi_s_vec) / problem.cc_plus_len
 
 
-def subdomain_average(space, vec, region: frozenset | None = None) -> float:
-    """Integral mean of a scalar field over (a region of) its support."""
-    area = asm.region_area(space, region)
-    if area == 0.0:
-        raise ValueError("average over an empty region")
-    return asm.integrate(space, asm.eval_qp(space, vec), region) / area
-
-
-def soc_average(problem, cs_vec, tag: int) -> float:
-    c_max = problem.mats.electrode({ANODE: "sa", CATHODE: "sc"}[tag]).c_max
-    return subdomain_average(problem.s_cs, cs_vec, frozenset({tag})) / c_max
-
-
-def temperature_average(problem, theta_vec) -> float:
-    return subdomain_average(problem.s_th, theta_vec)
-
-
-def weighted_temperature(problem, theta_vec) -> float:
-    """rho*C_v-weighted mean temperature (the adiabatic heat invariant)."""
-    w = problem.m_th @ np.ones(problem.s_th.ndof)
-    return float(w @ theta_vec / w.sum())
-
-
 def displacement_max(problem, u_vec) -> float:
     mag = np.hypot(u_vec[0::2], u_vec[1::2])
     return float(mag.max()) if mag.size else 0.0
@@ -98,15 +75,14 @@ def record_state(problem, state: SimState, scales: ScaleSet,
                  clamp_events: int = 0) -> TimeSeriesRecord:
     """Summarize one state into SI quantities of interest."""
     vmax = problem.von_mises_qp(state)[1] if problem.mode == "full" else 0.0
+    avg = problem.readout
     return TimeSeriesRecord(
         t_s=scales.to_si(state.t, units.TIME),
         v_out_v=scales.to_si(cell_voltage(problem, state["phi_s"]), units.VOLT),
-        phi_e_avg_v=scales.to_si(
-            subdomain_average(problem.s_pe, state["phi_e"]), units.VOLT),
-        soc_anode=soc_average(problem, state["c_s"], ANODE),
-        soc_cathode=soc_average(problem, state["c_s"], CATHODE),
-        temp_k=scales.to_si(temperature_average(problem, state["theta"]),
-                            units.TEMPERATURE),
+        phi_e_avg_v=scales.to_si(avg(state, "phi_e_avg"), units.VOLT),
+        soc_anode=avg(state, "soc_anode"),
+        soc_cathode=avg(state, "soc_cathode"),
+        temp_k=scales.to_si(avg(state, "theta_avg"), units.TEMPERATURE),
         u_max_m=scales.to_si(displacement_max(problem, state["u"]),
                              units.LENGTH),
         vm_max_pa=scales.to_si(vmax, units.STRESS),

@@ -340,9 +340,11 @@ def test_integrate_constant_gives_area():
     g = geo.build_interdigitated_domain()
     mesh = generate_layered_mesh(g, MeshSpec.coarse())
     s = _space(mesh)
-    assert asm.region_area(s) == pytest.approx(1000e-6 * 100e-6, rel=1e-12)
-    assert asm.region_area(s, frozenset({geo.ANODE})) == pytest.approx(
-        g.area(geo.ANODE), rel=1e-12)
+    assert asm.integrate(s, np.ones(s.qp.n)) == pytest.approx(
+        1000e-6 * 100e-6, rel=1e-12)
+    anode = (s.qp.tag == geo.ANODE).astype(float)
+    assert asm.integrate(s, anode) == pytest.approx(g.area(geo.ANODE),
+                                                    rel=1e-12)
 
 
 def test_eval_qp_consistency():

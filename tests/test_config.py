@@ -3,6 +3,7 @@ import pytest
 from voltacell import units
 from voltacell.config import ConfigError, ScenarioConfig, nondimensionalize, \
     parse_scenario, preset
+from voltacell.geometry import CellDimensions, scaled_dimensions
 from voltacell.units import ScaleSet
 
 
@@ -57,6 +58,19 @@ def test_all_violations_reported_together(tmp_path):
     assert "soc_init" in msg and "model" in msg
 
 
+@pytest.mark.parametrize("key, value", [
+    ("heat_convention", "reversed"), ("scale.length", "1e-3"),
+    ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0")])
+def test_removed_keys_are_unknown(tmp_path, key, value):
+    """The heat-sign convention, the internal unit scales and the guard
+    margins are fixed, so a scenario file cannot set them."""
+    f = tmp_path / "scn.txt"
+    f.write_text(f"dt = 6\n{key} = {value}\n")
+    with pytest.raises(ConfigError,
+                       match=f"line 2: unknown key {key!r}"):
+        parse_scenario(str(f))
+
+
 def test_parse_error_carries_line_number(tmp_path):
     f = tmp_path / "scn.txt"
     f.write_text("dt = 6\nnot a config line\n")
@@ -107,21 +121,18 @@ def test_nondimensionalize_round_trip(mats_si):
 
 
 def test_identity_scales_leave_si(mats_si):
-    cfg = preset("low_discharge").replace(scales=ScaleSet.identity())
-    scaled = nondimensionalize(cfg, mats_si)
-    assert scaled.i_app == 5.0
-    assert scaled.dt == 6.0
-    assert scaled.mats.anode.diffusivity0 == mats_si.anode.diffusivity0
-    assert scaled.dims.h_s == 30e-6
+    identity = ScaleSet.identity()
+    assert identity.to_internal(5.0, units.CURRENT_DENSITY) == 5.0
+    assert identity.to_internal(6.0, units.TIME) == 6.0
+    assert mats_si.scaled(identity).anode.diffusivity0 \
+        == mats_si.anode.diffusivity0
+    assert scaled_dimensions(CellDimensions(), 1.0).h_s == 30e-6
 
 
 def test_guard_defaults_scaled(mats_si):
     cfg = preset("high_discharge")
     scaled = nondimensionalize(cfg, mats_si)
-    conc = cfg.scales.factor(units.CONCENTRATION)
+    conc = scaled.scales.factor(units.CONCENTRATION)
     assert scaled.guard.eps_e * conc == pytest.approx(1e-3 * 2000.0, rel=1e-12)
     assert scaled.guard.eps_s * conc == pytest.approx(1e-4 * 2.286e4,
                                                       rel=1e-12)
-    cfg2 = cfg.replace(guard_eps_e=5.0)
-    scaled2 = nondimensionalize(cfg2, mats_si)
-    assert scaled2.guard.eps_e * conc == pytest.approx(5.0, rel=1e-12)

@@ -5,6 +5,7 @@ from voltacell import assemble as asm
 from voltacell import geometry as geo
 from voltacell import materials as mat
 from voltacell import physics as phys
+from voltacell import spaces as sps
 from voltacell.mesh import Mesh
 from voltacell.solve import DEFAULT_RTOL
 from voltacell.state import Guard, GuardPolicy
@@ -160,18 +161,14 @@ def test_current_density_diffusional_term(mats):
 
 
 def test_ohmic_heat_conventions(mats):
-    """The source is nonnegative in each conductor, flips sign under the
-    'reversed' convention and vanishes without gradients."""
-    probs = {c: toy_strip_problem(mats, heat_convention=c)
-             for c in ("physical", "reversed")}
-    state = _hand_set_state(probs["physical"], (2.0, -1.0), (0.5, 0.2),
+    """The source is nonnegative in each conductor and vanishes without
+    gradients."""
+    prob = toy_strip_problem(mats)
+    state = _hand_set_state(prob, (2.0, -1.0), (0.5, 0.2),
                             lambda x, y: 2000.0 + 0.0 * x)
-    q = probs["physical"].heat_source_qp(state)
-    assert np.all(q > 0.0)
-    assert probs["reversed"].heat_source_qp(state) == pytest.approx(-q,
-                                                                    rel=1e-14)
-    rest = probs["physical"].initial_state()
-    assert np.abs(probs["physical"].heat_source_qp(rest)).max() <= 1e-20
+    assert np.all(prob.heat_source_qp(state) > 0.0)
+    rest = prob.initial_state()
+    assert np.abs(prob.heat_source_qp(rest)).max() <= 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +505,46 @@ def test_layout_matches_per_element_evaluation(pattern_problem):
     assert np.all(vals[prob.elyte_qp] == 0.0)
 
 
+def test_readouts_match_quadrature_averages(pattern_problem):
+    """Each recorded summary, one dot product with a stored weight vector,
+    is the quadrature integral of its field over its region, divided by the
+    region's quadrature area for the means and by the integral of rho*C_v
+    for the weighted temperature."""
+    prob = pattern_problem
+    qp, mats = prob.qp, prob.mats
+    state = _layout_state(prob)
+    state["phi_e"] = state["phi_e"] * (1.0 + 0.01 * np.sin(
+        np.arange(prob.s_pe.ndof)))
+    everywhere = (geo.ANODE, geo.CATHODE, geo.ELYTE)
+
+    def integral(space, field, tags, weight=1.0):
+        vals = asm.eval_qp(space, state[field]) * weight
+        return asm.integrate(space, vals * np.isin(qp.tag, tags))
+
+    def mean(space, field, tags):
+        return integral(space, field, tags) \
+            / asm.integrate(space, np.isin(qp.tag, tags).astype(float))
+
+    rho_cv = sps.tag_values({geo.ANODE: mats.anode.rho_cv,
+                             geo.CATHODE: mats.cathode.rho_cv,
+                             geo.ELYTE: mats.electrolyte.rho_cv}, qp.tag)
+    expected = {
+        "phi_e_avg": mean(prob.s_pe, "phi_e", [geo.ELYTE]),
+        "soc_anode": mean(prob.s_cs, "c_s", [geo.ANODE]) / mats.anode.c_max,
+        "soc_cathode": mean(prob.s_cs, "c_s", [geo.CATHODE])
+        / mats.cathode.c_max,
+        "theta_avg": mean(prob.s_th, "theta", everywhere),
+        "theta_weighted": integral(prob.s_th, "theta", everywhere, rho_cv)
+        / asm.integrate(prob.s_th, rho_cv),
+        "int_cs": integral(prob.s_cs, "c_s", [geo.ANODE, geo.CATHODE]),
+        "int_ce": integral(prob.s_ce, "c_e", [geo.ELYTE]),
+    }
+    assert set(expected) == set(prob.readouts)
+    for name, value in expected.items():
+        assert prob.readout(state, name) == pytest.approx(value, rel=1e-13), \
+            name
+
+
 def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
                                                       mats_scaled):
     """solid_pressure_qp and von_mises_qp equal Hooke's law with each
@@ -725,27 +762,6 @@ def test_interface_sample_fields(coarse_problem):
     assert np.abs(ist.eta).max() < 1e-10
     assert np.abs(ist.i_bv).max() < 1e-8
     assert np.all(ist.coeff > 0.0)
-
-
-def test_reversed_heat_terms_are_negated(coarse_mesh, mats_scaled,
-                                              scales):
-    """The heat-sign switch flips both the bulk source and the interface
-    term, nothing else."""
-    from voltacell import units
-    probs = {c: conftest.make_problem(coarse_mesh, mats_scaled,
-                                      heat_convention=c)
-             for c in ("physical", "reversed")}
-    state = probs["physical"].initial_state()
-    state["phi_e"] = state["phi_e"] + 0.02   # force a nonzero eta and source
-    for prob in probs.values():
-        prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
-    q_phys = probs["physical"].heat_source_qp(state)
-    q_lit = probs["reversed"].heat_source_qp(state)
-    assert np.allclose(q_phys, -q_lit, atol=1e-30)
-    ist = probs["physical"].interface_state_of(state)
-    h_phys = probs["physical"].iface_loads(ist)["theta"]
-    h_lit = probs["reversed"].iface_loads(ist)["theta"]
-    assert np.allclose(h_phys, -h_lit, atol=1e-30)
 
 
 def test_electrochemical_mode_freezes_theta_and_u(coarse_mesh, mats_scaled,

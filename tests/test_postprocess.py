@@ -6,7 +6,7 @@ import pytest
 from voltacell import postprocess as post
 from voltacell import units
 from voltacell.config import preset
-from voltacell.geometry import ANODE, CATHODE
+from voltacell.state import SimState
 
 import conftest
 import oracles
@@ -39,21 +39,26 @@ def test_cell_voltage_of_constant(problem_state):
 
 def test_subdomain_averages_at_start(problem_state, mats_scaled):
     prob, s0 = problem_state
-    assert post.soc_average(prob, s0["c_s"], ANODE) \
-        == pytest.approx(0.5, rel=1e-12)
-    assert post.soc_average(prob, s0["c_s"], CATHODE) \
-        == pytest.approx(0.5, rel=1e-12)
-    assert post.temperature_average(prob, s0["theta"]) \
-        == pytest.approx(mats_scaled.theta_ref, rel=1e-12)
-    assert post.subdomain_average(prob.s_pe, s0["phi_e"]) \
+    assert prob.readout(s0, "soc_anode") == pytest.approx(0.5, rel=1e-12)
+    assert prob.readout(s0, "soc_cathode") == pytest.approx(0.5, rel=1e-12)
+    for name in ("theta_avg", "theta_weighted"):
+        assert prob.readout(s0, name) \
+            == pytest.approx(mats_scaled.theta_ref, rel=1e-12)
+    assert prob.readout(s0, "phi_e_avg") \
         == pytest.approx(-mats_scaled.anode.ocp(0.5), rel=1e-12)
 
 
 def test_average_of_constant_field_is_exact(problem_state):
-    prob, _ = problem_state
-    c = prob.s_th.constant(7.25)
-    assert post.subdomain_average(prob.s_th, c) == pytest.approx(7.25,
-                                                                 rel=1e-13)
+    prob, s0 = problem_state
+    const = {k: prob.spaces[k].constant(7.25)
+             for k in ("theta", "c_s", "phi_e")}
+    state = SimState(0.0, {**s0.fields, **const})
+    for name in ("theta_avg", "theta_weighted", "phi_e_avg"):
+        assert prob.readout(state, name) == pytest.approx(7.25, rel=1e-13)
+    for name, el in (("soc_anode", prob.mats.anode),
+                     ("soc_cathode", prob.mats.cathode)):
+        assert prob.readout(state, name) * el.c_max \
+            == pytest.approx(7.25, rel=1e-13)
 
 
 def test_von_mises_zero_at_rest(problem_state):
