@@ -17,7 +17,11 @@ Coefficients may be given as a scalar, a per-subdomain-tag dict, a callable
 ``f(x, y)`` evaluated at quadrature points, or a flat array over the mesh's
 quadrature points (``spaces.QuadPoints``) as produced by ``eval_qp``.  The
 assemblers and evaluators slice flat arrays per degree group for their
-matmuls.
+matmuls.  The per-sweep kernels follow the same idiom: evaluating a field at
+the points is the gather ``vec[dofs]`` times a transposed reference table,
+one BLAS matmul per degree group, and a volume load is one matmul per group
+whose element vectors are summed into the DOFs by a single ``np.bincount``
+over all groups (``FieldSpace.cell_dofs``).
 """
 
 from __future__ import annotations
@@ -281,44 +285,50 @@ def assemble_elasticity(space: FieldSpace, shear, bulk) -> sp.csr_matrix:
 # Volume loads and field evaluation
 # ---------------------------------------------------------------------------
 
+def _sum_cells(space: FieldSpace, blocks: list) -> np.ndarray:
+    """The global vector of element vectors summed into their DOFs: one
+    block per occupied group, laid out as ``space.cell_dofs``."""
+    return np.bincount(space.cell_dofs,
+                       weights=np.concatenate([b.ravel() for b in blocks]),
+                       minlength=space.ndof)
+
+
 def assemble_load(space: FieldSpace, f) -> np.ndarray:
     """(w_i, f) load vector for a scalar field."""
-    b = np.zeros(space.ndof)
-    for (g, rows, dofs, _), fa in zip(space.occupied(),
-                                      coeff_arrays(space, f)):
-        be = (fa * (0.25 * g.hx[rows] * g.hy[rows])[:, None]) \
-            @ ref_tables(g.px, g.py).load
-        np.add.at(b, dofs, be)
-    return b
+    return _sum_cells(space, [
+        (fa * (0.25 * g.hx[rows] * g.hy[rows])[:, None])
+        @ ref_tables(g.px, g.py).load
+        for (g, rows, _, _), fa in zip(space.occupied(),
+                                       coeff_arrays(space, f))])
 
 
 def assemble_grad_load(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """(grad w_i, v) with a vector field v given as a flat (n_qp, 2) array."""
-    b = np.zeros(space.ndof)
-    for g, rows, dofs, block in space.occupied():
+    blocks = []
+    for g, rows, _, block in space.occupied():
         hx, hy = g.hx[rows], g.hy[rows]
         v = vec[block].reshape(g.n_elems, -1, 2)[rows]
         # (2/hx) * detJ = hy/2 ; (2/hy) * detJ = hx/2
         c = np.hstack([v[:, :, 0] * (0.5 * hy)[:, None],
                        v[:, :, 1] * (0.5 * hx)[:, None]])
-        np.add.at(b, dofs, c @ ref_tables(g.px, g.py).grad_load)
-    return b
+        blocks.append(c @ ref_tables(g.px, g.py).grad_load)
+    return _sum_cells(space, blocks)
 
 
 def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
     """(div v_i, f) load for a 2-vector space."""
     if space.arity != 2:
         raise AssemblyError("div load needs a 2-vector space")
-    b = np.zeros(space.ndof)
-    for (g, rows, node_dofs, _), fa in zip(space.occupied(),
-                                           coeff_arrays(space, f)):
+    blocks = []
+    for (g, rows, _, _), fa in zip(space.occupied(), coeff_arrays(space, f)):
         hx, hy = g.hx[rows], g.hy[rows]
         nq = fa.shape[1]
         table = ref_tables(g.px, g.py).grad_load
-        np.add.at(b, node_dofs * 2, (fa * (0.5 * hy)[:, None]) @ table[:nq])
-        np.add.at(b, node_dofs * 2 + 1,
-                  (fa * (0.5 * hx)[:, None]) @ table[nq:])
-    return b
+        # the x and y components of each node side by side
+        blocks.append(np.stack([(fa * (0.5 * hy)[:, None]) @ table[:nq],
+                                (fa * (0.5 * hx)[:, None]) @ table[nq:]],
+                               axis=-1))
+    return _sum_cells(space, blocks)
 
 
 def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
@@ -326,8 +336,7 @@ def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     off-support)."""
     out = np.zeros(space.qp.n)
     for g, rows, dofs, block in space.occupied():
-        out[block].reshape(g.n_elems, -1)[rows] = np.einsum(
-            "ei,qi->eq", vec[dofs], g.ref.values)
+        out[block].reshape(g.n_elems, -1)[rows] = vec[dofs] @ g.ref.values.T
     return out
 
 
@@ -337,10 +346,8 @@ def eval_grad_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     for g, rows, dofs, block in space.occupied():
         arr = out[block].reshape(g.n_elems, -1, 2)
         c = vec[dofs]
-        arr[rows, :, 0] = np.einsum("ei,qi->eq", c, g.ref.grad_x) \
-            * (2.0 / g.hx[rows])[:, None]
-        arr[rows, :, 1] = np.einsum("ei,qi->eq", c, g.ref.grad_y) \
-            * (2.0 / g.hy[rows])[:, None]
+        arr[rows, :, 0] = (c @ g.ref.grad_x.T) * (2.0 / g.hx[rows])[:, None]
+        arr[rows, :, 1] = (c @ g.ref.grad_y.T) * (2.0 / g.hy[rows])[:, None]
     return out
 
 
@@ -374,15 +381,14 @@ def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
             space.master, space.member_rows, space.cell_node_dofs)):
         if len(rows) == 0:
             continue
-        grad_x, grad_y = tables[k]
+        dx, dy = tables[k][0].T, tables[k][1].T
         sx, sy = (2.0 / g.hx[rows])[:, None], (2.0 / g.hy[rows])[:, None]
         ux = vec[node_dofs * 2]
         uy = vec[node_dofs * 2 + 1]
         arr = out[offsets[k]:offsets[k + 1]].reshape(g.n_elems, -1, 3)
-        arr[rows, :, 0] = np.einsum("ei,qi->eq", ux, grad_x) * sx
-        arr[rows, :, 1] = np.einsum("ei,qi->eq", uy, grad_y) * sy
-        arr[rows, :, 2] = 0.5 * (np.einsum("ei,qi->eq", ux, grad_y) * sy
-                                 + np.einsum("ei,qi->eq", uy, grad_x) * sx)
+        arr[rows, :, 0] = (ux @ dx) * sx
+        arr[rows, :, 1] = (uy @ dy) * sy
+        arr[rows, :, 2] = 0.5 * ((ux @ dy) * sy + (uy @ dx) * sx)
     return out
 
 

@@ -373,29 +373,40 @@ class CellProblem:
         return hooke_plane_strain(strain[:, 0], strain[:, 1], strain[:, 2],
                                   theta, c_s, el, self.mats, el.c_s_ref)
 
-    def solid_pressure_qp(self, u_v, theta_v, cs_solid) -> np.ndarray:
-        """Hydrostatic pressure at the solid quadrature points, from c_s
-        there (zero in the electrochemical model)."""
+    def solid_pressure_qp(self, u_v, theta_qp, cs_solid) -> np.ndarray:
+        """Hydrostatic pressure at the solid quadrature points, from theta at
+        the quadrature points (flat, as ``eval_qp`` returns it) and c_s at
+        the solid points; zero in the electrochemical model, which reads
+        neither (``theta_qp`` may be None there)."""
         if self.mode == "electrochemical":
             return np.zeros(len(self.solid_qp))
         s = self.solid_qp
         stress = self.solid_stress(asm.eval_strain_qp(self.s_u, u_v)[s],
-                                   asm.eval_qp(self.s_th, theta_v)[s],
-                                   cs_solid, self.solid)
+                                   theta_qp[s], cs_solid, self.solid)
         return hydrostatic_pressure(stress)
 
-    def solid_diffusivity_qp(self, mid: SimState) -> np.ndarray:
-        """D_s at the quadrature points (1 off the solid)."""
+    def theta_points(self, theta_v) -> np.ndarray | None:
+        """theta at the quadrature points for the laws of the full model, or
+        None in the electrochemical model, whose stage 1 reads no volume
+        temperature."""
+        if self.mode == "electrochemical":
+            return None
+        return asm.eval_qp(self.s_th, theta_v)
+
+    def solid_diffusivity_qp(self, mid: SimState, theta_qp) -> np.ndarray:
+        """D_s at the quadrature points (1 off the solid), with theta at the
+        quadrature points given (see ``solid_pressure_qp``)."""
         cs = self._guarded_cs_qp(mid["c_s"])
-        pi = self.solid_pressure_qp(mid["u"], mid["theta"], cs)
+        pi = self.solid_pressure_qp(mid["u"], theta_qp, cs)
         d = np.ones(self.qp.n)
         d[self.solid_qp] = stress_diffusivity(cs, pi, self.solid, self.mats)
         return d
 
-    def heat_source_qp(self, mid: SimState) -> np.ndarray:
+    def heat_source_qp(self, mid: SimState, theta_qp) -> np.ndarray:
         """Ohmic volumetric source at the quadrature points: gamma
         |grad phi_s|^2 in the solid, kappa |grad phi_e|^2 + kappa_D grad c_e
-        . grad phi_e / c_e in the electrolyte."""
+        . grad phi_e / c_e in the electrolyte, with theta at the quadrature
+        points given (flat)."""
         mats, s, e = self.mats, self.solid_qp, self.elyte_qp
         q = np.zeros(self.qp.n)
         gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])[s]
@@ -404,8 +415,7 @@ class CellProblem:
         gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])[e]
         ce = self.guard.c_e(asm.eval_qp(self.s_ce, mid["c_e"])[e],
                             "c_e volume (heat source)")
-        kd = diffusional_conductivity(asm.eval_qp(self.s_th, mid["theta"])[e],
-                                      mats) * self.kappa_d_factor
+        kd = diffusional_conductivity(theta_qp[e], mats) * self.kappa_d_factor
         cross = (gc * ge).sum(axis=-1) / ce
         q[e] = mats.electrolyte.conductivity * (ge ** 2).sum(axis=-1) \
             + kd * cross
@@ -423,13 +433,15 @@ class CellProblem:
         1's Euler-predicted midpoint would (on the production presets 25 CG
         iterations per later step instead of 40)."""
         self._prepare_dt(dt)
-        self.cs_solver.hold(self.cs_matrices(state, dt)[1])
+        self.cs_solver.hold(self.cs_matrices(
+            state, dt, self.theta_points(state["theta"]))[1])
 
-    def cs_matrices(self, state: SimState, dt: float):
-        """K_cs at the solid diffusivity of ``state`` and the midpoint matrix
-        M_cs + dt/2 K_cs, both on M_cs's pattern."""
-        k = self.cs_scatter.stiffness(self.solid_diffusivity_qp(state),
-                                      "solid diffusivity")
+    def cs_matrices(self, state: SimState, dt: float, theta_qp):
+        """K_cs at the solid diffusivity of ``state`` (with theta at the
+        quadrature points given) and the midpoint matrix M_cs + dt/2 K_cs,
+        both on M_cs's pattern."""
+        k = self.cs_scatter.stiffness(
+            self.solid_diffusivity_qp(state, theta_qp), "solid diffusivity")
         return k, self.cs_scatter.with_data(self.m_cs.data + 0.5 * dt * k.data)
 
     def _prepare_dt(self, dt: float):
@@ -476,15 +488,18 @@ class CellProblem:
         ops = self._prepare_dt(dt)
         ist = self.interface_state_of(mid)
         loads = self.iface_loads(ist)
+        # one evaluation serves the c_s diffusivity and the heat source
+        theta_qp = self.theta_points(mid["theta"])
 
-        k_cs, a_cs = self.cs_matrices(mid, dt)
+        k_cs, a_cs = self.cs_matrices(mid, dt, theta_qp)
         b_cs = dt * (loads["c_s"] - k_cs @ prev["c_s"])
         b_ce = dt * (loads["c_e"] - self.k_ce @ prev["c_e"])
 
         new = {"c_s": prev["c_s"] + self.cs_solver.solve(a_cs, b_cs),
                "c_e": prev["c_e"] + ops["ce_factor"].solve(b_ce)}
         if self.mode == "full":
-            q_load = asm.assemble_load(self.s_th, self.heat_source_qp(mid))
+            q_load = asm.assemble_load(self.s_th,
+                                       self.heat_source_qp(mid, theta_qp))
             source = q_load + loads["theta"]
             h, n_sub = (0.5 * dt, 2) if heat_start else (dt, 1)
             theta = prev["theta"]
@@ -516,14 +531,16 @@ class CellProblem:
         ist = self.interface_state_of(state)
         loads = self.iface_loads(ist)
         rates = {}
-        k_cs, _ = self.cs_matrices(state, 0.0)
+        theta_qp = self.theta_points(state["theta"])
+        k_cs, _ = self.cs_matrices(state, 0.0, theta_qp)
         rates["c_s"] = solve_mass(self.m_cs,
                                   -(k_cs @ state["c_s"]) + loads["c_s"], "c_s")
         rates["c_e"] = solve_mass(self.m_ce,
                                   -(self.k_ce @ state["c_e"]) + loads["c_e"],
                                   "c_e")
         if self.mode == "full":
-            q_load = asm.assemble_load(self.s_th, self.heat_source_qp(state))
+            q_load = asm.assemble_load(self.s_th,
+                                       self.heat_source_qp(state, theta_qp))
             rates["theta"] = solve_mass(
                 self.m_th,
                 -(self.k_th @ state["theta"]) + q_load + loads["theta"],
@@ -536,20 +553,22 @@ class CellProblem:
     # Stage 2: quasi-static potentials and displacement
     # ------------------------------------------------------------------
 
-    def _kappa_d_grad_load(self, theta_v, ce_v) -> np.ndarray:
-        """(grad psi_e, kappa_D grad ln c_e) load vector (full DOFs)."""
+    def _kappa_d_grad_load(self, theta_qp, ce_v) -> np.ndarray:
+        """(grad psi_e, kappa_D grad ln c_e) load vector (full DOFs), with
+        theta at the quadrature points given (flat)."""
         e = self.elyte_qp
         ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v)[e],
                             "c_e volume (kappa_D load)")
-        kd = diffusional_conductivity(asm.eval_qp(self.s_th, theta_v)[e],
-                                      self.mats) * self.kappa_d_factor
+        kd = diffusional_conductivity(theta_qp[e], self.mats) \
+            * self.kappa_d_factor
         vec = np.zeros((self.qp.n, 2))
         vec[e] = kd[:, None] * asm.eval_grad_qp(self.s_ce, ce_v)[e] \
             / ce[:, None]
         return asm.assemble_grad_load(self.s_pe, vec)
 
-    def potential_system(self, theta_v, cs_v, ce_v):
-        """The linearized phi_s/phi_e pair as one reduced block system.
+    def potential_system(self, theta_v, cs_v, ce_v, theta_qp):
+        """The linearized phi_s/phi_e pair as one reduced block system, with
+        theta given as a vector and at the quadrature points (flat).
 
         Unknowns are phi_s on its free DOFs followed by phi_e.  With the
         interface jump operator D = [T_s, -T_e] and W_c = diag(w I_c F/(R
@@ -566,14 +585,15 @@ class CellProblem:
                 "the phi_e system is singular")
         a = self.pot_mass.matrix(coeff)
         b = np.concatenate([-self.i_app * self.cc_plus_load,
-                            -self._kappa_d_grad_load(theta_v, ce_v)])
+                            -self._kappa_d_grad_load(theta_qp, ce_v)])
         b += self.iface_jump_t @ (self.iface_w * coeff * kin["ocp"])
         return a, b
 
-    def elasticity_load(self, theta_v, cs_v) -> np.ndarray:
-        """(div v, 3K(alpha dtheta + omega dc)) load on the solid."""
+    def elasticity_load(self, theta_qp, cs_v) -> np.ndarray:
+        """(div v, 3K(alpha dtheta + omega dc)) load on the solid, with theta
+        at the quadrature points given (flat)."""
         s, el = self.solid_qp, self.solid
-        th = asm.eval_qp(self.s_th, theta_v)[s]
+        th = theta_qp[s]
         cs = asm.eval_qp(self.s_cs, cs_v)[s]
         load = np.zeros(self.qp.n)
         load[s] = 3.0 * el.bulk * (el.alpha * (th - self.mats.theta_ref)
@@ -595,7 +615,9 @@ class CellProblem:
         large offset.
         """
         theta_v, cs_v, ce_v = d_new["theta"], d_new["c_s"], d_new["c_e"]
-        a, b = self.potential_system(theta_v, cs_v, ce_v)
+        # one evaluation serves the kappa_D load and the elasticity load
+        theta_qp = asm.eval_qp(self.s_th, theta_v)
+        a, b = self.potential_system(theta_v, cs_v, ce_v, theta_qp)
         n_s = self.s_ps.n_free
         guess = np.concatenate([s_guess["phi_s"][self.s_ps.free],
                                 s_guess["phi_e"]])
@@ -606,7 +628,7 @@ class CellProblem:
             # The displacement constraints are homogeneous, so reducing the
             # load is a plain row selection (no lifting term).
             free = self.s_u.free
-            b_u = self.elasticity_load(theta_v, cs_v)[free]
+            b_u = self.elasticity_load(theta_qp, cs_v)[free]
             u_guess = s_guess["u"][free]
             u = asm.expand(self.s_u, u_guess + self._u_factor.solve(
                 b_u - self.k_u_red @ u_guess))

@@ -8,7 +8,10 @@ nearby matrices (one per fixed-point sweep and step): it keeps the factor of
 one of them and solves the others by conjugate gradients preconditioned with
 it, refactorizing only when that falls short.  Every solve checks the
 relative residual against the tolerance and fails loudly otherwise, with a
-``SolveError`` that names the system and the cause.
+``SolveError`` that names the system and the cause.  A direct solve does one
+backsolve and checks it; only a solve that fails the check is refined (at
+most ``REFINEMENTS`` more backsolves, each checked again), so a well-scaled
+system costs one backsolve and one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ try:
 except (AttributeError, OSError, TypeError):    # not a glibc process
     _MALLOPT = None
 
+# Rounds of iterative refinement a direct solve may add after its first
+# backsolve while the residual check fails.
+REFINEMENTS = 2
+
 # Preconditioned CG iterations a held factor spends on a new matrix before it
 # gives up and factorizes that matrix instead.
 HELD_CG_MAXITER = 10
@@ -56,6 +63,7 @@ class SpdFactor:
     the second term is the irreducible float64 noise of applying A to the
     solution, which matters when b is a near-converged correction many orders
     below A's scale (it sits ~6 orders under any genuine solver failure).
+    A direct solve refines its first backsolve only while this check fails.
     ``name`` labels the system in the messages of ``SolveError``.
     """
 
@@ -95,27 +103,31 @@ class SpdFactor:
         if norm_b == 0.0:
             return np.zeros(self.n)
         if self.method == "direct":
+            # Refine only while the residual check fails: on poorly scaled
+            # systems up to REFINEMENTS rounds recover the tolerance.
             x = self._lu.solve(rhs)
-            # one or two rounds of iterative refinement recover the residual
-            # tolerance on poorly scaled systems
-            for _ in range(2):
+            for refinement in range(REFINEMENTS + 1):
                 res = rhs - self._mat @ x
-                if np.linalg.norm(res) <= 0.01 * self.rtol * norm_b:
+                excess = _residual_excess(np.linalg.norm(res), norm_b,
+                                          self._a_max, x, self.rtol)
+                if excess is None or refinement == REFINEMENTS:
                     break
                 x = x + self._lu.solve(res)
         else:
             x, info = spla.cg(self._mat, rhs, rtol=min(self.rtol, 1e-12),
                               maxiter=20 * self.n, M=self._precond)
+            res = np.linalg.norm(self._mat @ x - rhs)
             if info != 0:
-                res = np.linalg.norm(self._mat @ x - rhs) / norm_b
                 raise SolveError(
                     f"{self.name}: CG did not converge (info={info}); "
-                    f"achieved relative residual {res:.3e}", achieved=res)
-        res = _residual_excess(self._mat, self._a_max, rhs, x, self.rtol)
-        if res is not None:
+                    f"achieved relative residual {res / norm_b:.3e}",
+                    achieved=res / norm_b)
+            excess = _residual_excess(res, norm_b, self._a_max, x, self.rtol)
+        if excess is not None:
             raise SolveError(
-                f"{self.name}: solve residual {res / norm_b:.3e} (relative) "
-                f"exceeds tolerance {self.rtol:.1e}", achieved=res / norm_b)
+                f"{self.name}: solve residual {excess / norm_b:.3e} "
+                f"(relative) exceeds tolerance {self.rtol:.1e}",
+                achieved=excess / norm_b)
         return x
 
 
@@ -131,13 +143,12 @@ def _rhs_norm(rhs, name) -> float:
     raise SolveError(f"{name}: right-hand side {cause} (max |b| = {b_max:.1e})")
 
 
-def _residual_excess(mat, a_max, rhs, x, rtol) -> float | None:
-    """||A x - b|| when it fails SpdFactor's residual check, else None."""
-    res = np.linalg.norm(mat @ x - rhs)
-    allowed = rtol * np.linalg.norm(rhs) \
-        + SpdFactor.APPLY_NOISE * a_max * np.linalg.norm(x)
-    if not np.isfinite(res) or res > allowed:
-        return float(res)
+def _residual_excess(norm_r, norm_b, a_max, x, rtol) -> float | None:
+    """The residual norm ||A x - b|| when it fails SpdFactor's residual
+    check, else None."""
+    allowed = rtol * norm_b + SpdFactor.APPLY_NOISE * a_max * np.linalg.norm(x)
+    if not np.isfinite(norm_r) or norm_r > allowed:
+        return float(norm_r)
     return None
 
 
@@ -146,8 +157,10 @@ class HeldFactor:
 
     ``solve(mat, rhs)`` runs conjugate gradients on ``mat``, preconditioned by
     the factor of an earlier matrix and started from its solve of ``rhs``,
-    until ||A x - b|| <= 0.01 rtol ||b|| (the target of SpdFactor's
-    refinement) and x passes SpdFactor's residual check.  When CG misses that
+    until ||A x - b|| <= 0.01 rtol ||b|| and x passes SpdFactor's residual
+    check.  The target sits below the check's bound because the factor is of
+    another matrix: CG corrects that mismatch, where a direct solve's first
+    backsolve usually passes the check as it is.  When CG misses that
     within ``HELD_CG_MAXITER`` iterations or meets a non-finite value, the
     old factor is dropped and ``mat`` is factorized and solved directly, so a
     system that no factor can solve still raises SolveError.
@@ -192,7 +205,9 @@ class HeldFactor:
                 break
             if norm_r <= target:
                 a_max = np.abs(mat.data).max() if mat.nnz else 0.0
-                if _residual_excess(mat, a_max, rhs, x, self.rtol) is None:
+                norm_res = np.linalg.norm(mat @ x - rhs)    # not CG's r
+                if _residual_excess(norm_res, norm_b, a_max, x,
+                                    self.rtol) is None:
                     return x
                 break
             if it == HELD_CG_MAXITER:

@@ -17,6 +17,7 @@ pointwise law runs once over all the points it applies to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,6 +240,16 @@ class FieldSpace:
         return [(g, rows, dofs, self.qp.block(k)) for k, (g, rows, dofs)
                 in enumerate(zip(self.master, self.member_rows,
                                  self.cell_node_dofs)) if len(rows)]
+
+    @cached_property
+    def cell_dofs(self) -> np.ndarray:
+        """The DOFs of the nodes of every occupied cell, flat: groups in the
+        order of ``occupied``, member cells in order, each cell's nodes in
+        local order with their components side by side.  Element vectors
+        laid out alike sum into a global vector with one ``np.bincount``."""
+        return np.concatenate([
+            (dofs[..., None] * self.arity + np.arange(self.arity)).ravel()
+            for _, _, dofs, _ in self.occupied()])
 
     def dofs_of_nodes(self, field_nodes: np.ndarray, comp: int = 0) -> np.ndarray:
         return np.asarray(field_nodes) * self.arity + comp

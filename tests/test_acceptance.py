@@ -251,10 +251,11 @@ def _system_matrices(problem, dt):
     s0 = problem.initial_state()
     mats = {}
     mats["theta system"] = problem.m_th + 0.5 * dt * problem.k_th
-    mats["c_s system"] = problem.cs_matrices(s0, dt)[1]
+    th_qp = asm.eval_qp(problem.s_th, s0["theta"])
+    mats["c_s system"] = problem.cs_matrices(s0, dt, th_qp)[1]
     mats["c_e system"] = problem.m_ce + 0.5 * dt * problem.k_ce
     mats["potential block system"], _ = problem.potential_system(
-        s0["theta"], s0["c_s"], s0["c_e"])
+        s0["theta"], s0["c_s"], s0["c_e"], th_qp)
     mats["elasticity"] = asm.constrain(problem.s_u, problem.k_u)
     return mats
 
@@ -357,7 +358,8 @@ def test_criterion_11_oracle_equivalence():
     k_dense = oracles.dense_stiffness(prob.s_cs, lambda x, y, t: d_s[t])
     dt = 2.0 * np.abs(m_dense).max() / np.abs(k_dense).max()  # both count
     worst["c_s system (fixed pattern)"] = rel(
-        prob.cs_matrices(s0, dt)[1], m_dense + 0.5 * dt * k_dense)
+        prob.cs_matrices(s0, dt, asm.eval_qp(prob.s_th, s0["theta"]))[1],
+        m_dense + 0.5 * dt * k_dense)
 
     from voltacell.physics import exchange_current
     cf = {t: exchange_current(prob.c_s_ref[t], mats_si.c_e_init, e, mats_si)
@@ -377,7 +379,8 @@ def test_criterion_11_oracle_equivalence():
     pair = np.block([[(k_s + e_ss)[np.ix_(free, free)], -e_se[free]],
                      [-e_se[free].T, k_e + e_ee]])
     worst["potential pair (fixed pattern)"] = rel(
-        prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])[0], pair)
+        prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"],
+                              asm.eval_qp(prob.s_th, s0["theta"]))[0], pair)
 
     ok = all(v < 1e-12 for v in worst.values())
     _report(11, ok, "sparse vs dense-oracle max relative deviation: "

@@ -121,13 +121,17 @@ def _hand_set_state(prob, grad_phi_s, grad_phi_e, c_e):
     return state
 
 
+def _heat_source(prob, state):
+    return prob.heat_source_qp(state, asm.eval_qp(prob.s_th, state["theta"]))
+
+
 def test_current_density_solid(mats):
     """In each electrode the source is gamma |grad phi_s|^2 (the Ohmic heat
     -i.grad phi_s of i = -gamma grad phi_s)."""
     prob = toy_strip_problem(mats)
     state = _hand_set_state(prob, (1.0, -0.5), (0.0, 0.0),
                             lambda x, y: 2000.0 + 0.0 * x)
-    q = prob.heat_source_qp(state)
+    q = _heat_source(prob, state)
     tag = prob.qp.tag
     assert q[tag == geo.ANODE] == pytest.approx(100.0 * 1.25, rel=1e-12)
     assert q[tag == geo.CATHODE] == pytest.approx(3.8 * 1.25, rel=1e-12)
@@ -139,7 +143,7 @@ def test_current_density_electrolyte_uniform_concentration(mats):
     gp = (0.5, -0.25)
     state = _hand_set_state(prob, (0.0, 0.0), gp,
                             lambda x, y: 2000.0 + 0.0 * x)
-    q = prob.heat_source_qp(state)
+    q = _heat_source(prob, state)
     assert q[prob.qp.tag == geo.ELYTE] == pytest.approx(
         mats.electrolyte.conductivity * (0.5 ** 2 + 0.25 ** 2), rel=1e-12)
     assert np.all(q[prob.qp.tag != geo.ELYTE] == 0.0)
@@ -156,8 +160,7 @@ def test_current_density_diffusional_term(mats):
     assert kd == pytest.approx(-6.546e-3, abs=1e-5)
     expected = mats.electrolyte.conductivity * (0.3 ** 2 + 0.1 ** 2) \
         + kd * 200.0 * 0.3 / c_e
-    assert prob.heat_source_qp(state)[e] == pytest.approx(expected,
-                                                          rel=1e-12)
+    assert _heat_source(prob, state)[e] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ohmic_heat_conventions(mats):
@@ -166,9 +169,9 @@ def test_ohmic_heat_conventions(mats):
     prob = toy_strip_problem(mats)
     state = _hand_set_state(prob, (2.0, -1.0), (0.5, 0.2),
                             lambda x, y: 2000.0 + 0.0 * x)
-    assert np.all(prob.heat_source_qp(state) > 0.0)
+    assert np.all(_heat_source(prob, state) > 0.0)
     rest = prob.initial_state()
-    assert np.abs(prob.heat_source_qp(rest)).max() <= 1e-20
+    assert np.abs(_heat_source(prob, rest)).max() <= 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,8 @@ def test_potential_system_hand_oracle(mats):
     i_app = 3.0
     prob.set_load(i_app)
     s0 = prob.initial_state()
-    a, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
+    a, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"],
+                                 asm.eval_qp(prob.s_th, s0["theta"]))
 
     theta0 = mats.theta_ref
     ocp_a = mats.anode.ocp(0.5)
@@ -292,10 +296,12 @@ def test_kappa_d_load_vanishes_for_uniform_concentration(mats):
     prob = toy_strip_problem(mats)
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    _, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
+    th_qp = asm.eval_qp(prob.s_th, s0["theta"])
+    _, b = prob.potential_system(s0["theta"], s0["c_s"], s0["c_e"], th_qp)
     prob2 = toy_strip_problem(mats, kappa_d_factor=0.0)
     prob2.set_load(0.0)
-    _, b_no_kd = prob2.potential_system(s0["theta"], s0["c_s"], s0["c_e"])
+    _, b_no_kd = prob2.potential_system(s0["theta"], s0["c_s"], s0["c_e"],
+                                        th_qp)
     assert np.allclose(b, b_no_kd,
                        atol=1e-12 * max(np.abs(b_no_kd).max(), 1e-30))
 
@@ -377,9 +383,10 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
     dt = 0.1
     pattern = (prob.m_cs.indptr, prob.m_cs.indices)
     for state in _sweep_states(prob):
-        k, a = prob.cs_matrices(state, dt)
-        k_ref = asm.assemble_stiffness(prob.s_cs,
-                                       prob.solid_diffusivity_qp(state))
+        th_qp = asm.eval_qp(prob.s_th, state["theta"])
+        k, a = prob.cs_matrices(state, dt, th_qp)
+        k_ref = asm.assemble_stiffness(
+            prob.s_cs, prob.solid_diffusivity_qp(state, th_qp))
         assert _rel(k.toarray(), k_ref.toarray()) <= 1e-13
         assert _rel(a.toarray(),
                     (prob.m_cs + 0.5 * dt * k_ref).toarray()) <= 1e-13
@@ -404,7 +411,8 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats_scaled):
     patterns = []
     for state in _sweep_states(prob):
         a, _ = prob.potential_system(state["theta"], state["c_s"],
-                                     state["c_e"])
+                                     state["c_e"],
+                                     asm.eval_qp(prob.s_th, state["theta"]))
         coeff = prob.interface_state_of(state).coeff
         dense = k_pot + d.T @ ((prob.iface_w * coeff)[:, None] * d)
         assert _rel(a.toarray(), dense) <= 1e-13
@@ -453,31 +461,22 @@ def test_layout_constants_follow_the_point_tags(pattern_problem,
             assert np.all(getattr(el, name)[at] == value), (tag, name)
 
 
-def test_layout_matches_per_element_evaluation(pattern_problem):
-    """Flat eval_qp, eval_grad_qp, assemble_load and integrate agree with a
-    cell-by-cell evaluation through the oracle's Lagrange polynomials."""
+def _cell_oracles(space):
+    """Per member cell of ``space``: its quadrature points in the flat
+    layout, its field node indices, and its basis values and physical x, y
+    derivatives at those points (each (nbf, nq)), built cell by cell from
+    the oracle's Lagrange polynomials."""
     import oracles
-    prob = pattern_problem
-    qp, space = prob.qp, prob.s_cs
-    vec = _layout_state(prob)["c_s"]
-    vals = asm.eval_qp(space, vec)
-    grads = asm.eval_grad_qp(space, vec)
-    f = np.cos(qp.x) + qp.y ** 2                # a flat load density
-    load = asm.assemble_load(space, f)
-    ref_vals = np.zeros(qp.n)
-    ref_grads = np.zeros((qp.n, 2))
-    ref_load = np.zeros(space.ndof)
-    total = 0.0
+    qp = space.qp
     for k, (g, rows, dofs) in enumerate(zip(
             space.master, space.member_rows, space.cell_node_dofs)):
         ref = g.ref
         nq = len(ref.qw)
         lx, ly = oracles.lagrange_polys(g.px), oracles.lagrange_polys(g.py)
         dlx, dly = [p.deriv() for p in lx], [p.deriv() for p in ly]
+        xi, eta = ref.qp[:, 0], ref.qp[:, 1]
         for e, row in enumerate(rows):
             pts = qp.offsets[k] + row * nq + np.arange(nq)
-            xi = ref.qp[:, 0]
-            eta = ref.qp[:, 1]
             assert np.allclose(qp.x[pts], g.x0[row] + (xi + 1) * 0.5
                                * g.hx[row], rtol=1e-14)
             assert np.allclose(qp.y[pts], g.y0[row] + (eta + 1) * 0.5
@@ -485,24 +484,76 @@ def test_layout_matches_per_element_evaluation(pattern_problem):
             assert np.allclose(qp.weight[pts], 0.25 * g.hx[row] * g.hy[row]
                                * ref.qw, rtol=1e-14)
             phi = np.array([ly[b](eta) * lx[a](xi) for b in range(g.py + 1)
-                            for a in range(g.px + 1)])       # (nbf, nq)
+                            for a in range(g.px + 1)])
             dx = np.array([ly[b](eta) * dlx[a](xi) for b in range(g.py + 1)
                            for a in range(g.px + 1)]) * 2.0 / g.hx[row]
             dy = np.array([dly[b](eta) * lx[a](xi) for b in range(g.py + 1)
                            for a in range(g.px + 1)]) * 2.0 / g.hy[row]
-            c = vec[dofs[e]]
-            ref_vals[pts] = c @ phi
-            ref_grads[pts] = np.column_stack([c @ dx, c @ dy])
-            np.add.at(ref_load, dofs[e], phi @ (qp.weight[pts] * f[pts]))
-            total += (qp.weight[pts] * vals[pts]).sum()
-    assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(
-        ref_vals).max())
-    assert np.allclose(grads, ref_grads, rtol=1e-10, atol=1e-10 * np.abs(
-        ref_grads).max())
-    assert np.allclose(load, ref_load, rtol=1e-12, atol=1e-12 * np.abs(
-        ref_load).max())
+            yield pts, dofs[e], phi, dx, dy
+
+
+def _assert_close(got, ref, tol):
+    assert np.allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+def test_layout_matches_per_element_evaluation(pattern_problem):
+    """Flat eval_qp, eval_grad_qp, assemble_load, assemble_grad_load and
+    integrate agree with a cell-by-cell evaluation through the oracle's
+    Lagrange polynomials."""
+    prob = pattern_problem
+    qp, space = prob.qp, prob.s_cs
+    vec = _layout_state(prob)["c_s"]
+    vals = asm.eval_qp(space, vec)
+    grads = asm.eval_grad_qp(space, vec)
+    f = np.cos(qp.x) + qp.y ** 2                # a flat load density
+    v = np.column_stack([np.sin(qp.y), qp.x * qp.y])    # a flat vector field
+    load = asm.assemble_load(space, f)
+    grad_load = asm.assemble_grad_load(space, v)
+    ref_vals = np.zeros(qp.n)
+    ref_grads = np.zeros((qp.n, 2))
+    ref_load = np.zeros(space.ndof)
+    ref_grad_load = np.zeros(space.ndof)
+    total = 0.0
+    for pts, dofs, phi, dx, dy in _cell_oracles(space):
+        w = qp.weight[pts]
+        c = vec[dofs]
+        ref_vals[pts] = c @ phi
+        ref_grads[pts] = np.column_stack([c @ dx, c @ dy])
+        np.add.at(ref_load, dofs, phi @ (w * f[pts]))
+        np.add.at(ref_grad_load, dofs,
+                  dx @ (w * v[pts, 0]) + dy @ (w * v[pts, 1]))
+        total += (w * vals[pts]).sum()
+    _assert_close(vals, ref_vals, 1e-12)
+    _assert_close(grads, ref_grads, 1e-10)
+    _assert_close(load, ref_load, 1e-12)
+    _assert_close(grad_load, ref_grad_load, 1e-12)
     assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12)
     assert np.all(vals[prob.elyte_qp] == 0.0)
+
+
+def test_vector_kernels_match_per_element_evaluation(pattern_problem):
+    """Flat eval_strain_qp and assemble_div_load on the displacement space
+    agree with a cell-by-cell evaluation: eps = (du_x/dx, du_y/dy,
+    (du_x/dy + du_y/dx) / 2) and (div v_i, f) = (d w/dx, f) on the x DOF,
+    (d w/dy, f) on the y DOF of each node."""
+    prob = pattern_problem
+    qp, space = prob.qp, prob.s_u
+    u = _layout_state(prob)["u"]
+    f = np.cos(qp.x) + qp.y ** 2
+    strain = asm.eval_strain_qp(space, u)
+    div_load = asm.assemble_div_load(space, f)
+    ref_strain = np.zeros((qp.n, 3))
+    ref_div_load = np.zeros(space.ndof)
+    for pts, nodes, _, dx, dy in _cell_oracles(space):
+        ux, uy = u[2 * nodes], u[2 * nodes + 1]
+        ref_strain[pts] = np.column_stack([
+            ux @ dx, uy @ dy, 0.5 * (ux @ dy + uy @ dx)])
+        wf = qp.weight[pts] * f[pts]
+        np.add.at(ref_div_load, 2 * nodes, dx @ wf)
+        np.add.at(ref_div_load, 2 * nodes + 1, dy @ wf)
+    _assert_close(strain, ref_strain, 1e-10)
+    _assert_close(div_load, ref_div_load, 1e-12)
+    assert np.all(strain[prob.elyte_qp] == 0.0)
 
 
 def test_readouts_match_quadrature_averages(pattern_problem):
@@ -555,7 +606,7 @@ def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
     strain = asm.eval_strain_qp(prob.s_u, state["u"])
     theta = asm.eval_qp(prob.s_th, state["theta"])
     c_s = asm.eval_qp(prob.s_cs, state["c_s"])
-    pi = prob.solid_pressure_qp(state["u"], state["theta"], c_s[s])
+    pi = prob.solid_pressure_qp(state["u"], theta, c_s[s])
     vm, vmax, _ = prob.von_mises_qp(state)
     assert vmax == vm.max() > 0.0
     assert np.all(vm[prob.elyte_qp] == 0.0)
@@ -573,13 +624,14 @@ def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
 def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
-    d_qp = prob.solid_diffusivity_qp(s0)
+    th_qp = asm.eval_qp(prob.s_th, s0["theta"])
+    d_qp = prob.solid_diffusivity_qp(s0, th_qp)
     nq = len(prob.master[0].ref.qw)
     i = int(prob.s_cs.member_rows[0][5]) * nq + 2    # a point of group 0
     d_qp[i] = -1.0
-    prob.solid_diffusivity_qp = lambda state: d_qp
+    prob.solid_diffusivity_qp = lambda state, theta_qp: d_qp
     with pytest.raises(asm.AssemblyError) as err:
-        prob.cs_matrices(s0, 0.1)
+        prob.cs_matrices(s0, 0.1, th_qp)
     assert str(err.value) == (
         f"nonpositive solid diffusivity sample -1 at quadrature point "
         f"({prob.qp.x[i]:.6g}, {prob.qp.y[i]:.6g})")
@@ -596,7 +648,8 @@ def test_negative_interface_coefficient_raises(coarse_problem):
     theta = s0["theta"].copy()
     theta[anode_nodes] *= -1.0
     with pytest.raises(asm.AssemblyError, match="nonnegative"):
-        prob.potential_system(theta, s0["c_s"], s0["c_e"])
+        prob.potential_system(theta, s0["c_s"], s0["c_e"],
+                              asm.eval_qp(prob.s_th, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +728,8 @@ def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem,
     assert not np.array_equal(start["theta"], plain["theta"])
 
     m, k = prob.m_th, prob.k_th
-    b = (asm.assemble_load(prob.s_th, prob.heat_source_qp(mid))
+    b = (asm.assemble_load(prob.s_th, prob.heat_source_qp(
+        mid, asm.eval_qp(prob.s_th, mid["theta"])))
          + prob.iface_loads(prob.interface_state_of(mid))["theta"])
     h = 0.5 * dt
     a = (m + h * k).tocsc()
@@ -703,7 +757,7 @@ def test_equilibrium_fixed_point_full_step(coarse_problem):
 def test_elasticity_zero_load_at_reference(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
-    b = prob.elasticity_load(s0["theta"], s0["c_s"])
+    b = prob.elasticity_load(asm.eval_qp(prob.s_th, s0["theta"]), s0["c_s"])
     assert np.abs(b).max() < 1e-12
 
 
@@ -712,8 +766,8 @@ def test_elasticity_load_scales_linearly(coarse_problem, mats_scaled):
     s0 = prob.initial_state()
     th1 = s0["theta"] + 10.0
     th2 = s0["theta"] + 20.0
-    b1 = prob.elasticity_load(th1, s0["c_s"])
-    b2 = prob.elasticity_load(th2, s0["c_s"])
+    b1 = prob.elasticity_load(asm.eval_qp(prob.s_th, th1), s0["c_s"])
+    b2 = prob.elasticity_load(asm.eval_qp(prob.s_th, th2), s0["c_s"])
     assert np.allclose(b2, 2.0 * b1, rtol=1e-12,
                        atol=1e-12 * np.abs(b1).max())
     u1 = prob.stage2(0.0, {"theta": th1, "c_s": s0["c_s"],
@@ -816,4 +870,5 @@ def test_singular_phi_e_reported(mats):
     s0 = prob.initial_state()
     dead_ce = np.zeros(prob.s_ce.ndof)
     with pytest.raises(ValueError, match="singular"):
-        prob.potential_system(s0["theta"], s0["c_s"], dead_ce)
+        prob.potential_system(s0["theta"], s0["c_s"], dead_ce,
+                              asm.eval_qp(prob.s_th, s0["theta"]))

@@ -8,7 +8,8 @@ from voltacell import assemble as asm
 from voltacell import spaces as sps
 from voltacell.mesh import rectangle_mesh
 from voltacell import solve
-from voltacell.solve import HeldFactor, SolveError, SpdFactor, solve_spd
+from voltacell.solve import DEFAULT_RTOL, HeldFactor, SolveError, SpdFactor, \
+    solve_spd
 
 
 def test_identity_returns_rhs():
@@ -155,3 +156,62 @@ def test_overflowing_rhs_names_the_system(held):
             call = lambda: SpdFactor(a, name="potential pair").solve(big)
         with pytest.raises(SolveError, match=r"^potential pair: .*overflows"):
             call()
+
+
+class _CountingLU:
+    """A factor's LU that counts its backsolves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.backsolves = 0
+
+    def solve(self, rhs):
+        self.backsolves += 1
+        return self.lu.solve(rhs)
+
+
+def _factor_with_lu_of(mat, lu_mat, rtol=DEFAULT_RTOL):
+    """A direct SpdFactor of ``mat`` whose LU is that of ``lu_mat``, with
+    its backsolves counted."""
+    factor = SpdFactor(mat, rtol=rtol)
+    factor._lu = _CountingLU(SpdFactor(lu_mat)._lu)
+    return factor
+
+
+def test_passing_first_backsolve_is_not_refined():
+    """A solve whose first backsolve passes the residual check returns it:
+    one backsolve, and the same x as the bare LU solve.  At rtol 1e-15 the
+    first residual passes only through the check's float64 noise term and
+    lies far above 0.01 rtol ||b||, as in the heat equation's solves, so no
+    refinement target short of the check is met either."""
+    a, _, b = _spd_pair(0.05)
+    factor = _factor_with_lu_of(a, a, rtol=1e-15)
+    x0 = factor._lu.lu.solve(b)
+    assert np.linalg.norm(a @ x0 - b) > 0.01 * 1e-15 * np.linalg.norm(b)
+    x = factor.solve(b)
+    assert factor._lu.backsolves == 1
+    assert np.array_equal(x, x0)
+
+
+def test_refinement_recovers_a_slightly_wrong_factor():
+    """With the LU of a slightly perturbed matrix the first backsolve fails
+    the check, and refinement brings the residual under the tolerance."""
+    a, _, b = _spd_pair(0.05)
+    factor = _factor_with_lu_of(a, a * (1.0 + 1e-7))
+    x0 = factor._lu.lu.solve(b)
+    assert np.linalg.norm(a @ x0 - b) > DEFAULT_RTOL * np.linalg.norm(b)
+    x = factor.solve(b)
+    assert 2 <= factor._lu.backsolves <= 1 + solve.REFINEMENTS
+    assert np.linalg.norm(a @ x - b) <= DEFAULT_RTOL * np.linalg.norm(b)
+
+
+def test_grossly_wrong_factor_raises_after_refinement():
+    """The LU of 2 A leaves the residual at b / 2^k after k backsolves: the
+    refinements cannot recover it, and the error carries the residual."""
+    a, _, b = _spd_pair(0.05)
+    factor = _factor_with_lu_of(a, 2.0 * a)
+    with pytest.raises(SolveError, match="exceeds tolerance") as err:
+        factor.solve(b)
+    assert factor._lu.backsolves == 1 + solve.REFINEMENTS
+    assert err.value.achieved == pytest.approx(
+        0.5 ** (1 + solve.REFINEMENTS), rel=1e-6)
