@@ -9,13 +9,11 @@ in time with a staggered semi-implicit midpoint scheme.
 
 __version__ = "0.1.0"
 
-from .units import ScaleSet
 from .materials import MaterialSet, StressState
 from .geometry import CellDimensions, build_interdigitated_domain
 from .mesh import MeshSpec, Mesh, generate_layered_mesh, validate_mesh
 
 __all__ = [
-    "ScaleSet",
     "MaterialSet",
     "StressState",
     "CellDimensions",

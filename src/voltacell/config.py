@@ -1,4 +1,4 @@
-"""Scenario configuration: presets, file parsing, nondimensionalization.
+"""Scenario configuration: presets and file parsing.
 
 Scenario files are flat ``key = value`` text ('#' comments).  A file may start
 from one of the built-in presets (``preset = high_discharge``) and override
@@ -13,12 +13,9 @@ import difflib
 import logging
 from dataclasses import dataclass, field
 
-from . import units
-from .geometry import CellDimensions, scaled_dimensions
+from .geometry import CellDimensions
 from .materials import MaterialSet, default_materials
 from .mesh import MESH_PRESETS, MeshSpec
-from .state import GuardPolicy
-from .units import ScaleSet
 
 log = logging.getLogger(__name__)
 
@@ -281,44 +278,3 @@ def parse_scenario(path) -> ScenarioConfig:
                           + "\n  ".join(errors))
     return cfg
 
-
-# ---------------------------------------------------------------------------
-# Nondimensionalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScaledScenario:
-    """All run inputs converted to the internal unit system."""
-
-    scales: ScaleSet
-    mats: MaterialSet
-    dims: CellDimensions
-    i_app: float
-    dt: float
-    t_end: float
-    snapshot_every: float
-    guard: GuardPolicy
-
-
-def nondimensionalize(config: ScenarioConfig,
-                      mats: MaterialSet | None = None) -> ScaledScenario:
-    """Rescale every run input into the internal unit system.
-
-    The internal unit system is the fixed ``ScaleSet()``.  The rescaling is
-    a pure change of units: re-dimensionalizing any value with the same
-    ScaleSet reproduces the SI input exactly (one rounding).
-    """
-    scales = ScaleSet()
-    mats_si = mats if mats is not None else config.materials()
-    mats_s = mats_si.scaled(scales)
-    return ScaledScenario(
-        scales=scales,
-        mats=mats_s,
-        dims=scaled_dimensions(config.dims, scales.length),
-        i_app=scales.to_internal(config.i_app, units.CURRENT_DENSITY),
-        dt=scales.to_internal(config.dt, units.TIME),
-        t_end=scales.to_internal(config.t_end, units.TIME),
-        snapshot_every=scales.to_internal(config.snapshot_every, units.TIME),
-        guard=dataclasses.replace(GuardPolicy.defaults(mats_s),
-                                  action=config.guard_action),
-    )

@@ -8,12 +8,14 @@ Euler predictor from there.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
-cadence, and a manifest recording the configuration hash, parameter values,
-code version and unit scales.
+cadence, and a manifest recording the configuration hash, parameter values
+and code version.  Every quantity is in SI units, from the configuration
+through the solves to the outputs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -21,14 +23,12 @@ import os
 from dataclasses import dataclass
 
 from . import postprocess as post
-from . import units
 from . import __version__
-from .config import ConfigError, ScenarioConfig, ScaledScenario, \
-    nondimensionalize
+from .config import ConfigError, ScenarioConfig
 from .geometry import build_interdigitated_domain
 from .mesh import generate_layered_mesh
 from .physics import CellProblem
-from .state import Guard, History, SimState
+from .state import Guard, GuardPolicy, History, SimState
 from .stepping import StepReport, TimeGrid, step
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class StepExtras:
-    """Per-step bookkeeping in internal units (for conservation checks)."""
+    """Per-step bookkeeping (for conservation checks)."""
 
     t: float
     int_cs: float            # integral of c_s over the electrodes
@@ -48,7 +48,6 @@ class StepExtras:
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    scaled: ScaledScenario
     problem: CellProblem
     grid: TimeGrid | None
     records: list
@@ -77,33 +76,33 @@ def config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def build_problem(config: ScenarioConfig) -> tuple[CellProblem, ScaledScenario]:
+def build_problem(config: ScenarioConfig) -> CellProblem:
     errs = config.validate()
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
-    scaled = nondimensionalize(config)
-    geom = build_interdigitated_domain(scaled.dims)
+    mats = config.materials()
+    guard = dataclasses.replace(GuardPolicy.defaults(mats),
+                                action=config.guard_action)
+    geom = build_interdigitated_domain(config.dims)
     mesh = generate_layered_mesh(geom, config.mesh)
     problem = CellProblem(
-        mesh, scaled.mats, Guard(scaled.guard),
+        mesh, mats, Guard(guard),
         mode=config.model, kappa_d_factor=config.kappa_d_factor,
         soc_init=(config.soc_init_anode, config.soc_init_cathode))
-    problem.set_load(scaled.i_app)
-    return problem, scaled
+    problem.set_load(config.i_app)
+    return problem
 
 
-def _write_manifest(path, config, scaled, status, n_done, snapshot_names):
+def _write_manifest(path, config, status, n_done, snapshot_names):
     payload = {
         "tool": "voltacell",
         "version": __version__,
         "status": status,
         "config_hash": config_hash(config),
         "config": config.to_dict(),
-        "scales": scaled.scales.describe(),
         "steps_completed": n_done,
         "snapshots": snapshot_names,
-        "notes": ["power density is per unit out-of-plane depth",
-                  "internal computation runs in the rescaled unit system"],
+        "notes": ["power density is per unit out-of-plane depth"],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -116,13 +115,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     On failure the completed prefix of the trajectory (CSV rows, snapshots,
     manifest with status 'failed') is preserved on disk before re-raising.
     """
-    problem, scaled = build_problem(config)
-    scales = scaled.scales
+    problem = build_problem(config)
     state0 = problem.initial_state()
 
     grid = None
     if config.t_end > 0.0:
-        grid = TimeGrid.from_duration(scaled.t_end, scaled.dt)
+        grid = TimeGrid.from_duration(config.t_end, config.dt)
 
     csv_path = manifest_path = None
     csv_fh = None
@@ -133,16 +131,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         manifest_path = os.path.join(out_dir, "manifest.json")
         csv_fh = open(csv_path, "w", encoding="utf-8", newline="\n")
         csv_fh.write(post.CSV_HEADER + "\n")
-        _write_manifest(manifest_path, config, scaled, "running", 0,
-                        snapshot_names)
+        _write_manifest(manifest_path, config, "running", 0, snapshot_names)
 
     def emit_snapshot(state: SimState, snapshots: list):
         snapshots.append((state.t, state.copy()))
         if out_dir is not None:
-            t_s = scales.to_si(state.t, units.TIME)
-            name = f"snapshot_{len(snapshot_names):04d}_t{t_s:.0f}s.vtk"
-            post.export_vtk(problem, state, os.path.join(out_dir, name),
-                            scales)
+            name = f"snapshot_{len(snapshot_names):04d}_t{state.t:.0f}s.vtk"
+            post.export_vtk(problem, state, os.path.join(out_dir, name))
             snapshot_names.append(name)
 
     records: list = []
@@ -153,14 +148,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     status = "failed"
     try:
         hist = History(prev=state0)
-        rec0 = post.record_state(problem, state0, scales, 0)
+        rec0 = post.record_state(problem, state0, 0)
         records.append(rec0)
         if csv_fh:
             csv_fh.write(post.format_record(rec0) + "\n")
             csv_fh.flush()
         emit_snapshot(state0, snapshots)
 
-        if grid is not None and scaled.i_app != 0.0:
+        if grid is not None and config.i_app != 0.0:
             # Consistent initialization of the quasi-static fields under the
             # applied load: they jump when the current switches on, and
             # averaging the first step across that jump would cost one order
@@ -171,7 +166,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
 
         if grid is not None:
             problem.prepare(hist.prev, grid.dt)
-            next_snap = scaled.snapshot_every
+            next_snap = config.snapshot_every
             for n in range(1, grid.n_steps + 1):
                 state, rep = step(problem, hist, grid, n,
                                   extra_iters=config.extra_fp_iters,
@@ -185,20 +180,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     ibv_mid=rep.ibv_integral,
                     theta_weighted=problem.readout(state, "theta_weighted"),
                 ))
-                rec = post.record_state(problem, state, scales,
-                                        rep.clamp_events)
+                rec = post.record_state(problem, state, rep.clamp_events)
                 records.append(rec)
                 if csv_fh:
                     csv_fh.write(post.format_record(rec) + "\n")
                     csv_fh.flush()
                 n_done = n
                 is_last = n == grid.n_steps
-                if state.t >= next_snap - 1e-9 * scaled.dt or is_last:
+                if state.t >= next_snap - 1e-9 * config.dt or is_last:
                     emit_snapshot(state, snapshots)
-                    while next_snap <= state.t + 1e-9 * scaled.dt:
-                        next_snap += scaled.snapshot_every
+                    while next_snap <= state.t + 1e-9 * config.dt:
+                        next_snap += config.snapshot_every
         status = "completed"
-        return RunResult(config=config, scaled=scaled, problem=problem,
+        return RunResult(config=config, problem=problem,
                          grid=grid, records=records, reports=reports,
                          extras=extras, snapshots=snapshots,
                          final_state=hist.prev, out_dir=out_dir,
@@ -207,5 +201,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         if csv_fh:
             csv_fh.close()
         if manifest_path:
-            _write_manifest(manifest_path, config, scaled, status, n_done,
+            _write_manifest(manifest_path, config, status, n_done,
                             snapshot_names)

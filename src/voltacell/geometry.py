@@ -182,8 +182,10 @@ def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeo
     )
 
     # Constructor self-checks: bounding box and subdomain area consistency.
-    assert np.isclose(geom.bounding_box[0], width) and \
-        np.isclose(geom.bounding_box[1], height)
+    # Purely relative (atol=0): lengths in metres sit far below numpy's
+    # default absolute tolerance.
+    if not np.allclose(geom.bounding_box, (width, height), atol=0.0):
+        raise AssertionError("bounding box disagrees with the dimensions")
     block_areas = {ANODE: 0.0, CATHODE: 0.0, ELYTE: 0.0}
     for j in range(3):
         for i in range(4):
@@ -191,7 +193,8 @@ def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeo
             dy = y_cuts[j + 1] - y_cuts[j]
             block_areas[block_tag[j][i]] += dx * dy
     for tag in (ANODE, CATHODE, ELYTE):
-        if not np.isclose(block_areas[tag], geom.area(tag), rtol=1e-12):
+        if not np.isclose(block_areas[tag], geom.area(tag), rtol=1e-12,
+                          atol=0.0):
             raise AssertionError(
                 f"block decomposition disagrees with the {TAG_NAMES[tag]} polygon")
     return geom
@@ -237,13 +240,3 @@ def domain_svg(geom: DomainGeometry) -> str:
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def scaled_dimensions(dims: CellDimensions, length_scale: float) -> CellDimensions:
-    """Dimensions converted to internal length units (divide by the scale)."""
-    return CellDimensions(
-        h_s=dims.h_s / length_scale,
-        h_e=dims.h_e / length_scale,
-        length=dims.length / length_scale,
-        gap=dims.gap / length_scale,
-        cap=dims.cap / length_scale,
-    )

@@ -17,9 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import units
-from .units import ScaleSet
-
 log = logging.getLogger(__name__)
 
 # State-of-charge value past which the cathode open-circuit fit blows up
@@ -70,7 +67,7 @@ def _clamped(x, lo, hi, what):
 
 @dataclass(frozen=True)
 class ElectrodeMaterial:
-    """Per-electrode record (SI unless scaled; see MaterialSet.scaled)."""
+    """Per-electrode record (SI units)."""
 
     rho_cv: float          # volumetric heat capacity [J/(m^3 K)]
     conductivity: float    # electronic conductivity gamma [S/m]
@@ -178,49 +175,6 @@ class MaterialSet:
         if side == "sc":
             return self.cathode
         raise KeyError(f"unknown electrode side {side!r}")
-
-    def scaled(self, scales: ScaleSet) -> "MaterialSet":
-        """Return a copy expressed in the internal unit system."""
-        f = scales.factor
-        volt = f(units.VOLT)
-
-        def electrode(m: ElectrodeMaterial) -> ElectrodeMaterial:
-            base = m.ocp
-            return ElectrodeMaterial(
-                rho_cv=m.rho_cv / f(units.VOL_HEAT_CAPACITY),
-                conductivity=m.conductivity / f(units.CONDUCTIVITY),
-                thermal_k=m.thermal_k / f(units.THERMAL_CONDUCTIVITY),
-                diffusivity0=m.diffusivity0 / f(units.DIFFUSIVITY),
-                c_max=m.c_max / f(units.CONCENTRATION),
-                youngs=m.youngs / f(units.STRESS),
-                poisson=m.poisson,
-                alpha=m.alpha / f(units.INV_TEMPERATURE),
-                omega=m.omega / f(units.MOLAR_VOLUME),
-                ocp=(base if volt == 1.0
-                     else (lambda c_hat, clamp=False, _b=base, _v=volt:
-                           _b(c_hat, clamp=clamp) / _v)),
-            )
-
-        e = self.electrolyte
-        return MaterialSet(
-            anode=electrode(self.anode),
-            cathode=electrode(self.cathode),
-            electrolyte=ElectrolyteMaterial(
-                rho_cv=e.rho_cv / f(units.VOL_HEAT_CAPACITY),
-                conductivity=e.conductivity / f(units.CONDUCTIVITY),
-                thermal_k=e.thermal_k / f(units.THERMAL_CONDUCTIVITY),
-                diffusivity=e.diffusivity / f(units.DIFFUSIVITY),
-                t_plus=e.t_plus,
-            ),
-            k_bv=self.k_bv / scales.k_bv_factor(),
-            alpha_d=self.alpha_d,
-            beta_d=self.beta_d,
-            pi_max=self.pi_max / f(units.STRESS),
-            theta_ref=self.theta_ref / f(units.TEMPERATURE),
-            c_e_init=self.c_e_init / f(units.CONCENTRATION),
-            gas_constant=self.gas_constant / f(units.GAS_CONSTANT),
-            faraday=self.faraday / f(units.FARADAY),
-        )
 
 
 def default_materials() -> MaterialSet:

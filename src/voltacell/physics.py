@@ -118,9 +118,10 @@ class StageAudit:
 class CellProblem:
     """Spaces, cached operators and system builders for one configured cell.
 
-    All inputs (mesh, materials) must already be expressed in the internal
-    unit system.  ``mode`` selects the full thermo-electro-chemo-mechanical
-    model or the isothermal strain-free electrochemical reduction.
+    The mesh and the materials are in SI units, and so is every operator and
+    state built from them.  ``mode`` selects the full
+    thermo-electro-chemo-mechanical model or the isothermal strain-free
+    electrochemical reduction, which builds no elasticity system.
     """
 
     D_FIELDS = ("theta", "c_s", "c_e")
@@ -178,12 +179,16 @@ class CellProblem:
         self.m_ce = ce_scatter.mass(1.0)
         self.k_ce = ce_scatter.stiffness(e.diffusivity,
                                          "electrolyte diffusivity")
-        ga, ka = a.lame
-        gc, kc = c.lame
-        self.k_u = self.cs_scatter.elasticity(
-            {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
-        self.k_u_red = asm.constrain(self.s_u, self.k_u)
-        self._u_factor = SpdFactor(self.k_u_red, name="u")
+        # The elasticity matrix is fixed: one factor serves the whole run.
+        # The electrochemical model never solves u and builds none of it.
+        self.k_u = self.k_u_red = self._u_factor = None
+        if mode == "full":
+            ga, ka = a.lame
+            gc, kc = c.lame
+            self.k_u = self.cs_scatter.elasticity(
+                {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
+            self.k_u_red = asm.constrain(self.s_u, self.k_u)
+            self._u_factor = SpdFactor(self.k_u_red, name="u")
 
         # Interface traces: the points of the anode interface edges, then
         # those of the cathode, with one trace operator per field.

@@ -1,8 +1,8 @@
 """Quantities of interest, derived stress fields and on-disk outputs.
 
-All solver-internal values are nondimensional; everything written to disk or
-stored in TimeSeriesRecord is converted back to SI (with Celsius and W/dm^3
-convenience values where customary).
+The solver computes in SI units, so every value stored in TimeSeriesRecord or
+written to disk is SI as it stands (with Celsius and W/dm^3 convenience values
+where customary).
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assemble as asm
-from . import units
 from .geometry import ELYTE
 from .materials import von_mises
 from .mesh import Mesh
 from .state import SimState
-from .units import ScaleSet
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +56,7 @@ class ComparisonRow:
 
 
 # ---------------------------------------------------------------------------
-# Quantities of interest (internal units in, internal units out)
+# Quantities of interest
 # ---------------------------------------------------------------------------
 
 def cell_voltage(problem, phi_s_vec) -> float:
@@ -71,21 +69,20 @@ def displacement_max(problem, u_vec) -> float:
     return float(mag.max()) if mag.size else 0.0
 
 
-def record_state(problem, state: SimState, scales: ScaleSet,
+def record_state(problem, state: SimState,
                  clamp_events: int = 0) -> TimeSeriesRecord:
-    """Summarize one state into SI quantities of interest."""
+    """Summarize one state into its quantities of interest."""
     vmax = problem.von_mises_qp(state)[1] if problem.mode == "full" else 0.0
     avg = problem.readout
     return TimeSeriesRecord(
-        t_s=scales.to_si(state.t, units.TIME),
-        v_out_v=scales.to_si(cell_voltage(problem, state["phi_s"]), units.VOLT),
-        phi_e_avg_v=scales.to_si(avg(state, "phi_e_avg"), units.VOLT),
+        t_s=state.t,
+        v_out_v=cell_voltage(problem, state["phi_s"]),
+        phi_e_avg_v=avg(state, "phi_e_avg"),
         soc_anode=avg(state, "soc_anode"),
         soc_cathode=avg(state, "soc_cathode"),
-        temp_k=scales.to_si(avg(state, "theta_avg"), units.TEMPERATURE),
-        u_max_m=scales.to_si(displacement_max(problem, state["u"]),
-                             units.LENGTH),
-        vm_max_pa=scales.to_si(vmax, units.STRESS),
+        temp_k=avg(state, "theta_avg"),
+        u_max_m=displacement_max(problem, state["u"]),
+        vm_max_pa=vmax,
         clamp_events=clamp_events,
     )
 
@@ -176,37 +173,28 @@ def _nodal_von_mises(problem, state: SimState, node_ids, tags) -> np.ndarray:
     return vm
 
 
-def export_vtk(problem, state: SimState, path, scales: ScaleSet):
+def export_vtk(problem, state: SimState, path):
     """Legacy ASCII VTK unstructured grid snapshot.
 
     High-order elements are linearized into their (px x py) nodal subcells;
     each field is written as point data, zero-filled outside its support.
     """
-    f = {
-        "phi_s": scales.factor(units.VOLT),
-        "phi_e": scales.factor(units.VOLT),
-        "c_s": scales.factor(units.CONCENTRATION),
-        "c_e": scales.factor(units.CONCENTRATION),
-        "theta": scales.factor(units.TEMPERATURE),
-    }
     xy, node_ids, tags, cells = _cell_points(problem)
-    data = {k: (_nodal_values(problem, problem.spaces[k], state[k]) * f[k])
-            [node_ids] for k in f}
+    data = {k: _nodal_values(problem, problem.spaces[k], state[k])[node_ids]
+            for k in ("phi_s", "phi_e", "c_s", "c_e", "theta")}
     data["von_mises"] = (
         _nodal_von_mises(problem, state, node_ids, tags)
-        * scales.factor(units.STRESS) if problem.mode == "full"
-        else np.zeros(len(node_ids)))
-    u_fac = scales.factor(units.LENGTH)
+        if problem.mode == "full" else np.zeros(len(node_ids)))
     u = np.column_stack([
-        (_nodal_values(problem, problem.s_u, state["u"], comp) * u_fac)
-        [node_ids] for comp in (0, 1)])
+        _nodal_values(problem, problem.s_u, state["u"], comp)[node_ids]
+        for comp in (0, 1)])
 
     buf = io.StringIO()
     buf.write("# vtk DataFile Version 3.0\n")
-    buf.write("voltacell snapshot t=%.9g s\n" % scales.to_si(state.t, units.TIME))
+    buf.write("voltacell snapshot t=%.9g s\n" % state.t)
     buf.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
     buf.write(f"POINTS {len(xy)} double\n")
-    buf.write(_rows("%.12g %.12g 0", xy * scales.factor(units.LENGTH)))
+    buf.write(_rows("%.12g %.12g 0", xy))
     buf.write(f"\nCELLS {len(cells)} {5 * len(cells)}\n")
     buf.write(_rows("4 %d %d %d %d", cells))
     buf.write(f"\nCELL_TYPES {len(cells)}\n")

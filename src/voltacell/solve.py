@@ -227,7 +227,6 @@ class HeldFactor:
         return None
 
 
-def solve_spd(mat: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
-              rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """One-shot SPD solve with residual verification."""
-    return SpdFactor(mat, method=method, rtol=rtol).solve(rhs)
+def solve_spd(mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """One-shot direct SPD solve with residual verification."""
+    return SpdFactor(mat).solve(rhs)

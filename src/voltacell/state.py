@@ -91,7 +91,7 @@ class History:
 
 @dataclass(frozen=True)
 class GuardPolicy:
-    """Concentration bounds used at evaluation points (internal units).
+    """Concentration bounds used at evaluation points [mol/m^3].
 
     eps_e: floor for the electrolyte concentration; eps_s: margin keeping the
     solid concentration away from 0 and from saturation.

@@ -4,7 +4,6 @@ import pytest
 
 from voltacell import geometry as geo
 from voltacell import materials as mat
-from voltacell import units
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
@@ -17,39 +16,28 @@ DESK_KW = dict(mesh=MeshSpec.coarse(), dt=6.0, t_end=600.0,
 
 
 @pytest.fixture(scope="session")
-def scales():
-    return units.ScaleSet()
-
-
-@pytest.fixture(scope="session")
-def mats_si():
+def mats():
     return mat.default_materials()
 
 
 @pytest.fixture(scope="session")
-def mats_scaled(mats_si, scales):
-    return mats_si.scaled(scales)
+def geom():
+    return geo.build_interdigitated_domain(geo.CellDimensions())
 
 
 @pytest.fixture(scope="session")
-def geom_scaled(scales):
-    dims = geo.scaled_dimensions(geo.CellDimensions(), scales.length)
-    return geo.build_interdigitated_domain(dims)
+def coarse_mesh(geom):
+    return generate_layered_mesh(geom, MeshSpec.coarse())
 
 
-@pytest.fixture(scope="session")
-def coarse_mesh(geom_scaled):
-    return generate_layered_mesh(geom_scaled, MeshSpec.coarse())
-
-
-def make_problem(coarse_mesh, mats_scaled, **kw):
-    guard = Guard(GuardPolicy.defaults(mats_scaled))
-    return CellProblem(coarse_mesh, mats_scaled, guard, **kw)
+def make_problem(coarse_mesh, mats, **kw):
+    guard = Guard(GuardPolicy.defaults(mats))
+    return CellProblem(coarse_mesh, mats, guard, **kw)
 
 
 @pytest.fixture()
-def coarse_problem(coarse_mesh, mats_scaled):
-    return make_problem(coarse_mesh, mats_scaled)
+def coarse_problem(coarse_mesh, mats):
+    return make_problem(coarse_mesh, mats)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ import numpy as np
 from voltacell import assemble as asm
 from voltacell import geometry as geo
 from voltacell import materials as mat
-from voltacell import units
 from voltacell.config import preset
 from voltacell.driver import run_scenario
 from voltacell.mesh import MeshSpec, generate_layered_mesh
@@ -67,12 +66,12 @@ def test_criterion_02_spatial_order():
 # 3. equilibrium preservation
 # ---------------------------------------------------------------------------
 
-def test_criterion_03_equilibrium_preservation(coarse_mesh, mats_scaled):
+def test_criterion_03_equilibrium_preservation(coarse_mesh, mats):
     t0 = time.time()
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+    prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=10)   # dt = 6 s in internal units
+    grid = TimeGrid(dt=6.0, n_steps=10)
     hist = History(prev=s0)
     for n in range(1, 11):
         state, _ = step(prob, hist, grid, n)
@@ -88,13 +87,13 @@ def test_criterion_03_equilibrium_preservation(coarse_mesh, mats_scaled):
 # 4. discrete interface mass bookkeeping
 # ---------------------------------------------------------------------------
 
-def test_criterion_04_mass_bookkeeping(mats_scaled):
+def test_criterion_04_mass_bookkeeping(mats):
     cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse(), dt=6.0,
                                            t_end=120.0)
     result = run_scenario(cfg)
     prob = result.problem
-    faraday = mats_scaled.faraday
-    t_plus = mats_scaled.electrolyte.t_plus
+    faraday = mats.faraday
+    t_plus = mats.electrolyte.t_plus
     dt = result.grid.dt
     ones_s = np.ones(prob.s_cs.ndof)
     ones_e = np.ones(prob.s_ce.ndof)
@@ -143,13 +142,12 @@ def test_criterion_05_heat_source_sign(desk_runs):
 # 6. material-law golden values
 # ---------------------------------------------------------------------------
 
-def test_criterion_06_material_golden_values(mats_si):
-    kd = mat.diffusional_conductivity(298.15, mats_si)
+def test_criterion_06_material_golden_values(mats):
+    kd = mat.diffusional_conductivity(298.15, mats)
     ocp_a = mat.ocp_anode(0.5)
     ocp_c = mat.ocp_cathode(0.5)
     from voltacell.physics import exchange_current
-    i_c = exchange_current(0.5 * mats_si.anode.c_max, 2000.0, mats_si.anode,
-                           mats_si)
+    i_c = exchange_current(0.5 * mats.anode.c_max, 2000.0, mats.anode, mats)
     checks = [
         ("kappa_D(298.15)", kd, -6.546e-3, 1e-6),
         ("OCP_anode(0.5)", ocp_a, 0.13453, 1e-5),
@@ -260,23 +258,20 @@ def _system_matrices(problem, dt):
     return mats
 
 
-def test_criterion_10_matrix_structure(coarse_mesh, mats_scaled):
+def test_criterion_10_matrix_structure(coarse_mesh, geom, mats):
     # symmetry on the working desk-scale systems
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+    prob = conftest.make_problem(coarse_mesh, mats)
     worst_asym = max(oracles.relative_asymmetry(m)
-                     for m in _system_matrices(prob, 0.1).values())
+                     for m in _system_matrices(prob, 6.0).values())
 
     # dense positive definiteness on a mesh small enough to eigensolve
-    tiny_geom = geo.build_interdigitated_domain(geo.scaled_dimensions(
-        geo.CellDimensions(), 1e-4))
-    tiny_mesh = generate_layered_mesh(tiny_geom, MeshSpec(
+    tiny_mesh = generate_layered_mesh(geom, MeshSpec(
         nx_blocks=(1, 1, 2, 1), ny_blocks=(1, 2, 1), n_layers=0,
         degree=1, normal_degree=1))
-    tiny = CellProblem(tiny_mesh, mats_scaled,
-                       Guard(GuardPolicy.defaults(mats_scaled)))
+    tiny = CellProblem(tiny_mesh, mats, Guard(GuardPolicy.defaults(mats)))
     min_eigs = {}
     sizes = {}
-    for name, m in _system_matrices(tiny, 0.1).items():
+    for name, m in _system_matrices(tiny, 6.0).items():
         dense = m.toarray()
         sizes[name] = dense.shape[0]
         min_eigs[name] = float(np.linalg.eigvalsh(dense).min())

@@ -341,10 +341,10 @@ def test_integrate_constant_gives_area():
     mesh = generate_layered_mesh(g, MeshSpec.coarse())
     s = _space(mesh)
     assert asm.integrate(s, np.ones(s.qp.n)) == pytest.approx(
-        1000e-6 * 100e-6, rel=1e-12)
+        1000e-6 * 100e-6, rel=1e-12, abs=0.0)
     anode = (s.qp.tag == geo.ANODE).astype(float)
     assert asm.integrate(s, anode) == pytest.approx(g.area(geo.ANODE),
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0.0)
 
 
 def test_eval_qp_consistency():

@@ -1,10 +1,7 @@
 import pytest
 
-from voltacell import units
-from voltacell.config import ConfigError, ScenarioConfig, nondimensionalize, \
-    parse_scenario, preset
-from voltacell.geometry import CellDimensions, scaled_dimensions
-from voltacell.units import ScaleSet
+from voltacell.config import ConfigError, ScenarioConfig, parse_scenario, \
+    preset
 
 
 def test_presets():
@@ -62,8 +59,8 @@ def test_all_violations_reported_together(tmp_path):
     ("heat_convention", "reversed"), ("scale.length", "1e-3"),
     ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0")])
 def test_removed_keys_are_unknown(tmp_path, key, value):
-    """The heat-sign convention, the internal unit scales and the guard
-    margins are fixed, so a scenario file cannot set them."""
+    """There is no heat-sign convention, unit-scale or guard-margin
+    setting, so a scenario file cannot set them."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\n{key} = {value}\n")
     with pytest.raises(ConfigError,
@@ -106,33 +103,14 @@ def test_preset_step_counts_in_expected_band():
         assert 600 <= n <= 1200
 
 
-def test_nondimensionalize_round_trip(mats_si):
-    cfg = preset("high_discharge")
-    scaled = nondimensionalize(cfg, mats_si)
-    s = scaled.scales
-    assert s.to_si(scaled.i_app, units.CURRENT_DENSITY) \
-        == pytest.approx(20.0, rel=1e-12)
-    assert s.to_si(scaled.dt, units.TIME) == pytest.approx(4.0, rel=1e-12)
-    assert s.to_si(scaled.t_end, units.TIME) == pytest.approx(3600.0,
-                                                              rel=1e-12)
-    assert scaled.dims.h_s == pytest.approx(0.3, rel=1e-12)
-    assert s.to_si(scaled.mats.electrolyte.diffusivity, units.DIFFUSIVITY) \
-        == pytest.approx(mats_si.electrolyte.diffusivity, rel=1e-12)
-
-
-def test_identity_scales_leave_si(mats_si):
-    identity = ScaleSet.identity()
-    assert identity.to_internal(5.0, units.CURRENT_DENSITY) == 5.0
-    assert identity.to_internal(6.0, units.TIME) == 6.0
-    assert mats_si.scaled(identity).anode.diffusivity0 \
-        == mats_si.anode.diffusivity0
-    assert scaled_dimensions(CellDimensions(), 1.0).h_s == 30e-6
-
-
-def test_guard_defaults_scaled(mats_si):
-    cfg = preset("high_discharge")
-    scaled = nondimensionalize(cfg, mats_si)
-    conc = scaled.scales.factor(units.CONCENTRATION)
-    assert scaled.guard.eps_e * conc == pytest.approx(1e-3 * 2000.0, rel=1e-12)
-    assert scaled.guard.eps_s * conc == pytest.approx(1e-4 * 2.286e4,
-                                                      rel=1e-12)
+def test_guard_defaults_scaled():
+    """A run's guard margins follow from the materials (in mol/m^3), and
+    the guard takes the configured action."""
+    from voltacell.driver import build_problem
+    from voltacell.mesh import MeshSpec
+    cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse(),
+                                           guard_action="abort")
+    policy = build_problem(cfg).guard.policy
+    assert policy.eps_e == pytest.approx(1e-3 * 2000.0, rel=1e-12)
+    assert policy.eps_s == pytest.approx(1e-4 * 2.286e4, rel=1e-12)
+    assert policy.action == "abort"

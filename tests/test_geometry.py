@@ -7,8 +7,8 @@ from voltacell import geometry as geo
 def test_table_dimensions_bounding_box():
     g = geo.build_interdigitated_domain(geo.CellDimensions())
     w, h = g.bounding_box
-    assert w == pytest.approx(1000e-6, rel=1e-12)
-    assert h == pytest.approx(100e-6, rel=1e-12)
+    assert w == pytest.approx(1000e-6, rel=1e-12, abs=0.0)
+    assert h == pytest.approx(100e-6, rel=1e-12, abs=0.0)
     assert len(g.interface) == 2
 
 
@@ -34,12 +34,24 @@ def test_nonpositive_dimension_rejected():
 def test_subdomain_areas():
     g = geo.build_interdigitated_domain()
     # anode digit 900x30, cathode digit 900x30 + cap 60x100, rest electrolyte
-    assert g.area(geo.ANODE) == pytest.approx(900e-6 * 30e-6, rel=1e-12)
+    assert g.area(geo.ANODE) == pytest.approx(900e-6 * 30e-6, rel=1e-12,
+                                              abs=0.0)
     assert g.area(geo.CATHODE) == pytest.approx(
-        900e-6 * 30e-6 + 60e-6 * 100e-6, rel=1e-12)
+        900e-6 * 30e-6 + 60e-6 * 100e-6, rel=1e-12, abs=0.0)
     total = 1000e-6 * 100e-6
     assert g.area(geo.ELYTE) == pytest.approx(
-        total - g.area(geo.ANODE) - g.area(geo.CATHODE), rel=1e-12)
+        total - g.area(geo.ANODE) - g.area(geo.CATHODE), rel=1e-12, abs=0.0)
+
+
+def test_area_self_check_is_relative(monkeypatch):
+    """The constructor's area self-check catches a 1e-9 relative
+    disagreement on the default dimensions in metres, whose areas (2.7e-8
+    to 4e-8 m^2) sit far below numpy's default absolute tolerance."""
+    area = geo.DomainGeometry.area
+    monkeypatch.setattr(geo.DomainGeometry, "area",
+                        lambda self, tag: area(self, tag) * (1.0 + 1e-9))
+    with pytest.raises(AssertionError, match="block decomposition"):
+        geo.build_interdigitated_domain(geo.CellDimensions())
 
 
 def test_subdomain_lookup():
@@ -77,7 +89,8 @@ def test_boundary_parts_cover_perimeter():
     total = sum(np.hypot(q[0] - p[0], q[1] - p[1])
                 for part in geo.BOUNDARY_PARTS
                 for p, q in g.boundary[part])
-    assert total == pytest.approx(2 * (d.width + d.height), rel=1e-12)
+    assert total == pytest.approx(2 * (d.width + d.height), rel=1e-12,
+                                  abs=0.0)
 
 
 def test_domain_svg_renders():

@@ -5,11 +5,6 @@ from voltacell import geometry as geo
 from voltacell import mesh as vm
 
 
-@pytest.fixture(scope="module")
-def geom():
-    return geo.build_interdigitated_domain()
-
-
 def test_production_element_count(geom):
     m = vm.generate_layered_mesh(geom, vm.MeshSpec.production())
     # production resolution lands on the order of ~1100 elements
@@ -46,7 +41,8 @@ def test_interface_edges_pair_solid_with_electrolyte(geom):
 def test_area_consistency(geom):
     m = vm.generate_layered_mesh(geom, vm.MeshSpec.coarse())
     for tag in (geo.ANODE, geo.CATHODE, geo.ELYTE):
-        assert m.area_of(tag) == pytest.approx(geom.area(tag), rel=1e-10)
+        assert m.area_of(tag) == pytest.approx(geom.area(tag), rel=1e-10,
+                                               abs=0.0)
 
 
 def test_layer_monotonicity(geom):
@@ -74,9 +70,10 @@ def test_boosted_degree_only_in_finest_layer(geom):
     # the boosted rows sit immediately next to the horizontal interface lines
     hs = geom.dims.h_s
     height = geom.dims.height
+    lines = [hs, height - hs]
     for j in np.nonzero(m.py == 4)[0]:
-        touches = np.isclose(m.y[j], [hs, height - hs]).any() or \
-            np.isclose(m.y[j + 1], [hs, height - hs]).any()
+        touches = np.isclose(m.y[j], lines, atol=1e-12).any() or \
+            np.isclose(m.y[j + 1], lines, atol=1e-12).any()
         assert touches
 
 

@@ -13,11 +13,6 @@ from voltacell.state import Guard, GuardPolicy
 import conftest
 
 
-@pytest.fixture(scope="module")
-def mats():
-    return mat.default_materials()
-
-
 def toy_strip_problem(mats, **kw):
     """anode | electrolyte | cathode unit cells in a row (SI units)."""
     mesh = Mesh.from_grid(
@@ -306,14 +301,12 @@ def test_kappa_d_load_vanishes_for_uniform_concentration(mats):
                        atol=1e-12 * max(np.abs(b_no_kd).max(), 1e-30))
 
 
-def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats_scaled,
-                                              scales):
+def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats):
     """Under load, stage 2's phi_s and phi_e satisfy both linearized
     potential equations at once: each field's residual, with the other
     field's trace in its interface term, is at solver tolerance."""
-    from voltacell import units
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
     s0 = prob.initial_state()
     new = prob.stage2(0.0, {k: s0[k] for k in prob.D_FIELDS}, s0)
     ist = prob.interface_state(s0["theta"], s0["c_s"], s0["c_e"],
@@ -322,10 +315,10 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats_scaled,
     wc = prob.iface_w * ist.coeff
     t_s, t_e = prob.iface_tr["phi_s"], prob.iface_tr["phi_e"]
     k_s = asm.assemble_stiffness(prob.s_ps, {
-        geo.ANODE: mats_scaled.anode.conductivity,
-        geo.CATHODE: mats_scaled.cathode.conductivity})
+        geo.ANODE: mats.anode.conductivity,
+        geo.CATHODE: mats.cathode.conductivity})
     k_e = asm.assemble_stiffness(prob.s_pe,
-                                 mats_scaled.electrolyte.conductivity)
+                                 mats.electrolyte.conductivity)
     free = prob.s_ps.free
     cc = np.zeros(prob.s_ps.ndof)
     cc[free] = -prob.i_app * prob.cc_plus_load
@@ -346,15 +339,15 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats_scaled,
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=["coarse", "mixed degrees"])
-def pattern_problem(request, coarse_mesh, mats_scaled, geom_scaled):
+def pattern_problem(request, coarse_mesh, mats, geom):
     """A cell problem on the coarse mesh (one degree group) and on a mesh
     with four degree groups, like the production mesh."""
     from voltacell.mesh import MeshSpec, generate_layered_mesh
     mesh = coarse_mesh if request.param == "coarse" else \
-        generate_layered_mesh(geom_scaled, MeshSpec(
+        generate_layered_mesh(geom, MeshSpec(
             nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1), n_layers=1,
             degree=1, normal_degree=2))
-    return conftest.make_problem(mesh, mats_scaled)
+    return conftest.make_problem(mesh, mats)
 
 
 def _sweep_states(prob, n=2):
@@ -380,7 +373,7 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
     """K_cs and M_cs + dt/2 K_cs of each sweep equal the stand-alone
     assembly and share M_cs's pattern arrays."""
     prob = pattern_problem
-    dt = 0.1
+    dt = 6.0
     pattern = (prob.m_cs.indptr, prob.m_cs.indices)
     for state in _sweep_states(prob):
         th_qp = asm.eval_qp(prob.s_th, state["theta"])
@@ -394,16 +387,16 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
             assert mat_.indptr is pattern[0] and mat_.indices is pattern[1]
 
 
-def test_potential_matrix_keeps_one_pattern(pattern_problem, mats_scaled):
+def test_potential_matrix_keeps_one_pattern(pattern_problem, mats):
     """The potential-pair matrix equals blockdiag(K_s, K_e) + D^T diag(w c) D
     formed densely, sweep after sweep, on one pattern."""
     prob = pattern_problem
     free = np.nonzero(prob.s_ps.free)[0]
     k_s = asm.assemble_stiffness(prob.s_ps, {
-        geo.ANODE: mats_scaled.anode.conductivity,
-        geo.CATHODE: mats_scaled.cathode.conductivity}).toarray()
+        geo.ANODE: mats.anode.conductivity,
+        geo.CATHODE: mats.cathode.conductivity}).toarray()
     k_e = asm.assemble_stiffness(
-        prob.s_pe, mats_scaled.electrolyte.conductivity).toarray()
+        prob.s_pe, mats.electrolyte.conductivity).toarray()
     k_pot = np.block([
         [k_s[np.ix_(free, free)], np.zeros((len(free), len(k_e)))],
         [np.zeros((len(k_e), len(free))), k_e]])
@@ -425,18 +418,21 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats_scaled):
 # the flat quadrature-point layout
 # ---------------------------------------------------------------------------
 
+# The length [m] over which the smooth test functions of the layout tests vary
+LENGTH_UNIT = 1e-4
+
+
 def _layout_state(prob):
     """A state with every field varying in space (u small but nonzero)."""
     rng = np.random.default_rng(5)
     state = _sweep_states(prob)[1]
-    state["u"] = 1e-4 * rng.standard_normal(prob.s_u.ndof)
+    state["u"] = 1e-8 * rng.standard_normal(prob.s_u.ndof)
     state["theta"] = state["theta"] + rng.uniform(0.0, 2.0,
                                                   prob.s_th.ndof)
     return state
 
 
-def test_layout_constants_follow_the_point_tags(pattern_problem,
-                                                mats_scaled):
+def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
     """Each solid quadrature point carries its own electrode's constants;
     the solid and electrolyte points split the layout."""
     prob = pattern_problem
@@ -448,7 +444,7 @@ def test_layout_constants_follow_the_point_tags(pattern_problem,
     for k, tag in zip(prob.solid_qp, prob.solid_tags):
         assert qp.tag[k] == tag
     for tag in (geo.ANODE, geo.CATHODE):
-        ref = mats_scaled.electrode(geo.TAG_NAMES[tag])
+        ref = mats.electrode(geo.TAG_NAMES[tag])
         at = prob.solid_tags == tag
         assert np.any(at)
         shear, bulk = ref.lame
@@ -478,11 +474,11 @@ def _cell_oracles(space):
         for e, row in enumerate(rows):
             pts = qp.offsets[k] + row * nq + np.arange(nq)
             assert np.allclose(qp.x[pts], g.x0[row] + (xi + 1) * 0.5
-                               * g.hx[row], rtol=1e-14)
+                               * g.hx[row], rtol=1e-14, atol=1e-12)
             assert np.allclose(qp.y[pts], g.y0[row] + (eta + 1) * 0.5
-                               * g.hy[row], rtol=1e-14)
+                               * g.hy[row], rtol=1e-14, atol=1e-12)
             assert np.allclose(qp.weight[pts], 0.25 * g.hx[row] * g.hy[row]
-                               * ref.qw, rtol=1e-14)
+                               * ref.qw, rtol=1e-14, atol=1e-16)
             phi = np.array([ly[b](eta) * lx[a](xi) for b in range(g.py + 1)
                             for a in range(g.px + 1)])
             dx = np.array([ly[b](eta) * dlx[a](xi) for b in range(g.py + 1)
@@ -505,8 +501,9 @@ def test_layout_matches_per_element_evaluation(pattern_problem):
     vec = _layout_state(prob)["c_s"]
     vals = asm.eval_qp(space, vec)
     grads = asm.eval_grad_qp(space, vec)
-    f = np.cos(qp.x) + qp.y ** 2                # a flat load density
-    v = np.column_stack([np.sin(qp.y), qp.x * qp.y])    # a flat vector field
+    x, y = qp.x / LENGTH_UNIT, qp.y / LENGTH_UNIT
+    f = np.cos(x) + y ** 2                      # a flat load density
+    v = np.column_stack([np.sin(y), x * y])     # a flat vector field
     load = asm.assemble_load(space, f)
     grad_load = asm.assemble_grad_load(space, v)
     ref_vals = np.zeros(qp.n)
@@ -527,7 +524,8 @@ def test_layout_matches_per_element_evaluation(pattern_problem):
     _assert_close(grads, ref_grads, 1e-10)
     _assert_close(load, ref_load, 1e-12)
     _assert_close(grad_load, ref_grad_load, 1e-12)
-    assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12)
+    assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12,
+                                                       abs=0.0)
     assert np.all(vals[prob.elyte_qp] == 0.0)
 
 
@@ -539,7 +537,7 @@ def test_vector_kernels_match_per_element_evaluation(pattern_problem):
     prob = pattern_problem
     qp, space = prob.qp, prob.s_u
     u = _layout_state(prob)["u"]
-    f = np.cos(qp.x) + qp.y ** 2
+    f = np.cos(qp.x / LENGTH_UNIT) + (qp.y / LENGTH_UNIT) ** 2
     strain = asm.eval_strain_qp(space, u)
     div_load = asm.assemble_div_load(space, f)
     ref_strain = np.zeros((qp.n, 3))
@@ -592,12 +590,13 @@ def test_readouts_match_quadrature_averages(pattern_problem):
     }
     assert set(expected) == set(prob.readouts)
     for name, value in expected.items():
-        assert prob.readout(state, name) == pytest.approx(value, rel=1e-13), \
+        assert prob.readout(state, name) == pytest.approx(value, rel=1e-13,
+                                                          abs=0.0), \
             name
 
 
 def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
-                                                      mats_scaled):
+                                                      mats):
     """solid_pressure_qp and von_mises_qp equal Hooke's law with each
     electrode's own material at sampled solid points."""
     prob = pattern_problem
@@ -614,7 +613,7 @@ def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
         k, tag = s[j], prob.solid_tags[j]
         stress = mat.hooke_plane_strain(
             *strain[k], theta[k], c_s[k],
-            mats_scaled.electrode(geo.TAG_NAMES[tag]), mats_scaled,
+            mats.electrode(geo.TAG_NAMES[tag]), mats,
             prob.c_s_ref[tag])
         assert pi[j] == pytest.approx(mat.hydrostatic_pressure(stress),
                                       rel=1e-12, abs=1e-12 * np.abs(pi).max())
@@ -631,7 +630,7 @@ def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     d_qp[i] = -1.0
     prob.solid_diffusivity_qp = lambda state, theta_qp: d_qp
     with pytest.raises(asm.AssemblyError) as err:
-        prob.cs_matrices(s0, 0.1, th_qp)
+        prob.cs_matrices(s0, 6.0, th_qp)
     assert str(err.value) == (
         f"nonpositive solid diffusivity sample -1 at quadrature point "
         f"({prob.qp.x[i]:.6g}, {prob.qp.y[i]:.6g})")
@@ -656,10 +655,10 @@ def test_negative_interface_coefficient_raises(coarse_problem):
 # interface loads and their balance
 # ---------------------------------------------------------------------------
 
-def test_interface_load_balance(coarse_mesh, mats_scaled):
+def test_interface_load_balance(coarse_mesh, mats):
     """Summing each interface load over the constant test function equals the
     corresponding multiple of the interface I_BV integral."""
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+    prob = conftest.make_problem(coarse_mesh, mats)
     s0 = prob.initial_state()
     rng = np.random.default_rng(8)
     state = s0.copy()
@@ -669,21 +668,21 @@ def test_interface_load_balance(coarse_mesh, mats_scaled):
     ist = prob.interface_state_of(state)
     loads = prob.iface_loads(ist)
     total_ibv = ist.ibv_integral(prob.iface_w)
-    faraday = mats_scaled.faraday
-    t_plus = mats_scaled.electrolyte.t_plus
+    faraday = mats.faraday
+    t_plus = mats.electrolyte.t_plus
+    # lithium fluxes per unit depth [mol/(m s)]
     assert loads["c_s"].sum() == pytest.approx(-total_ibv / faraday,
-                                               rel=1e-12)
+                                               rel=1e-12, abs=1.6e-19)
     assert loads["c_e"].sum() == pytest.approx(
-        (1 - t_plus) * total_ibv / faraday, rel=1e-12)
+        (1 - t_plus) * total_ibv / faraday, rel=1e-12, abs=1.6e-19)
     # eta * I_BV is pointwise nonnegative (odd sinh), hence the heat load too
     assert ist.eta_ibv_min() >= 0.0
 
 
-def test_linearized_bv_matches_nonlinear_at_small_eta(coarse_mesh,
-                                                      mats_scaled):
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+def test_linearized_bv_matches_nonlinear_at_small_eta(coarse_mesh, mats):
+    prob = conftest.make_problem(coarse_mesh, mats)
     s0 = prob.initial_state()
-    for eta0 in (-0.005, -0.002, 0.002, 0.005):   # volts; scale is 1 V
+    for eta0 in (-0.005, -0.002, 0.002, 0.005):   # volts
         state = s0.copy()
         state["phi_s"] = prob.s_ps.apply_constraints(s0["phi_s"] + eta0)
         ist = prob.interface_state_of(state)
@@ -699,28 +698,26 @@ def test_stage1_uniform_state_is_stationary(coarse_problem):
     prob = coarse_problem
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    new, audit = prob.stage1(s0, s0.copy(), dt=0.1)
+    new, audit = prob.stage1(s0, s0.copy(), dt=6.0)
     for name in ("theta", "c_s", "c_e"):
         scale = np.abs(s0[name]).max()
         assert np.abs(new[name] - s0[name]).max() < 1e-9 * scale
-    assert audit.ibv_integral == pytest.approx(0.0, abs=1e-12)
+    assert audit.ibv_integral == pytest.approx(0.0, abs=1.6e-16)     # A/m
 
 
-def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem,
-                                                            scales):
+def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
     """The start-up step keeps c_s, c_e on the midpoint rule and takes the
     heat equation as two backward-Euler half-steps with the midpoint
     source b: with h = dt/2 and A = M + h K, the increments solve
     A d1 = h (b - K theta_0) and A d2 = h (b - K (theta_0 + d1))."""
     import scipy.sparse.linalg as spla
-    from voltacell import units
     from voltacell.state import SimState
     prob = coarse_problem
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    prob.set_load(20.0)
     s0 = prob.initial_state()
     d0 = {k: s0[k] for k in prob.D_FIELDS}
     mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
-    dt = 0.1
+    dt = 6.0
     plain, _ = prob.stage1(s0, mid, dt)
     start, _ = prob.stage1(s0, mid, dt, heat_start=True)
     for name in ("c_s", "c_e"):
@@ -745,7 +742,7 @@ def test_equilibrium_fixed_point_full_step(coarse_problem):
     prob = coarse_problem
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=1)
+    grid = TimeGrid(dt=6.0, n_steps=1)
     state, rep = step(prob, History(prev=s0), grid, 1)
     assert state.max_rel_diff(s0, prob.field_scales) < 1e-8
 
@@ -758,10 +755,10 @@ def test_elasticity_zero_load_at_reference(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
     b = prob.elasticity_load(asm.eval_qp(prob.s_th, s0["theta"]), s0["c_s"])
-    assert np.abs(b).max() < 1e-12
+    assert np.abs(b).max() < 1e-10     # N/m
 
 
-def test_elasticity_load_scales_linearly(coarse_problem, mats_scaled):
+def test_elasticity_load_scales_linearly(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
     th1 = s0["theta"] + 10.0
@@ -814,43 +811,41 @@ def test_interface_sample_fields(coarse_problem):
     ist = prob.interface_state_of(s0)
     assert set(ist.tags) == {geo.ANODE, geo.CATHODE}
     assert np.abs(ist.eta).max() < 1e-10
-    assert np.abs(ist.i_bv).max() < 1e-8
+    assert np.abs(ist.i_bv).max() < 1.6e-8     # A/m^2
     assert np.all(ist.coeff > 0.0)
 
 
-def test_electrochemical_mode_freezes_theta_and_u(coarse_mesh, mats_scaled,
-                                                  scales):
-    from voltacell import units
+def test_electrochemical_mode_freezes_theta_and_u(coarse_mesh, mats):
     from voltacell.state import History
     from voltacell.stepping import TimeGrid, step
-    prob = conftest.make_problem(coarse_mesh, mats_scaled,
-                                 mode="electrochemical")
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    prob = conftest.make_problem(coarse_mesh, mats, mode="electrochemical")
+    prob.set_load(20.0)
     hist = History(prev=prob.initial_state())
-    grid = TimeGrid(dt=0.1, n_steps=2)
+    grid = TimeGrid(dt=6.0, n_steps=2)
     for n in (1, 2):
         state, _ = step(prob, hist, grid, n)
         hist.push(state)
     assert np.all(hist.prev["u"] == 0.0)
-    assert np.allclose(hist.prev["theta"], mats_scaled.theta_ref, atol=1e-12)
+    assert np.allclose(hist.prev["theta"], mats.theta_ref, atol=1e-12)
     # concentrations still move (the electrochemistry stays live)
     assert not np.allclose(hist.prev["c_s"], prob.initial_state()["c_s"])
 
 
-def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh,
-                                                      mats_scaled):
+def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh, mats):
     """The isothermal model never solves the heat equation, so stage 1 must
-    not factorize (and hold) its matrix; the full model does."""
+    not factorize (and hold) its matrix; the full model does.  Likewise the
+    strain-free model never solves u and holds no elasticity factor."""
     from voltacell.state import SimState
-    for mode, has_heat in (("electrochemical", False), ("full", True)):
-        prob = conftest.make_problem(coarse_mesh, mats_scaled, mode=mode)
+    for mode, full in (("electrochemical", False), ("full", True)):
+        prob = conftest.make_problem(coarse_mesh, mats, mode=mode)
         s0 = prob.initial_state()
         d0 = {k: s0[k] for k in prob.D_FIELDS}
         mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
-        prob.stage1(s0, mid, 0.1)
+        prob.stage1(s0, mid, 6.0)
         _, ops = prob._dt_ops
-        assert ("th_factor" in ops) == has_heat
+        assert ("th_factor" in ops) == full
         assert "ce_factor" in ops
+        assert (prob._u_factor is not None) == full
 
 
 class _PassGuard(Guard):

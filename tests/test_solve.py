@@ -36,7 +36,7 @@ def test_assembled_system_matches_dense_factorization(method):
     a = asm.assemble_stiffness(s, 2.0) + asm.assemble_mass(s, 1.0)
     rng = np.random.default_rng(5)
     b = rng.normal(size=s.ndof)
-    x = solve_spd(a, b, method=method)
+    x = SpdFactor(a, method=method).solve(b)
     x_dense = np.linalg.solve(a.toarray(), b)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-8
 
@@ -53,7 +53,7 @@ def test_non_convergence_reports_residual():
     # an indefinite matrix defeats CG; the failure carries the residual
     a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(SolveError):
-        solve_spd(a, np.array([1.0, 1.0]), method="cg")
+        SpdFactor(a, method="cg").solve(np.array([1.0, 1.0]))
 
 
 def test_rtol_enforced():

@@ -201,11 +201,11 @@ def test_heat_start_only_on_step_one():
 # coupled problem stepping
 # ---------------------------------------------------------------------------
 
-def test_equilibrium_preserved_over_steps(coarse_mesh, mats_scaled):
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
+def test_equilibrium_preserved_over_steps(coarse_mesh, mats):
+    prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=10)
+    grid = TimeGrid(dt=6.0, n_steps=10)
     hist = History(prev=s0)
     for n in range(1, 11):
         state, _ = step(prob, hist, grid, n)
@@ -213,13 +213,12 @@ def test_equilibrium_preserved_over_steps(coarse_mesh, mats_scaled):
     assert hist.prev.max_rel_diff(s0, prob.field_scales) < 1e-7
 
 
-def test_discharge_step_sign_audit(coarse_mesh, mats_scaled, scales):
+def test_discharge_step_sign_audit(coarse_mesh, mats):
     """Positive applied current drains the anode: I_BV > 0 on its interface."""
-    from voltacell import units
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=1)
+    grid = TimeGrid(dt=6.0, n_steps=1)
     state, rep = step(prob, History(prev=s0), grid, 1)
     ist = prob.interface_state_of(state)
     anode = ist.tags == geo.ANODE
@@ -228,13 +227,11 @@ def test_discharge_step_sign_audit(coarse_mesh, mats_scaled, scales):
     assert rep.eta_ibv_min >= 0.0
 
 
-def test_fixed_point_contraction_on_load_step(coarse_mesh, mats_scaled,
-                                              scales):
-    from voltacell import units
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+def test_fixed_point_contraction_on_load_step(coarse_mesh, mats):
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=0.1, n_steps=2)
+    grid = TimeGrid(dt=6.0, n_steps=2)
     hist = History(prev=s0)
     for n in (1, 2):
         state, rep = step(prob, hist, grid, n, extra_iters=4)
@@ -243,19 +240,18 @@ def test_fixed_point_contraction_on_load_step(coarse_mesh, mats_scaled,
         assert all(b <= a * 1.001 + 1e-12 for a, b in zip(ups, ups[1:])), ups
 
 
-def test_mass_bookkeeping_over_discharge(coarse_mesh, mats_scaled, scales):
+def test_mass_bookkeeping_over_discharge(coarse_mesh, mats):
     """Per step, the change of total lithium balances the interface current."""
-    from voltacell import units
-    prob = conftest.make_problem(coarse_mesh, mats_scaled)
-    prob.set_load(scales.to_internal(20.0, units.CURRENT_DENSITY))
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
     s0 = prob.initial_state()
-    dt = 0.1
+    dt = 6.0
     grid = TimeGrid(dt=dt, n_steps=5)
     hist = History(prev=s0)
     ones_s = np.ones(prob.s_cs.ndof)
     ones_e = np.ones(prob.s_ce.ndof)
-    faraday = mats_scaled.faraday
-    t_plus = mats_scaled.electrolyte.t_plus
+    faraday = mats.faraday
+    t_plus = mats.electrolyte.t_plus
     for n in range(1, 6):
         int_cs_prev = float(ones_s @ (prob.m_cs @ hist.prev["c_s"]))
         int_ce_prev = float(ones_e @ (prob.m_ce @ hist.prev["c_e"]))
@@ -265,8 +261,9 @@ def test_mass_bookkeeping_over_discharge(coarse_mesh, mats_scaled, scales):
         d_ce = float(ones_e @ (prob.m_ce @ state["c_e"])) - int_ce_prev
         flux_s = -dt / faraday * rep.ibv_integral
         flux_e = dt * (1 - t_plus) / faraday * rep.ibv_integral
-        assert d_cs == pytest.approx(flux_s, rel=1e-8)
-        assert d_ce == pytest.approx(flux_e, rel=1e-8)
+        # lithium per unit depth [mol/m]
+        assert d_cs == pytest.approx(flux_s, rel=1e-8, abs=1e-17)
+        assert d_ce == pytest.approx(flux_e, rel=1e-8, abs=1e-17)
 
 
 def test_coupled_functional_temporal_order():
