@@ -41,7 +41,6 @@ class ScenarioConfig:
     kappa_d_factor: float = 1.0
     mesh: MeshSpec = field(default_factory=MeshSpec.production)
     dims: CellDimensions = field(default_factory=CellDimensions)
-    guard_action: str = "clamp"
     extra_fp_iters: int = 4
     fp_tol: float = 1e-8
     snapshot_every: float = 60.0        # simulated seconds
@@ -76,8 +75,6 @@ class ScenarioConfig:
             errs.append("extra_fp_iters must be nonnegative")
         if self.snapshot_every <= 0.0:
             errs.append("snapshot_every must be positive")
-        if self.guard_action not in ("clamp", "abort"):
-            errs.append("guard_action must be 'clamp' or 'abort'")
         return errs
 
     def materials(self) -> MaterialSet:
@@ -159,7 +156,6 @@ _KEYS = {
     "soc_init_cathode": ("soc_init_cathode", _float),
     "model": ("model", _str),
     "kappa_d_factor": ("kappa_d_factor", _float),
-    "guard_action": ("guard_action", _str),
     "extra_fp_iters": ("extra_fp_iters", _int),
     "fp_tol": ("fp_tol", _float),
     "snapshot_every": ("snapshot_every", _float),

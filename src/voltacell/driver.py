@@ -15,7 +15,6 @@ through the solves to the outputs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -81,12 +80,10 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
     mats = config.materials()
-    guard = dataclasses.replace(GuardPolicy.defaults(mats),
-                                action=config.guard_action)
     geom = build_interdigitated_domain(config.dims)
     mesh = generate_layered_mesh(geom, config.mesh)
     problem = CellProblem(
-        mesh, mats, Guard(guard),
+        mesh, mats, Guard(GuardPolicy.defaults(mats)),
         mode=config.model, kappa_d_factor=config.kappa_d_factor,
         soc_init=(config.soc_init_anode, config.soc_init_cathode))
     problem.set_load(config.i_app)
@@ -148,7 +145,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     status = "failed"
     try:
         hist = History(prev=state0)
-        rec0 = post.record_state(problem, state0, 0)
+        rec0 = post.record_state(problem, state0)
         records.append(rec0)
         if csv_fh:
             csv_fh.write(post.format_record(rec0) + "\n")
@@ -180,7 +177,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     ibv_mid=rep.ibv_integral,
                     theta_weighted=problem.readout(state, "theta_weighted"),
                 ))
-                rec = post.record_state(problem, state, rep.clamp_events)
+                rec = post.record_state(problem, state)
                 records.append(rec)
                 if csv_fh:
                     csv_fh.write(post.format_record(rec) + "\n")

@@ -11,41 +11,30 @@ All functions accept and return plain floats or numpy arrays.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 # State-of-charge value past which the cathode open-circuit fit blows up
 # (pole of the (1.00167 - x)^-0.379571 term).
 CATHODE_OCP_POLE = 1.00167
-_OCP_CLAMP_MARGIN = 1e-6
 
 
-def ocp_anode(c_hat, clamp: bool = False):
+def ocp_anode(c_hat):
     """Open-circuit potential of the graphite anode vs. state of charge [V]."""
     c_hat = np.asarray(c_hat, dtype=float)
-    if clamp:
-        c_hat = _clamped(c_hat, _OCP_CLAMP_MARGIN, np.inf, "anode OCP")
     out = -0.16 + 1.32 * np.exp(-3.0 * c_hat) + 10.0 * np.exp(-2000.0 * c_hat)
     return out if out.ndim else float(out)
 
 
-def ocp_cathode(c_hat, clamp: bool = False):
+def ocp_cathode(c_hat):
     """Open-circuit potential of the LMO cathode vs. state of charge [V].
 
-    Raises ValueError at or beyond the fit's pole unless ``clamp`` is set, in
-    which case inputs are clamped just inside the admissible interval and the
-    event is logged.
+    Raises ValueError at or beyond the fit's pole.
     """
     c_hat = np.asarray(c_hat, dtype=float)
-    if clamp:
-        c_hat = _clamped(c_hat, _OCP_CLAMP_MARGIN,
-                         CATHODE_OCP_POLE - _OCP_CLAMP_MARGIN, "cathode OCP")
-    elif np.any(c_hat >= CATHODE_OCP_POLE):
+    if np.any(c_hat >= CATHODE_OCP_POLE):
         raise ValueError(
             f"cathode OCP undefined at c_hat >= {CATHODE_OCP_POLE} (fit pole)")
     out = (4.06279
@@ -54,15 +43,6 @@ def ocp_cathode(c_hat, clamp: bool = False):
            - 0.045 * np.exp(-71.69 * c_hat ** 8)
            + 0.01 * np.exp(-200.0 * (c_hat - 0.19)))
     return out if out.ndim else float(out)
-
-
-def _clamped(x, lo, hi, what):
-    clipped = np.clip(x, lo, hi)
-    n_bad = int(np.count_nonzero(clipped != x))
-    if n_bad:
-        log.warning("%s: clamped %d evaluation point(s) into [%g, %g]",
-                    what, n_bad, lo, hi)
-    return clipped
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ log = logging.getLogger(__name__)
 
 SINH_ARG_LIMIT = 500.0
 
-# Clamp contexts of the solid concentration, indexed by electrode tag
+# Guard contexts of the solid concentration, indexed by electrode tag
 _CS_VOLUME = tuple(f"c_s volume ({TAG_NAMES[t]})" for t in SOLID)
 _CS_TRACE = tuple(f"c_s trace ({TAG_NAMES[t]} interface)" for t in SOLID)
 
@@ -332,7 +332,8 @@ class CellProblem:
 
     def _interface_kinetics(self, theta_v, cs_v, ce_v) -> dict:
         """Guarded traces, open-circuit potential, exchange current and the
-        linearized-BV coefficient at the interface points."""
+        linearized-BV coefficient at the interface points.  Inside the
+        guard's bounds c_hat lies inside both open-circuit fits' domains."""
         mats, tr, el = self.mats, self.iface_tr, self.iface_el
         th = tr["theta"] @ theta_v
         ce = self.guard.c_e(tr["c_e"] @ ce_v, "c_e trace (interface)")
@@ -341,8 +342,8 @@ class CellProblem:
         c_hat = cs / el.c_max
         anode = self.iface_tags == ANODE
         ocp = np.empty_like(cs)
-        ocp[anode] = mats.anode.ocp(c_hat[anode], clamp=True)
-        ocp[~anode] = mats.cathode.ocp(c_hat[~anode], clamp=True)
+        ocp[anode] = mats.anode.ocp(c_hat[anode])
+        ocp[~anode] = mats.cathode.ocp(c_hat[~anode])
         i_c = exchange_current(cs, ce, el, mats)
         return {"theta": th, "c_s": cs, "c_e": ce, "c_hat": c_hat, "ocp": ocp,
                 "i_c": i_c,

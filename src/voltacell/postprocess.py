@@ -22,7 +22,7 @@ from .state import SimState
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("t_s,V_out_V,phi_e_avg_V,soc_anode,soc_cathode,temp_K,"
-              "u_max_m,vm_max_Pa,clamp_events")
+              "u_max_m,vm_max_Pa")
 
 
 @dataclass
@@ -37,7 +37,6 @@ class TimeSeriesRecord:
     temp_k: float
     u_max_m: float
     vm_max_pa: float
-    clamp_events: int
 
     @property
     def temp_c(self) -> float:
@@ -69,8 +68,7 @@ def displacement_max(problem, u_vec) -> float:
     return float(mag.max()) if mag.size else 0.0
 
 
-def record_state(problem, state: SimState,
-                 clamp_events: int = 0) -> TimeSeriesRecord:
+def record_state(problem, state: SimState) -> TimeSeriesRecord:
     """Summarize one state into its quantities of interest."""
     vmax = problem.von_mises_qp(state)[1] if problem.mode == "full" else 0.0
     avg = problem.readout
@@ -83,7 +81,6 @@ def record_state(problem, state: SimState,
         temp_k=avg(state, "theta_avg"),
         u_max_m=displacement_max(problem, state["u"]),
         vm_max_pa=vmax,
-        clamp_events=clamp_events,
     )
 
 
@@ -113,8 +110,7 @@ def format_record(rec: TimeSeriesRecord) -> str:
     return ",".join([
         f"{rec.t_s:.17g}", f"{rec.v_out_v:.17g}", f"{rec.phi_e_avg_v:.17g}",
         f"{rec.soc_anode:.17g}", f"{rec.soc_cathode:.17g}",
-        f"{rec.temp_k:.17g}", f"{rec.u_max_m:.17g}", f"{rec.vm_max_pa:.17g}",
-        str(rec.clamp_events)])
+        f"{rec.temp_k:.17g}", f"{rec.u_max_m:.17g}", f"{rec.vm_max_pa:.17g}"])
 
 
 # ---------------------------------------------------------------------------

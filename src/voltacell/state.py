@@ -1,20 +1,18 @@
-"""Simulation state containers and concentration bound guarding.
+"""Simulation state containers and the concentration bound check.
 
 The exchange current involves square roots of c_e, c_s and (c_max - c_s), so
 evaluations must never see concentrations at or beyond those bounds.  The
-guard clamps values *at evaluation points only* (quadrature points and
-interface traces); solution vectors are never modified.  Every clamp event is
-counted and logged with its context and worst magnitude.
+guard checks the values *at evaluation points* (quadrature points and
+interface traces) and raises ``GuardViolation`` on any value outside its
+bounds, naming the context, the count, the bounds and the worst excess; it
+never alters a value, so a run either solves the physics it reports or stops.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 D_FIELDS = ("theta", "c_s", "c_e")
 S_FIELDS = ("phi_s", "phi_e", "u")
@@ -99,13 +97,10 @@ class GuardPolicy:
 
     eps_e: float
     eps_s: float
-    action: str = "clamp"     # 'clamp' (and log) or 'abort'
 
     def __post_init__(self):
         if self.eps_e <= 0.0 or self.eps_s <= 0.0:
             raise ValueError("guard margins must be positive")
-        if self.action not in ("clamp", "abort"):
-            raise ValueError("guard action must be 'clamp' or 'abort'")
 
     @classmethod
     def defaults(cls, mats) -> "GuardPolicy":
@@ -113,58 +108,40 @@ class GuardPolicy:
         return cls(eps_e=1e-3 * mats.c_e_init, eps_s=eps_s)
 
 
-@dataclass
-class ClampLog:
-    events: int = 0
-    max_violation: float = 0.0
-    contexts: dict = field(default_factory=dict)
-
-
 class Guard:
-    """Applies a GuardPolicy to evaluated arrays, recording clamp events."""
+    """Checks evaluated arrays against a GuardPolicy's bounds."""
 
     def __init__(self, policy: GuardPolicy):
         self.policy = policy
-        self.log = ClampLog()
 
-    def clamp(self, values: np.ndarray, lo, hi, context,
+    def check(self, values: np.ndarray, lo, hi, context,
               labels: np.ndarray | None = None) -> np.ndarray:
-        """Clip ``values`` into [lo, hi] (scalars or one bound per value).
+        """Return ``values`` if all lie in [lo, hi] (scalars or one bound per
+        value), else raise GuardViolation; a NaN lies in no interval.
 
-        Clamp events are counted under the name ``context``; with
-        ``labels`` (an index per value), ``context`` is a sequence of names
-        indexed by label, and events are counted per name.
+        With ``labels`` (an index per value), ``context`` is a sequence of
+        names indexed by label, and the message names the context of the
+        lowest offending label.
         """
-        clipped = np.clip(values, lo, hi)
-        bad = clipped != values
+        bad = ~((values >= lo) & (values <= hi))
         if not bad.any():
-            return clipped
-        excess = np.abs(values - clipped)
-        if labels is None:
-            named = [(context, bad)]
-        else:
-            named = [(context[k], bad & (labels == k))
-                     for k in np.unique(labels[bad])]
-        for name, sel in named:
-            n = int(np.count_nonzero(sel))
-            worst = float(excess[sel].max())
-            if self.policy.action == "abort":
-                lo_k = np.broadcast_to(lo, values.shape)[sel][0]
-                hi_k = np.broadcast_to(hi, values.shape)[sel][0]
-                raise GuardViolation(
-                    f"{name}: {n} value(s) out of [{lo_k:.6g}, {hi_k:.6g}], "
-                    f"worst excess {worst:.3e}")
-            self.log.events += n
-            self.log.max_violation = max(self.log.max_violation, worst)
-            self.log.contexts[name] = self.log.contexts.get(name, 0) + n
-            log.debug("guard: clamped %d value(s) in %s (worst excess %.3e)",
-                      n, name, worst)
-        return clipped
+            return values
+        if labels is not None:
+            k = labels[bad].min()
+            bad &= labels == k
+            context = context[k]
+        lo_b = np.broadcast_to(lo, values.shape)[bad]
+        hi_b = np.broadcast_to(hi, values.shape)[bad]
+        v = values[bad]
+        worst = float(np.maximum(lo_b - v, v - hi_b).max())
+        raise GuardViolation(
+            f"{context}: {v.size} value(s) out of [{lo_b[0]:.6g}, "
+            f"{hi_b[0]:.6g}], worst excess {worst:.3e}")
 
     def c_e(self, values: np.ndarray, context: str = "c_e") -> np.ndarray:
-        return self.clamp(values, self.policy.eps_e, np.inf, context)
+        return self.check(values, self.policy.eps_e, np.inf, context)
 
     def c_s(self, values: np.ndarray, c_max, context="c_s",
             labels: np.ndarray | None = None) -> np.ndarray:
-        return self.clamp(values, self.policy.eps_s,
+        return self.check(values, self.policy.eps_s,
                           c_max - self.policy.eps_s, context, labels)

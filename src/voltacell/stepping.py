@@ -76,7 +76,7 @@ class StepReport:
     sweeps: int
     max_update: float
     update_history: list = field(default_factory=list)
-    clamp_events: int = 0
+    clamp_events: int = 0        # always 0: the guard raises, never clamps
     ibv_integral: float = 0.0
     eta_ibv_min: float = 0.0
     eta_max: float = 0.0
@@ -115,9 +115,7 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     prev = history.prev
     dt = grid.dt
     t_new = prev.t + dt
-    guard = getattr(backend, "guard", None)
     scales = getattr(backend, "field_scales", None)
-    clamp0 = guard.log.events if guard else 0
     held = getattr(backend, "held_factors", ())
     refac0 = sum(h.refactorizations for h in held)
     cg0 = sum(h.cg_iterations for h in held)
@@ -138,16 +136,15 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     report = StepReport(
         n=n, t=t_new, sweeps=len(updates), max_update=updates[-1],
         update_history=updates,
-        clamp_events=(guard.log.events - clamp0) if guard else 0,
         ibv_integral=getattr(audit, "ibv_integral", 0.0),
         eta_ibv_min=getattr(audit, "eta_ibv_min", 0.0),
         eta_max=getattr(audit, "eta_max", 0.0),
         refactorizations=sum(h.refactorizations for h in held) - refac0,
         cg_iterations=sum(h.cg_iterations for h in held) - cg0,
     )
-    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  clamps=%d  "
+    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  "
              "refactorizations=%d  cg_iterations=%d",
-             n, t_new, report.sweeps, report.max_update, report.clamp_events,
+             n, t_new, report.sweeps, report.max_update,
              report.refactorizations, report.cg_iterations)
     return iterate, report
 

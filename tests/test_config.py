@@ -57,10 +57,11 @@ def test_all_violations_reported_together(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("heat_convention", "reversed"), ("scale.length", "1e-3"),
-    ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0")])
+    ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0"),
+    ("guard_action", "clamp")])
 def test_removed_keys_are_unknown(tmp_path, key, value):
-    """There is no heat-sign convention, unit-scale or guard-margin
-    setting, so a scenario file cannot set them."""
+    """There is no heat-sign convention, unit-scale, guard-margin or
+    guard-action setting, so a scenario file cannot set them."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\n{key} = {value}\n")
     with pytest.raises(ConfigError,
@@ -104,13 +105,10 @@ def test_preset_step_counts_in_expected_band():
 
 
 def test_guard_defaults_scaled():
-    """A run's guard margins follow from the materials (in mol/m^3), and
-    the guard takes the configured action."""
+    """A run's guard margins follow from the materials (in mol/m^3)."""
     from voltacell.driver import build_problem
     from voltacell.mesh import MeshSpec
-    cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse(),
-                                           guard_action="abort")
+    cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse())
     policy = build_problem(cfg).guard.policy
     assert policy.eps_e == pytest.approx(1e-3 * 2000.0, rel=1e-12)
     assert policy.eps_s == pytest.approx(1e-4 * 2.286e4, rel=1e-12)
-    assert policy.action == "abort"

@@ -10,6 +10,7 @@ from voltacell import postprocess as post
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec
 from voltacell.physics import CellProblem
+from voltacell.state import GuardViolation
 
 DESK = dict(mesh=MeshSpec.coarse(), dt=6.0, t_end=60.0, snapshot_every=30.0)
 
@@ -89,6 +90,36 @@ def test_failure_preserves_prefix(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["steps_completed"] == 5
+
+
+def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
+    """A real bound violation (stage 1 drives c_e below the guard's floor
+    from step 3 on) raises GuardViolation naming c_e, and leaves the rows of
+    the completed steps, in the 8-column schema, and a failed manifest."""
+    real_stage1 = CellProblem.stage1
+    dt = DESK["dt"]
+
+    def depleting_stage1(self, prev, mid, dt_, **kw):
+        d_new, audit = real_stage1(self, prev, mid, dt_, **kw)
+        if prev.t >= 2 * dt - 1e-9:
+            floor = self.guard.policy.eps_e
+            d_new["c_e"] = np.full_like(d_new["c_e"], 0.5 * floor)
+        return d_new, audit
+
+    monkeypatch.setattr(CellProblem, "stage1", depleting_stage1)
+    cfg = preset("high_discharge").replace(**DESK)
+    out = tmp_path / "guarded"
+    with pytest.raises(GuardViolation, match="c_e"):
+        driver.run_scenario(cfg, out_dir=str(out))
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == post.CSV_HEADER
+    assert "clamp_events" not in lines[0]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[0]) for r in rows] == pytest.approx([0.0, dt, 2 * dt])
+    assert all(len(r) == 8 for r in rows)
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "failed"
+    assert man["steps_completed"] == 2
 
 
 def test_loaded_run_starts_from_initial_state(tmp_path, monkeypatch):

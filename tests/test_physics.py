@@ -852,7 +852,7 @@ class _PassGuard(Guard):
     """Disabled bound guarding (the production guard makes I_c > 0 by
     construction, so the singularity below is only reachable without it)."""
 
-    def clamp(self, values, lo, hi, context, labels=None):
+    def check(self, values, lo, hi, context, labels=None):
         return values
 
 

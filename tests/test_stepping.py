@@ -86,62 +86,47 @@ def test_predictor_zero_rate_at_equilibrium():
 
 def test_guard_in_bounds_untouched():
     g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.286))
-    vals = np.array([100.0, 2000.0])
-    out = g.c_e(vals)
-    assert np.array_equal(out, vals)
-    assert g.log.events == 0
+    vals = np.array([2.0, 100.0, 2000.0])
+    assert g.c_e(vals) is vals
+    cs = np.array([2.286, 500.0, 24997.714])
+    assert g.c_s(cs, 25000.0) is cs
 
 
-def test_guard_clamps_and_logs():
+def test_guard_out_of_bounds_raises():
+    """A value below the floor raises, naming the context, the count, the
+    bounds and the worst excess; so does a NaN."""
     g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.286))
-    out = g.c_e(np.array([-1.0, 1500.0]))
-    assert out[0] == pytest.approx(2.0)
-    assert out[1] == 1500.0
-    assert g.log.events == 1
-    assert g.log.max_violation == pytest.approx(3.0)
-
-
-def test_guard_saturation_keeps_exchange_current_positive():
-    from voltacell import materials as mat
-    from voltacell import physics as phys
-    mats = mat.default_materials()
-    g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.286))
-    c = g.c_s(np.array([mats.anode.c_max]), mats.anode.c_max)
-    assert c[0] == pytest.approx(mats.anode.c_max - 2.286)
-    i_c = phys.exchange_current(c, 2000.0, mats.anode, mats)
-    assert i_c[0] > 0.0
+    with pytest.raises(vstate.GuardViolation,
+                       match=r"^c_e trace: 2 value\(s\) out of \[2, inf\], "
+                             r"worst excess 3\.000e\+00$"):
+        g.c_e(np.array([-1.0, 1500.0, 0.5]), "c_e trace")
+    with pytest.raises(vstate.GuardViolation, match=r"c_s: 1 value\(s\) "
+                       r"out of \[2\.286, 24997\.7\], worst excess 2\.286e\+00"):
+        g.c_s(np.array([500.0, 25000.0]), 25000.0)
+    with pytest.raises(vstate.GuardViolation, match="c_e: 1 value"):
+        g.c_e(np.array([np.nan, 100.0]))
 
 
 def test_guard_labels_count_per_context():
-    """One clamp over points of two electrodes, with a bound per point,
-    counts its events under each point's own context name."""
+    """With a bound and a label per point, the message names the offending
+    label's context and counts only its values."""
     g = Guard(GuardPolicy(eps_e=2.0, eps_s=1.0))
     names = ("c_s (sa)", "c_s (sc)")
-    labels = np.array([0, 1, 1, 0, 1])
-    c_max = np.array([10.0, 20.0, 20.0, 10.0, 20.0])
-    out = g.c_s(np.array([9.5, 19.5, 25.0, -3.0, 0.5]), c_max, names, labels)
-    assert np.array_equal(out, [9.0, 19.0, 19.0, 1.0, 1.0])
-    assert g.log.contexts == {"c_s (sa)": 2, "c_s (sc)": 3}
-    assert g.log.events == 5
-    assert g.log.max_violation == pytest.approx(6.0)
-    abort = Guard(GuardPolicy(eps_e=2.0, eps_s=1.0, action="abort"))
+    c_max = np.array([10.0, 20.0, 20.0, 10.0])
+    labels = np.array([0, 1, 1, 0])
     with pytest.raises(vstate.GuardViolation,
-                       match=r"c_s \(sc\): 1 value\(s\) out of \[1, 19\]"):
-        abort.c_s(np.array([5.0, 25.0]), np.array([10.0, 20.0]), names,
-                  np.array([0, 1]))
-
-
-def test_guard_abort_action():
-    g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.0, action="abort"))
-    with pytest.raises(vstate.GuardViolation):
-        g.c_e(np.array([-1.0]))
+                       match=r"^c_s \(sc\): 2 value\(s\) out of \[1, 19\], "
+                             r"worst excess 6\.000e\+00$"):
+        g.c_s(np.array([5.0, 25.0, 0.5, 9.0]), c_max, names, labels)
+    ok = np.array([9.0, 19.0, 1.0, 1.0])
+    assert g.c_s(ok, c_max, names, labels) is ok
 
 
 def test_guard_policy_validation():
     with pytest.raises(ValueError):
         GuardPolicy(eps_e=0.0, eps_s=1.0)
     with pytest.raises(ValueError):
-        GuardPolicy(eps_e=1.0, eps_s=1.0, action="explode")
+        GuardPolicy(eps_e=1.0, eps_s=-1.0)
 
 
 # ---------------------------------------------------------------------------
