@@ -410,7 +410,7 @@ def trace_operator(grid: NodeGrid, edges: Sequence[EdgeRef]):
     the grid nodes; ``restrict_trace`` selects one field's columns.  With a
     field vector ``v`` and point values ``g``, ``T @ v`` is the trace of
     ``v``, ``T.T @ (w * g)`` the load <w_i, g>, ``w @ g`` the integral of
-    ``g`` over the edges and ``trace_mass(T, w, c)`` the edge mass.
+    ``g`` over the edges and ``TraceMass(T, w).matrix(c)`` the edge mass.
     """
     if not edges:
         return sp.csr_matrix((0, grid.n_nodes)), np.zeros(0)
@@ -489,15 +489,6 @@ class TraceMass(FixedPattern):
             raise AssemblyError("edge mass coefficient must be nonnegative")
         return self.with_data(self.base_data
                               + self.sum(self.pair_value * c[self.pair_point]))
-
-
-def trace_mass(t: sp.spmatrix, w: np.ndarray, coeff) -> sp.csr_matrix:
-    """Edge mass T^T diag(w c) T, i.e. <w_i, c w_j> over the edges of ``t``.
-
-    ``coeff`` is a scalar or one value per quadrature point; it must be
-    nonnegative (the matrix is positive semidefinite by construction).
-    """
-    return TraceMass(t, w).matrix(coeff)
 
 
 # ---------------------------------------------------------------------------

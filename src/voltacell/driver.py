@@ -8,9 +8,10 @@ Euler predictor from there.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
-cadence, and a manifest recording the configuration hash, parameter values
-and code version.  Every quantity is in SI units, from the configuration
-through the solves to the outputs.
+cadence, and a manifest recording the configuration hash, parameter values,
+code version and the counts of completed and unconverged steps.  Every
+quantity is in SI units, from the configuration through the solves to the
+outputs.
 """
 
 from __future__ import annotations
@@ -90,14 +91,16 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     return problem
 
 
-def _write_manifest(path, config, status, n_done, snapshot_names):
+def _write_manifest(path, config, status, reports, snapshot_names):
+    """Write the manifest; ``reports`` are those of the completed steps."""
     payload = {
         "tool": "voltacell",
         "version": __version__,
         "status": status,
         "config_hash": config_hash(config),
         "config": config.to_dict(),
-        "steps_completed": n_done,
+        "steps_completed": len(reports),
+        "steps_unconverged": sum(not r.converged for r in reports),
         "snapshots": snapshot_names,
         "notes": ["power density is per unit out-of-plane depth"],
     }
@@ -128,7 +131,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         manifest_path = os.path.join(out_dir, "manifest.json")
         csv_fh = open(csv_path, "w", encoding="utf-8", newline="\n")
         csv_fh.write(post.CSV_HEADER + "\n")
-        _write_manifest(manifest_path, config, "running", 0, snapshot_names)
+        _write_manifest(manifest_path, config, "running", [], snapshot_names)
 
     def emit_snapshot(state: SimState, snapshots: list):
         snapshots.append((state.t, state.copy()))
@@ -198,5 +201,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         if csv_fh:
             csv_fh.close()
         if manifest_path:
-            _write_manifest(manifest_path, config, status, n_done,
+            _write_manifest(manifest_path, config, status, reports[:n_done],
                             snapshot_names)

@@ -34,7 +34,7 @@ from .materials import ElectrodeConstants, MaterialSet, \
     diffusional_conductivity, hooke_plane_strain, hydrostatic_pressure, \
     stress_diffusivity, von_mises, StressState
 from .mesh import Mesh
-from .solve import HeldFactor, SpdFactor
+from .solve import Solver, jacobi_solve
 from .state import Guard, SimState
 
 log = logging.getLogger(__name__)
@@ -179,16 +179,22 @@ class CellProblem:
         self.m_ce = ce_scatter.mass(1.0)
         self.k_ce = ce_scatter.stiffness(e.diffusivity,
                                          "electrolyte diffusivity")
-        # The elasticity matrix is fixed: one factor serves the whole run.
-        # The electrochemical model never solves u and builds none of it.
-        self.k_u = self.k_u_red = self._u_factor = None
+        # One solver per system.  The c_s and potential-pair matrices change
+        # between sweeps and steps only through slowly varying coefficients,
+        # so one held factor each preconditions them for the whole run; the
+        # c_e and theta matrices are fixed per dt, the elasticity matrix for
+        # the run.  The electrochemical model never solves theta or u.
+        names = ("c_s", "c_e", "potential pair") \
+            + (("theta", "u") if mode == "full" else ())
+        self.solvers = {name: Solver(name) for name in names}
+        self.k_u = self.k_u_red = None
         if mode == "full":
             ga, ka = a.lame
             gc, kc = c.lame
             self.k_u = self.cs_scatter.elasticity(
                 {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
             self.k_u_red = asm.constrain(self.s_u, self.k_u)
-            self._u_factor = SpdFactor(self.k_u_red, name="u")
+            self.solvers["u"].factorize(self.k_u_red)
 
         # Interface traces: the points of the anode interface edges, then
         # those of the cathode, with one trace operator per field.
@@ -258,12 +264,6 @@ class CellProblem:
         self.solid = self.electrode_constants(self.solid_tags)
         self.iface_el = self.electrode_constants(self.iface_tags)
         self._dt_ops = None
-        # The c_s and potential-pair matrices change between sweeps and steps
-        # only through slowly varying coefficients: one held factor each
-        # preconditions them for the whole run.
-        self.cs_solver = HeldFactor(name="c_s")
-        self.pot_solver = HeldFactor(name="potential pair")
-        self.held_factors = (self.cs_solver, self.pot_solver)
 
         # Characteristic magnitudes for relative-update norms; the
         # displacement (zero at rest) is measured against the cell height.
@@ -439,7 +439,7 @@ class CellProblem:
         1's Euler-predicted midpoint would (on the production presets 25 CG
         iterations per later step instead of 40)."""
         self._prepare_dt(dt)
-        self.cs_solver.hold(self.cs_matrices(
+        self.solvers["c_s"].factorize(self.cs_matrices(
             state, dt, self.theta_points(state["theta"]))[1])
 
     def cs_matrices(self, state: SimState, dt: float, theta_qp):
@@ -450,15 +450,16 @@ class CellProblem:
             self.solid_diffusivity_qp(state, theta_qp), "solid diffusivity")
         return k, self.cs_scatter.with_data(self.m_cs.data + 0.5 * dt * k.data)
 
-    def _prepare_dt(self, dt: float):
+    def _prepare_dt(self, dt: float) -> dict:
+        """The fixed c_e and theta midpoint matrices M + dt/2 K of ``dt``,
+        factorized by their solvers when dt changes."""
         if self._dt_ops is not None and self._dt_ops[0] == dt:
             return self._dt_ops[1]
-        ops = {}
-        a_ce = self.m_ce + 0.5 * dt * self.k_ce
-        ops["ce_factor"] = SpdFactor(a_ce, name="c_e")
+        ops = {"c_e": self.m_ce + 0.5 * dt * self.k_ce}
         if self.mode == "full":     # the heat equation is solved only here
-            a_th = self.m_th + 0.5 * dt * self.k_th
-            ops["th_factor"] = SpdFactor(a_th, name="theta")
+            ops["theta"] = self.m_th + 0.5 * dt * self.k_th
+        for name, mat in ops.items():
+            self.solvers[name].factorize(mat)
         self._dt_ops = (dt, ops)
         return ops
 
@@ -479,9 +480,9 @@ class CellProblem:
         solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
         which avoids the cancellation of the large constant background in the
         explicit operator.  The c_s matrix carries the solid diffusivity at the
-        midpoint, so it changes with every sweep; its held factor
-        (``cs_solver``) preconditions CG on it.  c_e and theta have fixed
-        matrices, factorized once per dt.
+        midpoint, so it changes with every sweep; its solver's held factor
+        preconditions CG on it.  c_e and theta have fixed matrices,
+        factorized once per dt.
 
         With ``heat_start`` (the step across the load switch-on) the heat
         equation instead takes two backward-Euler half-steps,
@@ -501,8 +502,9 @@ class CellProblem:
         b_cs = dt * (loads["c_s"] - k_cs @ prev["c_s"])
         b_ce = dt * (loads["c_e"] - self.k_ce @ prev["c_e"])
 
-        new = {"c_s": prev["c_s"] + self.cs_solver.solve(a_cs, b_cs),
-               "c_e": prev["c_e"] + ops["ce_factor"].solve(b_ce)}
+        solvers = self.solvers
+        new = {"c_s": prev["c_s"] + solvers["c_s"].solve(a_cs, b_cs),
+               "c_e": prev["c_e"] + solvers["c_e"].solve(ops["c_e"], b_ce)}
         if self.mode == "full":
             q_load = asm.assemble_load(self.s_th,
                                        self.heat_source_qp(mid, theta_qp))
@@ -510,8 +512,8 @@ class CellProblem:
             h, n_sub = (0.5 * dt, 2) if heat_start else (dt, 1)
             theta = prev["theta"]
             for _ in range(n_sub):
-                theta = theta + ops["th_factor"].solve(
-                    h * (source - self.k_th @ theta))
+                theta = theta + solvers["theta"].solve(
+                    ops["theta"], h * (source - self.k_th @ theta))
             new["theta"] = theta
         else:
             new["theta"] = prev["theta"].copy()
@@ -531,8 +533,7 @@ class CellProblem:
         a factorization and without its memory.
         """
         def solve_mass(mass, rhs, field):
-            return SpdFactor(mass, method="cg",
-                             name=f"{field} mass").solve(rhs)
+            return jacobi_solve(mass, rhs, name=f"{field} mass")
 
         ist = self.interface_state_of(state)
         loads = self.iface_loads(ist)
@@ -612,7 +613,7 @@ class CellProblem:
         The linearized interface terms couple phi_s and phi_e, so the pair is
         solved at once as the block system of ``potential_system``; its
         matrix depends only on the dynamic fields and changes slowly, so the
-        held factor ``pot_solver`` preconditions CG on it.  The elasticity
+        held factor of its solver preconditions CG on it.  The elasticity
         matrix is fixed and factorized once per problem.
 
         Both systems are solved for the correction against the guess: the
@@ -627,7 +628,7 @@ class CellProblem:
         n_s = self.s_ps.n_free
         guess = np.concatenate([s_guess["phi_s"][self.s_ps.free],
                                 s_guess["phi_e"]])
-        x = guess + self.pot_solver.solve(a, b - a @ guess)
+        x = guess + self.solvers["potential pair"].solve(a, b - a @ guess)
         ps, pe = asm.expand(self.s_ps, x[:n_s]), x[n_s:]
 
         if self.mode == "full":
@@ -636,8 +637,8 @@ class CellProblem:
             free = self.s_u.free
             b_u = self.elasticity_load(theta_qp, cs_v)[free]
             u_guess = s_guess["u"][free]
-            u = asm.expand(self.s_u, u_guess + self._u_factor.solve(
-                b_u - self.k_u_red @ u_guess))
+            u = asm.expand(self.s_u, u_guess + self.solvers["u"].solve(
+                self.k_u_red, b_u - self.k_u_red @ u_guess))
         else:
             u = np.zeros(self.s_u.ndof)
         return {"phi_s": ps, "phi_e": pe, "u": u}

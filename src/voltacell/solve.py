@@ -1,22 +1,22 @@
-"""Sparse SPD solves with a verified residual.
+"""Sparse SPD solves with a verified residual: one ``Solver`` per system.
 
-``SpdFactor`` factorizes a matrix once and reuses the factor across
-right-hand sides; with ``method="cg"`` it runs Jacobi-preconditioned
-conjugate gradients instead, for well-conditioned matrices solved once (the
-mass matrices of the Euler predictor).  ``HeldFactor`` serves a sequence of
-nearby matrices (one per fixed-point sweep and step): it keeps the factor of
-one of them and solves the others by conjugate gradients preconditioned with
-it, refactorizing only when that falls short.  Every solve checks the
-relative residual against the tolerance and fails loudly otherwise, with a
-``SolveError`` that names the system and the cause.  A direct solve does one
-backsolve and checks it; only a solve that fails the check is refined (at
-most ``REFINEMENTS`` more backsolves, each checked again), so a well-scaled
-system costs one backsolve and one matrix-vector product.
+Each SPD system of the scheme (theta, c_s, c_e, the phi_s/phi_e pair, u) has
+one ``Solver``, which holds the LU factor of one matrix of its system.  With
+that matrix a solve is one backsolve, refined (at most ``REFINEMENTS`` more)
+only while the residual check fails.  With any other matrix (the c_s and
+potential-pair matrices change with every sweep through slowly varying
+coefficients) it runs conjugate gradients preconditioned by the held factor,
+and factorizes that matrix instead when CG misses within ``HELD_CG_MAXITER``
+iterations or meets a non-finite value.  One CG loop, ``_pcg``, serves these
+solves and the Euler predictor's Jacobi-CG mass solves (``jacobi_solve``),
+and one stopping rule, the residual check of ``_residual_excess``, ends every
+solve; one that cannot meet it raises a ``SolveError`` naming the system.
 """
 
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +41,10 @@ try:
 except (AttributeError, OSError, TypeError):    # not a glibc process
     _MALLOPT = None
 
+# The residual check's allowance for the float64 noise of applying A to the
+# solution, relative to max |A| ||x||.
+APPLY_NOISE = 1e-13
+
 # Rounds of iterative refinement a direct solve may add after its first
 # backsolve while the residual check fails.
 REFINEMENTS = 2
@@ -56,81 +60,6 @@ class SolveError(RuntimeError):
         self.achieved = achieved
 
 
-class SpdFactor:
-    """Factorization of an SPD matrix, reusable over many right-hand sides.
-
-    Every solve verifies ||A x - b|| <= rtol * ||b|| + c_eps * ||A|| * ||x||;
-    the second term is the irreducible float64 noise of applying A to the
-    solution, which matters when b is a near-converged correction many orders
-    below A's scale (it sits ~6 orders under any genuine solver failure).
-    A direct solve refines its first backsolve only while this check fails.
-    ``name`` labels the system in the messages of ``SolveError``.
-    """
-
-    APPLY_NOISE = 1e-13
-
-    def __init__(self, mat: sp.spmatrix, method: str = "direct",
-                 rtol: float = DEFAULT_RTOL, name: str = "SPD system"):
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square")
-        self.n = mat.shape[0]
-        self.method = method
-        self.rtol = rtol
-        self.name = name
-        self._mat = mat.tocsr()
-        self._a_max = np.abs(self._mat.data).max() if self._mat.nnz else 0.0
-        if method == "direct":
-            if _MALLOPT is not None:
-                _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-            try:
-                self._lu = spla.splu(mat.tocsc(), permc_spec=PERMC_SPEC)
-            except RuntimeError as exc:
-                raise SolveError(f"{name}: factorization failed: {exc}") \
-                    from exc
-        elif method == "cg":
-            diag = self._mat.diagonal()
-            if np.any(diag <= 0.0):
-                raise SolveError(
-                    f"{name}: CG preconditioner needs positive diagonal")
-            self._precond = spla.LinearOperator(
-                mat.shape, matvec=lambda v: v / diag)
-        else:
-            raise ValueError(f"unknown solve method {method!r}")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        norm_b = _rhs_norm(rhs, self.name)
-        if norm_b == 0.0:
-            return np.zeros(self.n)
-        if self.method == "direct":
-            # Refine only while the residual check fails: on poorly scaled
-            # systems up to REFINEMENTS rounds recover the tolerance.
-            x = self._lu.solve(rhs)
-            for refinement in range(REFINEMENTS + 1):
-                res = rhs - self._mat @ x
-                excess = _residual_excess(np.linalg.norm(res), norm_b,
-                                          self._a_max, x, self.rtol)
-                if excess is None or refinement == REFINEMENTS:
-                    break
-                x = x + self._lu.solve(res)
-        else:
-            x, info = spla.cg(self._mat, rhs, rtol=min(self.rtol, 1e-12),
-                              maxiter=20 * self.n, M=self._precond)
-            res = np.linalg.norm(self._mat @ x - rhs)
-            if info != 0:
-                raise SolveError(
-                    f"{self.name}: CG did not converge (info={info}); "
-                    f"achieved relative residual {res / norm_b:.3e}",
-                    achieved=res / norm_b)
-            excess = _residual_excess(res, norm_b, self._a_max, x, self.rtol)
-        if excess is not None:
-            raise SolveError(
-                f"{self.name}: solve residual {excess / norm_b:.3e} "
-                f"(relative) exceeds tolerance {self.rtol:.1e}",
-                achieved=excess / norm_b)
-        return x
-
-
 def _rhs_norm(rhs, name) -> float:
     """||b||, or SolveError when b has a non-finite entry or its norm
     overflows (a diverged state upstream of the solve)."""
@@ -144,89 +73,151 @@ def _rhs_norm(rhs, name) -> float:
 
 
 def _residual_excess(norm_r, norm_b, a_max, x, rtol) -> float | None:
-    """The residual norm ||A x - b|| when it fails SpdFactor's residual
-    check, else None."""
-    allowed = rtol * norm_b + SpdFactor.APPLY_NOISE * a_max * np.linalg.norm(x)
+    """The residual norm ||A x - b|| when it fails the residual check
+    ||A x - b|| <= rtol ||b|| + APPLY_NOISE max|A| ||x||, else None.
+
+    The second term is the irreducible float64 noise of applying A to the
+    solution, which matters when b is a near-converged correction many orders
+    below A's scale (it sits ~6 orders under any genuine solver failure)."""
+    allowed = rtol * norm_b + APPLY_NOISE * a_max * np.linalg.norm(x)
     if not np.isfinite(norm_r) or norm_r > allowed:
         return float(norm_r)
     return None
 
 
-class HeldFactor:
-    """Solver for a sequence of nearby SPD systems, holding one factor.
+def _abs_max(mat) -> float:
+    return float(np.abs(mat.data).max()) if mat.nnz else 0.0
 
-    ``solve(mat, rhs)`` runs conjugate gradients on ``mat``, preconditioned by
-    the factor of an earlier matrix and started from its solve of ``rhs``,
-    until ||A x - b|| <= 0.01 rtol ||b|| and x passes SpdFactor's residual
-    check.  The target sits below the check's bound because the factor is of
-    another matrix: CG corrects that mismatch, where a direct solve's first
-    backsolve usually passes the check as it is.  When CG misses that
-    within ``HELD_CG_MAXITER`` iterations or meets a non-finite value, the
-    old factor is dropped and ``mat`` is factorized and solved directly, so a
-    system that no factor can solve still raises SolveError.
 
+def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
+    """Conjugate gradients on ``mat`` preconditioned by ``precond`` and
+    started from ``precond(rhs)``.
+
+    It stops at the first iterate whose recurrence residual meets the
+    residual check's bound, confirmed on the true residual; when the true
+    residual fails, it iterates on.  Returns (x, iterations, converged):
+    not converged after ``maxiter`` iterations, on a non-finite residual, or
+    where ``mat`` is not positive definite along a search direction.
+    """
+    a_max = _abs_max(mat)
+    x = precond(rhs)
+    r = rhs - mat @ x
+    p = rz = None
+    for it in range(maxiter + 1):
+        norm_r = np.linalg.norm(r)
+        if not np.isfinite(norm_r):
+            break
+        if (_residual_excess(norm_r, norm_b, a_max, x, rtol) is None
+                and _residual_excess(np.linalg.norm(mat @ x - rhs), norm_b,
+                                     a_max, x, rtol) is None):
+            return x, it, True
+        if it == maxiter:
+            break
+        z = precond(r)
+        rz_new = r @ z
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        ap = mat @ p
+        p_ap = p @ ap
+        if not p_ap > 0.0:      # not SPD along p, or non-finite
+            break
+        alpha = rz / p_ap
+        x = x + alpha * p
+        r = r - alpha * ap
+    return x, it, False
+
+
+class Solver:
+    """The solver of one SPD system, holding the LU factor of one matrix (see
+    the module docstring); its first solve factorizes the matrix it is given.
+    ``name`` labels the system in the messages of ``SolveError``, and
     ``refactorizations`` and ``cg_iterations`` count the work done so far.
     """
 
-    def __init__(self, rtol: float = DEFAULT_RTOL, name: str = "SPD system"):
-        self.rtol = rtol
+    def __init__(self, name: str = "SPD system", rtol: float = DEFAULT_RTOL):
         self.name = name
+        self.rtol = rtol
         self.refactorizations = 0
         self.cg_iterations = 0
-        self._lu = None
+        # The factorized matrix, held weakly: the solver only recognises it,
+        # and the held c_s and pair matrices are 4 MB on the production mesh.
+        self._held = self._lu = None
+        self._a_max = 0.0
+
+    def factorize(self, mat: sp.spmatrix):
+        """Factorize ``mat`` and hold its factor for the solves that follow."""
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("matrix must be square")
+        self._lu = None     # release the old factor first
+        if _MALLOPT is not None:
+            _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        try:
+            lu = spla.splu(mat.tocsc(), permc_spec=PERMC_SPEC)
+        except RuntimeError as exc:
+            raise SolveError(f"{self.name}: factorization failed: {exc}") \
+                from exc
+        self._held, self._lu = weakref.ref(mat), lu
+        self._a_max = _abs_max(mat)
+        self.refactorizations += 1
 
     def solve(self, mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         norm_b = _rhs_norm(rhs, self.name)
-        if self._lu is not None:
-            x = self._preconditioned_cg(mat.tocsr(), rhs, norm_b)
-            if x is not None:
+        if norm_b == 0.0:
+            return np.zeros(mat.shape[0])
+        if self._lu is None:
+            self.factorize(mat)
+        elif mat is not self._held():
+            x, iters, converged = _pcg(mat.tocsr(), rhs, norm_b, self.rtol,
+                                       self._lu.solve, HELD_CG_MAXITER)
+            self.cg_iterations += iters
+            if converged:
                 return x
-        return self.hold(mat).solve(rhs)
+            self.factorize(mat)
+        return self._backsolve(mat, rhs, norm_b)
 
-    def hold(self, mat: sp.spmatrix) -> SpdFactor:
-        """Factorize ``mat`` and hold its factor for the solves that follow."""
-        self._lu = None     # release the old factor before the new one
-        factor = SpdFactor(mat, rtol=self.rtol, name=self.name)
-        self._lu = factor._lu
-        self.refactorizations += 1
-        return factor
+    def _backsolve(self, mat, rhs, norm_b) -> np.ndarray:
+        """Solve with the factorized matrix: refine only while the residual
+        check fails; up to REFINEMENTS rounds recover the tolerance on poorly
+        scaled systems."""
+        x = self._lu.solve(rhs)
+        for refinement in range(REFINEMENTS + 1):
+            res = rhs - mat @ x
+            excess = _residual_excess(np.linalg.norm(res), norm_b,
+                                      self._a_max, x, self.rtol)
+            if excess is None:
+                return x
+            if refinement < REFINEMENTS:
+                x = x + self._lu.solve(res)
+        raise SolveError(
+            f"{self.name}: solve residual {excess / norm_b:.3e} "
+            f"(relative) exceeds tolerance {self.rtol:.1e}",
+            achieved=excess / norm_b)
 
-    def _preconditioned_cg(self, mat, rhs, norm_b) -> np.ndarray | None:
-        """The CG solution, or None when it misses the target."""
-        precond = self._lu.solve
-        target = 0.01 * self.rtol * norm_b
-        x = precond(rhs)
-        r = rhs - mat @ x
-        p = rz = None
-        for it in range(HELD_CG_MAXITER + 1):
-            norm_r = np.linalg.norm(r)
-            if not np.isfinite(norm_r):
-                break
-            if norm_r <= target:
-                a_max = np.abs(mat.data).max() if mat.nnz else 0.0
-                norm_res = np.linalg.norm(mat @ x - rhs)    # not CG's r
-                if _residual_excess(norm_res, norm_b, a_max, x,
-                                    self.rtol) is None:
-                    return x
-                break
-            if it == HELD_CG_MAXITER:
-                break
-            z = precond(r)
-            rz_new = r @ z
-            p = z if p is None else z + (rz_new / rz) * p
-            rz = rz_new
-            ap = mat @ p
-            p_ap = p @ ap
-            if not p_ap > 0.0:      # not SPD along p, or non-finite
-                break
-            alpha = rz / p_ap
-            x = x + alpha * p
-            r = r - alpha * ap
-            self.cg_iterations += 1
-        return None
+
+def jacobi_solve(mat: sp.spmatrix, rhs: np.ndarray, name: str) -> np.ndarray:
+    """One solve by Jacobi-preconditioned CG, within 20 n iterations, for a
+    well-conditioned matrix solved once (the mass matrices of the Euler
+    predictor): faster than a factorization and without its memory."""
+    rhs = np.asarray(rhs, dtype=float)
+    norm_b = _rhs_norm(rhs, name)
+    if norm_b == 0.0:
+        return np.zeros(mat.shape[0])
+    mat = mat.tocsr()
+    diag = mat.diagonal()
+    if np.any(diag <= 0.0):
+        raise SolveError(f"{name}: CG preconditioner needs positive diagonal")
+    x, iters, converged = _pcg(mat, rhs, norm_b, DEFAULT_RTOL,
+                               lambda v: v / diag, 20 * mat.shape[0])
+    if not converged:
+        with np.errstate(over="ignore", invalid="ignore"):
+            achieved = np.linalg.norm(mat @ x - rhs) / norm_b
+        raise SolveError(
+            f"{name}: CG did not converge in {iters} iterations; "
+            f"achieved relative residual {achieved:.3e}", achieved=achieved)
+    return x
 
 
 def solve_spd(mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """One-shot direct SPD solve with residual verification."""
-    return SpdFactor(mat).solve(rhs)
+    return Solver().solve(mat, rhs)

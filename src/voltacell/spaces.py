@@ -30,8 +30,6 @@ from .mesh import Mesh, EdgeRef
 OMEGA = frozenset({ANODE, CATHODE, ELYTE})
 OMEGA_S = frozenset({ANODE, CATHODE})
 OMEGA_E = frozenset({ELYTE})
-OMEGA_SA = frozenset({ANODE})
-OMEGA_SC = frozenset({CATHODE})
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,6 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(self.t, {k: v.copy() for k, v in self.fields.items()})
 
-    def names(self):
-        return self.fields.keys()
-
     def blend(self, other: "SimState", wa: float, wb: float,
               t: float) -> "SimState":
         return SimState(t, {k: wa * v + wb * other.fields[k]

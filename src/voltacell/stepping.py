@@ -21,9 +21,11 @@ rule in every step.
 
 The pair of stages is then re-swept a configurable number of extra fixed-point
 iterations (the fresh iterate replacing the predictor midpoint), with early
-exit once the relative update drops below a tolerance.  Backends provide
-``stage1``/``stage2``/``d_rate``/``initial_state`` plus field name tuples;
-the battery problem and the linear verification surrogate both implement it.
+exit once the relative update drops below a tolerance (a step stopping at or
+above it reports ``converged=False``).  Backends provide ``stage1``,
+``stage2``, ``d_rate``, ``initial_state``, field name tuples and ``solvers``
+(one ``solve.Solver`` per linear system); the battery problem and the linear
+verification surrogate both implement it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solve import SpdFactor
+from .solve import Solver, jacobi_solve
 from .state import History, SimState, extrapolate
 
 log = logging.getLogger(__name__)
@@ -75,13 +77,14 @@ class StepReport:
     t: float
     sweeps: int
     max_update: float
+    converged: bool              # the last update is below fp_tol
     update_history: list = field(default_factory=list)
     clamp_events: int = 0        # always 0: the guard raises, never clamps
     ibv_integral: float = 0.0
     eta_ibv_min: float = 0.0
     eta_max: float = 0.0
-    refactorizations: int = 0    # of the backend's held factors
-    cg_iterations: int = 0       # preconditioned CG on the held factors
+    refactorizations: int = 0    # summed over the backend's solvers
+    cg_iterations: int = 0       # preconditioned CG, summed likewise
 
 
 def predict(backend, history: History, dt: float) -> SimState:
@@ -116,9 +119,9 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     dt = grid.dt
     t_new = prev.t + dt
     scales = getattr(backend, "field_scales", None)
-    held = getattr(backend, "held_factors", ())
-    refac0 = sum(h.refactorizations for h in held)
-    cg0 = sum(h.cg_iterations for h in held)
+    solvers = backend.solvers.values()
+    refac0 = sum(s.refactorizations for s in solvers)
+    cg0 = sum(s.cg_iterations for s in solvers)
 
     iterate = predict(backend, history, dt)
     updates = []
@@ -135,16 +138,16 @@ def step(backend, history: History, grid: TimeGrid, n: int,
             break
     report = StepReport(
         n=n, t=t_new, sweeps=len(updates), max_update=updates[-1],
-        update_history=updates,
+        converged=updates[-1] < fp_tol, update_history=updates,
         ibv_integral=getattr(audit, "ibv_integral", 0.0),
         eta_ibv_min=getattr(audit, "eta_ibv_min", 0.0),
         eta_max=getattr(audit, "eta_max", 0.0),
-        refactorizations=sum(h.refactorizations for h in held) - refac0,
-        cg_iterations=sum(h.cg_iterations for h in held) - cg0,
+        refactorizations=sum(s.refactorizations for s in solvers) - refac0,
+        cg_iterations=sum(s.cg_iterations for s in solvers) - cg0,
     )
-    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  "
+    log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  converged=%s  "
              "refactorizations=%d  cg_iterations=%d",
-             n, t_new, report.sweeps, report.max_update,
+             n, t_new, report.sweeps, report.max_update, report.converged,
              report.refactorizations, report.cg_iterations)
     return iterate, report
 
@@ -164,25 +167,26 @@ class LinearSurrogate:
         self.stiffness = stiffness
         self.load = np.asarray(load, dtype=float)
         self.d0 = np.asarray(d0, dtype=float)
-        self._m_factor = SpdFactor(mass)
+        self.solvers = {"d": Solver("d")}
         self._dt_ops = None
 
     def initial_state(self) -> SimState:
         return SimState(0.0, {"d": self.d0.copy()})
 
     def d_rate(self, state: SimState) -> dict:
-        return {"d": self._m_factor.solve(self.load - self.stiffness @ state["d"])}
+        return {"d": jacobi_solve(self.mass, self.load
+                                  - self.stiffness @ state["d"], "d mass")}
 
     def stage1(self, prev: SimState, mid: SimState, dt: float,
                heat_start: bool = False):
         # Same signature as CellProblem.stage1; the surrogate has no heat
         # equation, so its field takes the midpoint rule in every step.
         if self._dt_ops is None or self._dt_ops[0] != dt:
-            lhs = SpdFactor(self.mass + 0.5 * dt * self.stiffness)
-            self._dt_ops = (dt, lhs)
-        _, lhs = self._dt_ops
+            self._dt_ops = (dt, self.mass + 0.5 * dt * self.stiffness)
+            self.solvers["d"].factorize(self._dt_ops[1])
         # increment form of the midpoint update (see CellProblem.stage1)
-        delta = lhs.solve(dt * (self.load - self.stiffness @ prev["d"]))
+        delta = self.solvers["d"].solve(
+            self._dt_ops[1], dt * (self.load - self.stiffness @ prev["d"]))
         return {"d": prev["d"] + delta}, None
 
     def stage2(self, t, d_new, s_guess):

@@ -320,7 +320,7 @@ def test_criterion_11_oracle_equivalence():
     t = asm.restrict_trace(s2, t_grid)
     y = t @ s2.interpolate(lambda x, y: y)   # exact: y is in the space
     worst["interface mass"] = rel(
-        asm.trace_mass(t, w, 2.0 + y),
+        asm.TraceMass(t, w).matrix(2.0 + y),
         oracles.dense_edge_mass(s2, edges, lambda x, y: 2.0 + y))
 
     # elasticity on a 2x2 mixed-degree solid mesh

@@ -229,14 +229,14 @@ def test_edge_mass_row_sums_are_edge_length():
     s = _space(m, sps.OMEGA_S)
     edges = m.interface_edges()
     assert len(edges) == 1
-    em = asm.trace_mass(*_interface_trace(m, s), 1.0)
+    em = asm.TraceMass(*_interface_trace(m, s)).matrix(1.0)
     assert em.sum() == pytest.approx(edges[0].length, rel=1e-14)
 
 
 def test_edge_mass_zero_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
-    em = asm.trace_mass(*_interface_trace(m, s), 0.0)
+    em = asm.TraceMass(*_interface_trace(m, s)).matrix(0.0)
     assert em.nnz == 0 or np.abs(em.data).max() == 0.0
 
 
@@ -246,7 +246,7 @@ def test_edge_mass_matches_dense_oracle():
     edges = m.interface_edges()
     t, w = _interface_trace(m, s)
     y = t @ s.interpolate(lambda x, y: y)     # exact: y is in the space
-    sparse = asm.trace_mass(t, w, 1.0 + y ** 2)
+    sparse = asm.TraceMass(t, w).matrix(1.0 + y ** 2)
     dense = oracles.dense_edge_mass(s, edges, lambda x, y: 1.0 + y * y)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
@@ -255,7 +255,7 @@ def test_edge_mass_rejects_negative_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
     with pytest.raises(asm.AssemblyError):
-        asm.trace_mass(*_interface_trace(m, s), -1.0)
+        asm.TraceMass(*_interface_trace(m, s)).matrix(-1.0)
 
 
 def test_trace_mass_with_base_keeps_one_pattern():

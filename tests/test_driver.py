@@ -36,6 +36,8 @@ def test_manifest_contents(short_run):
     man = json.load(open(os.path.join(out, "manifest.json")))
     assert man["status"] == "completed"
     assert man["steps_completed"] == 10
+    assert man["steps_unconverged"] == 0
+    assert all(r.converged for r in result.reports)
     assert man["config_hash"] == driver.config_hash(result.config)
     assert man["config"]["i_app"] == 20.0
     assert "scales" not in man
@@ -50,6 +52,19 @@ def test_records_and_extras_alignment(short_run):
     assert result.records[-1].t_s == pytest.approx(60.0, rel=1e-12)
     # snapshots at t=0, 30, 60 s
     assert len(result.snapshots) == 3
+
+
+def test_steps_stopped_above_fp_tol_are_flagged(tmp_path):
+    """With no extra sweep, every loaded step stops after one sweep with an
+    update far above fp_tol: each report says so, and the manifest counts
+    them all."""
+    cfg = preset("high_discharge").replace(**DESK, extra_fp_iters=0)
+    result = driver.run_scenario(cfg, out_dir=str(tmp_path))
+    assert result.reports
+    assert not any(r.converged for r in result.reports)
+    assert all(r.max_update >= cfg.fp_tol for r in result.reports)
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["steps_unconverged"] == man["steps_completed"] == 10
 
 
 def test_zero_duration_run():
@@ -151,19 +166,19 @@ def test_power_density_sign_matches_current(short_run):
     assert res_charge.power_density_w_per_m3() < 0.0
 
 
-def test_held_factors_match_refactorizing_run(tmp_path, monkeypatch):
+def test_held_solvers_match_refactorizing_run(tmp_path, monkeypatch):
     """Holding the c_s and potential-pair factors across sweeps and steps
     gives the trajectory of a run that factorizes every system afresh, keeps
     criterion 4's lithium bookkeeping, and factorizes only a handful of
     matrices per run."""
     lu_count = {"n": 0}
-    real_init = solve.SpdFactor.__init__
+    real_factorize = solve.Solver.factorize
 
-    def counting_init(self, mat, method="direct", **kw):
-        lu_count["n"] += method == "direct"
-        real_init(self, mat, method=method, **kw)
+    def counting_factorize(self, mat):
+        lu_count["n"] += 1
+        real_factorize(self, mat)
 
-    monkeypatch.setattr(solve.SpdFactor, "__init__", counting_init)
+    monkeypatch.setattr(solve.Solver, "factorize", counting_factorize)
     cfg = preset("high_discharge").replace(
         mesh=MeshSpec.coarse(), dt=6.0, t_end=120.0, snapshot_every=120.0)
 
@@ -185,11 +200,14 @@ def test_held_factors_match_refactorizing_run(tmp_path, monkeypatch):
     # one factor each for c_s, the potential pair, c_e, theta and u
     assert lu_held <= 6
     assert lu_fresh > 10 * lu_held
-    # both held factors are built before step 1: c_s by CellProblem.prepare,
-    # the potential pair by the loaded initialization
+    # every factor is built before step 1: u by the problem's construction,
+    # c_s, c_e and theta by CellProblem.prepare, the potential pair by the
+    # loaded initialization
     assert sum(r.refactorizations for r in held.reports) == 0
-    assert sum(h.refactorizations
-               for h in held.problem.held_factors) == 2
+    assert {k: s.refactorizations for k, s in held.problem.solvers.items()} \
+        == dict.fromkeys(held.problem.solvers, 1)
+    assert sum(s.refactorizations
+               for s in held.problem.solvers.values()) == lu_held
     assert all(r.cg_iterations > 0 for r in held.reports)
     assert all(r.cg_iterations == 0 for r in fresh.reports)
 

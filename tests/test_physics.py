@@ -843,9 +843,40 @@ def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh, mats):
         mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
         prob.stage1(s0, mid, 6.0)
         _, ops = prob._dt_ops
-        assert ("th_factor" in ops) == full
-        assert "ce_factor" in ops
-        assert (prob._u_factor is not None) == full
+        assert ("theta" in ops) == full
+        assert "c_e" in ops
+        assert ("u" in prob.solvers) == full
+        if full:
+            assert prob.solvers["theta"].refactorizations == 1
+            assert prob.solvers["u"].refactorizations == 1
+
+
+@pytest.mark.parametrize("mode", ["full", "electrochemical"])
+def test_one_solver_per_system(coarse_mesh, mats, monkeypatch, mode):
+    """The full model solves five systems and the electrochemical model
+    three, each with one solver, and a solve that fails names its system:
+    with a tolerance no solve can meet on one solver at a time, the first
+    loaded step fails with a SolveError naming that solver."""
+    from voltacell import solve
+    from voltacell.solve import SolveError
+    from voltacell.state import History, SimState
+    from voltacell.stepping import TimeGrid, step
+    names = sorted(conftest.make_problem(coarse_mesh, mats,
+                                         mode=mode).solvers)
+    five = ["c_e", "c_s", "potential pair", "theta", "u"]
+    assert names == (five if mode == "full" else five[:3])
+    monkeypatch.setattr(solve, "APPLY_NOISE", 0.0)
+    for name in names:
+        prob = conftest.make_problem(coarse_mesh, mats, mode=mode)
+        prob.set_load(20.0)
+        s0 = prob.initial_state()
+        d0 = {k: s0[k] for k in prob.D_FIELDS}
+        start = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
+        prob.prepare(start, 6.0)
+        prob.solvers[name].rtol = 1e-30
+        with pytest.raises(SolveError) as err:
+            step(prob, History(prev=start), TimeGrid(dt=6.0, n_steps=1), 1)
+        assert str(err.value).startswith(f"{name}: ")
 
 
 class _PassGuard(Guard):

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from voltacell import assemble as asm
 from voltacell import spaces as sps
 from voltacell.mesh import rectangle_mesh
 from voltacell import solve
-from voltacell.solve import DEFAULT_RTOL, HeldFactor, SolveError, SpdFactor, \
+from voltacell.solve import DEFAULT_RTOL, SolveError, Solver, jacobi_solve, \
     solve_spd
 
 
@@ -36,30 +37,33 @@ def test_assembled_system_matches_dense_factorization(method):
     a = asm.assemble_stiffness(s, 2.0) + asm.assemble_mass(s, 1.0)
     rng = np.random.default_rng(5)
     b = rng.normal(size=s.ndof)
-    x = SpdFactor(a, method=method).solve(b)
+    x = Solver().solve(a, b) if method == "direct" \
+        else jacobi_solve(a, b, "t")
     x_dense = np.linalg.solve(a.toarray(), b)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-8
 
 
 def test_factor_reuse():
     a = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
-    f = SpdFactor(a)
+    f = Solver()
+    f.factorize(a)
     for k in range(3):
         b = np.full(3, float(k + 1))
-        assert np.allclose(f.solve(b), b / np.array([1.0, 2.0, 4.0]))
+        assert np.allclose(f.solve(a, b), b / np.array([1.0, 2.0, 4.0]))
+    assert (f.refactorizations, f.cg_iterations) == (1, 0)
 
 
 def test_non_convergence_reports_residual():
     # an indefinite matrix defeats CG; the failure carries the residual
-    a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(SolveError):
-        SpdFactor(a, method="cg").solve(np.array([1.0, 1.0]))
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(SolveError, match="did not converge") as err:
+        jacobi_solve(a, np.array([1.0, 0.0]), "indefinite")
+    assert err.value.achieved > DEFAULT_RTOL
 
 
 def test_rtol_enforced():
     a = sp.eye(3, format="csr")
-    f = SpdFactor(a, rtol=1e-10)
-    x = f.solve(np.ones(3))
+    x = Solver(rtol=1e-10).solve(a, np.ones(3))
     assert np.allclose(x, 1.0)
 
 
@@ -78,23 +82,62 @@ def _spd_pair(scale):
 
 def test_held_factor_cg_matches_fresh_factor():
     a, a_near, b = _spd_pair(0.05)
-    held = HeldFactor()
+    held = Solver()
     held.solve(a, b)
     assert (held.refactorizations, held.cg_iterations) == (1, 0)
     x = held.solve(a_near, b)
     assert held.refactorizations == 1          # no new factor
     assert 0 < held.cg_iterations <= solve.HELD_CG_MAXITER
-    x_ref = SpdFactor(a_near).solve(b)
+    x_ref = solve_spd(a_near, b)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _reference_cg_iterations(a, a_lu, b, rtol, target_factor=1.0):
+    """Iterations of a textbook CG on ``a`` preconditioned by ``a_lu`` and
+    started from its solve of b, to the first iterate whose true residual
+    meets target_factor * rtol ||b|| + APPLY_NOISE max|A| ||x||."""
+    norm_b, a_max = np.linalg.norm(b), np.abs(a.data).max()
+    x = a_lu.solve(b)
+    r = b - a @ x
+    z = a_lu.solve(r)
+    p = z.copy()
+    for k in range(100):
+        allowed = target_factor * rtol * norm_b \
+            + solve.APPLY_NOISE * a_max * np.linalg.norm(x)
+        if np.linalg.norm(b - a @ x) <= allowed:
+            return k
+        ap = a @ p
+        alpha = (r @ z) / (p @ ap)
+        x = x + alpha * p
+        r_new = r - alpha * ap
+        z_new = a_lu.solve(r_new)
+        p = z_new + (r_new @ z_new) / (r @ z) * p
+        r, z = r_new, z_new
+    raise AssertionError("reference CG did not converge")
+
+
+def test_held_solve_stops_at_first_iterate_meeting_the_check():
+    """CG on a held factor stops at the first iterate whose residual meets
+    the residual check's bound, not at a stricter target (a hundredth of it
+    costs iterations here)."""
+    a, a_near, b = _spd_pair(0.05)
+    lu = spla.splu(a.tocsc(), permc_spec=solve.PERMC_SPEC)
+    first = _reference_cg_iterations(a_near, lu, b, DEFAULT_RTOL)
+    assert first < _reference_cg_iterations(a_near, lu, b, DEFAULT_RTOL,
+                                            target_factor=0.01)
+    held = Solver()
+    held.factorize(a)
+    held.solve(a_near, b)
+    assert held.cg_iterations == first
 
 
 def test_held_factor_refactorizes_far_matrix():
     a, a_far, b = _spd_pair(50.0)
-    held = HeldFactor()
+    held = Solver()
     held.solve(a, b)
     x = held.solve(a_far, b)
     assert held.refactorizations == 2
-    assert np.allclose(x, SpdFactor(a_far).solve(b), rtol=0, atol=1e-10
+    assert np.allclose(x, solve_spd(a_far, b), rtol=0, atol=1e-10
                        * np.abs(x).max())
     # the new factor is now the held one: the same matrix needs no CG
     iters = held.cg_iterations
@@ -105,7 +148,7 @@ def test_held_factor_refactorizes_far_matrix():
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_held_factor_nan_raises(where):
     a, a_near, b = _spd_pair(0.05)
-    held = HeldFactor()
+    held = Solver()
     held.solve(a, b)
     if where == "matrix":
         a_near = a_near.copy()
@@ -116,24 +159,27 @@ def test_held_factor_nan_raises(where):
     with pytest.raises(SolveError):
         held.solve(a_near, b)
     with pytest.raises(SolveError):
-        SpdFactor(a_near).solve(b)
+        solve_spd(a_near, b)
 
 
 def test_held_factor_uses_the_residual_check(monkeypatch):
-    """A held-factor solution passes SpdFactor's residual bound, and a bound
-    that no solver meets fails both the same way."""
+    """A held-factor solution passes the residual check, and a bound that no
+    solver meets fails CG on the held factor and a fresh factor's solve the
+    same way."""
     a, a_near, b = _spd_pair(0.05)
-    held = HeldFactor(rtol=1e-10)
+    held = Solver(rtol=1e-10)
     held.solve(a, b)
     x = held.solve(a_near, b)
     allowed = 1e-10 * np.linalg.norm(b) \
-        + SpdFactor.APPLY_NOISE * np.abs(a_near.data).max() * np.linalg.norm(x)
+        + solve.APPLY_NOISE * np.abs(a_near.data).max() * np.linalg.norm(x)
     assert np.linalg.norm(a_near @ x - b) <= allowed
 
-    monkeypatch.setattr(SpdFactor, "APPLY_NOISE", 0.0)
+    monkeypatch.setattr(solve, "APPLY_NOISE", 0.0)
     messages = []
-    for solver in (lambda: HeldFactor(rtol=1e-30).solve(a_near, b),
-                   lambda: SpdFactor(a_near, rtol=1e-30).solve(b)):
+    held = Solver(rtol=1e-30)
+    held.factorize(a)
+    for solver in (lambda: held.solve(a_near, b),
+                   lambda: Solver(rtol=1e-30).solve(a_near, b)):
         with pytest.raises(SolveError, match="exceeds tolerance") as err:
             solver()
         messages.append(str(err.value).split(" (relative)")[1])
@@ -146,16 +192,13 @@ def test_overflowing_rhs_names_the_system(held):
     that names the system and the cause, before any numpy warning."""
     a, a_near, b = _spd_pair(0.05)
     big = 1e200 * b
+    solver = Solver(name="potential pair")
+    if held:
+        solver.solve(a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if held:
-            solver = HeldFactor(name="potential pair")
-            solver.solve(a, b)
-            call = lambda: solver.solve(a_near, big)
-        else:
-            call = lambda: SpdFactor(a, name="potential pair").solve(big)
         with pytest.raises(SolveError, match=r"^potential pair: .*overflows"):
-            call()
+            solver.solve(a_near if held else a, big)
 
 
 class _CountingLU:
@@ -171,24 +214,25 @@ class _CountingLU:
 
 
 def _factor_with_lu_of(mat, lu_mat, rtol=DEFAULT_RTOL):
-    """A direct SpdFactor of ``mat`` whose LU is that of ``lu_mat``, with
-    its backsolves counted."""
-    factor = SpdFactor(mat, rtol=rtol)
-    factor._lu = _CountingLU(SpdFactor(lu_mat)._lu)
+    """A solver holding ``mat`` whose LU is that of ``lu_mat``, with its
+    backsolves counted."""
+    factor = Solver(rtol=rtol)
+    factor.factorize(mat)
+    factor._lu = _CountingLU(spla.splu(lu_mat.tocsc(),
+                                       permc_spec=solve.PERMC_SPEC))
     return factor
 
 
 def test_passing_first_backsolve_is_not_refined():
     """A solve whose first backsolve passes the residual check returns it:
     one backsolve, and the same x as the bare LU solve.  At rtol 1e-15 the
-    first residual passes only through the check's float64 noise term and
-    lies far above 0.01 rtol ||b||, as in the heat equation's solves, so no
-    refinement target short of the check is met either."""
+    first residual passes only through the check's float64 noise term, as in
+    the heat equation's solves."""
     a, _, b = _spd_pair(0.05)
     factor = _factor_with_lu_of(a, a, rtol=1e-15)
     x0 = factor._lu.lu.solve(b)
-    assert np.linalg.norm(a @ x0 - b) > 0.01 * 1e-15 * np.linalg.norm(b)
-    x = factor.solve(b)
+    assert np.linalg.norm(a @ x0 - b) > 1e-15 * np.linalg.norm(b)
+    x = factor.solve(a, b)
     assert factor._lu.backsolves == 1
     assert np.array_equal(x, x0)
 
@@ -200,7 +244,7 @@ def test_refinement_recovers_a_slightly_wrong_factor():
     factor = _factor_with_lu_of(a, a * (1.0 + 1e-7))
     x0 = factor._lu.lu.solve(b)
     assert np.linalg.norm(a @ x0 - b) > DEFAULT_RTOL * np.linalg.norm(b)
-    x = factor.solve(b)
+    x = factor.solve(a, b)
     assert 2 <= factor._lu.backsolves <= 1 + solve.REFINEMENTS
     assert np.linalg.norm(a @ x - b) <= DEFAULT_RTOL * np.linalg.norm(b)
 
@@ -211,7 +255,7 @@ def test_grossly_wrong_factor_raises_after_refinement():
     a, _, b = _spd_pair(0.05)
     factor = _factor_with_lu_of(a, 2.0 * a)
     with pytest.raises(SolveError, match="exceeds tolerance") as err:
-        factor.solve(b)
+        factor.solve(a, b)
     assert factor._lu.backsolves == 1 + solve.REFINEMENTS
     assert err.value.achieved == pytest.approx(
         0.5 ** (1 + solve.REFINEMENTS), rel=1e-6)
