@@ -109,12 +109,14 @@ class RefTables:
 
     A (n, nq) coefficient array times ``mass`` gives n element mass matrices
     flattened row-major, times ``load`` n element load vectors; the
-    gradient tables stack the xi rows over the eta rows and take (n, 2 nq)
+    gradient tables stack two tables (xi rows over eta rows, or for
+    ``cross`` the mixed xi-eta over eta-xi rows) and take (n, 2 nq)
     coefficients.  The reference weights are folded in.
     """
 
     mass: np.ndarray        # (nq, nbf^2): qw v_i v_j
     stiffness: np.ndarray   # (2 nq, nbf^2): qw dxi_i dxi_j; qw deta_i deta_j
+    cross: np.ndarray       # (2 nq, nbf^2): qw dxi_i deta_j; qw deta_i dxi_j
     load: np.ndarray        # (nq, nbf): qw v_i
     grad_load: np.ndarray   # (2 nq, nbf): qw dxi_i; qw deta_i
 
@@ -132,6 +134,8 @@ def ref_tables(px: int, py: int) -> RefTables:
         mass=outer(ref.values, ref.values),
         stiffness=np.vstack([outer(ref.grad_x, ref.grad_x),
                              outer(ref.grad_y, ref.grad_y)]),
+        cross=np.vstack([outer(ref.grad_x, ref.grad_y),
+                         outer(ref.grad_y, ref.grad_x)]),
         load=qw * ref.values,
         grad_load=np.vstack([qw * ref.grad_x, qw * ref.grad_y]))
 
@@ -211,44 +215,29 @@ class ElementScatter(FixedPattern):
         """Plane-strain elasticity matrix (sym grad v : C : sym grad u) on
         the 2-vector DOFs of the nodes (x and y of a node side by side).
 
-        ``shear``/``bulk`` are per-tag dicts (or scalars) of the moduli G, K;
-        the 3D isotropic tensor with lambda = K - 2G/3 is used in its
-        plane-strain restriction.  Each node coupling is a 2x2 block, so the
-        matrix is assembled as one block-sparse matrix on this pattern.
+        ``shear``/``bulk`` are coefficients of the moduli G, K; the 3D
+        isotropic tensor with lambda = K - 2G/3 is used in its plane-strain
+        restriction.  Each node coupling is a 2x2 block, so the matrix is
+        assembled as one block-sparse matrix on this pattern.
         """
-        def per_elem(tags, spec):
-            if isinstance(spec, dict):
-                return tag_values(spec, tags)
-            return np.full(len(tags), float(spec))
-
-        comps = np.empty((2, 2, self.n_entries))
-        for g, rows, sl, _ in self.groups:
-            ref = g.ref
-            hx, hy = g.hx[rows], g.hy[rows]
-            g_e = per_elem(g.tag[rows], shear)
-            k_e = per_elem(g.tag[rows], bulk)
-            if np.any(g_e <= 0.0) or np.any(k_e <= 0.0):
+        xx, xy, yx, yy = products = ([], [], [], [])
+        for (g, rows, _, _), shr, bulk_c in zip(
+                self.groups, coeff_arrays(self.space, shear),
+                coeff_arrays(self.space, bulk)):
+            if np.any(shr <= 0.0) or np.any(bulk_c <= 0.0):
                 raise AssemblyError("elastic moduli must be positive")
-            lam_e = k_e - 2.0 * g_e / 3.0
-
-            kxx = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_x)
-            kyy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_y, ref.grad_y)
-            kxy = np.einsum("q,qi,qj->ij", ref.qw, ref.grad_x, ref.grad_y)
-
-            rx = (hy / hx)[:, None, None]
-            ry = (hx / hy)[:, None, None]
-            lam, shr = lam_e[:, None, None], g_e[:, None, None]
+            lam = bulk_c - 2.0 * shr / 3.0
+            lam2, tables = lam + 2 * shr, ref_tables(g.px, g.py)
+            rx = (g.hy[rows] / g.hx[rows])[:, None]
+            ry = (g.hx[rows] / g.hy[rows])[:, None]
             # (x,x): (lam+2G) dxdx + G dydy ; (y,y): (lam+2G) dydy + G dxdx
-            comps[0, 0, sl] = ((lam + 2 * shr) * rx * kxx
-                               + shr * ry * kyy).ravel()
-            comps[1, 1, sl] = ((lam + 2 * shr) * ry * kyy
-                               + shr * rx * kxx).ravel()
-            # (x,y): lam dx_i dy_j + G dy_i dx_j  (unit jacobian factor)
-            kxy_e = lam * kxy + shr * kxy.T
-            comps[0, 1, sl] = kxy_e.ravel()
-            comps[1, 0, sl] = np.swapaxes(kxy_e, 1, 2).ravel()
-        blocks = np.stack([self.sum(comps[a, b])
-                           for a in (0, 1) for b in (0, 1)], axis=-1)
+            xx.append((np.hstack([lam2 * rx, shr * ry]), tables.stiffness))
+            yy.append((np.hstack([shr * rx, lam2 * ry]), tables.stiffness))
+            # (x,y): lam dx_i dy_j + G dy_i dx_j, (y,x) its transpose
+            # (unit jacobian factor)
+            xy.append((np.hstack([lam, shr]), tables.cross))
+            yx.append((np.hstack([shr, lam]), tables.cross))
+        blocks = np.stack([self._assemble(p).data for p in products], axis=-1)
         n = 2 * self.shape[0]
         return sp.bsr_matrix((blocks.reshape(-1, 2, 2), self.indices,
                               self.indptr), shape=(n, n)).tocsr()

@@ -176,9 +176,9 @@ class RefElement:
 
 
 @lru_cache(maxsize=None)
-def ref_element(px: int, py: int, extra_order: int = 2) -> RefElement:
-    """Reference data with per-direction rule of max(p)+extra points."""
-    n = max(px, py) + extra_order
+def ref_element(px: int, py: int) -> RefElement:
+    """Reference data with a per-direction rule of max(px, py) + 2 points."""
+    n = max(px, py) + 2
     rx = ref1d(px, n)
     ry = ref1d(py, n)
     qpx, qpy = np.meshgrid(rx.rule.points, ry.rule.points)

@@ -106,7 +106,7 @@ def _cmd_mesh(args) -> int:
         cfg = parse_scenario(args.spec)
     geom = build_interdigitated_domain(cfg.dims)
     mesh = generate_layered_mesh(geom, cfg.mesh)
-    report = validate_mesh(mesh, geom, max_aspect=cfg.mesh.max_aspect)
+    report = validate_mesh(mesh, geom)
     print(report.summary())
     if args.out:
         os.makedirs(args.out, exist_ok=True)

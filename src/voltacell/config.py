@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .geometry import CellDimensions
@@ -50,16 +51,22 @@ class ScenarioConfig:
         return dataclasses.replace(self, **kw)
 
     def validate(self) -> list[str]:
-        """All invariant violations at once (empty list = valid)."""
-        errs = []
+        """All invariant violations at once (empty list = valid); a number
+        that is not finite is named by its dotted key (``dt``,
+        ``mesh.grading``, ``dims.h_s``, ``mat.anode.youngs``)."""
+        values = self.to_dict()
+        values["mat"] = values.pop("material_overrides")
+        errs = [f"{k} = {v!r} is not a finite number"
+                for k, v in _numbers(values) if not math.isfinite(v)]
         if self.dt <= 0.0:
             errs.append("dt must be positive")
         if self.t_end < 0.0:
             errs.append("t_end must be nonnegative")
-        if self.t_end > 0.0:
+        if self.t_end > 0.0 and self.dt > 0.0:
             if self.dt > self.t_end:
                 errs.append("dt must not exceed t_end")
-            n = round(self.t_end / self.dt)
+            steps = self.t_end / self.dt
+            n = round(steps) if math.isfinite(steps) else 0
             if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
                 errs.append("t_end must be an integer number of dt steps")
         for nm in ("soc_init_anode", "soc_init_cathode"):
@@ -73,6 +80,8 @@ class ScenarioConfig:
             errs.append("kappa_d_factor must be nonnegative")
         if self.extra_fp_iters < 0:
             errs.append("extra_fp_iters must be nonnegative")
+        if self.fp_tol < 0.0:
+            errs.append("fp_tol must be nonnegative")
         if self.snapshot_every <= 0.0:
             errs.append("snapshot_every must be positive")
         return errs
@@ -82,10 +91,16 @@ class ScenarioConfig:
                                         self.material_overrides)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["mesh"] = dataclasses.asdict(self.mesh)
-        d["dims"] = dataclasses.asdict(self.dims)
-        return d
+        return dataclasses.asdict(self)    # mesh and dims as nested dicts
+
+
+def _numbers(values: dict, prefix: str = ""):
+    """(dotted key, value) of every int or float in a nested dict."""
+    for key, value in values.items():
+        if isinstance(value, dict):
+            yield from _numbers(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)):
+            yield prefix + key, value
 
 
 def preset(name: str, **overrides) -> ScenarioConfig:
@@ -99,26 +114,32 @@ def preset(name: str, **overrides) -> ScenarioConfig:
 PRESETS = tuple(PRESET_PARAMS)
 
 
+def material_parameters(mats: MaterialSet) -> set:
+    """The keys a material override may set ('k_bv', 'anode.youngs', ...):
+    the float fields of the MaterialSet and of its material groups."""
+    def floats(record):
+        return [f.name for f in dataclasses.fields(record)
+                if f.type in ("float", float)]
+    return set(floats(mats)) | {
+        f"{g}.{name}" for g in ("anode", "cathode", "electrolyte")
+        for name in floats(getattr(mats, g))}
+
+
 def apply_material_overrides(mats: MaterialSet, overrides: dict) -> MaterialSet:
-    """Apply dotted-path overrides like {'anode.youngs': 2e9, 'k_bv': ...}."""
-    if not overrides:
-        return mats
-    groups: dict[str, dict] = {"anode": {}, "cathode": {}, "electrolyte": {}}
-    top: dict[str, float] = {}
+    """Apply dotted-path overrides like {'anode.youngs': 2e9, 'k_bv': ...};
+    a key outside ``material_parameters`` raises KeyError."""
+    kw: dict = {}
     for key, value in overrides.items():
+        if key not in material_parameters(mats):
+            raise KeyError(f"{key!r} is not a numeric material parameter")
         head, _, tail = key.partition(".")
-        if tail and head in groups and hasattr(getattr(mats, head), tail):
-            groups[head][tail] = value
-        elif not tail and not callable(getattr(mats, head, None)) \
-                and hasattr(mats, head):
-            top[head] = value
+        if tail:
+            kw.setdefault(head, {})[tail] = value
         else:
-            raise KeyError(f"unknown material override {key!r}")
-    kw = dict(top)
-    for gname, sub in groups.items():
-        if sub:
-            kw[gname] = dataclasses.replace(getattr(mats, gname), **sub)
-    return dataclasses.replace(mats, **kw)
+            kw[head] = value
+    return dataclasses.replace(mats, **{
+        k: dataclasses.replace(getattr(mats, k), **v)
+        if isinstance(v, dict) else v for k, v in kw.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -129,49 +150,36 @@ class ConfigError(ValueError):
     pass
 
 
-def _float(v):
-    return float(v)
-
-
-def _int(v):
-    return int(v)
-
-
-def _str(v):
-    return str(v)
-
-
 def _int_tuple(v):
     return tuple(int(s) for s in v.replace(",", " ").split())
 
 
 # key -> (target attribute or handler name, converter)
 _KEYS = {
-    "name": ("name", _str),
-    "i_app": ("i_app", _float),
-    "t_end": ("t_end", _float),
-    "tend": ("t_end", _float),
-    "dt": ("dt", _float),
-    "soc_init_anode": ("soc_init_anode", _float),
-    "soc_init_cathode": ("soc_init_cathode", _float),
-    "model": ("model", _str),
-    "kappa_d_factor": ("kappa_d_factor", _float),
-    "extra_fp_iters": ("extra_fp_iters", _int),
-    "fp_tol": ("fp_tol", _float),
-    "snapshot_every": ("snapshot_every", _float),
+    "name": ("name", str),
+    "i_app": ("i_app", float),
+    "t_end": ("t_end", float),
+    "tend": ("t_end", float),
+    "dt": ("dt", float),
+    "soc_init_anode": ("soc_init_anode", float),
+    "soc_init_cathode": ("soc_init_cathode", float),
+    "model": ("model", str),
+    "kappa_d_factor": ("kappa_d_factor", float),
+    "extra_fp_iters": ("extra_fp_iters", int),
+    "fp_tol": ("fp_tol", float),
+    "snapshot_every": ("snapshot_every", float),
 }
 
 _MESH_KEYS = {
     "mesh.nx": ("nx_blocks", _int_tuple),
     "mesh.ny": ("ny_blocks", _int_tuple),
-    "mesh.layers": ("n_layers", _int),
-    "mesh.grading": ("grading", _float),
-    "mesh.degree": ("degree", _int),
-    "mesh.normal_degree": ("normal_degree", _int),
-    "mesh.max_aspect": ("max_aspect", _float),
+    "mesh.layers": ("n_layers", int),
+    "mesh.grading": ("grading", float),
+    "mesh.degree": ("degree", int),
+    "mesh.normal_degree": ("normal_degree", int),
 }
 
-_DIM_KEYS = {f"dims.{n}": (n, _float)
+_DIM_KEYS = {f"dims.{n}": (n, float)
              for n in ("h_s", "h_e", "length", "gap", "cap")}
 
 
@@ -216,7 +224,7 @@ def parse_scenario(path) -> ScenarioConfig:
             if key == "preset":
                 continue
             if key == "soc_init":
-                v = _float(value)
+                v = float(value)
                 plain_kw["soc_init_anode"] = v
                 plain_kw["soc_init_cathode"] = v
             elif key == "mesh.preset":
@@ -231,7 +239,11 @@ def parse_scenario(path) -> ScenarioConfig:
                 attr, conv = _DIM_KEYS[key]
                 dim_kw[attr] = conv(value)
             elif key.startswith("mat."):
-                overrides[key[4:]] = _float(value)
+                if key[4:] not in material_parameters(default_materials()):
+                    errors.append(f"line {lineno}: {key!r} is not a numeric "
+                                  f"material parameter")
+                    continue
+                overrides[key[4:]] = float(value)
             else:
                 hint = difflib.get_close_matches(key, all_keys, n=1)
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""

@@ -28,7 +28,7 @@ from .config import ConfigError, ScenarioConfig
 from .geometry import build_interdigitated_domain
 from .mesh import generate_layered_mesh
 from .physics import CellProblem
-from .state import Guard, GuardPolicy, History, SimState
+from .state import History, SimState
 from .stepping import StepReport, TimeGrid, step
 
 log = logging.getLogger(__name__)
@@ -84,8 +84,7 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     geom = build_interdigitated_domain(config.dims)
     mesh = generate_layered_mesh(geom, config.mesh)
     problem = CellProblem(
-        mesh, mats, Guard(GuardPolicy.defaults(mats)),
-        mode=config.model, kappa_d_factor=config.kappa_d_factor,
+        mesh, mats, mode=config.model, kappa_d_factor=config.kappa_d_factor,
         soc_init=(config.soc_init_anode, config.soc_init_cathode))
     problem.set_load(config.i_app)
     return problem

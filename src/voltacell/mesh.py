@@ -31,6 +31,10 @@ BOUNDARY_BASE = 10
 PART_CODE = {name: BOUNDARY_BASE + k for k, name in enumerate(BOUNDARY_PARTS)}
 CODE_PART = {v: k for k, v in PART_CODE.items()}
 
+# The largest cell aspect ratio that validate_mesh accepts (the production
+# mesh reaches 178, the coarse mesh 43)
+MAX_ASPECT = 2000.0
+
 
 @dataclass(frozen=True)
 class MeshSpec:
@@ -48,7 +52,6 @@ class MeshSpec:
     grading: float = 0.5
     degree: int = 3
     normal_degree: int = 4
-    max_aspect: float = 2000.0
 
     def __post_init__(self):
         if self.n_layers < 0:
@@ -185,31 +188,21 @@ class Mesh:
     # ---- edge iteration ---------------------------------------------------
 
     def interface_edges(self) -> list["EdgeRef"]:
-        out = []
-        for j in range(self.ncy):
-            for i in range(self.ncx + 1):
-                t = self.v_edge_tag[j, i]
-                if t in (IFACE_SOLID_LO, IFACE_SOLID_HI):
-                    out.append(self._v_edge(j, i, t))
-        for j in range(self.ncy + 1):
-            for i in range(self.ncx):
-                t = self.h_edge_tag[j, i]
-                if t in (IFACE_SOLID_LO, IFACE_SOLID_HI):
-                    out.append(self._h_edge(j, i, t))
-        return out
+        return self._edges((IFACE_SOLID_LO, IFACE_SOLID_HI),
+                           range(self.ncx + 1), range(self.ncy + 1))
 
     def boundary_edges(self, part: str) -> list["EdgeRef"]:
-        code = PART_CODE[part]
-        out = []
-        for j in range(self.ncy):
-            for i in (0, self.ncx):
-                if self.v_edge_tag[j, i] == code:
-                    out.append(self._v_edge(j, i, code))
-        for j in (0, self.ncy):
-            for i in range(self.ncx):
-                if self.h_edge_tag[j, i] == code:
-                    out.append(self._h_edge(j, i, code))
-        return out
+        return self._edges((PART_CODE[part],), (0, self.ncx), (0, self.ncy))
+
+    def _edges(self, codes, v_lines, h_lines) -> list["EdgeRef"]:
+        """The edges tagged with one of ``codes``: the vertical ones on the
+        grid lines x[i], i in ``v_lines``, row by row, then the horizontal
+        ones on the grid lines y[j], j in ``h_lines``."""
+        v, h = self.v_edge_tag, self.h_edge_tag
+        return ([self._v_edge(j, i, int(v[j, i])) for j in range(self.ncy)
+                 for i in v_lines if v[j, i] in codes]
+                + [self._h_edge(j, i, int(h[j, i])) for j in h_lines
+                   for i in range(self.ncx) if h[j, i] in codes])
 
     def _v_edge(self, j: int, i: int, tag: int) -> "EdgeRef":
         cells = []
@@ -431,9 +424,9 @@ def corner_jacobians(coords: np.ndarray, quads: np.ndarray) -> np.ndarray:
 
 
 def validate_mesh(mesh: Mesh, geom: DomainGeometry | None = None,
-                  max_aspect: float | None = None,
                   node_coords: np.ndarray | None = None) -> QualityReport:
-    """Report-only invariant check: jacobians, aspect ratios, tags, areas.
+    """Report-only invariant check: jacobians, aspect ratios (at most
+    ``MAX_ASPECT``), tags, areas.
 
     ``node_coords`` overrides the corner coordinates (same layout as
     ``mesh.corner_coords()``), which lets callers probe perturbed geometry.
@@ -458,10 +451,9 @@ def validate_mesh(mesh: Mesh, geom: DomainGeometry | None = None,
 
     ratio = np.maximum.outer(mesh.hy, mesh.hx) / np.minimum.outer(mesh.hy, mesh.hx)
     rep.max_aspect = float(ratio.max())
-    bound = max_aspect if max_aspect is not None else float("inf")
-    if rep.max_aspect > bound:
-        rep.violations.append(
-            f"aspect ratio {rep.max_aspect:.3g} exceeds bound {bound:g}")
+    if rep.max_aspect > MAX_ASPECT:
+        rep.violations.append(f"aspect ratio {rep.max_aspect:.3g} exceeds "
+                              f"bound {MAX_ASPECT:g}")
 
     # Interface pairing: both neighbors present, exactly one electrolyte.
     for e in mesh.interface_edges():

@@ -10,7 +10,8 @@ The quasi-static fields (phi_s, phi_e, u) solve elliptic systems; the
 Butler-Volmer interface current is linearized in the potential equations,
 turning into an interface mass term with coefficient I_c*F/(R*theta) plus
 load terms, while the full nonlinear sinh expression feeds the concentration
-and heat loads.
+and heat loads through one record of the interface (``InterfaceState``).
+Each support (theta; c_s, phi_s; c_e, phi_e) has one interface trace operator.
 
 Sign conventions: the interface normal points from the electrode into the
 electrolyte; the reaction current I_BV is positive when lithium leaves the
@@ -80,24 +81,25 @@ class InterfaceState:
     """Traces and derived kinetics at every interface quadrature point.
 
     Each array holds one value per point of the problem's interface trace
-    operators; ``tags`` gives the electrode (ANODE or CATHODE) of each point.
+    operators; ``tags`` gives the electrode (ANODE or CATHODE) of each point
+    and ``weights`` its quadrature weight.
     """
 
     tags: np.ndarray
+    weights: np.ndarray
     theta: np.ndarray
     c_s: np.ndarray
     c_e: np.ndarray
     phi_s: np.ndarray
     phi_e: np.ndarray
-    c_hat: np.ndarray
     ocp: np.ndarray
     eta: np.ndarray
     i_c: np.ndarray
     i_bv: np.ndarray
     coeff: np.ndarray     # I_c F / (R theta), the linearized-BV coefficient
 
-    def ibv_integral(self, weights: np.ndarray) -> float:
-        return float(weights @ self.i_bv)
+    def ibv_integral(self) -> float:
+        return float(self.weights @ self.i_bv)
 
     def eta_ibv_min(self) -> float:
         return float((self.eta * self.i_bv).min())
@@ -106,35 +108,26 @@ class InterfaceState:
         return float(np.abs(self.eta).max())
 
 
-@dataclass
-class StageAudit:
-    """Per-sweep diagnostics recorded alongside the assembled systems."""
-
-    ibv_integral: float = 0.0
-    eta_ibv_min: float = 0.0
-    eta_max: float = 0.0
-
-
 class CellProblem:
     """Spaces, cached operators and system builders for one configured cell.
 
     The mesh and the materials are in SI units, and so is every operator and
     state built from them.  ``mode`` selects the full
     thermo-electro-chemo-mechanical model or the isothermal strain-free
-    electrochemical reduction, which builds no elasticity system.
+    electrochemical reduction, which builds no elasticity system.  The
+    concentration guard takes the margins of ``Guard.defaults(mats)``.
     """
 
     D_FIELDS = ("theta", "c_s", "c_e")
     S_FIELDS = ("phi_s", "phi_e", "u")
 
-    def __init__(self, mesh: Mesh, mats: MaterialSet, guard: Guard,
-                 mode: str = "full", kappa_d_factor: float = 1.0,
-                 soc_init: tuple[float, float] = (0.5, 0.5)):
+    def __init__(self, mesh: Mesh, mats: MaterialSet, mode: str = "full",
+                 kappa_d_factor: float = 1.0, soc_init: tuple[float, float] = (0.5, 0.5)):
         if mode not in ("full", "electrochemical"):
             raise ValueError(f"unknown model mode {mode!r}")
         self.mesh = mesh
         self.mats = mats
-        self.guard = guard
+        self.guard = Guard.defaults(mats)
         self.mode = mode
         self.kappa_d_factor = kappa_d_factor
         self.soc_init = soc_init
@@ -197,7 +190,8 @@ class CellProblem:
             self.solvers["u"].factorize(self.k_u_red)
 
         # Interface traces: the points of the anode interface edges, then
-        # those of the cathode, with one trace operator per field.
+        # those of the cathode, with one trace operator per support, shared
+        # by the fields on it.
         edges = mesh.interface_edges()
         if not edges:
             raise ValueError("mesh carries no interface edges")
@@ -210,9 +204,11 @@ class CellProblem:
         self.iface_w = np.concatenate([w for _, w in parts])
         self.iface_tags = np.repeat([ANODE, CATHODE],
                                     [len(w) for _, w in parts])
-        self.iface_tr = {k: asm.restrict_trace(self.spaces[k], t_iface)
-                         for k in ("theta", "c_s", "c_e", "phi_s", "phi_e")}
-        self.iface_tr_t = {k: t.T for k, t in self.iface_tr.items()}
+        self.iface_tr, self.iface_tr_t = {}, {}
+        for fields in (("theta",), ("c_s", "phi_s"), ("c_e", "phi_e")):
+            t = asm.restrict_trace(self.spaces[fields[0]], t_iface)
+            self.iface_tr.update(dict.fromkeys(fields, t))
+            self.iface_tr_t.update(dict.fromkeys(fields, t.T))
 
         # The linearized potential pair on [phi_s free DOFs, phi_e]: bulk
         # stiffness blocks and the interface jump operator D = [T_s, -T_e].
@@ -345,22 +341,19 @@ class CellProblem:
         ocp[anode] = mats.anode.ocp(c_hat[anode])
         ocp[~anode] = mats.cathode.ocp(c_hat[~anode])
         i_c = exchange_current(cs, ce, el, mats)
-        return {"theta": th, "c_s": cs, "c_e": ce, "c_hat": c_hat, "ocp": ocp,
-                "i_c": i_c,
+        return {"theta": th, "c_s": cs, "c_e": ce, "ocp": ocp, "i_c": i_c,
                 "coeff": i_c * mats.faraday / (mats.gas_constant * th)}
 
-    def interface_state(self, theta_v, cs_v, ce_v, ps_v, pe_v) -> InterfaceState:
-        kin = self._interface_kinetics(theta_v, cs_v, ce_v)
-        ps = self.iface_tr["phi_s"] @ ps_v
-        pe = self.iface_tr["phi_e"] @ pe_v
+    def interface_state(self, state: SimState) -> InterfaceState:
+        """The traces and kinetics of ``state`` at the interface points."""
+        kin = self._interface_kinetics(state["theta"], state["c_s"],
+                                       state["c_e"])
+        ps = self.iface_tr["phi_s"] @ state["phi_s"]
+        pe = self.iface_tr["phi_e"] @ state["phi_e"]
         eta = ps - pe - kin["ocp"]
         i_bv = butler_volmer_current(kin["i_c"], eta, kin["theta"], self.mats)
-        return InterfaceState(tags=self.iface_tags, phi_s=ps, phi_e=pe,
-                              eta=eta, i_bv=i_bv, **kin)
-
-    def interface_state_of(self, state: SimState) -> InterfaceState:
-        return self.interface_state(state["theta"], state["c_s"], state["c_e"],
-                                    state["phi_s"], state["phi_e"])
+        return InterfaceState(tags=self.iface_tags, weights=self.iface_w,
+                              phi_s=ps, phi_e=pe, eta=eta, i_bv=i_bv, **kin)
 
     # ------------------------------------------------------------------
     # Pointwise evaluations on the volume
@@ -474,7 +467,8 @@ class CellProblem:
 
     def stage1(self, prev: SimState, mid: SimState, dt: float,
                heat_start: bool = False):
-        """Solve the three parabolic updates; returns (new d-fields, audit).
+        """Solve the three parabolic updates; returns the new d-fields and
+        the InterfaceState of ``mid``, whose current loads them.
 
         Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
         solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
@@ -493,7 +487,7 @@ class CellProblem:
         stays evaluated at the midpoint, and c_s, c_e keep the midpoint rule.
         """
         ops = self._prepare_dt(dt)
-        ist = self.interface_state_of(mid)
+        ist = self.interface_state(mid)
         loads = self.iface_loads(ist)
         # one evaluation serves the c_s diffusivity and the heat source
         theta_qp = self.theta_points(mid["theta"])
@@ -517,13 +511,7 @@ class CellProblem:
             new["theta"] = theta
         else:
             new["theta"] = prev["theta"].copy()
-
-        audit = StageAudit(
-            ibv_integral=ist.ibv_integral(self.iface_w),
-            eta_ibv_min=ist.eta_ibv_min(),
-            eta_max=ist.eta_max_abs(),
-        )
-        return new, audit
+        return new, ist
 
     def d_rate(self, state: SimState) -> dict:
         """f_d = M^-1 (-K d + b) at the given state (Euler predictor).
@@ -535,7 +523,7 @@ class CellProblem:
         def solve_mass(mass, rhs, field):
             return jacobi_solve(mass, rhs, name=f"{field} mass")
 
-        ist = self.interface_state_of(state)
+        ist = self.interface_state(state)
         loads = self.iface_loads(ist)
         rates = {}
         theta_qp = self.theta_points(state["theta"])

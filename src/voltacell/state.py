@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-D_FIELDS = ("theta", "c_s", "c_e")
-S_FIELDS = ("phi_s", "phi_e", "u")
-
 
 class GuardViolation(RuntimeError):
     pass
@@ -85,8 +82,8 @@ class History:
 
 
 @dataclass(frozen=True)
-class GuardPolicy:
-    """Concentration bounds used at evaluation points [mol/m^3].
+class Guard:
+    """Concentration bounds at evaluation points [mol/m^3], and their check.
 
     eps_e: floor for the electrolyte concentration; eps_s: margin keeping the
     solid concentration away from 0 and from saturation.
@@ -96,20 +93,13 @@ class GuardPolicy:
     eps_s: float
 
     def __post_init__(self):
-        if self.eps_e <= 0.0 or self.eps_s <= 0.0:
+        if not (self.eps_e > 0.0 and self.eps_s > 0.0):
             raise ValueError("guard margins must be positive")
 
     @classmethod
-    def defaults(cls, mats) -> "GuardPolicy":
+    def defaults(cls, mats) -> "Guard":
         eps_s = 1e-4 * min(mats.anode.c_max, mats.cathode.c_max)
         return cls(eps_e=1e-3 * mats.c_e_init, eps_s=eps_s)
-
-
-class Guard:
-    """Checks evaluated arrays against a GuardPolicy's bounds."""
-
-    def __init__(self, policy: GuardPolicy):
-        self.policy = policy
 
     def check(self, values: np.ndarray, lo, hi, context,
               labels: np.ndarray | None = None) -> np.ndarray:
@@ -136,9 +126,9 @@ class Guard:
             f"{hi_b[0]:.6g}], worst excess {worst:.3e}")
 
     def c_e(self, values: np.ndarray, context: str = "c_e") -> np.ndarray:
-        return self.check(values, self.policy.eps_e, np.inf, context)
+        return self.check(values, self.eps_e, np.inf, context)
 
     def c_s(self, values: np.ndarray, c_max, context="c_s",
             labels: np.ndarray | None = None) -> np.ndarray:
-        return self.check(values, self.policy.eps_s,
-                          c_max - self.policy.eps_s, context, labels)
+        return self.check(values, self.eps_s, c_max - self.eps_s, context,
+                          labels)

@@ -25,7 +25,9 @@ exit once the relative update drops below a tolerance (a step stopping at or
 above it reports ``converged=False``).  Backends provide ``stage1``,
 ``stage2``, ``d_rate``, ``initial_state``, field name tuples and ``solvers``
 (one ``solve.Solver`` per linear system); the battery problem and the linear
-verification surrogate both implement it.
+verification surrogate both implement it.  ``stage1`` also returns the
+``physics.InterfaceState`` of its midpoint (None without an interface), whose
+diagnostics the step reports for its accepted sweep.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class TimeGrid:
     @property
     def t_end(self) -> float:
         return self.n_steps * self.dt
-
-    def t(self, n: int) -> float:
-        return n * self.dt
 
     @classmethod
     def from_duration(cls, t_end: float, dt: float) -> "TimeGrid":
@@ -125,10 +124,9 @@ def step(backend, history: History, grid: TimeGrid, n: int,
 
     iterate = predict(backend, history, dt)
     updates = []
-    audit = None
     for sweep in range(1 + max(extra_iters, 0)):
         mid = prev.midpoint(iterate)
-        d_new, audit = backend.stage1(prev, mid, dt, heat_start=n == 1)
+        d_new, iface = backend.stage1(prev, mid, dt, heat_start=n == 1)
         s_new = backend.stage2(t_new, d_new, iterate) if backend.S_FIELDS else {}
         new_state = SimState(t_new, {**d_new, **s_new})
         delta = new_state.max_rel_diff(iterate, scales)
@@ -139,12 +137,13 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     report = StepReport(
         n=n, t=t_new, sweeps=len(updates), max_update=updates[-1],
         converged=updates[-1] < fp_tol, update_history=updates,
-        ibv_integral=getattr(audit, "ibv_integral", 0.0),
-        eta_ibv_min=getattr(audit, "eta_ibv_min", 0.0),
-        eta_max=getattr(audit, "eta_max", 0.0),
         refactorizations=sum(s.refactorizations for s in solvers) - refac0,
         cg_iterations=sum(s.cg_iterations for s in solvers) - cg0,
     )
+    if iface is not None:       # the interface of the accepted sweep
+        report.ibv_integral = iface.ibv_integral()
+        report.eta_ibv_min = iface.eta_ibv_min()
+        report.eta_max = iface.eta_max_abs()
     log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  converged=%s  "
              "refactorizations=%d  cg_iterations=%d",
              n, t_new, report.sweeps, report.max_update, report.converged,

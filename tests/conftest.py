@@ -7,7 +7,6 @@ from voltacell import materials as mat
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
-from voltacell.state import Guard, GuardPolicy
 
 logging.getLogger("voltacell").setLevel(logging.WARNING)
 
@@ -31,8 +30,7 @@ def coarse_mesh(geom):
 
 
 def make_problem(coarse_mesh, mats, **kw):
-    guard = Guard(GuardPolicy.defaults(mats))
-    return CellProblem(coarse_mesh, mats, guard, **kw)
+    return CellProblem(coarse_mesh, mats, **kw)
 
 
 @pytest.fixture()

@@ -15,7 +15,7 @@ from voltacell.config import preset
 from voltacell.driver import run_scenario
 from voltacell.mesh import MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
-from voltacell.state import Guard, GuardPolicy, History
+from voltacell.state import History
 from voltacell.stepping import TimeGrid, step
 
 import conftest
@@ -268,7 +268,7 @@ def test_criterion_10_matrix_structure(coarse_mesh, geom, mats):
     tiny_mesh = generate_layered_mesh(geom, MeshSpec(
         nx_blocks=(1, 1, 2, 1), ny_blocks=(1, 2, 1), n_layers=0,
         degree=1, normal_degree=1))
-    tiny = CellProblem(tiny_mesh, mats, Guard(GuardPolicy.defaults(mats)))
+    tiny = CellProblem(tiny_mesh, mats)
     min_eigs = {}
     sizes = {}
     for name, m in _system_matrices(tiny, 6.0).items():
@@ -343,7 +343,7 @@ def test_criterion_11_oracle_equivalence():
         lambda side, c: {"left": "cc_minus", "right": "cc_plus",
                          "top": "top", "bottom": "bottom"}[side])
     mats_si = mat.default_materials()
-    prob = CellProblem(m4, mats_si, Guard(GuardPolicy.defaults(mats_si)))
+    prob = CellProblem(m4, mats_si)
     s0 = prob.initial_state()
     electrode = {t: mats_si.electrode(geo.TAG_NAMES[t])
                  for t in (geo.ANODE, geo.CATHODE)}

@@ -58,10 +58,11 @@ def test_all_violations_reported_together(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("heat_convention", "reversed"), ("scale.length", "1e-3"),
     ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0"),
-    ("guard_action", "clamp")])
+    ("guard_action", "clamp"), ("mesh.max_aspect", "2000")])
 def test_removed_keys_are_unknown(tmp_path, key, value):
-    """There is no heat-sign convention, unit-scale, guard-margin or
-    guard-action setting, so a scenario file cannot set them."""
+    """There is no heat-sign convention, unit-scale, guard-margin,
+    guard-action or mesh aspect-bound setting, so a scenario file cannot set
+    them."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\n{key} = {value}\n")
     with pytest.raises(ConfigError,
@@ -89,6 +90,41 @@ def test_material_override_keys(tmp_path):
         parse_scenario(str(f2))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt", "nan"), ("t_end", "inf"), ("i_app", "nan"),
+    ("snapshot_every", "nan"), ("kappa_d_factor", "nan"), ("fp_tol", "-1")])
+def test_bad_numbers_reported_by_key(tmp_path, key, value):
+    """A non-finite number, or a negative fixed-point tolerance, is a
+    ConfigError naming its key, not a crash or an accepted run."""
+    f = tmp_path / "scn.txt"
+    f.write_text(f"dt = 6\nt_end = 60\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"\n  {key} "):
+        parse_scenario(str(f))
+
+
+def test_validate_reports_nested_nonfinite_values():
+    """Mesh, dimension and material-override values are checked too, and
+    ``validate`` lists every bad value instead of raising."""
+    import dataclasses
+    cfg = ScenarioConfig(t_end=float("inf"), dt=float("nan"),
+                         material_overrides={"anode.youngs": float("nan")})
+    cfg = cfg.replace(dims=dataclasses.replace(cfg.dims, h_s=float("inf")))
+    errs = cfg.validate()
+    for key in ("t_end", "dt", "dims.h_s", "mat.anode.youngs"):
+        assert any(e.startswith(f"{key} = ") for e in errs), (key, errs)
+
+
+@pytest.mark.parametrize("key", ["mat.anode.ocp", "mat.anode.lame",
+                                 "mat.anode", "mat.bogus.k_bv"])
+def test_material_override_must_name_a_number(tmp_path, key):
+    """Only float parameters of a material group or of the material set can
+    be overridden; anything else is a ConfigError on the key's line."""
+    f = tmp_path / "scn.txt"
+    f.write_text(f"dt = 6\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=f"line 2: {key!r}"):
+        parse_scenario(str(f))
+
+
 def test_validate_time_divisibility():
     cfg = ScenarioConfig(t_end=100.0, dt=7.0)
     assert any("integer number" in e for e in cfg.validate())
@@ -109,6 +145,6 @@ def test_guard_defaults_scaled():
     from voltacell.driver import build_problem
     from voltacell.mesh import MeshSpec
     cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse())
-    policy = build_problem(cfg).guard.policy
-    assert policy.eps_e == pytest.approx(1e-3 * 2000.0, rel=1e-12)
-    assert policy.eps_s == pytest.approx(1e-4 * 2.286e4, rel=1e-12)
+    guard = build_problem(cfg).guard
+    assert guard.eps_e == pytest.approx(1e-3 * 2000.0, rel=1e-12)
+    assert guard.eps_s == pytest.approx(1e-4 * 2.286e4, rel=1e-12)

@@ -115,11 +115,11 @@ def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
     dt = DESK["dt"]
 
     def depleting_stage1(self, prev, mid, dt_, **kw):
-        d_new, audit = real_stage1(self, prev, mid, dt_, **kw)
+        d_new, iface = real_stage1(self, prev, mid, dt_, **kw)
         if prev.t >= 2 * dt - 1e-9:
-            floor = self.guard.policy.eps_e
+            floor = self.guard.eps_e
             d_new["c_e"] = np.full_like(d_new["c_e"], 0.5 * floor)
-        return d_new, audit
+        return d_new, iface
 
     monkeypatch.setattr(CellProblem, "stage1", depleting_stage1)
     cfg = preset("high_discharge").replace(**DESK)

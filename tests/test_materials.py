@@ -62,8 +62,8 @@ def test_guard_bounds_lie_inside_ocp_domains(mats):
     """Both ends of the guard's c_s bounds map to a c_hat strictly inside
     (0, CATHODE_OCP_POLE), where each electrode's fit is finite; so the
     interface needs no clamp ahead of the open-circuit potential."""
-    from voltacell.state import GuardPolicy
-    eps_s = GuardPolicy.defaults(mats).eps_s
+    from voltacell.state import Guard
+    eps_s = Guard.defaults(mats).eps_s
     for el in (mats.anode, mats.cathode):
         c_hat = np.array([eps_s, el.c_max - eps_s]) / el.c_max
         assert np.all((c_hat > 0.0) & (c_hat < mat.CATHODE_OCP_POLE))

@@ -95,7 +95,7 @@ def test_spec_validation():
 
 def test_validate_clean_mesh(geom):
     m = vm.generate_layered_mesh(geom, vm.MeshSpec.production())
-    rep = vm.validate_mesh(m, geom, max_aspect=2000.0)
+    rep = vm.validate_mesh(m, geom)
     assert rep.ok, rep.violations
     assert rep.min_jacobian > 0.0
     assert rep.n_per_tag["sa"] > 0 and rep.n_per_tag["sc"] > 0

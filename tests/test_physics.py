@@ -8,7 +8,7 @@ from voltacell import physics as phys
 from voltacell import spaces as sps
 from voltacell.mesh import Mesh
 from voltacell.solve import DEFAULT_RTOL
-from voltacell.state import Guard, GuardPolicy
+from voltacell.state import Guard, SimState
 
 import conftest
 
@@ -21,8 +21,7 @@ def toy_strip_problem(mats, **kw):
         np.array([[geo.ANODE, geo.ELYTE, geo.CATHODE]], dtype=np.int8),
         lambda side, c: {"left": "cc_minus", "right": "cc_plus",
                          "top": "top", "bottom": "bottom"}[side])
-    guard = Guard(GuardPolicy.defaults(mats))
-    return phys.CellProblem(mesh, mats, guard, **kw)
+    return phys.CellProblem(mesh, mats, **kw)
 
 
 # classic bilinear element matrices on the unit square, in this package's
@@ -309,8 +308,7 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats):
     prob.set_load(20.0)
     s0 = prob.initial_state()
     new = prob.stage2(0.0, {k: s0[k] for k in prob.D_FIELDS}, s0)
-    ist = prob.interface_state(s0["theta"], s0["c_s"], s0["c_e"],
-                               new["phi_s"], new["phi_e"])
+    ist = prob.interface_state(SimState(0.0, {**s0.fields, **new}))
     assert np.abs(ist.eta).max() > 1e-3        # the pair is really loaded
     wc = prob.iface_w * ist.coeff
     t_s, t_e = prob.iface_tr["phi_s"], prob.iface_tr["phi_e"]
@@ -406,7 +404,7 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats):
         a, _ = prob.potential_system(state["theta"], state["c_s"],
                                      state["c_e"],
                                      asm.eval_qp(prob.s_th, state["theta"]))
-        coeff = prob.interface_state_of(state).coeff
+        coeff = prob.interface_state(state).coeff
         dense = k_pot + d.T @ ((prob.iface_w * coeff)[:, None] * d)
         assert _rel(a.toarray(), dense) <= 1e-13
         patterns.append((a.indptr, a.indices))
@@ -651,6 +649,18 @@ def test_negative_interface_coefficient_raises(coarse_problem):
                               asm.eval_qp(prob.s_th, theta))
 
 
+def test_one_trace_operator_per_support(coarse_problem):
+    """The fields on one support share one interface trace operator and its
+    transpose: c_s with phi_s, c_e with phi_e (their DOF maps agree)."""
+    prob = coarse_problem
+    for a, b in (("c_s", "phi_s"), ("c_e", "phi_e")):
+        assert np.array_equal(prob.spaces[a].node_index,
+                              prob.spaces[b].node_index)
+        assert prob.iface_tr[a] is prob.iface_tr[b]
+        assert prob.iface_tr_t[a] is prob.iface_tr_t[b]
+    assert len({id(t) for t in prob.iface_tr.values()}) == 3
+
+
 # ---------------------------------------------------------------------------
 # interface loads and their balance
 # ---------------------------------------------------------------------------
@@ -665,9 +675,9 @@ def test_interface_load_balance(coarse_mesh, mats):
     state["phi_s"] = prob.s_ps.apply_constraints(
         s0["phi_s"] + 0.01 * rng.normal(size=prob.s_ps.ndof))
     state["phi_e"] = s0["phi_e"] + 0.01 * rng.normal(size=prob.s_pe.ndof)
-    ist = prob.interface_state_of(state)
+    ist = prob.interface_state(state)
     loads = prob.iface_loads(ist)
-    total_ibv = ist.ibv_integral(prob.iface_w)
+    total_ibv = ist.ibv_integral()
     faraday = mats.faraday
     t_plus = mats.electrolyte.t_plus
     # lithium fluxes per unit depth [mol/(m s)]
@@ -685,7 +695,7 @@ def test_linearized_bv_matches_nonlinear_at_small_eta(coarse_mesh, mats):
     for eta0 in (-0.005, -0.002, 0.002, 0.005):   # volts
         state = s0.copy()
         state["phi_s"] = prob.s_ps.apply_constraints(s0["phi_s"] + eta0)
-        ist = prob.interface_state_of(state)
+        ist = prob.interface_state(state)
         for tag in (geo.ANODE, geo.CATHODE):
             sel = ist.tags == tag
             assert np.any(sel)
@@ -698,11 +708,11 @@ def test_stage1_uniform_state_is_stationary(coarse_problem):
     prob = coarse_problem
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    new, audit = prob.stage1(s0, s0.copy(), dt=6.0)
+    new, iface = prob.stage1(s0, s0.copy(), dt=6.0)
     for name in ("theta", "c_s", "c_e"):
         scale = np.abs(s0[name]).max()
         assert np.abs(new[name] - s0[name]).max() < 1e-9 * scale
-    assert audit.ibv_integral == pytest.approx(0.0, abs=1.6e-16)     # A/m
+    assert iface.ibv_integral() == pytest.approx(0.0, abs=1.6e-16)   # A/m
 
 
 def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
@@ -727,7 +737,7 @@ def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
     m, k = prob.m_th, prob.k_th
     b = (asm.assemble_load(prob.s_th, prob.heat_source_qp(
         mid, asm.eval_qp(prob.s_th, mid["theta"])))
-         + prob.iface_loads(prob.interface_state_of(mid))["theta"])
+         + prob.iface_loads(prob.interface_state(mid))["theta"])
     h = 0.5 * dt
     a = (m + h * k).tocsc()
     d1 = spla.spsolve(a, h * (b - k @ s0["theta"]))
@@ -808,7 +818,7 @@ def test_constrained_thermal_expansion_hand_solution(mats):
 def test_interface_sample_fields(coarse_problem):
     prob = coarse_problem
     s0 = prob.initial_state()
-    ist = prob.interface_state_of(s0)
+    ist = prob.interface_state(s0)
     assert set(ist.tags) == {geo.ANODE, geo.CATHODE}
     assert np.abs(ist.eta).max() < 1e-10
     assert np.abs(ist.i_bv).max() < 1.6e-8     # A/m^2
@@ -892,7 +902,7 @@ def test_singular_phi_e_reported(mats):
     exchange current, so the phi_e system loses its interface term and must
     be reported singular."""
     prob = toy_strip_problem(mats)
-    prob.guard = _PassGuard(GuardPolicy.defaults(mats))
+    prob.guard = _PassGuard.defaults(mats)
     s0 = prob.initial_state()
     dead_ce = np.zeros(prob.s_ce.ndof)
     with pytest.raises(ValueError, match="singular"):

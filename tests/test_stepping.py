@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from voltacell import geometry as geo
 from voltacell import state as vstate
 from voltacell import stepping
-from voltacell.state import Guard, GuardPolicy, History, SimState
+from voltacell.state import Guard, History, SimState
 from voltacell.stepping import LinearSurrogate, TimeGrid, integrate_linear, \
     predict, step
 
@@ -85,7 +85,7 @@ def test_predictor_zero_rate_at_equilibrium():
 # ---------------------------------------------------------------------------
 
 def test_guard_in_bounds_untouched():
-    g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.286))
+    g = Guard(eps_e=2.0, eps_s=2.286)
     vals = np.array([2.0, 100.0, 2000.0])
     assert g.c_e(vals) is vals
     cs = np.array([2.286, 500.0, 24997.714])
@@ -95,7 +95,7 @@ def test_guard_in_bounds_untouched():
 def test_guard_out_of_bounds_raises():
     """A value below the floor raises, naming the context, the count, the
     bounds and the worst excess; so does a NaN."""
-    g = Guard(GuardPolicy(eps_e=2.0, eps_s=2.286))
+    g = Guard(eps_e=2.0, eps_s=2.286)
     with pytest.raises(vstate.GuardViolation,
                        match=r"^c_e trace: 2 value\(s\) out of \[2, inf\], "
                              r"worst excess 3\.000e\+00$"):
@@ -110,7 +110,7 @@ def test_guard_out_of_bounds_raises():
 def test_guard_labels_count_per_context():
     """With a bound and a label per point, the message names the offending
     label's context and counts only its values."""
-    g = Guard(GuardPolicy(eps_e=2.0, eps_s=1.0))
+    g = Guard(eps_e=2.0, eps_s=1.0)
     names = ("c_s (sa)", "c_s (sc)")
     c_max = np.array([10.0, 20.0, 20.0, 10.0])
     labels = np.array([0, 1, 1, 0])
@@ -122,11 +122,13 @@ def test_guard_labels_count_per_context():
     assert g.c_s(ok, c_max, names, labels) is ok
 
 
-def test_guard_policy_validation():
+def test_guard_validation():
     with pytest.raises(ValueError):
-        GuardPolicy(eps_e=0.0, eps_s=1.0)
+        Guard(eps_e=0.0, eps_s=1.0)
     with pytest.raises(ValueError):
-        GuardPolicy(eps_e=1.0, eps_s=-1.0)
+        Guard(eps_e=1.0, eps_s=-1.0)
+    with pytest.raises(ValueError):
+        Guard(eps_e=float("nan"), eps_s=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,7 @@ def test_discharge_step_sign_audit(coarse_mesh, mats):
     s0 = prob.initial_state()
     grid = TimeGrid(dt=6.0, n_steps=1)
     state, rep = step(prob, History(prev=s0), grid, 1)
-    ist = prob.interface_state_of(state)
+    ist = prob.interface_state(state)
     anode = ist.tags == geo.ANODE
     assert np.all(ist.i_bv[anode] > 0.0)
     assert np.all(ist.i_bv[~anode] < 0.0)
@@ -223,6 +225,30 @@ def test_fixed_point_contraction_on_load_step(coarse_mesh, mats):
         hist.push(state)
         ups = rep.update_history
         assert all(b <= a * 1.001 + 1e-12 for a, b in zip(ups, ups[1:])), ups
+
+
+def test_step_reports_the_interface_of_its_accepted_sweep(coarse_mesh, mats):
+    """A step's interface diagnostics are those of the InterfaceState that
+    stage 1 returned in its last sweep."""
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
+    returned = []
+    real_stage1 = prob.stage1
+
+    def stage1(*args, **kw):
+        out = real_stage1(*args, **kw)
+        returned.append(out[1])
+        return out
+
+    prob.stage1 = stage1
+    _, rep = step(prob, History(prev=prob.initial_state()),
+                  TimeGrid(dt=6.0, n_steps=1), 1)
+    assert len(returned) == rep.sweeps > 1
+    iface = returned[-1]
+    assert rep.ibv_integral == iface.ibv_integral() \
+        == float(prob.iface_w @ iface.i_bv)
+    assert rep.eta_ibv_min == iface.eta_ibv_min()
+    assert rep.eta_max == iface.eta_max_abs() > 0.0
 
 
 def test_mass_bookkeeping_over_discharge(coarse_mesh, mats):
