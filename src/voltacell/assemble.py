@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import basis
-from .mesh import EdgeRef
+from .mesh import EdgeSet
 from .spaces import FieldSpace, NodeGrid, tag_values
 
 EDGE_QUAD_EXTRA = 2
@@ -72,15 +72,21 @@ class FixedPattern:
     each entry of a list of (row, col) entries, duplicates allowed, so that
     summing values given per entry is one ``np.bincount``.  Every matrix made
     by ``with_data`` shares the two pattern arrays ``indptr`` and
-    ``indices``.
+    ``indices``.  ``ElementScatter`` builds its pattern and slots from runs
+    of consecutive columns on the tensor grid, one sort over (row, level)
+    keys; ``TraceMass`` takes the union of two scipy patterns and finds its
+    slots with ``locate``.
     """
 
-    def __init__(self, pattern: sp.csr_matrix):
-        pattern.sum_duplicates()        # sorted rows, no duplicates
-        self.shape = pattern.shape
-        self.indptr, self.indices = pattern.indptr, pattern.indices
-        self.nnz = pattern.nnz
-        self.slots = None
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape):
+        """The pattern of canonical CSR arrays: sorted rows, no
+        duplicates."""
+        # scipy's index type, so that ``with_data`` converts nothing
+        index = np.int32 if max(len(indices), *shape) < 2 ** 31 else np.int64
+        self.shape = shape
+        self.indptr = indptr.astype(index, copy=False)
+        self.indices = indices.astype(index, copy=False)
+        self.nnz = len(indices)
 
     def locate(self, rows, cols) -> np.ndarray:
         """Data slots of (row, col) entries of the pattern."""
@@ -154,21 +160,46 @@ class ElementScatter(FixedPattern):
     def __init__(self, space: FieldSpace):
         self.space = space
         self.groups = []
-        rows, cols = [], []
-        start = 0
-        for g, row_idx, dofs, block in space.occupied():
-            n = dofs.shape[1]
-            rows.append(np.repeat(dofs, n, axis=1).ravel())
-            cols.append(np.tile(dofs, (1, n)).ravel())
+        # On the tensor grid, the columns of one pattern row on one y-node
+        # level are consecutive field nodes, so an element's nbx nodes on a
+        # level take consecutive slots.  One record per (element, row node,
+        # level) holds its (row, level) key and its first column node.
+        nny, nnx = space.grid.nny, space.grid.nnx
+        keys, firsts, widths, start = [], [], [], 0
+        for g, rows, dofs, block in space.occupied():
+            m, n = dofs.shape
+            nbx = g.px + 1
+            level = g.nodes[rows, ::nbx] // nnx              # (m, nby)
+            keys.append((dofs[:, :, None] * nny + level[:, None, :]).ravel())
+            firsts.append(np.broadcast_to(dofs[:, None, ::nbx],
+                                          (m, n, n // nbx)).ravel())
+            widths.append(nbx)
             stop = start + dofs.size * n
-            self.groups.append((g, row_idx, slice(start, stop), block))
+            self.groups.append((g, rows, slice(start, stop), block))
             start = stop
         self.n_entries = start
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        super().__init__(sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(space.n_nodes, space.n_nodes)))
-        self.slots = self.locate(rows, cols)
+        sizes = [len(k) for k in keys]
+        keys, firsts = np.concatenate(keys), np.concatenate(firsts)
+        ends = firsts + np.repeat(widths, sizes)
+        # The records of one (row, level) key cover one run of columns
+        # [lo, lo + width), whose first slot is run_slot.
+        order = np.argsort(keys, kind="stable")      # timsort: fastest here
+        new = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
+        heads = np.flatnonzero(new)
+        lo = np.minimum.reduceat(firsts[order], heads)
+        width = np.maximum.reduceat(ends[order], heads) - lo
+        run_slot = np.cumsum(width) - width
+        n, nnz = space.n_nodes, int(width.sum())
+        row_len = np.bincount(keys[order[heads]] // nny, width, n)
+        super().__init__(np.r_[0, np.cumsum(row_len)].astype(int),
+                         np.repeat(lo - run_slot, width) + np.arange(nnz),
+                         (n, n))
+        run = np.empty(len(keys), dtype=np.intp)
+        run[order] = np.cumsum(new) - 1
+        first_slot = run_slot[run] + firsts - lo[run]
+        self.slots = np.concatenate([
+            (f[:, None] + np.arange(nbx)).ravel() for f, nbx in
+            zip(np.split(first_slot, np.cumsum(sizes)[:-1]), widths)])
 
     def _assemble(self, products) -> sp.csr_matrix:
         """The matrix whose element matrices are, group by group, the
@@ -391,32 +422,46 @@ def integrate(space: FieldSpace, values: np.ndarray) -> float:
 # Edge (boundary / interface) terms
 # ---------------------------------------------------------------------------
 
-def trace_operator(grid: NodeGrid, edges: Sequence[EdgeRef]):
-    """Trace operator ``T`` and quadrature weights ``w`` over a list of edges.
+def trace_operator(grid: NodeGrid, edges: EdgeSet | Sequence[EdgeSet]):
+    """Trace operator ``T`` and quadrature weights ``w`` over edges (an
+    ``EdgeSet``, or a sequence of them taken in order).
 
     Rows of ``T`` are the edge quadrature points (``degree +
-    EDGE_QUAD_EXTRA`` Gauss points per edge, edges in list order), columns
+    EDGE_QUAD_EXTRA`` Gauss points per edge, edges in order), columns
     the grid nodes; ``restrict_trace`` selects one field's columns.  With a
     field vector ``v`` and point values ``g``, ``T @ v`` is the trace of
     ``v``, ``T.T @ (w * g)`` the load <w_i, g>, ``w @ g`` the integral of
     ``g`` over the edges and ``TraceMass(T, w).matrix(c)`` the edge mass.
+    ``T`` is filled in CSR form directly, one pass per edge degree; each
+    row holds the p + 1 nodes of its edge in axis order.
     """
-    if not edges:
+    if not len(edges):
         return sp.csr_matrix((0, grid.n_nodes)), np.zeros(0)
-    rows, cols, vals, weights = [], [], [], []
-    n_pts = 0
-    for edge in edges:
-        r = basis.ref1d(edge.degree, edge.degree + EDGE_QUAD_EXTRA)
-        nq, nb = r.values.shape
-        rows.append(np.repeat(np.arange(n_pts, n_pts + nq), nb))
-        cols.append(np.tile(grid.edge_nodes(edge), nq))
-        vals.append(r.values.ravel())
-        weights.append(r.rule.weights * 0.5 * edge.length)
-        n_pts += nq
-    t = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_pts, grid.n_nodes))
-    return t, np.concatenate(weights)
+    if not isinstance(edges, EdgeSet):
+        edges = EdgeSet.join(edges)
+    nb = edges.degree + 1
+    nq = edges.degree + EDGE_QUAD_EXTRA
+    point0 = np.cumsum(nq) - nq               # first point of each edge
+    entry0 = np.cumsum(nq * nb) - nq * nb     # its first entry of T
+    node0 = np.cumsum(nb) - nb                # its first node in ``nodes``
+    nodes = grid.edge_nodes(edges)
+    n_pts = int(nq.sum())
+    indices = np.empty(int((nq * nb).sum()), dtype=nodes.dtype)
+    data = np.empty(len(indices))
+    weights = np.empty(n_pts)
+    for p in np.unique(edges.degree):
+        sel = np.flatnonzero(edges.degree == p)
+        r = basis.ref1d(int(p), int(p) + EDGE_QUAD_EXTRA)
+        n_q, n_b = r.values.shape
+        at = entry0[sel][:, None] + np.arange(n_q * n_b)
+        edge_nodes = nodes[node0[sel][:, None] + np.arange(n_b)]
+        indices[at] = np.tile(edge_nodes, (1, n_q))
+        data[at] = r.values.ravel()
+        weights[point0[sel][:, None] + np.arange(n_q)] = \
+            (r.rule.weights * 0.5)[None, :] * edges.length[sel][:, None]
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(nb, nq))])
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(n_pts, grid.n_nodes)), weights
 
 
 def restrict_trace(space: FieldSpace, t: sp.csr_matrix) -> sp.csr_matrix:
@@ -437,7 +482,8 @@ class TraceMass(FixedPattern):
     Quadrature point q of ``t`` adds T[q, a] T[q, b] w_q c_q to entry (a, b)
     for every pair (a, b) of its columns.  The pairs, their values without
     c_q and their points are found once, on the union of ``base``'s pattern
-    and T^T T's; ``matrix(c)`` is then ``base`` plus one bincount.
+    and T^T T's; ``matrix(c)`` is then ``base`` plus one bincount over the
+    slots that the pairs touch.
     """
 
     def __init__(self, t: sp.spmatrix, w: np.ndarray,
@@ -465,10 +511,13 @@ class TraceMass(FixedPattern):
         # base's in order.
         union = sp.csr_matrix((np.ones(base.nnz), base.indices, base.indptr),
                               shape=(n, n)) + pairs
-        super().__init__(union)
+        super().__init__(union.indptr, union.indices, union.shape)
         self.base_data = np.zeros(self.nnz)
         self.base_data[union.data != 2.0] = base.data
         self.slots = self.locate(rows, cols)
+        # the slots the pairs touch, and the index of each pair's among them
+        self.touched, self.pair_touched = np.unique(self.slots,
+                                                    return_inverse=True)
 
     def matrix(self, coeff) -> sp.csr_matrix:
         """``base`` + T^T diag(w c) T; ``coeff`` is a scalar or one value per
@@ -476,13 +525,26 @@ class TraceMass(FixedPattern):
         c = np.broadcast_to(np.asarray(coeff, dtype=float), self.w.shape)
         if np.any(c < 0.0):
             raise AssemblyError("edge mass coefficient must be nonnegative")
-        return self.with_data(self.base_data
-                              + self.sum(self.pair_value * c[self.pair_point]))
+        data = self.base_data.copy()
+        data[self.touched] += np.bincount(
+            self.pair_touched, weights=self.pair_value * c[self.pair_point],
+            minlength=len(self.touched))
+        return self.with_data(data)
 
 
 # ---------------------------------------------------------------------------
 # Constraint handling
 # ---------------------------------------------------------------------------
+
+def block_diag(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """The block-diagonal matrix [[a, 0], [0, b]] of two CSR matrices, their
+    arrays concatenated."""
+    return sp.csr_matrix(
+        (np.concatenate([a.data, b.data]),
+         np.concatenate([a.indices, b.indices + a.shape[1]]),
+         np.concatenate([a.indptr, b.indptr[1:] + a.nnz])),
+        shape=(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+
 
 def constrain(space: FieldSpace, mat: sp.spmatrix,
               rhs: np.ndarray | None = None):

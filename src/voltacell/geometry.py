@@ -111,13 +111,12 @@ class DomainGeometry:
     def bounding_box(self) -> tuple[float, float]:
         return self.x_cuts[-1] - self.x_cuts[0], self.y_cuts[-1] - self.y_cuts[0]
 
-    def subdomain_at(self, x: float, y: float) -> int:
-        """Tag of the block containing the point (interior points only)."""
-        i = int(np.searchsorted(self.x_cuts, x) - 1)
-        j = int(np.searchsorted(self.y_cuts, y) - 1)
-        i = min(max(i, 0), len(self.x_cuts) - 2)
-        j = min(max(j, 0), len(self.y_cuts) - 2)
-        return self.block_tag[j][i]
+    def subdomain_at(self, x, y):
+        """Tag of the block containing each point (interior points only);
+        ``x`` and ``y`` are numbers or arrays that broadcast together."""
+        i = np.clip(np.searchsorted(self.x_cuts, x) - 1, 0, len(self.x_cuts) - 2)
+        j = np.clip(np.searchsorted(self.y_cuts, y) - 1, 0, len(self.y_cuts) - 2)
+        return np.asarray(self.block_tag)[j, i]
 
     def area(self, tag: int) -> float:
         return abs(_shoelace(self.polygons[tag]))

@@ -11,12 +11,19 @@ graded layers: the base cell adjacent to an interface grid line is split into
 ``n_layers + 1`` cells whose widths decrease geometrically toward the line.
 Degrees are boosted to ``normal_degree`` only in the direction normal to the
 interface and only in the innermost layer.
+
+Tags are computed for the whole grid at once: the cell tags by one lookup of
+every cell midpoint in the geometry's blocks, the edge tags by comparing the
+tag arrays of neighbouring cells.  Edges are handed out as an ``EdgeSet``, a
+record of arrays with one entry per edge, which the spaces and assemblers
+consume whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,44 +192,41 @@ class Mesh:
     def element_tags(self) -> np.ndarray:
         return self.cell_tag.ravel()
 
-    # ---- edge iteration ---------------------------------------------------
+    # ---- edge sets -------------------------------------------------------
 
-    def interface_edges(self) -> list["EdgeRef"]:
-        return self._edges((IFACE_SOLID_LO, IFACE_SOLID_HI),
-                           range(self.ncx + 1), range(self.ncy + 1))
+    def interface_edges(self) -> "EdgeSet":
+        return self._edges((IFACE_SOLID_LO, IFACE_SOLID_HI))
 
-    def boundary_edges(self, part: str) -> list["EdgeRef"]:
-        return self._edges((PART_CODE[part],), (0, self.ncx), (0, self.ncy))
+    def boundary_edges(self, part: str) -> "EdgeSet":
+        return self._edges((PART_CODE[part],))
 
-    def _edges(self, codes, v_lines, h_lines) -> list["EdgeRef"]:
-        """The edges tagged with one of ``codes``: the vertical ones on the
-        grid lines x[i], i in ``v_lines``, row by row, then the horizontal
-        ones on the grid lines y[j], j in ``h_lines``."""
-        v, h = self.v_edge_tag, self.h_edge_tag
-        return ([self._v_edge(j, i, int(v[j, i])) for j in range(self.ncy)
-                 for i in v_lines if v[j, i] in codes]
-                + [self._h_edge(j, i, int(h[j, i])) for j in h_lines
-                   for i in range(self.ncx) if h[j, i] in codes])
+    def _edges(self, codes) -> "EdgeSet":
+        """The edges tagged with one of ``codes``, in the order of
+        ``edges``."""
+        return self.edges[np.isin(self.edges.tag, codes)]
 
-    def _v_edge(self, j: int, i: int, tag: int) -> "EdgeRef":
-        cells = []
-        if i > 0:
-            cells.append((j, i - 1))
-        if i < self.ncx:
-            cells.append((j, i))
-        return EdgeRef("v", i, j, tag, self.y[j + 1] - self.y[j],
-                       (self.x[i], self.y[j]), (self.x[i], self.y[j + 1]),
-                       int(self.py[j]), tuple(cells))
-
-    def _h_edge(self, j: int, i: int, tag: int) -> "EdgeRef":
-        cells = []
-        if j > 0:
-            cells.append((j - 1, i))
-        if j < self.ncy:
-            cells.append((j, i))
-        return EdgeRef("h", i, j, tag, self.x[i + 1] - self.x[i],
-                       (self.x[i], self.y[j]), (self.x[i + 1], self.y[j]),
-                       int(self.px[i]), tuple(cells))
+    @cached_property
+    def edges(self) -> "EdgeSet":
+        """Every edge: the vertical ones row by row (grid lines x[i] left to
+        right within a row), then the horizontal ones grid line y[j] by grid
+        line.  Built on first use, so the grid and tag arrays must not
+        change after it."""
+        ncx, ncy = self.ncx, self.ncy
+        jv, iv = np.indices(self.v_edge_tag.shape).reshape(2, -1)
+        jh, ih = np.indices(self.h_edge_tag.shape).reshape(2, -1)
+        # adjacent cells as flat ids j * ncx + i, low side first
+        v_cells = np.column_stack([np.where(iv > 0, jv * ncx + iv - 1, -1),
+                                   np.where(iv < ncx, jv * ncx + iv, -1)])
+        h_cells = np.column_stack([np.where(jh > 0, (jh - 1) * ncx + ih, -1),
+                                   np.where(jh < ncy, jh * ncx + ih, -1)])
+        return EdgeSet(
+            vertical=np.repeat([True, False], [len(jv), len(jh)]),
+            i=np.concatenate([iv, ih]), j=np.concatenate([jv, jh]),
+            tag=np.concatenate([self.v_edge_tag.ravel(),
+                                self.h_edge_tag.ravel()]).astype(int),
+            length=np.concatenate([self.hy[jv], self.hx[ih]]),
+            degree=np.concatenate([self.py[jv], self.px[ih]]).astype(int),
+            cells=np.concatenate([v_cells, h_cells]))
 
     def edge_tag_counts(self) -> dict:
         flat = np.concatenate([self.v_edge_tag.ravel(), self.h_edge_tag.ravel()])
@@ -236,12 +240,13 @@ class Mesh:
 
     @classmethod
     def from_grid(cls, x, y, px, py, cell_tag,
-                  boundary_part: Callable[[str, float], str]) -> "Mesh":
+                  boundary_part: Callable) -> "Mesh":
         """Build a mesh from grid lines, tagging edges automatically.
 
-        ``boundary_part(side, coord)`` maps an exterior edge (side in
-        left/right/bottom/top, midpoint coordinate along the side) to a
-        boundary part name.
+        ``boundary_part(side, coords)`` maps the exterior edges of one side
+        (left/right/bottom/top), given as the array of their midpoint
+        coordinates along it, to boundary part names: an array of one name
+        per edge, or one name for the whole side.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -254,55 +259,83 @@ class Mesh:
         if len(px) != ncx or len(py) != ncy:
             raise ValueError("degree arrays must match the cell grid")
 
-        v_tag = np.zeros((ncy, ncx + 1), dtype=np.int8)
-        h_tag = np.zeros((ncy + 1, ncx), dtype=np.int8)
-
         def classify(tag_lo, tag_hi):
-            if tag_lo == tag_hi:
-                return INTERIOR
-            if tag_lo == ELYTE:
-                return IFACE_SOLID_HI
-            if tag_hi == ELYTE:
-                return IFACE_SOLID_LO
-            raise ValueError(
-                "electrode subdomains touch directly (no electrolyte between)")
+            if np.any((tag_lo != tag_hi) & (tag_lo != ELYTE) & (tag_hi != ELYTE)):
+                raise ValueError(
+                    "electrode subdomains touch directly (no electrolyte between)")
+            return np.where(tag_lo == tag_hi, INTERIOR,
+                            np.where(tag_lo == ELYTE, IFACE_SOLID_HI,
+                                     IFACE_SOLID_LO))
 
-        for j in range(ncy):
-            ymid = 0.5 * (y[j] + y[j + 1])
-            v_tag[j, 0] = PART_CODE[boundary_part("left", ymid)]
-            v_tag[j, ncx] = PART_CODE[boundary_part("right", ymid)]
-            for i in range(1, ncx):
-                v_tag[j, i] = classify(cell_tag[j, i - 1], cell_tag[j, i])
-        for i in range(ncx):
-            xmid = 0.5 * (x[i] + x[i + 1])
-            h_tag[0, i] = PART_CODE[boundary_part("bottom", xmid)]
-            h_tag[ncy, i] = PART_CODE[boundary_part("top", xmid)]
-            for j in range(1, ncy):
-                h_tag[j, i] = classify(cell_tag[j - 1, i], cell_tag[j, i])
+        def part_codes(side, mids):
+            names, which = np.unique(np.broadcast_to(
+                boundary_part(side, mids), mids.shape), return_inverse=True)
+            return np.array([PART_CODE[n] for n in names], dtype=int)[which]
+
+        v_tag = np.empty((ncy, ncx + 1), dtype=np.int8)
+        h_tag = np.empty((ncy + 1, ncx), dtype=np.int8)
+        ymid, xmid = 0.5 * (y[:-1] + y[1:]), 0.5 * (x[:-1] + x[1:])
+        v_tag[:, 0] = part_codes("left", ymid)
+        v_tag[:, ncx] = part_codes("right", ymid)
+        v_tag[:, 1:ncx] = classify(cell_tag[:, :-1], cell_tag[:, 1:])
+        h_tag[0] = part_codes("bottom", xmid)
+        h_tag[ncy] = part_codes("top", xmid)
+        h_tag[1:ncy] = classify(cell_tag[:-1], cell_tag[1:])
 
         return cls(x=x, y=y, px=px, py=py, cell_tag=cell_tag,
                    v_edge_tag=v_tag, h_edge_tag=h_tag)
 
 
 @dataclass(frozen=True)
-class EdgeRef:
-    """One mesh edge: orientation, grid indices, tag and trace metadata."""
+class EdgeSet:
+    """Mesh edges as arrays, one entry per edge.
 
-    orient: str           # 'v' or 'h'
-    i: int                # grid-line/cell column index
-    j: int                # grid-line/cell row index
-    tag: int
-    length: float
-    p0: tuple[float, float]
-    p1: tuple[float, float]
-    degree: int           # trace polynomial degree along the edge
-    cells: tuple          # adjacent (j, i) cells, low side first
+    An edge is vertical on the grid line x[i], spanning row j, or horizontal
+    on the grid line y[j], spanning column i.  ``cells`` holds its two
+    adjacent cells as flat ids j * ncx + i, low side first, with -1 on the
+    side outside the domain.  Indexing by an int, a slice, an index array or
+    a mask gives a sub-set (an int gives the set of that one edge), and
+    iterating gives the one-edge sets.
+    """
 
-    def solid_cell(self, cell_tag: np.ndarray) -> tuple[int, int]:
-        for (j, i) in self.cells:
-            if cell_tag[j, i] != ELYTE:
-                return (j, i)
-        raise ValueError("edge has no solid neighbor")
+    vertical: np.ndarray    # (n,) bool
+    i: np.ndarray           # (n,) grid-line/cell column index
+    j: np.ndarray           # (n,) grid-line/cell row index
+    tag: np.ndarray         # (n,) edge tag code
+    length: np.ndarray      # (n,)
+    degree: np.ndarray      # (n,) trace polynomial degree along the edge
+    cells: np.ndarray       # (n, 2) adjacent cells, low side first (-1: none)
+
+    def __len__(self) -> int:
+        return len(self.tag)
+
+    def __getitem__(self, key) -> "EdgeSet":
+        if isinstance(key, (int, np.integer)):
+            key = [key]
+        return EdgeSet(*(getattr(self, f.name)[key] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @classmethod
+    def join(cls, sets: Sequence["EdgeSet"]) -> "EdgeSet":
+        """The edges of ``sets`` (a non-empty sequence), in order."""
+        return cls(*(np.concatenate([getattr(s, f.name) for s in sets])
+                     for f in fields(cls)))
+
+    def label(self, k: int) -> str:
+        """Edge ``k`` in messages: v(j,i) or h(j,i)."""
+        return f"{'v' if self.vertical[k] else 'h'}({self.j[k]},{self.i[k]})"
+
+    def solid_tag(self, cell_tag: np.ndarray) -> np.ndarray:
+        """The tag of each edge's first adjacent cell that is not
+        electrolyte (the electrode side of an interface edge)."""
+        tags = np.where(self.cells >= 0, cell_tag.ravel()[self.cells], ELYTE)
+        solid = tags != ELYTE
+        if not solid.any(axis=1).all():
+            k = int(np.argmin(solid.any(axis=1)))
+            raise ValueError(f"edge {self.label(k)} has no solid neighbor")
+        return np.where(solid[:, 0], tags[:, 0], tags[:, 1]).astype(int)
 
 
 def generate_layered_mesh(geom: DomainGeometry, spec: MeshSpec | None = None) -> Mesh:
@@ -336,21 +369,18 @@ def generate_layered_mesh(geom: DomainGeometry, spec: MeshSpec | None = None) ->
 
     xmid = 0.5 * (x[:-1] + x[1:])
     ymid = 0.5 * (y[:-1] + y[1:])
-    cell_tag = np.empty((len(ymid), len(xmid)), dtype=np.int8)
-    for j, ym in enumerate(ymid):
-        for i, xm in enumerate(xmid):
-            cell_tag[j, i] = geom.subdomain_at(xm, ym)
+    cell_tag = geom.subdomain_at(xmid[None, :], ymid[:, None]).astype(np.int8)
 
     hs = geom.dims.h_s
 
-    def boundary_part(side: str, coord: float) -> str:
+    def boundary_part(side: str, coords: np.ndarray):
         if side == "bottom":
             return geo.BOTTOM
         if side == "top":
             return geo.TOP
         if side == "right":
             return geo.CC_PLUS
-        return geo.CC_MINUS if coord < hs else geo.WALL
+        return np.where(coords < hs, geo.CC_MINUS, geo.WALL)
 
     return Mesh.from_grid(x, y, px, py, cell_tag, boundary_part)
 
@@ -456,17 +486,16 @@ def validate_mesh(mesh: Mesh, geom: DomainGeometry | None = None,
                               f"bound {MAX_ASPECT:g}")
 
     # Interface pairing: both neighbors present, exactly one electrolyte.
-    for e in mesh.interface_edges():
-        if len(e.cells) != 2:
-            rep.violations.append(f"interface edge {e.orient}({e.j},{e.i}) "
-                                  "is on the domain boundary")
-            continue
-        t0 = mesh.cell_tag[e.cells[0]]
-        t1 = mesh.cell_tag[e.cells[1]]
-        if (t0 == ELYTE) == (t1 == ELYTE):
-            rep.violations.append(
-                f"interface edge {e.orient}({e.j},{e.i}) does not pair an "
-                "electrode with the electrolyte")
+    iface = mesh.interface_edges()
+    inside = np.all(iface.cells >= 0, axis=1)
+    elyte = mesh.cell_tag.ravel()[iface.cells] == ELYTE
+    for k in np.flatnonzero(~inside):
+        rep.violations.append(f"interface edge {iface.label(k)} "
+                              "is on the domain boundary")
+    for k in np.flatnonzero(inside & (elyte[:, 0] == elyte[:, 1])):
+        rep.violations.append(
+            f"interface edge {iface.label(k)} does not pair an "
+            "electrode with the electrolyte")
 
     # Edge tag partition: every edge carries exactly one tag by construction;
     # verify the counts close.

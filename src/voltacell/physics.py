@@ -193,17 +193,13 @@ class CellProblem:
         # those of the cathode, with one trace operator per support, shared
         # by the fields on it.
         edges = mesh.interface_edges()
-        if not edges:
+        if not len(edges):
             raise ValueError("mesh carries no interface edges")
-        by_tag = {ANODE: [], CATHODE: []}
-        for edge in edges:
-            tag = int(mesh.cell_tag[edge.solid_cell(mesh.cell_tag)])
-            by_tag[tag].append(edge)
-        parts = [asm.trace_operator(grid, by_tag[t]) for t in (ANODE, CATHODE)]
-        t_iface = sp.vstack([t for t, _ in parts], format="csr")
-        self.iface_w = np.concatenate([w for _, w in parts])
-        self.iface_tags = np.repeat([ANODE, CATHODE],
-                                    [len(w) for _, w in parts])
+        solid = edges.solid_tag(mesh.cell_tag)
+        order = np.argsort(solid, kind="stable")       # ANODE < CATHODE
+        edges, solid = edges[order], solid[order]
+        t_iface, self.iface_w = asm.trace_operator(grid, edges)
+        self.iface_tags = np.repeat(solid, edges.degree + asm.EDGE_QUAD_EXTRA)
         self.iface_tr, self.iface_tr_t = {}, {}
         for fields in (("theta",), ("c_s", "phi_s"), ("c_e", "phi_e")):
             t = asm.restrict_trace(self.spaces[fields[0]], t_iface)
@@ -221,7 +217,7 @@ class CellProblem:
         # blockdiag(K_s, K_e) + D^T diag(w c) D on one pattern for every c
         self.pot_mass = asm.TraceMass(
             self.iface_jump, self.iface_w,
-            base=sp.block_diag((asm.constrain(self.s_ps, k_ps), k_pe)))
+            base=asm.block_diag(asm.constrain(self.s_ps, k_ps), k_pe))
         # The positive collector face: w_cc . (T_ps phi_s) integrates phi_s
         # over it, so T_ps^T w_cc is both its weight vector (V_out) and the
         # unit current load.

@@ -86,7 +86,8 @@ def _residual_excess(norm_r, norm_b, a_max, x, rtol) -> float | None:
 
 
 def _abs_max(mat) -> float:
-    return float(np.abs(mat.data).max()) if mat.nnz else 0.0
+    """max |A| over the stored entries, without allocating |A|."""
+    return float(max(mat.data.max(), -mat.data.min())) if mat.nnz else 0.0
 
 
 def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
@@ -107,9 +108,11 @@ def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
         norm_r = np.linalg.norm(r)
         if not np.isfinite(norm_r):
             break
+        # at it == 0, r = rhs - A x is the true residual already
         if (_residual_excess(norm_r, norm_b, a_max, x, rtol) is None
-                and _residual_excess(np.linalg.norm(mat @ x - rhs), norm_b,
-                                     a_max, x, rtol) is None):
+                and (it == 0 or _residual_excess(
+                    np.linalg.norm(mat @ x - rhs), norm_b, a_max, x,
+                    rtol) is None)):
             return x, it, True
         if it == maxiter:
             break

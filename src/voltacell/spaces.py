@@ -8,7 +8,9 @@ supporting subdomain(s) and applies essential constraints.
 
 Element bookkeeping is organized around the mesh-wide "master" grouping of
 cells by degree pair; field spaces store, per master group, which rows they
-occupy.  Pointwise data lives in one flat layout of the mesh's quadrature
+occupy.  The node tables of a group's cells, the support of a field and its
+constrained DOFs are computed with array operations over all cells or edges
+at once.  Pointwise data lives in one flat layout of the mesh's quadrature
 points (``QuadPoints``: group after group), shared by every field, so fields
 exchange pointwise data (sources, couplings) without re-indexing and a
 pointwise law runs once over all the points it applies to.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import basis
 from .geometry import ANODE, CATHODE, ELYTE, TAG_NAMES
-from .mesh import Mesh, EdgeRef
+from .mesh import EdgeSet, Mesh
 
 # Support selectors
 OMEGA = frozenset({ANODE, CATHODE, ELYTE})
@@ -79,21 +81,30 @@ class NodeGrid:
         return cls(xn=xn, yn=yn, col_start=col_start, row_start=row_start,
                    line_x=line_x, line_y=line_y)
 
-    def cell_nodes(self, mesh: Mesh, j: int, i: int) -> np.ndarray:
-        """Global node ids of cell (j, i), flat local ordering (x fastest)."""
-        px, py = int(mesh.px[i]), int(mesh.py[j])
-        ix = self.col_start[i] + np.arange(px + 1)
-        iy = self.row_start[j] + np.arange(py + 1)
-        return (iy[:, None] * self.nnx + ix[None, :]).ravel()
+    def cell_nodes(self, mesh: Mesh, jj, ii) -> np.ndarray:
+        """Global node ids of the cells (jj[k], ii[k]), which share one
+        degree pair: (n, nbf), each row in flat local ordering (x fastest)."""
+        jj, ii = np.atleast_1d(jj), np.atleast_1d(ii)
+        px, py = np.unique(mesh.px[ii]), np.unique(mesh.py[jj])
+        if len(px) != 1 or len(py) != 1:
+            raise ValueError("cell_nodes takes cells of one degree pair")
+        ix = self.col_start[ii][:, None] + np.arange(px[0] + 1)
+        iy = self.row_start[jj][:, None] + np.arange(py[0] + 1)
+        return (iy[:, :, None] * self.nnx + ix[:, None, :]).reshape(len(ii), -1)
 
-    def edge_nodes(self, edge: EdgeRef) -> np.ndarray:
-        """Global node ids along an edge (p+1 of them, in axis order)."""
-        if edge.orient == "h":
-            ix = self.col_start[edge.i] + np.arange(edge.degree + 1)
-            iy = self.line_y[edge.j]
-            return iy * self.nnx + ix
-        iy = self.row_start[edge.j] + np.arange(edge.degree + 1)
-        ix = self.line_x[edge.i]
+    def edge_nodes(self, edges: EdgeSet) -> np.ndarray:
+        """Global node ids along the edges, edge after edge, each edge's
+        p + 1 nodes in axis order."""
+        n = edges.degree + 1
+        which = np.repeat(np.arange(len(edges)), n)
+        along = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        v = edges.vertical[which]
+        i, j = edges.i[which], edges.j[which]
+        ix, iy = np.empty_like(along), np.empty_like(along)
+        ix[v] = self.line_x[i[v]]
+        iy[v] = self.row_start[j[v]] + along[v]
+        ix[~v] = self.col_start[i[~v]] + along[~v]
+        iy[~v] = self.line_y[j[~v]]
         return iy * self.nnx + ix
 
 
@@ -121,21 +132,18 @@ class MasterGroup:
 
 
 def build_master_groups(mesh: Mesh, grid: NodeGrid) -> list[MasterGroup]:
-    by_deg: dict[tuple[int, int], list] = {}
-    for j in range(mesh.ncy):
-        for i in range(mesh.ncx):
-            by_deg.setdefault((int(mesh.px[i]), int(mesh.py[j])), []).append((j, i))
+    """The cells grouped by degree pair, groups in (px, py) order and each
+    group's cells in row order."""
+    degrees = mesh.cell_degrees()
     groups = []
-    for (px, py), cells in sorted(by_deg.items()):
-        cells_arr = np.asarray(cells, dtype=int)
-        jj, ii = cells_arr[:, 0], cells_arr[:, 1]
-        nodes = np.stack([grid.cell_nodes(mesh, j, i) for j, i in cells], axis=0)
+    for px, py in np.unique(degrees.reshape(-1, 2), axis=0):
+        jj, ii = np.nonzero((degrees[:, :, 0] == px) & (degrees[:, :, 1] == py))
         groups.append(MasterGroup(
-            px=px, py=py, cells=cells_arr,
+            px=int(px), py=int(py), cells=np.column_stack([jj, ii]),
             hx=mesh.hx[ii], hy=mesh.hy[jj],
             x0=mesh.x[ii], y0=mesh.y[jj],
             tag=mesh.cell_tag[jj, ii].astype(int),
-            nodes=nodes,
+            nodes=grid.cell_nodes(mesh, jj, ii),
         ))
     return groups
 
@@ -252,11 +260,15 @@ class FieldSpace:
     def dofs_of_nodes(self, field_nodes: np.ndarray, comp: int = 0) -> np.ndarray:
         return np.asarray(field_nodes) * self.arity + comp
 
-    def edge_field_nodes(self, edge: EdgeRef) -> np.ndarray:
-        ids = self.node_index[self.grid.edge_nodes(edge)]
+    def edge_field_nodes(self, edges: EdgeSet) -> np.ndarray:
+        """Field node indices along the edges (laid out as
+        ``NodeGrid.edge_nodes``); every edge must lie in the support."""
+        ids = self.node_index[self.grid.edge_nodes(edges)]
         if np.any(ids < 0):
-            raise ValueError(f"edge {edge.orient}({edge.j},{edge.i}) is outside "
-                             f"the support of field '{self.name}'")
+            k = np.repeat(np.arange(len(edges)), edges.degree + 1)[
+                np.argmax(ids < 0)]
+            raise ValueError(f"edge {edges.label(k)} is outside the support "
+                             f"of field '{self.name}'")
         return ids
 
     def zeros(self) -> np.ndarray:
@@ -295,17 +307,16 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
     master = master if master is not None else build_master_groups(mesh, grid)
     qp = qp or QuadPoints.build(master)
 
+    in_support = np.isin(list(TAG_NAMES), list(selector))     # per tag
+    member = in_support[mesh.cell_tag].ravel()
+    if not member.any():
+        raise ValueError(f"field '{name}': no elements carry tags {set(selector)}")
     member_rows = []
     used = np.zeros(grid.n_nodes, dtype=bool)
-    member_cells = set()
     for g in master:
-        rows = np.nonzero(np.isin(g.tag, list(selector)))[0]
+        rows = np.flatnonzero(in_support[g.tag])
         member_rows.append(rows)
-        if len(rows):
-            used[g.nodes[rows].ravel()] = True
-            member_cells.update(map(tuple, g.cells[rows]))
-    if not member_cells:
-        raise ValueError(f"field '{name}': no elements carry tags {set(selector)}")
+        used[g.nodes[rows].ravel()] = True
 
     node_ids = np.nonzero(used)[0]
     node_index = np.full(grid.n_nodes, -1, dtype=int)
@@ -328,15 +339,15 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
     for bc in constraints:
         if not 0 <= bc.comp < arity:
             raise ValueError(f"constraint component {bc.comp} out of range")
-        for edge in mesh.boundary_edges(bc.part):
-            if not any(tuple(c) in member_cells for c in edge.cells):
-                continue
-            fnodes = space.edge_field_nodes(edge)
-            dofs = space.dofs_of_nodes(fnodes, bc.comp)
-            space.constrained[dofs] = True
-            if callable(bc.value):
-                xy = grid.node_xy(grid.edge_nodes(edge))
-                space.constraint_values[dofs] = bc.value(xy[:, 0], xy[:, 1])
-            else:
-                space.constraint_values[dofs] = bc.value
+        # the part's edges with an adjacent cell in the support
+        edges = mesh.boundary_edges(bc.part)
+        edges = edges[np.any((edges.cells >= 0) & member[edges.cells], axis=1)]
+        fnodes = space.edge_field_nodes(edges)
+        dofs = space.dofs_of_nodes(fnodes, bc.comp)
+        space.constrained[dofs] = True
+        if callable(bc.value):
+            xy = grid.node_xy(node_ids[fnodes])
+            space.constraint_values[dofs] = bc.value(xy[:, 0], xy[:, 1])
+        else:
+            space.constraint_values[dofs] = bc.value
     return space

@@ -136,15 +136,18 @@ def dense_edge_coupling(space_a, space_b, edges, coeff_fn, n_quad=12):
     between two fields' bases (the interface terms of a field pair)."""
     out = np.zeros((space_a.ndof, space_b.ndof))
     pts, wts = _tensor_rule(n_quad)
-    for edge in edges:
-        polys = lagrange_polys(edge.degree)
-        dofs_a = space_a.dofs_of_nodes(space_a.edge_field_nodes(edge))
-        dofs_b = space_b.dofs_of_nodes(space_b.edge_field_nodes(edge))
-        p0 = np.asarray(edge.p0)
-        p1 = np.asarray(edge.p1)
+    x, y = space_a.mesh.x, space_a.mesh.y
+    for k in range(len(edges)):
+        polys = lagrange_polys(int(edges.degree[k]))
+        dofs_a = space_a.dofs_of_nodes(space_a.edge_field_nodes(edges[k]))
+        dofs_b = space_b.dofs_of_nodes(space_b.edge_field_nodes(edges[k]))
+        i, j = edges.i[k], edges.j[k]
+        p0 = np.array([x[i], y[j]])
+        p1 = np.array([x[i], y[j + 1]]) if edges.vertical[k] \
+            else np.array([x[i + 1], y[j]])
         for q, w in zip(pts, wts):
             xy = p0 + (q + 1) * 0.5 * (p1 - p0)
-            c = coeff_fn(xy[0], xy[1]) * w * 0.5 * edge.length
+            c = coeff_fn(xy[0], xy[1]) * w * 0.5 * edges.length[k]
             vals = np.array([p(q) for p in polys])
             out[np.ix_(dofs_a, dofs_b)] += c * np.outer(vals, vals)
     return out
@@ -171,3 +174,149 @@ def vtk_counts(mesh):
             n_pts += (px + 1) * (py + 1)
             n_cells += px * py
     return n_pts, n_cells
+
+
+# ---------------------------------------------------------------------------
+# Problem construction, cell by cell and edge by edge
+# ---------------------------------------------------------------------------
+
+def layered_cell_tags(geom, mesh):
+    """The subdomain of each cell: the geometry block whose cuts bracket the
+    cell's midpoint, found by comparing with every cut."""
+    def block(cuts, mid):
+        return min(max(sum(c < mid for c in cuts) - 1, 0), len(cuts) - 2)
+
+    tags = np.empty((mesh.ncy, mesh.ncx), dtype=int)
+    for j in range(mesh.ncy):
+        bj = block(geom.y_cuts, 0.5 * (mesh.y[j] + mesh.y[j + 1]))
+        for i in range(mesh.ncx):
+            bi = block(geom.x_cuts, 0.5 * (mesh.x[i] + mesh.x[i + 1]))
+            tags[j, i] = geom.block_tag[bj][bi]
+    return tags
+
+
+def layered_edge_tags(geom, mesh):
+    """(vertical, horizontal) edge tags of the layered mesh, cell pair by
+    cell pair, with the layered layout's boundary parts."""
+    from voltacell import mesh as vm
+    from voltacell.geometry import ELYTE
+
+    def classify(lo, hi):
+        if lo == hi:
+            return vm.INTERIOR
+        if lo == ELYTE:
+            return vm.IFACE_SOLID_HI
+        if hi == ELYTE:
+            return vm.IFACE_SOLID_LO
+        raise ValueError("electrode subdomains touch directly")
+
+    ncy, ncx = mesh.cell_tag.shape
+    v = np.empty((ncy, ncx + 1), dtype=int)
+    h = np.empty((ncy + 1, ncx), dtype=int)
+    for j in range(ncy):
+        ymid = 0.5 * (mesh.y[j] + mesh.y[j + 1])
+        v[j, 0] = vm.PART_CODE["cc_minus" if ymid < geom.dims.h_s else "wall"]
+        v[j, ncx] = vm.PART_CODE["cc_plus"]
+        for i in range(1, ncx):
+            v[j, i] = classify(mesh.cell_tag[j, i - 1], mesh.cell_tag[j, i])
+    for i in range(ncx):
+        h[0, i] = vm.PART_CODE["bottom"]
+        h[ncy, i] = vm.PART_CODE["top"]
+        for j in range(1, ncy):
+            h[j, i] = classify(mesh.cell_tag[j - 1, i], mesh.cell_tag[j, i])
+    return v, h
+
+
+def master_node_tables(mesh, grid):
+    """{(px, py): (cells, nodes)} with each cell's global node ids in flat
+    local order (x fastest), cells in row order."""
+    out = {}
+    for j in range(mesh.ncy):
+        for i in range(mesh.ncx):
+            px, py = int(mesh.px[i]), int(mesh.py[j])
+            nodes = [(grid.row_start[j] + b) * grid.nnx + grid.col_start[i] + a
+                     for b in range(py + 1) for a in range(px + 1)]
+            cells, tables = out.setdefault((px, py), ([], []))
+            cells.append((j, i))
+            tables.append(nodes)
+    return {k: (np.array(c), np.array(t)) for k, (c, t) in out.items()}
+
+
+def edge_records(mesh, codes):
+    """The edges tagged with one of ``codes`` as (vertical, j, i, adjacent
+    cells) records: the vertical ones row by row, then the horizontal ones."""
+    out = []
+    for j in range(mesh.ncy):
+        for i in range(mesh.ncx + 1):
+            if mesh.v_edge_tag[j, i] in codes:
+                cells = [(j, k) for k in (i - 1, i) if 0 <= k < mesh.ncx]
+                out.append((True, j, i, cells))
+    for j in range(mesh.ncy + 1):
+        for i in range(mesh.ncx):
+            if mesh.h_edge_tag[j, i] in codes:
+                cells = [(k, i) for k in (j - 1, j) if 0 <= k < mesh.ncy]
+                out.append((False, j, i, cells))
+    return out
+
+
+def record_nodes(mesh, grid, record):
+    """Global node ids along one edge record, in axis order."""
+    vertical, j, i, _ = record
+    if vertical:
+        return [(grid.row_start[j] + k) * grid.nnx + grid.line_x[i]
+                for k in range(mesh.py[j] + 1)]
+    return [grid.line_y[j] * grid.nnx + grid.col_start[i] + k
+            for k in range(mesh.px[i] + 1)]
+
+
+def constrained_dofs(space, bcs):
+    """(constrained mask, values) of a field space's essential constraints,
+    edge by edge (constant values)."""
+    from voltacell.mesh import PART_CODE
+    mesh, grid = space.mesh, space.grid
+    mask = np.zeros(space.ndof, dtype=bool)
+    values = np.zeros(space.ndof)
+    for bc in bcs:
+        for record in edge_records(mesh, (PART_CODE[bc.part],)):
+            if not any(mesh.cell_tag[c] in space.selector for c in record[3]):
+                continue
+            for node in record_nodes(mesh, grid, record):
+                dof = space.node_index[node] * space.arity + bc.comp
+                mask[dof] = True
+                values[dof] = bc.value
+    return mask, values
+
+
+def trace_rows(mesh, grid, records, extra):
+    """Trace operator (points x grid nodes) and weights over edge records,
+    point by point."""
+    import scipy.sparse as sp
+    from voltacell.basis import ref1d
+    entries, weights = [], []
+    for record in records:
+        vertical, j, i, _ = record
+        p = int(mesh.py[j] if vertical else mesh.px[i])
+        length = (mesh.y[j + 1] - mesh.y[j]) if vertical \
+            else (mesh.x[i + 1] - mesh.x[i])
+        r = ref1d(p, p + extra)
+        nodes = record_nodes(mesh, grid, record)
+        for q in range(len(r.rule.weights)):
+            entries += [(len(weights), node, v)
+                        for node, v in zip(nodes, r.values[q])]
+            weights.append(r.rule.weights[q] * 0.5 * length)
+    rows, cols, vals = zip(*entries)
+    t = sp.csr_matrix((vals, (rows, cols)), shape=(len(weights), grid.n_nodes))
+    return t, np.array(weights)
+
+
+def interface_records(mesh):
+    """The interface edge records, those of anode edges first, each with the
+    tag of its electrode."""
+    from voltacell import mesh as vm
+    from voltacell.geometry import ANODE, CATHODE, ELYTE
+    by_tag = {ANODE: [], CATHODE: []}
+    for record in edge_records(mesh, (vm.IFACE_SOLID_LO, vm.IFACE_SOLID_HI)):
+        solid = [mesh.cell_tag[c] for c in record[3]
+                 if mesh.cell_tag[c] != ELYTE]
+        by_tag[int(solid[0])].append(record)
+    return [(t, r) for t in (ANODE, CATHODE) for r in by_tag[t]]

@@ -230,7 +230,7 @@ def test_edge_mass_row_sums_are_edge_length():
     edges = m.interface_edges()
     assert len(edges) == 1
     em = asm.TraceMass(*_interface_trace(m, s)).matrix(1.0)
-    assert em.sum() == pytest.approx(edges[0].length, rel=1e-14)
+    assert em.sum() == pytest.approx(edges.length[0], rel=1e-14)
 
 
 def test_edge_mass_zero_coefficient():
@@ -280,16 +280,19 @@ def test_trace_mass_with_base_keeps_one_pattern():
 def test_trace_and_load_partition_of_unity():
     m = two_cell_interface_mesh(p=3)
     s = _space(m, sps.OMEGA_S)
-    edge = m.interface_edges()[0]
+    edges = m.interface_edges()
+    assert len(edges) == 1
     t, w = _interface_trace(m, s)
     f = s.interpolate(lambda x, y: 3.0 * y + 1.0)
     gauss, _ = np.polynomial.legendre.leggauss(
-        edge.degree + asm.EDGE_QUAD_EXTRA)
-    y = edge.p0[1] + (gauss + 1.0) * 0.5 * (edge.p1[1] - edge.p0[1])
+        edges.degree[0] + asm.EDGE_QUAD_EXTRA)
+    assert edges.vertical[0]
+    y0, y1 = m.y[edges.j[0]], m.y[edges.j[0] + 1]
+    y = y0 + (gauss + 1.0) * 0.5 * (y1 - y0)
     assert np.allclose(t @ f, 3.0 * y + 1.0, atol=1e-12)
-    assert w.sum() == pytest.approx(edge.length, rel=1e-14)
+    assert w.sum() == pytest.approx(edges.length[0], rel=1e-14)
     load = t.T @ (w * 2.0)
-    assert load.sum() == pytest.approx(2.0 * edge.length, rel=1e-14)
+    assert load.sum() == pytest.approx(2.0 * edges.length[0], rel=1e-14)
 
 
 def test_edge_side_mismatch_raises():

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 from voltacell import cli
 
@@ -27,7 +29,15 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     names = sorted(os.listdir(out))
     assert "timeseries.csv" in names and "manifest.json" in names
     assert any(n.endswith(".vtk") for n in names)
-    assert "V_out" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "V_out" in printed
+    # the count of steps that ended above fp_tol is the manifest's
+    manifest = json.loads((out / "manifest.json").read_text())
+    found = re.search(r"completed (\d+) step\(s\), (\d+) ended above "
+                      r"fp_tol = 1e-08;", printed)
+    assert found, printed
+    assert int(found[1]) == manifest["steps_completed"] == 2
+    assert int(found[2]) == manifest["steps_unconverged"]
 
 
 def test_run_scenario_file(tmp_path, capsys):

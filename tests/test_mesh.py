@@ -31,11 +31,12 @@ def test_edge_tags_partition(geom):
 
 def test_interface_edges_pair_solid_with_electrolyte(geom):
     m = vm.generate_layered_mesh(geom, vm.MeshSpec.coarse())
-    for e in m.interface_edges():
-        assert len(e.cells) == 2
-        tags = sorted(int(m.cell_tag[c]) for c in e.cells)
-        assert geo.ELYTE in tags
-        assert tags[0] in (geo.ANODE, geo.CATHODE)
+    iface = m.interface_edges()
+    assert len(iface) and np.all(iface.cells >= 0)
+    tags = np.sort(m.cell_tag.ravel()[iface.cells], axis=1)
+    assert np.all(tags[:, 1] == geo.ELYTE)
+    assert np.all(np.isin(tags[:, 0], (geo.ANODE, geo.CATHODE)))
+    assert np.array_equal(iface.solid_tag(m.cell_tag), tags[:, 0])
 
 
 def test_area_consistency(geom):
@@ -51,12 +52,9 @@ def test_layer_monotonicity(geom):
         spec = vm.MeshSpec(nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1),
                            n_layers=n_layers, degree=1, normal_degree=1)
         m = vm.generate_layered_mesh(geom, spec)
-        iface = [e for e in m.interface_edges() if e.orient == "h"]
-        worst = 0.0
-        for e in iface:
-            for (j, i) in e.cells:
-                worst = max(worst, m.hy[j])
-        return worst
+        iface = m.interface_edges()
+        rows = iface.cells[~iface.vertical] // m.ncx
+        return m.hy[rows].max(initial=0.0)
 
     vals = [max_thickness_near_interface(n) for n in (0, 1, 2, 4, 6)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))

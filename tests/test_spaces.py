@@ -16,8 +16,7 @@ def test_conforming_shared_nodes():
     """Neighboring cells agree on the global DOFs of their shared edge."""
     m = rectangle_mesh(2.0, 1.0, 2, 1, degree=3)
     grid = sps.NodeGrid.build(m)
-    left = grid.cell_nodes(m, 0, 0).reshape(4, 4)
-    right = grid.cell_nodes(m, 0, 1).reshape(4, 4)
+    left, right = grid.cell_nodes(m, [0, 0], [0, 1]).reshape(2, 4, 4)
     assert np.array_equal(left[:, -1], right[:, 0])
 
 
@@ -25,9 +24,11 @@ def test_variable_degree_rows_stay_conforming():
     m = rectangle_mesh(1.0, 1.0, 2, 2, degree=2, degree_y=2)
     m.py[1] = 4   # boost one row; trace degree along vertical edges follows py
     grid = sps.NodeGrid.build(m)
-    top_left = grid.cell_nodes(m, 1, 0).reshape(5, 3)
-    top_right = grid.cell_nodes(m, 1, 1).reshape(5, 3)
+    top_left, top_right = grid.cell_nodes(m, [1, 1], [0, 1]).reshape(2, 5, 3)
     assert np.array_equal(top_left[:, -1], top_right[:, 0])
+    # one call takes the cells of one degree pair
+    with pytest.raises(ValueError, match="one degree pair"):
+        grid.cell_nodes(m, [0, 1], [0, 0])
 
 
 def test_theta_space_covers_everything(battery_mesh):
