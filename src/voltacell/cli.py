@@ -46,9 +46,7 @@ def _cmd_run(args) -> int:
     cfg = _apply_overrides(_load_scenario(args.scenario), args)
     result = run_scenario(cfg, out_dir=args.out)
     last = result.records[-1]
-    unconverged = sum(not r.converged for r in result.reports)
-    print(f"completed {len(result.reports)} step(s), {unconverged} ended "
-          f"above fp_tol = {cfg.fp_tol:g}; "
+    print(f"completed {len(result.reports)} step(s); "
           f"V_out = {last.v_out_v:.4f} V, "
           f"SoC = ({last.soc_anode:.4f}, {last.soc_cathode:.4f}), "
           f"T = {last.temp_c:.3f} C")

@@ -42,8 +42,7 @@ class ScenarioConfig:
     kappa_d_factor: float = 1.0
     mesh: MeshSpec = field(default_factory=MeshSpec.production)
     dims: CellDimensions = field(default_factory=CellDimensions)
-    extra_fp_iters: int = 4
-    fp_tol: float = 1e-8
+    fp_tol: float = 1e-8                # relative update every step meets
     snapshot_every: float = 60.0        # simulated seconds
     material_overrides: dict = field(default_factory=dict)
 
@@ -78,10 +77,8 @@ class ScenarioConfig:
                         f"got {self.model!r}")
         if self.kappa_d_factor < 0.0:
             errs.append("kappa_d_factor must be nonnegative")
-        if self.extra_fp_iters < 0:
-            errs.append("extra_fp_iters must be nonnegative")
-        if self.fp_tol < 0.0:
-            errs.append("fp_tol must be nonnegative")
+        if self.fp_tol <= 0.0:
+            errs.append("fp_tol must be positive")
         if self.snapshot_every <= 0.0:
             errs.append("snapshot_every must be positive")
         return errs
@@ -165,7 +162,6 @@ _KEYS = {
     "soc_init_cathode": ("soc_init_cathode", float),
     "model": ("model", str),
     "kappa_d_factor": ("kappa_d_factor", float),
-    "extra_fp_iters": ("extra_fp_iters", int),
     "fp_tol": ("fp_tol", float),
     "snapshot_every": ("snapshot_every", float),
 }

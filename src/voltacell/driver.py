@@ -8,10 +8,10 @@ Euler predictor from there.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
-cadence, and a manifest recording the configuration hash, parameter values,
-code version and the counts of completed and unconverged steps.  Every
-quantity is in SI units, from the configuration through the solves to the
-outputs.
+cadence, and a manifest recording the run status, the configuration hash,
+parameter values, code version, the count of completed steps and, for a
+failed run, the error that stopped it.  Every quantity is in SI units, from
+the configuration through the solves to the outputs.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     return problem
 
 
-def _write_manifest(path, config, status, reports, snapshot_names):
+def _write_manifest(path, config, status, reports, snapshots, error=None):
     """Write the manifest; ``reports`` are those of the completed steps."""
     payload = {
         "tool": "voltacell",
@@ -99,8 +99,8 @@ def _write_manifest(path, config, status, reports, snapshot_names):
         "config_hash": config_hash(config),
         "config": config.to_dict(),
         "steps_completed": len(reports),
-        "steps_unconverged": sum(not r.converged for r in reports),
-        "snapshots": snapshot_names,
+        "error": error,
+        "snapshots": snapshots,
         "notes": ["power density is per unit out-of-plane depth"],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -111,8 +111,8 @@ def _write_manifest(path, config, status, reports, snapshot_names):
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     """Execute one scenario end to end.
 
-    On failure the completed prefix of the trajectory (CSV rows, snapshots,
-    manifest with status 'failed') is preserved on disk before re-raising.
+    On failure the completed prefix (CSV rows, snapshots, a manifest with
+    status 'failed' and the error) is preserved on disk before re-raising.
     """
     problem = build_problem(config)
     state0 = problem.initial_state()
@@ -144,7 +144,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     extras: list[StepExtras] = []
     snapshots: list = []
     n_done = 0
-    status = "failed"
+    error = None
     try:
         hist = History(prev=state0)
         rec0 = post.record_state(problem, state0)
@@ -168,7 +168,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             next_snap = config.snapshot_every
             for n in range(1, grid.n_steps + 1):
                 state, rep = step(problem, hist, grid, n,
-                                  extra_iters=config.extra_fp_iters,
                                   fp_tol=config.fp_tol)
                 hist.push(state)
                 reports.append(rep)
@@ -190,15 +189,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     emit_snapshot(state, snapshots)
                     while next_snap <= state.t + 1e-9 * config.dt:
                         next_snap += config.snapshot_every
-        status = "completed"
         return RunResult(config=config, problem=problem,
                          grid=grid, records=records, reports=reports,
                          extras=extras, snapshots=snapshots,
                          final_state=hist.prev, out_dir=out_dir,
                          csv_path=csv_path, manifest_path=manifest_path)
+    except BaseException as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         if csv_fh:
             csv_fh.close()
         if manifest_path:
+            status = "failed" if error else "completed"
             _write_manifest(manifest_path, config, status, reports[:n_done],
-                            snapshot_names)
+                            snapshot_names, error)

@@ -43,21 +43,20 @@ class SimState:
     def midpoint(self, other: "SimState") -> "SimState":
         return self.blend(other, 0.5, 0.5, 0.5 * (self.t + other.t))
 
-    def max_rel_diff(self, other: "SimState", scales: dict | None = None,
-                     floor: float = 1e-30) -> float:
-        """Largest per-field relative change.
+    def rel_diffs(self, other: "SimState", scales: dict | None = None) -> dict:
+        """Relative change of each field, by field name.
 
         Each field is measured against max(|self|, |other|, field scale); the
         optional ``scales`` supply characteristic magnitudes so that fields
         sitting at zero (like the displacement at equilibrium) do not report
         roundoff noise as order-one changes.
         """
-        worst = 0.0
+        out = {}
         for k, v in self.fields.items():
             scale = max(np.abs(v).max(), np.abs(other.fields[k]).max(),
-                        (scales or {}).get(k, 0.0), floor)
-            worst = max(worst, float(np.abs(v - other.fields[k]).max() / scale))
-        return worst
+                        (scales or {}).get(k, 0.0), 1e-30)
+            out[k] = float(np.abs(v - other.fields[k]).max() / scale)
+        return out
 
 
 def extrapolate(newer: SimState, older: SimState, t: float) -> SimState:

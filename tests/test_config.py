@@ -41,8 +41,8 @@ def test_invalid_soc_rejected(tmp_path):
 
 def test_unknown_key_suggestion(tmp_path):
     f = tmp_path / "scn.txt"
-    f.write_text("extra_fp_iterz = 3\n")
-    with pytest.raises(ConfigError, match="extra_fp_iters"):
+    f.write_text("fp_toll = 1e-8\n")
+    with pytest.raises(ConfigError, match="did you mean 'fp_tol'"):
         parse_scenario(str(f))
 
 
@@ -92,10 +92,12 @@ def test_material_override_keys(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("dt", "nan"), ("t_end", "inf"), ("i_app", "nan"),
-    ("snapshot_every", "nan"), ("kappa_d_factor", "nan"), ("fp_tol", "-1")])
+    ("snapshot_every", "nan"), ("kappa_d_factor", "nan"), ("fp_tol", "-1"),
+    ("fp_tol", "0")])
 def test_bad_numbers_reported_by_key(tmp_path, key, value):
-    """A non-finite number, or a negative fixed-point tolerance, is a
-    ConfigError naming its key, not a crash or an accepted run."""
+    """A non-finite number, or a fixed-point tolerance that is not positive
+    (0 can never be met), is a ConfigError naming its key, not a crash or an
+    accepted run."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\nt_end = 60\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"\n  {key} "):

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import pytest
 
 import numpy as np
 
-from voltacell import driver, solve
+from voltacell import driver, solve, stepping
 from voltacell import postprocess as post
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec
@@ -36,8 +37,10 @@ def test_manifest_contents(short_run):
     man = json.load(open(os.path.join(out, "manifest.json")))
     assert man["status"] == "completed"
     assert man["steps_completed"] == 10
-    assert man["steps_unconverged"] == 0
-    assert all(r.converged for r in result.reports)
+    assert man["error"] is None
+    # a completed run is converged: every step's last update met fp_tol
+    assert all(r.update_history[-1] < result.config.fp_tol
+               for r in result.reports)
     assert man["config_hash"] == driver.config_hash(result.config)
     assert man["config"]["i_app"] == 20.0
     assert "scales" not in man
@@ -54,17 +57,37 @@ def test_records_and_extras_alignment(short_run):
     assert len(result.snapshots) == 3
 
 
-def test_steps_stopped_above_fp_tol_are_flagged(tmp_path):
-    """With no extra sweep, every loaded step stops after one sweep with an
-    update far above fp_tol: each report says so, and the manifest counts
-    them all."""
-    cfg = preset("high_discharge").replace(**DESK, extra_fp_iters=0)
-    result = driver.run_scenario(cfg, out_dir=str(tmp_path))
-    assert result.reports
-    assert not any(r.converged for r in result.reports)
-    assert all(r.max_update >= cfg.fp_tol for r in result.reports)
+def test_step_that_cannot_meet_fp_tol_fails_the_run(tmp_path):
+    """A tolerance below the roundoff floor is never met: step 1 raises
+    SolveError after MAX_SWEEPS sweeps, naming the step, the sweeps, the
+    update and its field; the manifest records the error and the CSV keeps
+    the t = 0 row."""
+    cfg = preset("high_discharge").replace(**DESK, fp_tol=1e-300)
+    with pytest.raises(solve.SolveError) as err:
+        driver.run_scenario(cfg, out_dir=str(tmp_path))
+    msg = str(err.value)
+    assert msg.startswith("step 1 (t = 6 s): fixed-point update ")
+    assert f"fp_tol = 1e-300 after {stepping.MAX_SWEEPS} sweeps" in msg
+    assert stepping.MAX_SWEEPS == 20
+    field = re.search(r"\(largest in (\w+)\)", msg)
+    assert field and field[1] in CellProblem.D_FIELDS + CellProblem.S_FIELDS
     man = json.loads((tmp_path / "manifest.json").read_text())
-    assert man["steps_unconverged"] == man["steps_completed"] == 10
+    assert man["status"] == "failed"
+    assert man["steps_completed"] == 0
+    assert man["error"] == f"SolveError: {msg}"
+    lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == post.CSV_HEADER
+    assert [float(r.split(",")[0]) for r in lines[1:]] == [0.0]
+
+
+def test_production_low_discharge_step_meets_fp_tol():
+    """On the production mesh the first loaded step of low_discharge (an
+    Euler start with a first update of order one) takes 6 sweeps to meet
+    fp_tol."""
+    cfg = preset("low_discharge").replace(t_end=6.0)
+    (rep,) = driver.run_scenario(cfg).reports
+    assert rep.sweeps == 6
+    assert rep.update_history[-1] < cfg.fp_tol <= rep.update_history[-2]
 
 
 def test_zero_duration_run():
@@ -105,6 +128,7 @@ def test_failure_preserves_prefix(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["steps_completed"] == 5
+    assert man["error"] == "RuntimeError: synthetic mid-run failure"
 
 
 def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
@@ -135,6 +159,7 @@ def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["steps_completed"] == 2
+    assert man["error"].startswith("GuardViolation: c_e")
 
 
 def test_loaded_run_starts_from_initial_state(tmp_path, monkeypatch):
