@@ -162,7 +162,8 @@ class CellProblem:
         lam = {ANODE: a.thermal_k, CATHODE: c.thermal_k, ELYTE: e.thermal_k}
         gam = {ANODE: a.conductivity, CATHODE: c.conductivity}
         # One scatter per support serves every field on it; the c_s matrices
-        # are re-assembled every sweep on M_cs's pattern.
+        # are re-assembled every sweep on M_cs's pattern, and the c_e and
+        # theta midpoint matrices of each dt sit on M_ce's and M_th's.
         th_scatter = asm.ElementScatter(self.s_th)
         self.m_th = th_scatter.mass(rho_cv)
         self.k_th = th_scatter.stiffness(lam, "thermal conductivity")
@@ -176,17 +177,17 @@ class CellProblem:
         # between sweeps and steps only through slowly varying coefficients,
         # so one held factor each preconditions them for the whole run; the
         # c_e and theta matrices are fixed per dt, the elasticity matrix for
-        # the run.  The electrochemical model never solves theta or u.
+        # the run (only its free-DOF block is held, never the full-DOF
+        # matrix).  The electrochemical model never solves theta or u.
         names = ("c_s", "c_e", "potential pair") \
             + (("theta", "u") if mode == "full" else ())
         self.solvers = {name: Solver(name) for name in names}
-        self.k_u = self.k_u_red = None
+        self.k_u_red = None
         if mode == "full":
             ga, ka = a.lame
             gc, kc = c.lame
-            self.k_u = self.cs_scatter.elasticity(
-                {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc})
-            self.k_u_red = asm.constrain(self.s_u, self.k_u)
+            self.k_u_red = asm.constrain(self.s_u, self.cs_scatter.elasticity(
+                {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc}))
             self.solvers["u"].factorize(self.k_u_red)
 
         # Interface traces: the points of the anode interface edges, then
@@ -441,12 +442,22 @@ class CellProblem:
 
     def _prepare_dt(self, dt: float) -> dict:
         """The fixed c_e and theta midpoint matrices M + dt/2 K of ``dt``,
-        factorized by their solvers when dt changes."""
+        factorized by their solvers when dt changes.
+
+        One ``ElementScatter`` made each M and its K, so they share their
+        pattern arrays: M + dt/2 K is one sum of data arrays on them, as in
+        ``cs_matrices``, and holds exactly nnz entries (scipy's sum of two
+        matrices allocates nnz(M) + nnz(K) and keeps that buffer)."""
         if self._dt_ops is not None and self._dt_ops[0] == dt:
             return self._dt_ops[1]
-        ops = {"c_e": self.m_ce + 0.5 * dt * self.k_ce}
+
+        def midpoint(m, k):
+            return asm.FixedPattern(m.indptr, m.indices, m.shape).with_data(
+                m.data + 0.5 * dt * k.data)
+
+        ops = {"c_e": midpoint(self.m_ce, self.k_ce)}
         if self.mode == "full":     # the heat equation is solved only here
-            ops["theta"] = self.m_th + 0.5 * dt * self.k_th
+            ops["theta"] = midpoint(self.m_th, self.k_th)
         for name, mat in ops.items():
             self.solvers[name].factorize(mat)
         self._dt_ops = (dt, ops)

@@ -254,7 +254,7 @@ def _system_matrices(problem, dt):
     mats["c_e system"] = problem.m_ce + 0.5 * dt * problem.k_ce
     mats["potential block system"], _ = problem.potential_system(
         s0["theta"], s0["c_s"], s0["c_e"], th_qp)
-    mats["elasticity"] = asm.constrain(problem.s_u, problem.k_u)
+    mats["elasticity"] = problem.k_u_red
     return mats
 
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from voltacell import assemble as asm
 from voltacell import spaces as sps
-from voltacell.geometry import CC_PLUS
+from voltacell.geometry import ANODE, CATHODE, CC_PLUS
 from voltacell.mesh import PART_CODE, MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
 
@@ -63,3 +64,40 @@ def test_array_build_matches_per_cell_oracle(geom, mats, spec):
         asm.EDGE_QUAD_EXTRA)
     assert np.array_equal(prob.cc_plus_w,
                           asm.restrict_trace(prob.s_ps, t_cc).T @ w_cc)
+
+
+def _held_matrices(obj, depth=2):
+    """The sparse matrices an attribute value holds, looking into dicts,
+    lists and tuples down to ``depth`` levels."""
+    if sp.issparse(obj):
+        yield obj
+    elif depth and isinstance(obj, (dict, list, tuple)):
+        for v in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _held_matrices(v, depth - 1)
+
+
+@pytest.mark.parametrize("spec", [MeshSpec.coarse, MeshSpec.production])
+def test_prepared_problem_holds_each_operator_once(geom, mats, spec):
+    """A prepared problem keeps the elasticity matrix only on the free DOFs,
+    and its c_e and theta midpoint matrices on the pattern arrays of M_ce and
+    M_th, with exactly nnz entries and scipy's values bit for bit."""
+    prob = CellProblem(generate_layered_mesh(geom, spec()), mats)
+    dt = 4.0
+    prob.prepare(prob.initial_state(), dt)
+    full_u = (prob.s_u.ndof, prob.s_u.ndof)
+    for name, value in vars(prob).items():
+        assert all(m.shape != full_u for m in _held_matrices(value)), name
+
+    ops = prob._prepare_dt(dt)
+    for name, m, k in (("c_e", prob.m_ce, prob.k_ce),
+                       ("theta", prob.m_th, prob.k_th)):
+        a = ops[name]
+        assert a.indptr is m.indptr and a.indices is m.indices, name
+        assert a.data.size == a.nnz == m.nnz, name
+        assert a.data.base is None or a.data.base.size == a.nnz, name
+        assert same_csr(a, m + 0.5 * dt * k), name
+
+    (ga, ka), (gc, kc) = mats.anode.lame, mats.cathode.lame
+    k_full = prob.cs_scatter.elasticity({ANODE: ga, CATHODE: gc},
+                                        {ANODE: ka, CATHODE: kc})
+    assert same_csr(prob.k_u_red, asm.constrain(prob.s_u, k_full))

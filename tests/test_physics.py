@@ -797,12 +797,12 @@ def test_constrained_thermal_expansion_hand_solution(mats):
         sps.EssentialBC("bottom", 1)], name="u")
     el = mats.cathode
     shear, bulk = el.lame
-    k_u = asm.assemble_elasticity(space, {geo.CATHODE: shear},
-                                  {geo.CATHODE: bulk})
+    k_el = asm.assemble_elasticity(space, {geo.CATHODE: shear},
+                                   {geo.CATHODE: bulk})
     d_theta = 40.0
     g_load = 3.0 * bulk * el.alpha * d_theta
     b = asm.assemble_div_load(space, g_load)
-    a_red, b_red = asm.constrain(space, k_u, b)
+    a_red, b_red = asm.constrain(space, k_el, b)
     u = asm.expand(space, solve_spd(a_red, b_red))
     lam = bulk - 2.0 * shear / 3.0
     slope = 3.0 * bulk / (lam + 2.0 * shear) * el.alpha * d_theta
