@@ -9,9 +9,9 @@ data slot of every element-matrix or edge-pair entry, so assembling it is one
 coefficients (the c_s matrix every sweep, through ``ElementScatter``; the
 potential pair's interface mass, through ``TraceMass``) keeps its pattern and
 allocates no index arrays.  Matrices are returned on the full DOF set of the
-field space; ``constrain`` reduces a system to the free DOFs (essential
-constraints are eliminated by reduction, never by penalties, so SPD structure
-survives).
+field space; ``constrain`` reduces one to its free-DOF block (the essential
+constraints are homogeneous and eliminated by reduction, never by penalties,
+so SPD structure survives).
 
 Coefficients may be given as a scalar, a per-subdomain-tag dict, a callable
 ``f(x, y)`` evaluated at quadrature points, or a flat array over the mesh's
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -422,9 +421,8 @@ def integrate(space: FieldSpace, values: np.ndarray) -> float:
 # Edge (boundary / interface) terms
 # ---------------------------------------------------------------------------
 
-def trace_operator(grid: NodeGrid, edges: EdgeSet | Sequence[EdgeSet]):
-    """Trace operator ``T`` and quadrature weights ``w`` over edges (an
-    ``EdgeSet``, or a sequence of them taken in order).
+def trace_operator(grid: NodeGrid, edges: EdgeSet):
+    """Trace operator ``T`` and quadrature weights ``w`` over ``edges``.
 
     Rows of ``T`` are the edge quadrature points (``degree +
     EDGE_QUAD_EXTRA`` Gauss points per edge, edges in order), columns
@@ -437,8 +435,6 @@ def trace_operator(grid: NodeGrid, edges: EdgeSet | Sequence[EdgeSet]):
     """
     if not len(edges):
         return sp.csr_matrix((0, grid.n_nodes)), np.zeros(0)
-    if not isinstance(edges, EdgeSet):
-        edges = EdgeSet.join(edges)
     nb = edges.degree + 1
     nq = edges.degree + EDGE_QUAD_EXTRA
     point0 = np.cumsum(nq) - nq               # first point of each edge
@@ -546,24 +542,18 @@ def block_diag(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
         shape=(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
 
 
-def constrain(space: FieldSpace, mat: sp.spmatrix,
-              rhs: np.ndarray | None = None):
-    """Reduce a full-DOF system to the free DOFs (with Dirichlet lifting)."""
+def constrain(space: FieldSpace, mat: sp.spmatrix) -> sp.csr_matrix:
+    """The free-DOF block of a full-DOF matrix.  The essential constraints
+    are homogeneous, so they need no lifting: the reduced load of a full
+    load vector ``b`` is ``b[space.free]``."""
     free = np.nonzero(space.free)[0]
-    a_csr = mat.tocsr()
-    a_ff = a_csr[free][:, free]
-    if rhs is None:
-        return a_ff
-    cons = np.nonzero(space.constrained)[0]
-    b_f = rhs[free].copy()
-    if len(cons) and np.any(space.constraint_values[cons] != 0.0):
-        b_f -= a_csr[free][:, cons] @ space.constraint_values[cons]
-    return a_ff, b_f
+    return mat.tocsr()[free][:, free]
 
 
 def expand(space: FieldSpace, x_free: np.ndarray) -> np.ndarray:
-    """Scatter a free-DOF solution back to the full vector."""
-    out = space.constraint_values.copy()
+    """Scatter a free-DOF solution back to the full vector, with 0 on every
+    constrained DOF."""
+    out = np.zeros(space.ndof)
     out[space.free] = x_free
     return out
 

@@ -2,7 +2,8 @@
 
 Scenario files are flat ``key = value`` text ('#' comments).  A file may start
 from one of the built-in presets (``preset = high_discharge``) and override
-individual keys.  Unknown keys are rejected with a suggestion; all validation
+individual keys.  Each key may appear once: a repeated key is an error that
+names both lines.  Unknown keys are rejected with a suggestion; all validation
 failures are reported together.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from .geometry import CellDimensions
 from .materials import MaterialSet, default_materials
 from .mesh import MESH_PRESETS, MeshSpec
+from .stepping import TimeGrid
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +41,6 @@ class ScenarioConfig:
     soc_init_anode: float = 0.5
     soc_init_cathode: float = 0.5
     model: str = "full"                 # 'full' | 'electrochemical'
-    kappa_d_factor: float = 1.0
     mesh: MeshSpec = field(default_factory=MeshSpec.production)
     dims: CellDimensions = field(default_factory=CellDimensions)
     fp_tol: float = 1e-8                # relative update every step meets
@@ -61,13 +62,14 @@ class ScenarioConfig:
             errs.append("dt must be positive")
         if self.t_end < 0.0:
             errs.append("t_end must be nonnegative")
-        if self.t_end > 0.0 and self.dt > 0.0:
+        if 0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf:
             if self.dt > self.t_end:
                 errs.append("dt must not exceed t_end")
-            steps = self.t_end / self.dt
-            n = round(steps) if math.isfinite(steps) else 0
-            if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
-                errs.append("t_end must be an integer number of dt steps")
+            else:
+                try:
+                    TimeGrid.from_duration(self.t_end, self.dt)
+                except ValueError as exc:
+                    errs.append(str(exc))
         for nm in ("soc_init_anode", "soc_init_cathode"):
             v = getattr(self, nm)
             if not 0.0 < v < 1.0:
@@ -75,8 +77,6 @@ class ScenarioConfig:
         if self.model not in ("full", "electrochemical"):
             errs.append(f"model must be 'full' or 'electrochemical', "
                         f"got {self.model!r}")
-        if self.kappa_d_factor < 0.0:
-            errs.append("kappa_d_factor must be nonnegative")
         if self.fp_tol <= 0.0:
             errs.append("fp_tol must be positive")
         if self.snapshot_every <= 0.0:
@@ -156,12 +156,10 @@ _KEYS = {
     "name": ("name", str),
     "i_app": ("i_app", float),
     "t_end": ("t_end", float),
-    "tend": ("t_end", float),
     "dt": ("dt", float),
     "soc_init_anode": ("soc_init_anode", float),
     "soc_init_cathode": ("soc_init_cathode", float),
     "model": ("model", str),
-    "kappa_d_factor": ("kappa_d_factor", float),
     "fp_tol": ("fp_tol", float),
     "snapshot_every": ("snapshot_every", float),
 }
@@ -186,6 +184,7 @@ def parse_scenario(path) -> ScenarioConfig:
 
     raw: list[tuple[int, str, str]] = []
     errors: list[str] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
@@ -196,7 +195,13 @@ def parse_scenario(path) -> ScenarioConfig:
                               f"got {stripped!r}")
                 continue
             key, _, value = stripped.partition("=")
-            raw.append((lineno, key.strip(), value.strip()))
+            key = key.strip()
+            if key in first_line:
+                errors.append(f"line {lineno}: key {key!r} repeats line "
+                              f"{first_line[key]}")
+                continue
+            first_line[key] = lineno
+            raw.append((lineno, key, value.strip()))
 
     cfg = ScenarioConfig(name="custom")
     for lineno, key, value in raw:

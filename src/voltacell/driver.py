@@ -84,7 +84,7 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     geom = build_interdigitated_domain(config.dims)
     mesh = generate_layered_mesh(geom, config.mesh)
     problem = CellProblem(
-        mesh, mats, mode=config.model, kappa_d_factor=config.kappa_d_factor,
+        mesh, mats, mode=config.model,
         soc_init=(config.soc_init_anode, config.soc_init_cathode))
     problem.set_load(config.i_app)
     return problem

@@ -95,6 +95,8 @@ class DomainGeometry:
     (x_cuts[i..i+1]) x (y_cuts[j..j+1]).  Polygons are CCW vertex loops,
     interface polylines are oriented so that walking them keeps the electrode
     on the side the normal points away from (normal = electrode -> electrolyte).
+    The boundary parts (``BOUNDARY_PARTS``) are tagged on the mesh edges by
+    ``mesh.generate_layered_mesh``.
     """
 
     dims: CellDimensions
@@ -103,7 +105,6 @@ class DomainGeometry:
     block_tag: tuple[tuple[int, ...], ...]       # [row][col]
     polygons: dict = field(repr=False)           # tag -> list[(x, y)]
     interface: tuple = field(repr=False)         # (electrode_tag, [(x, y), ...])
-    boundary: dict = field(repr=False)           # part -> list of segments
     interface_x_lines: tuple[float, ...] = ()
     interface_y_lines: tuple[float, ...] = ()
 
@@ -160,14 +161,6 @@ def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeo
         (CATHODE, [(x_cap, 0.0), (x_cap, y_c), (x_tip_c, y_c), (x_tip_c, height)]),
     )
 
-    boundary = {
-        CC_MINUS: [((0.0, 0.0), (0.0, y_a))],
-        CC_PLUS: [((width, 0.0), (width, height))],
-        BOTTOM: [((0.0, 0.0), (width, 0.0))],
-        TOP: [((0.0, height), (width, height))],
-        WALL: [((0.0, y_a), (0.0, height))],
-    }
-
     geom = DomainGeometry(
         dims=dims,
         x_cuts=x_cuts,
@@ -175,7 +168,6 @@ def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeo
         block_tag=block_tag,
         polygons=polygons,
         interface=interface,
-        boundary=boundary,
         interface_x_lines=(x_tip_c, x_tip_a, x_cap),
         interface_y_lines=(y_a, y_c),
     )

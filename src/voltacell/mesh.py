@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -294,8 +294,7 @@ class EdgeSet:
     on the grid line y[j], spanning column i.  ``cells`` holds its two
     adjacent cells as flat ids j * ncx + i, low side first, with -1 on the
     side outside the domain.  Indexing by an int, a slice, an index array or
-    a mask gives a sub-set (an int gives the set of that one edge), and
-    iterating gives the one-edge sets.
+    a mask gives a sub-set (an int gives the set of that one edge).
     """
 
     vertical: np.ndarray    # (n,) bool
@@ -313,15 +312,6 @@ class EdgeSet:
         if isinstance(key, (int, np.integer)):
             key = [key]
         return EdgeSet(*(getattr(self, f.name)[key] for f in fields(self)))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    @classmethod
-    def join(cls, sets: Sequence["EdgeSet"]) -> "EdgeSet":
-        """The edges of ``sets`` (a non-empty sequence), in order."""
-        return cls(*(np.concatenate([getattr(s, f.name) for s in sets])
-                     for f in fields(cls)))
 
     def label(self, k: int) -> str:
         """Edge ``k`` in messages: v(j,i) or h(j,i)."""
@@ -434,32 +424,15 @@ class QualityReport:
         return "\n".join(lines)
 
 
-def corner_jacobians(coords: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Bilinear-map jacobian determinant at the 4 corners of each quad.
+def validate_mesh(mesh: Mesh,
+                  geom: DomainGeometry | None = None) -> QualityReport:
+    """Report-only invariant check: increasing grid lines, jacobians, aspect
+    ratios (at most ``MAX_ASPECT``), tags, areas.
 
-    The determinant of a bilinear quad map is bilinear in the reference
-    coordinates, so its extrema sit at corners; positive corner values imply
-    positivity everywhere.
-    """
-    v = coords[quads]                      # (ne, 4, 2)
-    out = np.empty((len(quads), 4))
-    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
-    for k, (xi, eta) in enumerate(corners):
-        d_xi = 0.25 * (-(1 - eta) * v[:, 0] + (1 - eta) * v[:, 1]
-                       + (1 + eta) * v[:, 2] - (1 + eta) * v[:, 3])
-        d_eta = 0.25 * (-(1 - xi) * v[:, 0] - (1 + xi) * v[:, 1]
-                        + (1 + xi) * v[:, 2] + (1 - xi) * v[:, 3])
-        out[:, k] = d_xi[:, 0] * d_eta[:, 1] - d_xi[:, 1] * d_eta[:, 0]
-    return out
-
-
-def validate_mesh(mesh: Mesh, geom: DomainGeometry | None = None,
-                  node_coords: np.ndarray | None = None) -> QualityReport:
-    """Report-only invariant check: jacobians, aspect ratios (at most
-    ``MAX_ASPECT``), tags, areas.
-
-    ``node_coords`` overrides the corner coordinates (same layout as
-    ``mesh.corner_coords()``), which lets callers probe perturbed geometry.
+    Every cell is the axis-aligned rectangle between two consecutive grid
+    lines, so its map from the reference square has the constant jacobian
+    hx * hy / 4; ``min_jacobian`` is its minimum over the cells.  A grid line
+    that does not increase on its predecessor is a violation.
     """
     rep = QualityReport()
     rep.n_elements = mesh.n_cells
@@ -471,13 +444,12 @@ def validate_mesh(mesh: Mesh, geom: DomainGeometry | None = None,
     rep.n_per_tag = {geo.TAG_NAMES[int(t)]: int(c) for t, c in zip(tags, counts)}
     rep.edge_counts = mesh.edge_tag_counts()
 
-    coords = mesh.corner_coords() if node_coords is None else np.asarray(node_coords)
-    jac = corner_jacobians(coords, mesh.connectivity())
-    rep.min_jacobian = float(jac.min())
-    if rep.min_jacobian <= 0.0:
-        bad = int(np.argmin(jac.min(axis=1)))
-        rep.violations.append(
-            f"non-positive jacobian in element {bad} (min {rep.min_jacobian:.3g})")
+    rep.min_jacobian = float((0.25 * np.outer(mesh.hy, mesh.hx)).min())
+    for axis, lines in (("x", mesh.x), ("y", mesh.y)):
+        for k in np.flatnonzero(np.diff(lines) <= 0.0) + 1:
+            rep.violations.append(
+                f"grid line {axis}[{k}] = {lines[k]:.6g} does not increase "
+                f"on {axis}[{k - 1}] = {lines[k - 1]:.6g}")
 
     ratio = np.maximum.outer(mesh.hy, mesh.hx) / np.minimum.outer(mesh.hy, mesh.hx)
     rep.max_aspect = float(ratio.max())

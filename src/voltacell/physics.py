@@ -122,14 +122,13 @@ class CellProblem:
     S_FIELDS = ("phi_s", "phi_e", "u")
 
     def __init__(self, mesh: Mesh, mats: MaterialSet, mode: str = "full",
-                 kappa_d_factor: float = 1.0, soc_init: tuple[float, float] = (0.5, 0.5)):
+                 soc_init: tuple[float, float] = (0.5, 0.5)):
         if mode not in ("full", "electrochemical"):
             raise ValueError(f"unknown model mode {mode!r}")
         self.mesh = mesh
         self.mats = mats
         self.guard = Guard.defaults(mats)
         self.mode = mode
-        self.kappa_d_factor = kappa_d_factor
         self.soc_init = soc_init
         self.i_app = 0.0
 
@@ -146,13 +145,13 @@ class CellProblem:
         self.s_cs = space("c_s", sps.OMEGA_S)
         self.s_ce = space("c_e", sps.OMEGA_E)
         self.s_ps = space("phi_s", sps.OMEGA_S,
-                          bcs=[sps.EssentialBC("cc_minus", 0, 0.0)])
+                          bcs=[sps.EssentialBC("cc_minus", 0)])
         self.s_pe = space("phi_e", sps.OMEGA_E)
         self.s_u = space("u", sps.OMEGA_S, arity=2, bcs=[
-            sps.EssentialBC("cc_minus", 0, 0.0),
-            sps.EssentialBC("cc_plus", 0, 0.0),
-            sps.EssentialBC("top", 1, 0.0),
-            sps.EssentialBC("bottom", 1, 0.0),
+            sps.EssentialBC("cc_minus", 0),
+            sps.EssentialBC("cc_plus", 0),
+            sps.EssentialBC("top", 1),
+            sps.EssentialBC("bottom", 1),
         ])
         self.spaces = {"theta": self.s_th, "c_s": self.s_cs, "c_e": self.s_ce,
                        "phi_s": self.s_ps, "phi_e": self.s_pe, "u": self.s_u}
@@ -305,7 +304,7 @@ class CellProblem:
             "theta": self.s_th.constant(mats.theta_ref),
             "c_s": c_s,
             "c_e": self.s_ce.constant(mats.c_e_init),
-            "phi_s": self.s_ps.apply_constraints(phi_s),
+            "phi_s": phi_s,
             "phi_e": self.s_pe.constant(-ocp_a),
             "u": self.s_u.zeros(),
         }
@@ -411,7 +410,7 @@ class CellProblem:
         gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])[e]
         ce = self.guard.c_e(asm.eval_qp(self.s_ce, mid["c_e"])[e],
                             "c_e volume (heat source)")
-        kd = diffusional_conductivity(theta_qp[e], mats) * self.kappa_d_factor
+        kd = diffusional_conductivity(theta_qp[e], mats)
         cross = (gc * ge).sum(axis=-1) / ce
         q[e] = mats.electrolyte.conductivity * (ge ** 2).sum(axis=-1) \
             + kd * cross
@@ -561,8 +560,7 @@ class CellProblem:
         e = self.elyte_qp
         ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v)[e],
                             "c_e volume (kappa_D load)")
-        kd = diffusional_conductivity(theta_qp[e], self.mats) \
-            * self.kappa_d_factor
+        kd = diffusional_conductivity(theta_qp[e], self.mats)
         vec = np.zeros((self.qp.n, 2))
         vec[e] = kd[:, None] * asm.eval_grad_qp(self.s_ce, ce_v)[e] \
             / ce[:, None]

@@ -4,7 +4,8 @@ Global nodes form a tensor grid themselves: along each axis, the Gauss-Lobatto
 nodes of every cell interval, with shared interval endpoints.  Conformity of
 the variable-degree basis is automatic because degrees are assigned per
 column/row.  A FieldSpace restricts the global node set to the cells of its
-supporting subdomain(s) and applies essential constraints.
+supporting subdomain(s) and marks the DOFs that its homogeneous essential
+constraints hold at zero.
 
 Element bookkeeping is organized around the mesh-wide "master" grouping of
 cells by degree pair; field spaces store, per master group, which rows they
@@ -196,11 +197,16 @@ def tag_values(values: dict, tags: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EssentialBC:
-    """Zero one displacement/scalar component on a named boundary part."""
+    """Hold component ``comp`` of a field at zero on a named boundary part.
+
+    Every essential condition of the model is homogeneous (the grounded
+    phi_s on cc_minus, the roller conditions on u), so a constrained DOF
+    carries no value: ``assemble.constrain`` drops it and ``assemble.expand``
+    writes 0 there.
+    """
 
     part: str
     comp: int = 0
-    value: float | Callable = 0.0
 
 
 @dataclass
@@ -219,7 +225,6 @@ class FieldSpace:
     member_rows: list           # per master group: row indices in the support
     cell_node_dofs: list        # per master group: (n_member, nbf) field node idx
     constrained: np.ndarray = None
-    constraint_values: np.ndarray = None
 
     @property
     def n_nodes(self) -> int:
@@ -286,11 +291,6 @@ class FieldSpace:
         xy = self.node_xy()
         return np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float)
 
-    def apply_constraints(self, vec: np.ndarray) -> np.ndarray:
-        out = vec.copy()
-        out[self.constrained] = self.constraint_values[self.constrained]
-        return out
-
 
 def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
                       constraints: Sequence[EssentialBC] = (),
@@ -334,7 +334,6 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
         member_rows=member_rows, cell_node_dofs=cell_node_dofs,
     )
     space.constrained = np.zeros(space.ndof, dtype=bool)
-    space.constraint_values = np.zeros(space.ndof)
 
     for bc in constraints:
         if not 0 <= bc.comp < arity:
@@ -345,9 +344,4 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
         fnodes = space.edge_field_nodes(edges)
         dofs = space.dofs_of_nodes(fnodes, bc.comp)
         space.constrained[dofs] = True
-        if callable(bc.value):
-            xy = grid.node_xy(node_ids[fnodes])
-            space.constraint_values[dofs] = bc.value(xy[:, 0], xy[:, 1])
-        else:
-            space.constraint_values[dofs] = bc.value
     return space

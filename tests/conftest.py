@@ -1,9 +1,11 @@
 import logging
 
+import numpy as np
 import pytest
 
 from voltacell import geometry as geo
 from voltacell import materials as mat
+from voltacell import physics
 from voltacell.config import preset
 from voltacell.mesh import MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
@@ -27,6 +29,14 @@ def geom():
 @pytest.fixture(scope="session")
 def coarse_mesh(geom):
     return generate_layered_mesh(geom, MeshSpec.coarse())
+
+
+def switch_off_kappa_d(monkeypatch):
+    """Give the cell problem a zero diffusional conductivity kappa_D (its
+    kappa_D load and its kappa_D heat term vanish); the material law in
+    ``materials`` is untouched."""
+    monkeypatch.setattr(physics, "diffusional_conductivity",
+                        lambda theta, mats: np.zeros_like(theta))
 
 
 def make_problem(coarse_mesh, mats, **kw):

@@ -270,21 +270,17 @@ def record_nodes(mesh, grid, record):
 
 
 def constrained_dofs(space, bcs):
-    """(constrained mask, values) of a field space's essential constraints,
-    edge by edge (constant values)."""
+    """The mask of a field space's constrained DOFs, edge by edge."""
     from voltacell.mesh import PART_CODE
     mesh, grid = space.mesh, space.grid
     mask = np.zeros(space.ndof, dtype=bool)
-    values = np.zeros(space.ndof)
     for bc in bcs:
         for record in edge_records(mesh, (PART_CODE[bc.part],)):
             if not any(mesh.cell_tag[c] in space.selector for c in record[3]):
                 continue
             for node in record_nodes(mesh, grid, record):
-                dof = space.node_index[node] * space.arity + bc.comp
-                mask[dof] = True
-                values[dof] = bc.value
-    return mask, values
+                mask[space.node_index[node] * space.arity + bc.comp] = True
+    return mask
 
 
 def trace_rows(mesh, grid, records, extra):

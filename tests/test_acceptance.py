@@ -121,13 +121,15 @@ def test_criterion_04_mass_bookkeeping(mats):
 # 5. heat-source sign
 # ---------------------------------------------------------------------------
 
-def test_criterion_05_heat_source_sign(desk_runs):
+def test_criterion_05_heat_source_sign(desk_runs, monkeypatch):
     worst = min(rep.eta_ibv_min
                 for result in desk_runs.values()
                 for rep in result.reports)
     cfg = preset("high_discharge").replace(mesh=MeshSpec.coarse(), dt=6.0,
-                                           t_end=600.0, kappa_d_factor=0.0)
-    adiabatic = run_scenario(cfg)
+                                           t_end=600.0)
+    with monkeypatch.context() as patch:
+        conftest.switch_off_kappa_d(patch)
+        adiabatic = run_scenario(cfg)
     weighted = [e.theta_weighted for e in adiabatic.extras]
     diffs = np.diff(weighted)
     nondecreasing = bool(np.all(diffs >= -1e-12 * weighted[0]))

@@ -12,8 +12,8 @@ from voltacell.physics import CellProblem
 
 import oracles
 
-U_BCS = [sps.EssentialBC("cc_minus", 0, 0.0), sps.EssentialBC("cc_plus", 0, 0.0),
-         sps.EssentialBC("top", 1, 0.0), sps.EssentialBC("bottom", 1, 0.0)]
+U_BCS = [sps.EssentialBC("cc_minus", 0), sps.EssentialBC("cc_plus", 0),
+         sps.EssentialBC("top", 1), sps.EssentialBC("bottom", 1)]
 
 
 def same_csr(a, b):
@@ -38,12 +38,11 @@ def test_array_build_matches_per_cell_oracle(geom, mats, spec):
         assert np.array_equal(g.cells, cells)
         assert np.array_equal(g.nodes, nodes)
 
-    spaces = {"phi_s": (prob.s_ps, [sps.EssentialBC("cc_minus", 0, 0.0)]),
+    spaces = {"phi_s": (prob.s_ps, [sps.EssentialBC("cc_minus")]),
               "u": (prob.s_u, U_BCS), "theta": (prob.s_th, [])}
     for name, (space, bcs) in spaces.items():
-        mask, values = oracles.constrained_dofs(space, bcs)
+        mask = oracles.constrained_dofs(space, bcs)
         assert np.array_equal(space.constrained, mask), name
-        assert np.array_equal(space.constraint_values, values), name
     assert prob.s_ps.constrained.any() and prob.s_u.constrained.any()
 
     # interface: anode edges, then cathode edges, each in mesh edge order;
@@ -101,3 +100,19 @@ def test_prepared_problem_holds_each_operator_once(geom, mats, spec):
     k_full = prob.cs_scatter.elasticity({ANODE: ga, CATHODE: gc},
                                         {ANODE: ka, CATHODE: kc})
     assert same_csr(prob.k_u_red, asm.constrain(prob.s_u, k_full))
+
+
+def test_expand_zeroes_the_constrained_dofs(geom, mats):
+    """On the production phi_s and u spaces, ``expand`` writes exactly 0 on
+    every constrained DOF (the grounded collector, the roller and clamp
+    conditions) and the free values unchanged; the start state's phi_s is
+    already 0 there."""
+    prob = CellProblem(generate_layered_mesh(geom, MeshSpec.production()),
+                       mats)
+    rng = np.random.default_rng(5)
+    for space in (prob.s_ps, prob.s_u):
+        x = 1.0 + rng.random(space.n_free)          # no zero among them
+        full = asm.expand(space, x)
+        assert np.array_equal(full[space.free], x), space.name
+        assert np.all(full[space.constrained] == 0.0), space.name
+    assert np.all(prob.initial_state()["phi_s"][prob.s_ps.constrained] == 0.0)

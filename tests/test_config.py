@@ -58,15 +58,34 @@ def test_all_violations_reported_together(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("heat_convention", "reversed"), ("scale.length", "1e-3"),
     ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0"),
-    ("guard_action", "clamp"), ("mesh.max_aspect", "2000")])
+    ("guard_action", "clamp"), ("mesh.max_aspect", "2000"),
+    ("kappa_d_factor", "0"), ("tend", "60")])
 def test_removed_keys_are_unknown(tmp_path, key, value):
     """There is no heat-sign convention, unit-scale, guard-margin,
-    guard-action or mesh aspect-bound setting, so a scenario file cannot set
-    them."""
+    guard-action, mesh aspect-bound or kappa_D-scaling setting, and no
+    alias of t_end, so a scenario file cannot set them."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\n{key} = {value}\n")
     with pytest.raises(ConfigError,
                        match=f"line 2: unknown key {key!r}"):
+        parse_scenario(str(f))
+
+
+@pytest.mark.parametrize("lines, key, first, again", [
+    (["preset = high_discharge", "preset = low_charge", "dt = 6", "dt = 3"],
+     "preset", 1, 2),
+    (["preset = high_discharge", "dt = 6", "t_end = 60", "dt = 3"],
+     "dt", 2, 4),
+    (["mesh.preset = coarse", "mat.k_bv = 2e-11", "mat.k_bv = 3e-11"],
+     "mat.k_bv", 2, 3)])
+def test_repeated_key_is_an_error(tmp_path, lines, key, first, again):
+    """A key set twice is a ConfigError naming the key and both lines, not a
+    file of which one setting silently wins."""
+    f = tmp_path / "scn.txt"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError,
+                       match=f"(?m)^  line {again}: key {key!r} repeats "
+                             f"line {first}$"):
         parse_scenario(str(f))
 
 
@@ -92,14 +111,14 @@ def test_material_override_keys(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("dt", "nan"), ("t_end", "inf"), ("i_app", "nan"),
-    ("snapshot_every", "nan"), ("kappa_d_factor", "nan"), ("fp_tol", "-1"),
-    ("fp_tol", "0")])
+    ("snapshot_every", "nan"), ("fp_tol", "-1"), ("fp_tol", "0")])
 def test_bad_numbers_reported_by_key(tmp_path, key, value):
     """A non-finite number, or a fixed-point tolerance that is not positive
     (0 can never be met), is a ConfigError naming its key, not a crash or an
     accepted run."""
     f = tmp_path / "scn.txt"
-    f.write_text(f"dt = 6\nt_end = 60\n{key} = {value}\n")
+    lines = {"dt": "6", "t_end": "60", key: value}
+    f.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     with pytest.raises(ConfigError, match=f"\n  {key} "):
         parse_scenario(str(f))
 

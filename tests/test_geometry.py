@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from voltacell import geometry as geo
+from voltacell.mesh import MeshSpec, generate_layered_mesh
 
 
 def test_table_dimensions_bounding_box():
@@ -84,13 +85,18 @@ def test_electrodes_not_adjacent():
 
 
 def test_boundary_parts_cover_perimeter():
+    """The boundary parts that the mesh tags: cc_minus is the anode's
+    contact face (h_s long), cc_plus the whole right wall, and the parts
+    together cover the perimeter."""
     g = geo.build_interdigitated_domain()
     d = g.dims
-    total = sum(np.hypot(q[0] - p[0], q[1] - p[1])
-                for part in geo.BOUNDARY_PARTS
-                for p, q in g.boundary[part])
-    assert total == pytest.approx(2 * (d.width + d.height), rel=1e-12,
-                                  abs=0.0)
+    mesh = generate_layered_mesh(g, MeshSpec.coarse())
+    length = {part: mesh.boundary_edges(part).length.sum()
+              for part in geo.BOUNDARY_PARTS}
+    assert length[geo.CC_MINUS] == pytest.approx(d.h_s, rel=1e-12, abs=0.0)
+    assert length[geo.CC_PLUS] == pytest.approx(d.height, rel=1e-12, abs=0.0)
+    assert sum(length.values()) == pytest.approx(2 * (d.width + d.height),
+                                                 rel=1e-12, abs=0.0)
 
 
 def test_domain_svg_renders():

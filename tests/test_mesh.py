@@ -99,16 +99,17 @@ def test_validate_clean_mesh(geom):
     assert rep.n_per_tag["sa"] > 0 and rep.n_per_tag["sc"] > 0
 
 
-def test_validate_flags_inverted_element(geom):
-    m = vm.generate_layered_mesh(geom, vm.MeshSpec.coarse())
-    coords = m.corner_coords().copy()
-    conn = m.connectivity()
-    # drag one corner across its element to invert the jacobian
-    quad = conn[len(conn) // 2]
-    coords[quad[0]] = coords[quad[2]] + (coords[quad[2]] - coords[quad[0]])
-    rep = vm.validate_mesh(m, node_coords=coords)
+def test_validate_flags_inverted_element():
+    """A grid line that steps back inverts the cells behind it: the report
+    names the line and its minimum jacobian hx * hy / 4 is negative."""
+    m = vm.Mesh.from_grid([0.0, 1.0, 0.5, 2.0], [0.0, 2.0], [1, 1, 1], [1],
+                          np.full((1, 3), geo.ELYTE, dtype=np.int8),
+                          lambda side, c: geo.WALL)
+    rep = vm.validate_mesh(m)
     assert not rep.ok
-    assert any("jacobian" in v for v in rep.violations)
+    assert rep.violations == [
+        "grid line x[2] = 0.5 does not increase on x[1] = 1"]
+    assert rep.min_jacobian == 0.25 * -0.5 * 2.0
 
 
 def test_validate_empty_mesh():

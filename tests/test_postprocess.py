@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from voltacell import assemble as asm
 from voltacell import postprocess as post
 from voltacell.config import preset
 from voltacell.state import SimState
@@ -31,7 +32,7 @@ def test_initial_cell_voltage(problem_state, mats):
 
 def test_cell_voltage_of_constant(problem_state):
     prob, s0 = problem_state
-    c = prob.s_ps.apply_constraints(np.full(prob.s_ps.ndof, 2.5))
+    c = asm.expand(prob.s_ps, np.full(prob.s_ps.n_free, 2.5))
     # cc+ sits entirely on the cathode, where no Dirichlet rows interfere
     assert post.cell_voltage(prob, c) == pytest.approx(2.5, rel=1e-13)
 

@@ -50,7 +50,6 @@ def test_phi_s_constrained_on_negative_collector(battery_mesh):
     # all constrained nodes sit on the left wall below the anode top
     assert np.allclose(xy[constrained, 0], 0.0)
     assert np.all(xy[constrained, 1] <= 30e-6 + 1e-12)
-    assert np.all(s.constraint_values[constrained] == 0.0)
 
 
 def test_vector_space_normal_constraints(battery_mesh):
