@@ -1,10 +1,10 @@
 """Run orchestration: build a configured problem, integrate, record, persist.
 
 A run starts from the problem's equilibrium initial state at t = 0, which is
-recorded as the first row.  Under a load the quasi-static fields are then
-re-solved against that state (consistent initialization); the matrices that
-the steps reuse are factorized (``CellProblem.prepare``), and step 1 takes the
-Euler predictor from there.
+recorded as the first row.  ``march``, the package's one time loop, has
+``CellProblem.prepare`` re-solve the quasi-static fields under a load and
+factorize the matrices that the steps reuse; step 1 takes the Euler
+predictor from that start.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
@@ -90,6 +90,17 @@ def build_problem(config: ScenarioConfig) -> CellProblem:
     return problem
 
 
+def march(backend, state0: SimState, grid: TimeGrid, fp_tol: float = 1e-8):
+    """Yield ``(state, report)`` for each step of ``grid`` from the start
+    that ``backend.prepare(state0, grid.dt)`` returns, run at the first
+    request; the steps go through this module's ``step`` name."""
+    hist = History(prev=backend.prepare(state0, grid.dt))
+    for n in range(1, grid.n_steps + 1):
+        state, report = step(backend, hist, grid, n, fp_tol=fp_tol)
+        hist.push(state)
+        yield state, report
+
+
 def _write_manifest(path, config, status, reports, snapshots, error=None):
     """Write the manifest; ``reports`` are those of the completed steps."""
     payload = {
@@ -143,10 +154,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     reports: list[StepReport] = []
     extras: list[StepExtras] = []
     snapshots: list = []
-    n_done = 0
+    final = state0
     error = None
     try:
-        hist = History(prev=state0)
         rec0 = post.record_state(problem, state0)
         records.append(rec0)
         if csv_fh:
@@ -154,45 +164,32 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             csv_fh.flush()
         emit_snapshot(state0, snapshots)
 
-        if grid is not None and config.i_app != 0.0:
-            # Consistent initialization of the quasi-static fields under the
-            # applied load: they jump when the current switches on, and
-            # averaging the first step across that jump would cost one order
-            # of accuracy.  The recorded t=0 state stays the pre-load one.
-            d0 = {k: state0[k] for k in problem.D_FIELDS}
-            s_loaded = problem.stage2(0.0, d0, state0)
-            hist = History(prev=SimState(0.0, {**d0, **s_loaded}))
-
         if grid is not None:
-            problem.prepare(hist.prev, grid.dt)
             next_snap = config.snapshot_every
-            for n in range(1, grid.n_steps + 1):
-                state, rep = step(problem, hist, grid, n,
-                                  fp_tol=config.fp_tol)
-                hist.push(state)
-                reports.append(rep)
+            for final, rep in march(problem, state0, grid,
+                                    fp_tol=config.fp_tol):
                 extras.append(StepExtras(
-                    t=state.t,
-                    int_cs=problem.readout(state, "int_cs"),
-                    int_ce=problem.readout(state, "int_ce"),
+                    t=final.t,
+                    int_cs=problem.readout(final, "int_cs"),
+                    int_ce=problem.readout(final, "int_ce"),
                     ibv_mid=rep.ibv_integral,
-                    theta_weighted=problem.readout(state, "theta_weighted"),
+                    theta_weighted=problem.readout(final, "theta_weighted"),
                 ))
-                rec = post.record_state(problem, state)
+                rec = post.record_state(problem, final)
                 records.append(rec)
                 if csv_fh:
                     csv_fh.write(post.format_record(rec) + "\n")
                     csv_fh.flush()
-                n_done = n
-                is_last = n == grid.n_steps
-                if state.t >= next_snap - 1e-9 * config.dt or is_last:
-                    emit_snapshot(state, snapshots)
-                    while next_snap <= state.t + 1e-9 * config.dt:
+                reports.append(rep)     # complete once its row is written
+                is_last = rep.n == grid.n_steps
+                if final.t >= next_snap - 1e-9 * config.dt or is_last:
+                    emit_snapshot(final, snapshots)
+                    while next_snap <= final.t + 1e-9 * config.dt:
                         next_snap += config.snapshot_every
         return RunResult(config=config, problem=problem,
                          grid=grid, records=records, reports=reports,
                          extras=extras, snapshots=snapshots,
-                         final_state=hist.prev, out_dir=out_dir,
+                         final_state=final, out_dir=out_dir,
                          csv_path=csv_path, manifest_path=manifest_path)
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -202,5 +199,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             csv_fh.close()
         if manifest_path:
             status = "failed" if error else "completed"
-            _write_manifest(manifest_path, config, status, reports[:n_done],
+            _write_manifest(manifest_path, config, status, reports,
                             snapshot_names, error)

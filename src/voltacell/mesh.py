@@ -451,7 +451,9 @@ def validate_mesh(mesh: Mesh,
                 f"grid line {axis}[{k}] = {lines[k]:.6g} does not increase "
                 f"on {axis}[{k - 1}] = {lines[k - 1]:.6g}")
 
-    ratio = np.maximum.outer(mesh.hy, mesh.hx) / np.minimum.outer(mesh.hy, mesh.hx)
+    hx, hy = np.abs(mesh.hx), np.abs(mesh.hy)   # a zero width: aspect inf
+    with np.errstate(divide="ignore"):
+        ratio = np.maximum.outer(hy, hx) / np.minimum.outer(hy, hx)
     rep.max_aspect = float(ratio.max())
     if rep.max_aspect > MAX_ASPECT:
         rep.violations.append(f"aspect ratio {rep.max_aspect:.3g} exceeds "

@@ -12,6 +12,8 @@ turning into an interface mass term with coefficient I_c*F/(R*theta) plus
 load terms, while the full nonlinear sinh expression feeds the concentration
 and heat loads through one record of the interface (``InterfaceState``).
 Each support (theta; c_s, phi_s; c_e, phi_e) has one interface trace operator.
+``CellProblem.prepare`` makes the start of a run's steps and the midpoint
+matrices of its dt, which ``stage1`` reads.
 
 Sign conventions: the interface normal points from the electrode into the
 electrolyte; the reaction current I_BV is positive when lithium leaves the
@@ -162,7 +164,7 @@ class CellProblem:
         gam = {ANODE: a.conductivity, CATHODE: c.conductivity}
         # One scatter per support serves every field on it; the c_s matrices
         # are re-assembled every sweep on M_cs's pattern, and the c_e and
-        # theta midpoint matrices of each dt sit on M_ce's and M_th's.
+        # theta midpoint matrices of the prepared dt sit on M_ce's and M_th's.
         th_scatter = asm.ElementScatter(self.s_th)
         self.m_th = th_scatter.mass(rho_cv)
         self.k_th = th_scatter.stiffness(lam, "thermal conductivity")
@@ -175,9 +177,10 @@ class CellProblem:
         # One solver per system.  The c_s and potential-pair matrices change
         # between sweeps and steps only through slowly varying coefficients,
         # so one held factor each preconditions them for the whole run; the
-        # c_e and theta matrices are fixed per dt, the elasticity matrix for
-        # the run (only its free-DOF block is held, never the full-DOF
-        # matrix).  The electrochemical model never solves theta or u.
+        # c_e and theta matrices are fixed once ``prepare`` sets dt, the
+        # elasticity matrix for the problem (only its free-DOF block is held,
+        # never the full-DOF matrix).  The electrochemical model never solves
+        # theta or u.
         names = ("c_s", "c_e", "potential pair") \
             + (("theta", "u") if mode == "full" else ())
         self.solvers = {name: Solver(name) for name in names}
@@ -255,7 +258,7 @@ class CellProblem:
         self.solid_tags = qp.tag[self.solid_qp]
         self.solid = self.electrode_constants(self.solid_tags)
         self.iface_el = self.electrode_constants(self.iface_tags)
-        self._dt_ops = None
+        self.dt, self.mid_ops = None, {}    # set by ``prepare``
 
         # Characteristic magnitudes for relative-update norms; the
         # displacement (zero at rest) is measured against the cell height.
@@ -420,16 +423,39 @@ class CellProblem:
     # Stage 1: parabolic systems at the midpoint
     # ------------------------------------------------------------------
 
-    def prepare(self, state: SimState, dt: float):
-        """Factorize, before step 1, the matrices the steps reuse: the fixed
-        c_e and theta midpoint matrices, and the c_s midpoint matrix at
-        ``state``.  Held from the equilibrium start, the c_s factor
-        preconditions the later c_s matrices better than a factor of step
-        1's Euler-predicted midpoint would (on the production presets 25 CG
-        iterations per later step instead of 40)."""
-        self._prepare_dt(dt)
+    def prepare(self, state0: SimState, dt: float) -> SimState:
+        """Return the start of the steps of ``dt`` from ``state0``, having
+        factorized the matrices that they reuse.
+
+        Under a load the quasi-static fields are re-solved against state0
+        (consistent initialization): they jump when the current switches on,
+        and averaging step 1 across that jump would cost one order of
+        accuracy.  At zero load state0 is the start.  The fixed c_e and theta
+        midpoint matrices M + dt/2 K are one sum of data arrays on the
+        pattern arrays that each M shares with its K (one ``ElementScatter``
+        made both), so each holds exactly nnz entries.  Held from the start,
+        the c_s factor preconditions the later c_s matrices better than a
+        factor of step 1's Euler-predicted midpoint would (on the production
+        presets 25 CG iterations per later step instead of 40)."""
+        start = state0
+        if self.i_app != 0.0:
+            d0 = {k: state0[k] for k in self.D_FIELDS}
+            start = SimState(state0.t,
+                             {**d0, **self.stage2(state0.t, d0, state0)})
+
+        def midpoint(m, k):
+            return asm.FixedPattern(m.indptr, m.indices, m.shape).with_data(
+                m.data + 0.5 * dt * k.data)
+
+        self.dt = dt
+        self.mid_ops = {"c_e": midpoint(self.m_ce, self.k_ce)}
+        if self.mode == "full":     # the heat equation is solved only here
+            self.mid_ops["theta"] = midpoint(self.m_th, self.k_th)
+        for name, mat in self.mid_ops.items():
+            self.solvers[name].factorize(mat)
         self.solvers["c_s"].factorize(self.cs_matrices(
-            state, dt, self.theta_points(state["theta"]))[1])
+            start, dt, self.theta_points(start["theta"]))[1])
+        return start
 
     def cs_matrices(self, state: SimState, dt: float, theta_qp):
         """K_cs at the solid diffusivity of ``state`` (with theta at the
@@ -438,29 +464,6 @@ class CellProblem:
         k = self.cs_scatter.stiffness(
             self.solid_diffusivity_qp(state, theta_qp), "solid diffusivity")
         return k, self.cs_scatter.with_data(self.m_cs.data + 0.5 * dt * k.data)
-
-    def _prepare_dt(self, dt: float) -> dict:
-        """The fixed c_e and theta midpoint matrices M + dt/2 K of ``dt``,
-        factorized by their solvers when dt changes.
-
-        One ``ElementScatter`` made each M and its K, so they share their
-        pattern arrays: M + dt/2 K is one sum of data arrays on them, as in
-        ``cs_matrices``, and holds exactly nnz entries (scipy's sum of two
-        matrices allocates nnz(M) + nnz(K) and keeps that buffer)."""
-        if self._dt_ops is not None and self._dt_ops[0] == dt:
-            return self._dt_ops[1]
-
-        def midpoint(m, k):
-            return asm.FixedPattern(m.indptr, m.indices, m.shape).with_data(
-                m.data + 0.5 * dt * k.data)
-
-        ops = {"c_e": midpoint(self.m_ce, self.k_ce)}
-        if self.mode == "full":     # the heat equation is solved only here
-            ops["theta"] = midpoint(self.m_th, self.k_th)
-        for name, mat in ops.items():
-            self.solvers[name].factorize(mat)
-        self._dt_ops = (dt, ops)
-        return ops
 
     def iface_loads(self, ist: InterfaceState) -> dict:
         mats = self.mats
@@ -471,28 +474,28 @@ class CellProblem:
                 "c_e": tr_t["c_e"] @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
                 "theta": tr_t["theta"] @ (w * ist.eta * ist.i_bv)}
 
-    def stage1(self, prev: SimState, mid: SimState, dt: float,
-               heat_start: bool = False):
-        """Solve the three parabolic updates; returns the new d-fields and
-        the InterfaceState of ``mid``, whose current loads them.
+    def stage1(self, prev: SimState, mid: SimState, heat_start: bool = False):
+        """Solve the three parabolic updates over the prepared dt; returns
+        the new d-fields and the InterfaceState of ``mid``, whose current
+        loads them.
 
         Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
         solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
         which avoids the cancellation of the large constant background in the
         explicit operator.  The c_s matrix carries the solid diffusivity at the
         midpoint, so it changes with every sweep; its solver's held factor
-        preconditions CG on it.  c_e and theta have fixed matrices,
-        factorized once per dt.
+        preconditions CG on it.  c_e and theta have the fixed matrices that
+        ``prepare`` built and factorized.
 
         With ``heat_start`` (the step across the load switch-on) the heat
         equation instead takes two backward-Euler half-steps,
-        (M + dt/2 K) delta_k = dt/2 (b - K theta_k), which reuse the cached
+        (M + dt/2 K) delta_k = dt/2 (b - K theta_k), which reuse the prepared
         midpoint matrix.  Switching the load on excites thermal modes far
         stiffer than dt; the midpoint factor tends to -1 on them and leaves
         them ringing, while backward Euler damps them.  The heat source b
         stays evaluated at the midpoint, and c_s, c_e keep the midpoint rule.
         """
-        ops = self._prepare_dt(dt)
+        dt, ops = self.dt, self.mid_ops
         ist = self.interface_state(mid)
         loads = self.iface_loads(ist)
         # one evaluation serves the c_s diffusivity and the heat source

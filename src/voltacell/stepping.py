@@ -1,8 +1,9 @@
 """Two-stage staggered semi-implicit midpoint time integration.
 
-A run starts from the backend's initial state with one history level.  Each
-step first predicts the new-time solution (explicit Euler on the very first
-step, two-point linear extrapolation afterwards), then:
+``driver.march`` is the one time loop: it prepares the backend for the step
+size, then calls ``step`` once per step of the grid.  Each step first
+predicts the new-time solution (explicit Euler from the prepared start on the
+very first step, two-point linear extrapolation afterwards), then:
 
   stage 1: advances the parabolic fields with the midpoint rule, nonlinear
            coefficients frozen at the predicted midpoint;
@@ -22,9 +23,11 @@ rule in every step.
 The pair of stages is then re-swept (the fresh iterate replacing the predictor
 midpoint) until the relative update is below ``fp_tol``; after ``MAX_SWEEPS``
 sweeps a step raises ``SolveError`` naming the step, the sweeps, the update
-and the field with the largest one.  Backends provide ``stage1``,
-``stage2``, ``d_rate``, ``initial_state``, field name tuples and ``solvers``
-(one ``solve.Solver`` per linear system); the battery problem and the linear
+and the field with the largest one.  Backends provide ``prepare(state0,
+dt)`` (factorizes what the steps of dt reuse, returns their start),
+``stage1(prev, mid, heat_start)`` over the prepared dt, ``stage2``,
+``d_rate``, ``initial_state``, field name tuples and ``solvers`` (one
+``solve.Solver`` per linear system); the battery problem and the linear
 verification surrogate both implement it.  ``stage1`` also returns the
 ``physics.InterfaceState`` of its midpoint (None without an interface), whose
 diagnostics the step reports for its accepted sweep.
@@ -126,7 +129,7 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     updates = []
     for _ in range(MAX_SWEEPS):
         mid = prev.midpoint(iterate)
-        d_new, iface = backend.stage1(prev, mid, dt, heat_start=n == 1)
+        d_new, iface = backend.stage1(prev, mid, heat_start=n == 1)
         s_new = backend.stage2(t_new, d_new, iterate) if backend.S_FIELDS else {}
         new_state = SimState(t_new, {**d_new, **s_new})
         diffs = new_state.rel_diffs(iterate, scales)
@@ -172,35 +175,28 @@ class LinearSurrogate:
         self.load = np.asarray(load, dtype=float)
         self.d0 = np.asarray(d0, dtype=float)
         self.solvers = {"d": Solver("d")}
-        self._dt_ops = None
+        self.dt = self.mid_matrix = None      # set by prepare
 
     def initial_state(self) -> SimState:
         return SimState(0.0, {"d": self.d0.copy()})
+
+    def prepare(self, state0: SimState, dt: float) -> SimState:
+        """Factorize the midpoint matrix M + dt/2 K; state0 is the start."""
+        self.dt = dt
+        self.mid_matrix = self.mass + 0.5 * dt * self.stiffness
+        self.solvers["d"].factorize(self.mid_matrix)
+        return state0
 
     def d_rate(self, state: SimState) -> dict:
         return {"d": jacobi_solve(self.mass, self.load
                                   - self.stiffness @ state["d"], "d mass")}
 
-    def stage1(self, prev: SimState, mid: SimState, dt: float,
-               heat_start: bool = False):
-        # Same signature as CellProblem.stage1; the surrogate has no heat
-        # equation, so its field takes the midpoint rule in every step.
-        if self._dt_ops is None or self._dt_ops[0] != dt:
-            self._dt_ops = (dt, self.mass + 0.5 * dt * self.stiffness)
-            self.solvers["d"].factorize(self._dt_ops[1])
-        # increment form of the midpoint update (see CellProblem.stage1)
-        delta = self.solvers["d"].solve(
-            self._dt_ops[1], dt * (self.load - self.stiffness @ prev["d"]))
+    def stage1(self, prev: SimState, mid: SimState, heat_start: bool = False):
+        # CellProblem.stage1's signature and increment form; with no heat
+        # equation, the field takes the midpoint rule in every step.
+        rhs = self.dt * (self.load - self.stiffness @ prev["d"])
+        delta = self.solvers["d"].solve(self.mid_matrix, rhs)
         return {"d": prev["d"] + delta}, None
 
     def stage2(self, t, d_new, s_guess):
         return {}
-
-
-def integrate_linear(surrogate: LinearSurrogate, grid: TimeGrid) -> SimState:
-    """March the surrogate over the whole grid with the two-stage scheme."""
-    hist = History(prev=surrogate.initial_state())
-    for n in range(1, grid.n_steps + 1):
-        state, _ = step(surrogate, hist, grid, n)
-        hist.push(state)
-    return hist.prev

@@ -15,8 +15,8 @@ from voltacell.config import preset
 from voltacell.driver import run_scenario
 from voltacell.mesh import MeshSpec, generate_layered_mesh
 from voltacell.physics import CellProblem
-from voltacell.state import History
-from voltacell.stepping import TimeGrid, step
+from voltacell.driver import march
+from voltacell.stepping import TimeGrid
 
 import conftest
 import oracles
@@ -71,12 +71,8 @@ def test_criterion_03_equilibrium_preservation(coarse_mesh, mats):
     prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=6.0, n_steps=10)
-    hist = History(prev=s0)
-    for n in range(1, 11):
-        state, _ = step(prob, hist, grid, n)
-        hist.push(state)
-    change = max(hist.prev.rel_diffs(s0, prob.field_scales).values())
+    *_, (final, _) = march(prob, s0, TimeGrid(dt=6.0, n_steps=10))
+    change = max(final.rel_diffs(s0, prob.field_scales).values())
     wall = time.time() - t0
     ok = change < 1e-7 and wall < 60.0
     _report(3, ok, f"zero-load equilibrium held over 10 steps: max relative "
@@ -248,12 +244,13 @@ def test_criterion_09_model_comparison_pattern(desk_runs):
 # ---------------------------------------------------------------------------
 
 def _system_matrices(problem, dt):
-    s0 = problem.initial_state()
+    """The systems a run solves, as the prepared problem holds them."""
+    s0 = problem.prepare(problem.initial_state(), dt)
     mats = {}
-    mats["theta system"] = problem.m_th + 0.5 * dt * problem.k_th
+    mats["theta system"] = problem.mid_ops["theta"]
     th_qp = asm.eval_qp(problem.s_th, s0["theta"])
     mats["c_s system"] = problem.cs_matrices(s0, dt, th_qp)[1]
-    mats["c_e system"] = problem.m_ce + 0.5 * dt * problem.k_ce
+    mats["c_e system"] = problem.mid_ops["c_e"]
     mats["potential block system"], _ = problem.potential_system(
         s0["theta"], s0["c_s"], s0["c_e"], th_qp)
     mats["elasticity"] = problem.k_u_red

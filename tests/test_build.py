@@ -87,10 +87,9 @@ def test_prepared_problem_holds_each_operator_once(geom, mats, spec):
     for name, value in vars(prob).items():
         assert all(m.shape != full_u for m in _held_matrices(value)), name
 
-    ops = prob._prepare_dt(dt)
     for name, m, k in (("c_e", prob.m_ce, prob.k_ce),
                        ("theta", prob.m_th, prob.k_th)):
-        a = ops[name]
+        a = prob.mid_ops[name]
         assert a.indptr is m.indptr and a.indices is m.indices, name
         assert a.data.size == a.nnz == m.nnz, name
         assert a.data.base is None or a.data.base.size == a.nnz, name

@@ -138,8 +138,8 @@ def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
     real_stage1 = CellProblem.stage1
     dt = DESK["dt"]
 
-    def depleting_stage1(self, prev, mid, dt_, **kw):
-        d_new, iface = real_stage1(self, prev, mid, dt_, **kw)
+    def depleting_stage1(self, prev, mid, **kw):
+        d_new, iface = real_stage1(self, prev, mid, **kw)
         if prev.t >= 2 * dt - 1e-9:
             floor = self.guard.eps_e
             d_new["c_e"] = np.full_like(d_new["c_e"], 0.5 * floor)
@@ -168,9 +168,9 @@ def test_loaded_run_starts_from_initial_state(tmp_path, monkeypatch):
     starts = []
     real_stage1 = CellProblem.stage1
 
-    def recording_stage1(self, prev, mid, dt, **kw):
+    def recording_stage1(self, prev, mid, **kw):
         starts.append(prev.t)
-        return real_stage1(self, prev, mid, dt, **kw)
+        return real_stage1(self, prev, mid, **kw)
 
     monkeypatch.setattr(CellProblem, "stage1", recording_stage1)
     cfg = preset("high_discharge").replace(**{**DESK, "t_end": 12.0})
@@ -226,8 +226,8 @@ def test_held_solvers_match_refactorizing_run(tmp_path, monkeypatch):
     assert lu_held <= 6
     assert lu_fresh > 10 * lu_held
     # every factor is built before step 1: u by the problem's construction,
-    # c_s, c_e and theta by CellProblem.prepare, the potential pair by the
-    # loaded initialization
+    # the others by CellProblem.prepare (the potential pair by its loaded
+    # re-solve of the quasi-static fields)
     assert sum(r.refactorizations for r in held.reports) == 0
     assert {k: s.refactorizations for k, s in held.problem.solvers.items()} \
         == dict.fromkeys(held.problem.solvers, 1)

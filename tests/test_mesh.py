@@ -110,6 +110,20 @@ def test_validate_flags_inverted_element():
     assert rep.violations == [
         "grid line x[2] = 0.5 does not increase on x[1] = 1"]
     assert rep.min_jacobian == 0.25 * -0.5 * 2.0
+    assert rep.max_aspect == 4.0          # the inverted cell is 0.5 by 2
+
+
+def test_validate_zero_width_cell_has_infinite_aspect():
+    """A repeated grid line gives a zero-width cell: the report names the
+    line and reports aspect inf (no division warning), past the bound."""
+    m = vm.Mesh.from_grid([0.0, 1.0, 1.0, 2.0], [0.0, 2.0], [1, 1, 1], [1],
+                          np.full((1, 3), geo.ELYTE, dtype=np.int8),
+                          lambda side, c: geo.WALL)
+    rep = vm.validate_mesh(m)
+    assert rep.max_aspect == np.inf
+    assert rep.violations == [
+        "grid line x[2] = 1 does not increase on x[1] = 1",
+        f"aspect ratio inf exceeds bound {vm.MAX_ASPECT:g}"]
 
 
 def test_validate_empty_mesh():

@@ -178,8 +178,8 @@ def test_stage1_concentration_system_hand_oracle(mats):
     prob = toy_strip_problem(mats)
     s0 = prob.initial_state()
     dt = 25.0
-    systems_prev = s0.copy()
-    new, _ = prob.stage1(systems_prev, s0.copy(), dt)
+    systems_prev = prob.prepare(s0.copy(), dt)
+    new, _ = prob.stage1(systems_prev, s0.copy())
 
     # reconstruct the element matrices by hand: c_s space is two disconnected
     # bilinear cells, block order follows the node numbering
@@ -707,8 +707,8 @@ def test_linearized_bv_matches_nonlinear_at_small_eta(coarse_mesh, mats):
 def test_stage1_uniform_state_is_stationary(coarse_problem):
     prob = coarse_problem
     prob.set_load(0.0)
-    s0 = prob.initial_state()
-    new, iface = prob.stage1(s0, s0.copy(), dt=6.0)
+    s0 = prob.prepare(prob.initial_state(), 6.0)
+    new, iface = prob.stage1(s0, s0.copy())
     for name in ("theta", "c_s", "c_e"):
         scale = np.abs(s0[name]).max()
         assert np.abs(new[name] - s0[name]).max() < 1e-9 * scale
@@ -721,15 +721,12 @@ def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
     source b: with h = dt/2 and A = M + h K, the increments solve
     A d1 = h (b - K theta_0) and A d2 = h (b - K (theta_0 + d1))."""
     import scipy.sparse.linalg as spla
-    from voltacell.state import SimState
     prob = coarse_problem
     prob.set_load(20.0)
-    s0 = prob.initial_state()
-    d0 = {k: s0[k] for k in prob.D_FIELDS}
-    mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
     dt = 6.0
-    plain, _ = prob.stage1(s0, mid, dt)
-    start, _ = prob.stage1(s0, mid, dt, heat_start=True)
+    s0 = mid = prob.prepare(prob.initial_state(), dt)   # the loaded start
+    plain, _ = prob.stage1(s0, mid)
+    start, _ = prob.stage1(s0, mid, heat_start=True)
     for name in ("c_s", "c_e"):
         assert np.array_equal(start[name], plain[name])
     assert not np.array_equal(start["theta"], plain["theta"])
@@ -746,14 +743,52 @@ def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
     assert np.abs(delta - (d1 + d2)).max() < 1e-6 * np.abs(delta).max()
 
 
+def test_prepare_under_load_resolves_the_quasi_static_fields(coarse_mesh,
+                                                             mats):
+    """Under a load the start of the steps keeps state0's dynamic fields and
+    takes the quasi-static fields that stage 2 solves against them, bit for
+    bit; ``prepare`` leaves every solver with exactly one factor (c_s, c_e and
+    theta its own, the potential pair that of the re-solve, u the problem's)
+    and holds the midpoint matrices of its dt."""
+    prob, ref = (conftest.make_problem(coarse_mesh, mats) for _ in range(2))
+    for p in (prob, ref):
+        p.set_load(20.0)
+    s0 = prob.initial_state()
+    d0 = {k: s0[k] for k in prob.D_FIELDS}
+    quasi_static = ref.stage2(0.0, d0, s0)
+
+    start = prob.prepare(s0, 6.0)
+    assert start.t == 0.0
+    assert set(start.fields) == set(s0.fields)
+    for name in prob.D_FIELDS:
+        assert np.array_equal(start[name], s0[name]), name
+    for name in prob.S_FIELDS:
+        assert np.array_equal(start[name], quasi_static[name]), name
+    for name in ("phi_s", "phi_e"):        # the load moved the potentials
+        assert not np.array_equal(start[name], s0[name]), name
+    assert {k: s.refactorizations for k, s in prob.solvers.items()} \
+        == dict.fromkeys(prob.solvers, 1)
+    assert prob.dt == 6.0 and set(prob.mid_ops) == {"c_e", "theta"}
+
+
+def test_prepare_at_zero_load_starts_from_state0(coarse_problem):
+    """At zero load ``prepare`` returns state0 itself and factorizes the
+    c_s, c_e and theta matrices once each (the potential pair is never
+    solved, u was factorized with the problem)."""
+    prob = coarse_problem
+    s0 = prob.initial_state()
+    assert prob.prepare(s0, 6.0) is s0
+    assert {k: s.refactorizations for k, s in prob.solvers.items()} == {
+        "c_s": 1, "c_e": 1, "theta": 1, "u": 1, "potential pair": 0}
+
+
 def test_equilibrium_fixed_point_full_step(coarse_problem):
-    from voltacell.state import History
-    from voltacell.stepping import TimeGrid, step
+    from voltacell.driver import march
+    from voltacell.stepping import TimeGrid
     prob = coarse_problem
     prob.set_load(0.0)
     s0 = prob.initial_state()
-    grid = TimeGrid(dt=6.0, n_steps=1)
-    state, rep = step(prob, History(prev=s0), grid, 1)
+    [(state, rep)] = march(prob, s0, TimeGrid(dt=6.0, n_steps=1))
     assert max(state.rel_diffs(s0, prob.field_scales).values()) < 1e-8
 
 
@@ -826,35 +861,28 @@ def test_interface_sample_fields(coarse_problem):
 
 
 def test_electrochemical_mode_freezes_theta_and_u(coarse_mesh, mats):
-    from voltacell.state import History
-    from voltacell.stepping import TimeGrid, step
+    from voltacell.driver import march
+    from voltacell.stepping import TimeGrid
     prob = conftest.make_problem(coarse_mesh, mats, mode="electrochemical")
     prob.set_load(20.0)
-    hist = History(prev=prob.initial_state())
-    grid = TimeGrid(dt=6.0, n_steps=2)
-    for n in (1, 2):
-        state, _ = step(prob, hist, grid, n)
-        hist.push(state)
-    assert np.all(hist.prev["u"] == 0.0)
-    assert np.allclose(hist.prev["theta"], mats.theta_ref, atol=1e-12)
+    *_, (state, _) = march(prob, prob.initial_state(),
+                           TimeGrid(dt=6.0, n_steps=2))
+    assert np.all(state["u"] == 0.0)
+    assert np.allclose(state["theta"], mats.theta_ref, atol=1e-12)
     # concentrations still move (the electrochemistry stays live)
-    assert not np.allclose(hist.prev["c_s"], prob.initial_state()["c_s"])
+    assert not np.allclose(state["c_s"], prob.initial_state()["c_s"])
 
 
 def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh, mats):
-    """The isothermal model never solves the heat equation, so stage 1 must
-    not factorize (and hold) its matrix; the full model does.  Likewise the
-    strain-free model never solves u and holds no elasticity factor."""
-    from voltacell.state import SimState
+    """The isothermal model never solves the heat equation, so ``prepare``
+    must not build or factorize (and hold) its matrix; the full model does.
+    Likewise the strain-free model never solves u and holds no elasticity
+    factor."""
     for mode, full in (("electrochemical", False), ("full", True)):
         prob = conftest.make_problem(coarse_mesh, mats, mode=mode)
-        s0 = prob.initial_state()
-        d0 = {k: s0[k] for k in prob.D_FIELDS}
-        mid = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
-        prob.stage1(s0, mid, 6.0)
-        _, ops = prob._dt_ops
-        assert ("theta" in ops) == full
-        assert "c_e" in ops
+        prob.prepare(prob.initial_state(), 6.0)
+        assert ("theta" in prob.mid_ops) == full
+        assert "c_e" in prob.mid_ops
         assert ("u" in prob.solvers) == full
         if full:
             assert prob.solvers["theta"].refactorizations == 1
@@ -865,12 +893,13 @@ def test_electrochemical_mode_holds_no_thermal_factor(coarse_mesh, mats):
 def test_one_solver_per_system(coarse_mesh, mats, monkeypatch, mode):
     """The full model solves five systems and the electrochemical model
     three, each with one solver, and a solve that fails names its system:
-    with a tolerance no solve can meet on one solver at a time, the first
-    loaded step fails with a SolveError naming that solver."""
+    with a tolerance no solve can meet on one solver at a time, a loaded run
+    fails with a SolveError naming that solver (the potential pair and u
+    already in the loaded start, the others in step 1)."""
     from voltacell import solve
+    from voltacell.driver import march
     from voltacell.solve import SolveError
-    from voltacell.state import History, SimState
-    from voltacell.stepping import TimeGrid, step
+    from voltacell.stepping import TimeGrid
     names = sorted(conftest.make_problem(coarse_mesh, mats,
                                          mode=mode).solvers)
     five = ["c_e", "c_s", "potential pair", "theta", "u"]
@@ -879,13 +908,10 @@ def test_one_solver_per_system(coarse_mesh, mats, monkeypatch, mode):
     for name in names:
         prob = conftest.make_problem(coarse_mesh, mats, mode=mode)
         prob.set_load(20.0)
-        s0 = prob.initial_state()
-        d0 = {k: s0[k] for k in prob.D_FIELDS}
-        start = SimState(0.0, {**d0, **prob.stage2(0.0, d0, s0)})
-        prob.prepare(start, 6.0)
         prob.solvers[name].rtol = 1e-30
         with pytest.raises(SolveError) as err:
-            step(prob, History(prev=start), TimeGrid(dt=6.0, n_steps=1), 1)
+            next(march(prob, prob.initial_state(),
+                       TimeGrid(dt=6.0, n_steps=1)))
         assert str(err.value).startswith(f"{name}: ")
 
 

@@ -4,10 +4,9 @@ import scipy.sparse as sp
 
 from voltacell import geometry as geo
 from voltacell import state as vstate
-from voltacell import stepping
+from voltacell.driver import march
 from voltacell.state import Guard, History, SimState
-from voltacell.stepping import LinearSurrogate, TimeGrid, integrate_linear, \
-    predict, step
+from voltacell.stepping import LinearSurrogate, TimeGrid, predict
 
 import conftest
 
@@ -141,7 +140,8 @@ def test_scalar_surrogate_halving_error_ratio():
     errs = []
     for dt in (0.5, 0.25):
         sur = _scalar_surrogate(lam=1.0, load=0.0, d0=1.0)
-        final = integrate_linear(sur, TimeGrid.from_duration(1.0, dt))
+        *_, (final, _) = march(sur, sur.initial_state(),
+                               TimeGrid.from_duration(1.0, dt))
         errs.append(abs(final["d"][0] - exact))
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
@@ -159,10 +159,7 @@ def test_extra_sweeps_are_idempotent_on_linear_problem():
     so every step stops after 2 sweeps with a second update of 0."""
     sur = _scalar_surrogate(lam=0.8, load=0.3, d0=2.0)
     grid = TimeGrid.from_duration(2.0, 0.5)
-    hist = History(prev=sur.initial_state())
-    for n in range(1, grid.n_steps + 1):
-        state, rep = step(sur, hist, grid, n)
-        hist.push(state)
+    for _, rep in march(sur, sur.initial_state(), grid):
         assert rep.sweeps == 2
         assert rep.update_history[0] > 0.0
         assert rep.update_history[1] == 0.0
@@ -172,18 +169,14 @@ def test_heat_start_only_on_step_one():
     """The stepper asks for the heat start-up in every sweep of step 1, the
     step from t = 0, and in no other step."""
     class Recording(LinearSurrogate):
-        def stage1(self, prev, mid, dt, heat_start=False):
+        def stage1(self, prev, mid, heat_start=False):
             self.calls.append((prev.t, heat_start))
-            return super().stage1(prev, mid, dt, heat_start=heat_start)
+            return super().stage1(prev, mid, heat_start=heat_start)
 
     sur = Recording(sp.eye(1, format="csr"), sp.eye(1, format="csr"),
                     np.array([0.0]), np.array([1.0]))
     sur.calls = []
-    grid = TimeGrid(dt=0.5, n_steps=3)
-    hist = History(prev=sur.initial_state())
-    for n in range(1, 4):
-        state, _ = step(sur, hist, grid, n)
-        hist.push(state)
+    list(march(sur, sur.initial_state(), TimeGrid(dt=0.5, n_steps=3)))
     starts = [t for t, flag in sur.calls if flag]
     assert starts == [0.0, 0.0]
     assert len(sur.calls) == 6
@@ -193,25 +186,12 @@ def test_heat_start_only_on_step_one():
 # coupled problem stepping
 # ---------------------------------------------------------------------------
 
-def test_equilibrium_preserved_over_steps(coarse_mesh, mats):
-    prob = conftest.make_problem(coarse_mesh, mats)
-    prob.set_load(0.0)
-    s0 = prob.initial_state()
-    grid = TimeGrid(dt=6.0, n_steps=10)
-    hist = History(prev=s0)
-    for n in range(1, 11):
-        state, _ = step(prob, hist, grid, n)
-        hist.push(state)
-    assert max(hist.prev.rel_diffs(s0, prob.field_scales).values()) < 1e-7
-
-
 def test_discharge_step_sign_audit(coarse_mesh, mats):
     """Positive applied current drains the anode: I_BV > 0 on its interface."""
     prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(20.0)
-    s0 = prob.initial_state()
-    grid = TimeGrid(dt=6.0, n_steps=1)
-    state, rep = step(prob, History(prev=s0), grid, 1)
+    [(state, rep)] = march(prob, prob.initial_state(),
+                           TimeGrid(dt=6.0, n_steps=1))
     ist = prob.interface_state(state)
     anode = ist.tags == geo.ANODE
     assert np.all(ist.i_bv[anode] > 0.0)
@@ -222,12 +202,8 @@ def test_discharge_step_sign_audit(coarse_mesh, mats):
 def test_fixed_point_contraction_on_load_step(coarse_mesh, mats):
     prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(20.0)
-    s0 = prob.initial_state()
-    grid = TimeGrid(dt=6.0, n_steps=2)
-    hist = History(prev=s0)
-    for n in (1, 2):
-        state, rep = step(prob, hist, grid, n)
-        hist.push(state)
+    for _, rep in march(prob, prob.initial_state(),
+                        TimeGrid(dt=6.0, n_steps=2)):
         ups = rep.update_history
         assert all(b <= a * 1.001 + 1e-12 for a, b in zip(ups, ups[1:])), ups
 
@@ -246,8 +222,8 @@ def test_step_reports_the_interface_of_its_accepted_sweep(coarse_mesh, mats):
         return out
 
     prob.stage1 = stage1
-    _, rep = step(prob, History(prev=prob.initial_state()),
-                  TimeGrid(dt=6.0, n_steps=1), 1)
+    [(_, rep)] = march(prob, prob.initial_state(),
+                       TimeGrid(dt=6.0, n_steps=1))
     assert len(returned) == rep.sweeps > 1
     iface = returned[-1]
     assert rep.ibv_integral == iface.ibv_integral() \
@@ -260,19 +236,16 @@ def test_mass_bookkeeping_over_discharge(coarse_mesh, mats):
     """Per step, the change of total lithium balances the interface current."""
     prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(20.0)
-    s0 = prob.initial_state()
+    prev = prob.initial_state()
     dt = 6.0
-    grid = TimeGrid(dt=dt, n_steps=5)
-    hist = History(prev=s0)
     ones_s = np.ones(prob.s_cs.ndof)
     ones_e = np.ones(prob.s_ce.ndof)
     faraday = mats.faraday
     t_plus = mats.electrolyte.t_plus
-    for n in range(1, 6):
-        int_cs_prev = float(ones_s @ (prob.m_cs @ hist.prev["c_s"]))
-        int_ce_prev = float(ones_e @ (prob.m_ce @ hist.prev["c_e"]))
-        state, rep = step(prob, hist, grid, n)
-        hist.push(state)
+    for state, rep in march(prob, prev, TimeGrid(dt=dt, n_steps=5)):
+        int_cs_prev = float(ones_s @ (prob.m_cs @ prev["c_s"]))
+        int_ce_prev = float(ones_e @ (prob.m_ce @ prev["c_e"]))
+        prev = state
         d_cs = float(ones_s @ (prob.m_cs @ state["c_s"])) - int_cs_prev
         d_ce = float(ones_e @ (prob.m_ce @ state["c_e"])) - int_ce_prev
         flux_s = -dt / faraday * rep.ibv_integral
