@@ -274,33 +274,6 @@ class ElementScatter(FixedPattern):
 
 
 # ---------------------------------------------------------------------------
-# Volume matrices
-# ---------------------------------------------------------------------------
-
-def assemble_mass(space: FieldSpace, coeff=1.0) -> sp.csr_matrix:
-    """Weighted L2 mass matrix (w_i, c w_j) over the field support."""
-    if space.arity != 1:
-        raise AssemblyError("mass assembly implemented for scalar fields")
-    return ElementScatter(space).mass(coeff)
-
-
-def assemble_stiffness(space: FieldSpace, coeff=1.0,
-                       coeff_name: str = "diffusivity") -> sp.csr_matrix:
-    """Scalar diffusion matrix (grad w_i, c grad w_j); c must stay positive."""
-    if space.arity != 1:
-        raise AssemblyError("use assemble_elasticity for vector fields")
-    return ElementScatter(space).stiffness(coeff, coeff_name)
-
-
-def assemble_elasticity(space: FieldSpace, shear, bulk) -> sp.csr_matrix:
-    """Plane-strain elasticity matrix of a 2-vector space (see
-    ``ElementScatter.elasticity``)."""
-    if space.arity != 2:
-        raise AssemblyError("elasticity needs a 2-vector space")
-    return ElementScatter(space).elasticity(shear, bulk)
-
-
-# ---------------------------------------------------------------------------
 # Volume loads and field evaluation
 # ---------------------------------------------------------------------------
 

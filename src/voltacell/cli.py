@@ -20,14 +20,6 @@ from .mesh import MESH_PRESETS, generate_layered_mesh, validate_mesh
 log = logging.getLogger(__name__)
 
 
-def _load_scenario(spec: str) -> ScenarioConfig:
-    if spec in PRESETS or os.path.exists(spec):
-        return parse_scenario(spec)
-    raise ConfigError(
-        f"scenario {spec!r} is neither a preset ({', '.join(PRESETS)}) "
-        "nor a readable file")
-
-
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     kw = {}
     if getattr(args, "model", None):
@@ -43,7 +35,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 def _cmd_run(args) -> int:
     from .driver import run_scenario
-    cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    cfg = _apply_overrides(parse_scenario(args.scenario), args)
     result = run_scenario(cfg, out_dir=args.out)
     last = result.records[-1]
     print(f"completed {len(result.reports)} step(s); "
@@ -57,7 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .postprocess import compare_models, comparison_csv, comparison_table
-    cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    cfg = _apply_overrides(parse_scenario(args.scenario), args)
     rows, rel = compare_models(cfg, out_dir=args.out)
     table = comparison_table([(rows, rel)])
     print(table, end="")

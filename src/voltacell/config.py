@@ -1,10 +1,13 @@
 """Scenario configuration: presets and file parsing.
 
 Scenario files are flat ``key = value`` text ('#' comments).  A file may start
-from one of the built-in presets (``preset = high_discharge``) and override
-individual keys.  Each key may appear once: a repeated key is an error that
-names both lines.  Unknown keys are rejected with a suggestion; all validation
-failures are reported together.
+from a built-in preset (``preset = high_discharge``) and mesh resolution
+(``mesh.preset = coarse``).  Every other key sets one field, at the dotted
+``ScenarioConfig`` path that ``_KEYS`` gives it (``mesh.layers`` sets
+``mesh.n_layers``), or a ``mat.`` key adds a material override.  Each key may
+appear once: a repeated key is an error that names both lines.  Unknown keys
+are rejected with a suggestion; all validation failures are reported
+together.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import dataclasses
 import difflib
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 from .geometry import CellDimensions
@@ -122,21 +126,29 @@ def material_parameters(mats: MaterialSet) -> set:
         for name in floats(getattr(mats, g))}
 
 
+def _replace(record, values: dict):
+    """A copy of the dataclass ``record`` with each dotted path of
+    ``values`` ('dt', 'mesh.n_layers', 'anode.youngs') set to its value; a
+    field set whole ('mesh') has its own paths set on its new value."""
+    top, nested = {}, {}
+    for path, value in values.items():
+        head, dot, tail = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[tail] = value
+        else:
+            top[head] = value
+    for head, sub in nested.items():
+        top[head] = _replace(top.get(head, getattr(record, head)), sub)
+    return dataclasses.replace(record, **top)
+
+
 def apply_material_overrides(mats: MaterialSet, overrides: dict) -> MaterialSet:
     """Apply dotted-path overrides like {'anode.youngs': 2e9, 'k_bv': ...};
     a key outside ``material_parameters`` raises KeyError."""
-    kw: dict = {}
-    for key, value in overrides.items():
+    for key in overrides:
         if key not in material_parameters(mats):
             raise KeyError(f"{key!r} is not a numeric material parameter")
-        head, _, tail = key.partition(".")
-        if tail:
-            kw.setdefault(head, {})[tail] = value
-        else:
-            kw[head] = value
-    return dataclasses.replace(mats, **{
-        k: dataclasses.replace(getattr(mats, k), **v)
-        if isinstance(v, dict) else v for k, v in kw.items()})
+    return _replace(mats, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +163,7 @@ def _int_tuple(v):
     return tuple(int(s) for s in v.replace(",", " ").split())
 
 
-# key -> (target attribute or handler name, converter)
+# file key -> (dotted ScenarioConfig path, converter)
 _KEYS = {
     "name": ("name", str),
     "i_app": ("i_app", float),
@@ -162,25 +174,25 @@ _KEYS = {
     "model": ("model", str),
     "fp_tol": ("fp_tol", float),
     "snapshot_every": ("snapshot_every", float),
+    "mesh.nx": ("mesh.nx_blocks", _int_tuple),
+    "mesh.ny": ("mesh.ny_blocks", _int_tuple),
+    "mesh.layers": ("mesh.n_layers", int),
+    "mesh.grading": ("mesh.grading", float),
+    "mesh.degree": ("mesh.degree", int),
+    "mesh.normal_degree": ("mesh.normal_degree", int),
+    **{f"dims.{n}": (f"dims.{n}", float)
+       for n in ("h_s", "h_e", "length", "gap", "cap")},
 }
-
-_MESH_KEYS = {
-    "mesh.nx": ("nx_blocks", _int_tuple),
-    "mesh.ny": ("ny_blocks", _int_tuple),
-    "mesh.layers": ("n_layers", int),
-    "mesh.grading": ("grading", float),
-    "mesh.degree": ("degree", int),
-    "mesh.normal_degree": ("normal_degree", int),
-}
-
-_DIM_KEYS = {f"dims.{n}": (n, float)
-             for n in ("h_s", "h_e", "length", "gap", "cap")}
 
 
 def parse_scenario(path) -> ScenarioConfig:
     """Parse a scenario file (or return a preset when given a preset name)."""
     if isinstance(path, str) and path in PRESET_PARAMS:
         return preset(path)
+    if not os.path.isfile(path):
+        raise ConfigError(
+            f"scenario {path!r} is neither a preset ({', '.join(PRESETS)}) "
+            "nor a readable file")
 
     raw: list[tuple[int, str, str]] = []
     errors: list[str] = []
@@ -204,41 +216,24 @@ def parse_scenario(path) -> ScenarioConfig:
             raw.append((lineno, key, value.strip()))
 
     cfg = ScenarioConfig(name="custom")
-    for lineno, key, value in raw:
-        if key == "preset":
-            try:
-                cfg = preset(value)
-            except KeyError as exc:
-                errors.append(f"line {lineno}: {exc.args[0]}")
-            break
-
-    mesh_kw: dict = {}
-    dim_kw: dict = {}
-    plain_kw: dict = {}
-    mesh_preset: str | None = None
+    values: dict = {}           # dotted ScenarioConfig path -> value
     overrides: dict = {}
-    all_keys = (set(_KEYS) | set(_MESH_KEYS) | set(_DIM_KEYS)
-                | {"preset", "soc_init", "mesh.preset"})
-
     for lineno, key, value in raw:
         try:
             if key == "preset":
-                continue
-            if key == "soc_init":
-                v = float(value)
-                plain_kw["soc_init_anode"] = v
-                plain_kw["soc_init_cathode"] = v
+                try:
+                    cfg = preset(value)
+                except KeyError as exc:
+                    errors.append(f"line {lineno}: {exc.args[0]}")
             elif key == "mesh.preset":
-                mesh_preset = value
+                if value in MESH_PRESETS:
+                    values["mesh"] = MESH_PRESETS[value]()
+                else:
+                    errors.append(f"mesh.preset must be 'coarse' or "
+                                  f"'production', got {value!r}")
             elif key in _KEYS:
-                attr, conv = _KEYS[key]
-                plain_kw[attr] = conv(value)
-            elif key in _MESH_KEYS:
-                attr, conv = _MESH_KEYS[key]
-                mesh_kw[attr] = conv(value)
-            elif key in _DIM_KEYS:
-                attr, conv = _DIM_KEYS[key]
-                dim_kw[attr] = conv(value)
+                field_path, conv = _KEYS[key]
+                values[field_path] = conv(value)
             elif key.startswith("mat."):
                 if key[4:] not in material_parameters(default_materials()):
                     errors.append(f"line {lineno}: {key!r} is not a numeric "
@@ -246,33 +241,17 @@ def parse_scenario(path) -> ScenarioConfig:
                     continue
                 overrides[key[4:]] = float(value)
             else:
-                hint = difflib.get_close_matches(key, all_keys, n=1)
+                hint = difflib.get_close_matches(
+                    key, {*_KEYS, "preset", "mesh.preset"}, n=1)
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
                 errors.append(f"line {lineno}: unknown key {key!r}{suffix}")
         except (TypeError, ValueError) as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
 
     if not errors:
+        values["material_overrides"] = {**cfg.material_overrides, **overrides}
         try:
-            if mesh_preset is not None:
-                base_mesh = MESH_PRESETS.get(mesh_preset)
-                if base_mesh is None:
-                    errors.append(f"mesh.preset must be 'coarse' or 'production', "
-                                  f"got {mesh_preset!r}")
-                else:
-                    cfg = cfg.replace(mesh=base_mesh())
-            if mesh_kw and not errors:
-                cfg = cfg.replace(
-                    mesh=dataclasses.replace(cfg.mesh, **mesh_kw))
-            if dim_kw:
-                cfg = cfg.replace(
-                    dims=dataclasses.replace(cfg.dims, **dim_kw))
-            if overrides:
-                merged = dict(cfg.material_overrides)
-                merged.update(overrides)
-                cfg = cfg.replace(material_overrides=merged)
-            if plain_kw:
-                cfg = cfg.replace(**plain_kw)
+            cfg = _replace(cfg, values)
         except ValueError as exc:
             errors.append(str(exc))
 

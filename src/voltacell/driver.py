@@ -165,7 +165,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         emit_snapshot(state0, snapshots)
 
         if grid is not None:
-            next_snap = config.snapshot_every
+            every, slack = config.snapshot_every, 1e-9 * config.dt
+            next_snap = every
             for final, rep in march(problem, state0, grid,
                                     fp_tol=config.fp_tol):
                 extras.append(StepExtras(
@@ -182,10 +183,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     csv_fh.flush()
                 reports.append(rep)     # complete once its row is written
                 is_last = rep.n == grid.n_steps
-                if final.t >= next_snap - 1e-9 * config.dt or is_last:
+                if final.t >= next_snap - slack or is_last:
                     emit_snapshot(final, snapshots)
-                    while next_snap <= final.t + 1e-9 * config.dt:
-                        next_snap += config.snapshot_every
+                    # the first multiple of the cadence after this step
+                    next_snap = every * ((final.t + slack) // every + 1)
         return RunResult(config=config, problem=problem,
                          grid=grid, records=records, reports=reports,
                          extras=extras, snapshots=snapshots,

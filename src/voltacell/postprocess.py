@@ -238,7 +238,8 @@ def compare_models(config, out_dir=None):
     """Run a scenario in both model modes and compare power densities.
 
     Returns (rows, relative_difference) where the relative difference is
-    (P_electrochemical - P_full) / |P_full|.
+    (P_electrochemical - P_full) / |P_full|, or nan when P_full is 0 (a
+    cell at rest).
     """
     from .driver import run_scenario
 
@@ -254,8 +255,8 @@ def compare_models(config, out_dir=None):
         p_by_mode[mode] = p_avg
         rows.append(ComparisonRow(scenario=config.name, model=mode,
                                   p_avg_w_per_m3=p_avg))
-    rel = (p_by_mode["electrochemical"] - p_by_mode["full"]) \
-        / abs(p_by_mode["full"])
+    p_full, p_ec = p_by_mode["full"], p_by_mode["electrochemical"]
+    rel = (p_ec - p_full) / abs(p_full) if p_full else np.nan
     return rows, rel
 
 

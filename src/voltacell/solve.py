@@ -219,8 +219,3 @@ def jacobi_solve(mat: sp.spmatrix, rhs: np.ndarray, name: str) -> np.ndarray:
             f"{name}: CG did not converge in {iters} iterations; "
             f"achieved relative residual {achieved:.3e}", achieved=achieved)
     return x
-
-
-def solve_spd(mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """One-shot direct SPD solve with residual verification."""
-    return Solver().solve(mat, rhs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -283,13 +283,6 @@ class FieldSpace:
         if self.arity != 1:
             raise ValueError("constant() only makes sense for scalar fields")
         return np.full(self.ndof, float(value))
-
-    def interpolate(self, fn: Callable) -> np.ndarray:
-        """Nodal interpolation of fn(x, y) (scalar fields)."""
-        if self.arity != 1:
-            raise ValueError("interpolate() only supports scalar fields")
-        xy = self.node_xy()
-        return np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float)
 
 
 def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,

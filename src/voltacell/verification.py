@@ -23,7 +23,7 @@ from . import assemble as asm
 from . import spaces as sps
 from .geometry import CC_MINUS, CC_PLUS, TOP, BOTTOM
 from .mesh import rectangle_mesh
-from .solve import solve_spd
+from .solve import Solver
 from .driver import march
 from .stepping import LinearSurrogate, TimeGrid
 
@@ -62,8 +62,9 @@ def _surrogate_system():
     """
     mesh = rectangle_mesh(1.0, 1.0, 3, 2, degree=1)
     space = sps.build_field_space(mesh, sps.OMEGA, name="surrogate")
-    mass = asm.assemble_mass(space, 1.0)
-    stiff = asm.assemble_stiffness(space, 8e-4) + 0.04 * mass
+    scatter = asm.ElementScatter(space)
+    mass = scatter.mass(1.0)
+    stiff = scatter.stiffness(8e-4) + 0.04 * mass
     rng = np.random.default_rng(7)
     load = rng.normal(size=space.ndof)
     d0 = rng.normal(size=space.ndof)
@@ -107,9 +108,9 @@ def poisson_h1_error(n: int, degree: int) -> float:
     f_rhs = lambda x, y: 2.0 * np.pi ** 2 * u_exact(x, y)
     bcs = [sps.EssentialBC(part) for part in (CC_MINUS, CC_PLUS, TOP, BOTTOM)]
     space = sps.build_field_space(mesh, sps.OMEGA, 1, bcs, name="mms")
-    mat = asm.constrain(space, asm.assemble_stiffness(space, 1.0))
+    mat = asm.constrain(space, asm.ElementScatter(space).stiffness(1.0))
     rhs = asm.assemble_load(space, f_rhs)[space.free]
-    u = asm.expand(space, solve_spd(mat, rhs))
+    u = asm.expand(space, Solver("poisson").solve(mat, rhs))
 
     grad = asm.eval_grad_qp(space, u)
     qx, qy = space.qp.x, space.qp.y

@@ -58,6 +58,22 @@ def test_compare_subcommand(tmp_path, capsys):
     assert len(csv_text.splitlines()) == 3
 
 
+def test_compare_at_rest_reports_nan(tmp_path, capsys):
+    """With no applied current both power densities are 0: the relative
+    difference is nan in the table and the CSV, and both rows remain."""
+    scn = tmp_path / "rest.txt"
+    scn.write_text("preset = high_charge\nmesh.preset = coarse\ni_app = 0\n"
+                   "dt = 6\nt_end = 12\n")
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "--scenario", str(scn), "--out", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert [r.split()[1:] for r in rows] == [["full", "0", "nan"],
+                                             ["electrochemical", "0", "nan"]]
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert lines[1:] == ["high_charge,full,0,nan",
+                         "high_charge,electrochemical,0,nan"]
+
+
 def test_convergence_temporal(tmp_path, capsys):
     out = tmp_path / "conv"
     rc = run_cli(["convergence", "--case", "temporal", "--out", str(out)])

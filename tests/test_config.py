@@ -1,7 +1,44 @@
 import pytest
 
+from voltacell import config
 from voltacell.config import ConfigError, ScenarioConfig, parse_scenario, \
     preset
+
+# Each field key of a scenario file: a valid value, the dotted path of the
+# ScenarioConfig field it sets and the value that field then holds.
+KEY_FIELDS = {
+    "name": ("desk", "name", "desk"),
+    "i_app": ("-7.5", "i_app", -7.5),
+    "t_end": ("600", "t_end", 600.0),
+    "dt": ("3", "dt", 3.0),
+    "soc_init_anode": ("0.3", "soc_init_anode", 0.3),
+    "soc_init_cathode": ("0.7", "soc_init_cathode", 0.7),
+    "model": ("electrochemical", "model", "electrochemical"),
+    "fp_tol": ("1e-6", "fp_tol", 1e-6),
+    "snapshot_every": ("30", "snapshot_every", 30.0),
+    "mesh.nx": ("1 4 2 1", "mesh.nx_blocks", (1, 4, 2, 1)),
+    "mesh.ny": ("2, 3, 2", "mesh.ny_blocks", (2, 3, 2)),
+    "mesh.layers": ("2", "mesh.n_layers", 2),
+    "mesh.grading": ("0.25", "mesh.grading", 0.25),
+    "mesh.degree": ("2", "mesh.degree", 2),
+    "mesh.normal_degree": ("3", "mesh.normal_degree", 3),
+    "dims.h_s": ("2.5e-5", "dims.h_s", 2.5e-5),
+    "dims.h_e": ("3.5e-5", "dims.h_e", 3.5e-5),
+    "dims.length": ("8e-4", "dims.length", 8e-4),
+    "dims.gap": ("5e-5", "dims.gap", 5e-5),
+    "dims.cap": ("7e-5", "dims.cap", 7e-5),
+}
+
+
+def flat(values: dict, prefix: str = "") -> dict:
+    """The leaves of a nested dict by dotted path."""
+    out = {}
+    for key, value in values.items():
+        if isinstance(value, dict):
+            out.update(flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
 
 
 def test_presets():
@@ -32,9 +69,44 @@ def test_file_overrides_preset(tmp_path):
     assert cfg.mesh.degree == 2       # coarse mesh preset
 
 
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_each_key_sets_its_own_field(tmp_path, key):
+    """A file holding one field key gives the base config with exactly that
+    key's field changed, to the parsed value of its type."""
+    text, path, value = KEY_FIELDS[key]
+    f = tmp_path / "scn.txt"
+    f.write_text(f"{key} = {text}\n")
+    base = flat(ScenarioConfig().to_dict())
+    got = flat(parse_scenario(str(f)).to_dict())
+    assert got.keys() == base.keys()
+    assert [p for p in base if got[p] != base[p]] == [path]
+    assert got[path] == value and type(got[path]) is type(value)
+
+
+def test_key_table_lists_every_field_key():
+    assert set(config._KEYS) == set(KEY_FIELDS)
+
+
+@pytest.mark.parametrize("lines", [
+    ["preset = high_charge", "mesh.preset = coarse", "mesh.layers = 2",
+     "dt = 3"],
+    ["dt = 3", "mesh.layers = 2", "mesh.preset = coarse",
+     "preset = high_charge"]])
+def test_presets_are_the_base_of_the_other_keys(tmp_path, lines):
+    """``preset`` and ``mesh.preset`` pick the configuration and the mesh
+    that the other keys change, whatever the order of the lines."""
+    import dataclasses
+    from voltacell.mesh import MeshSpec
+    f = tmp_path / "scn.txt"
+    f.write_text("\n".join(lines) + "\n")
+    mesh = dataclasses.replace(MeshSpec.coarse(), n_layers=2)
+    assert parse_scenario(str(f)) == preset("high_charge").replace(
+        dt=3.0, mesh=mesh)
+
+
 def test_invalid_soc_rejected(tmp_path):
     f = tmp_path / "scn.txt"
-    f.write_text("soc_init = 1.5\n")
+    f.write_text("soc_init_anode = 1.5\nsoc_init_cathode = 1.5\n")
     with pytest.raises(ConfigError, match="soc_init"):
         parse_scenario(str(f))
 
@@ -48,7 +120,8 @@ def test_unknown_key_suggestion(tmp_path):
 
 def test_all_violations_reported_together(tmp_path):
     f = tmp_path / "scn.txt"
-    f.write_text("soc_init = -2\nmodel = hybrid\n")
+    f.write_text("soc_init_anode = -2\nsoc_init_cathode = -2\n"
+                 "model = hybrid\n")
     with pytest.raises(ConfigError) as err:
         parse_scenario(str(f))
     msg = str(err.value)
@@ -59,11 +132,12 @@ def test_all_violations_reported_together(tmp_path):
     ("heat_convention", "reversed"), ("scale.length", "1e-3"),
     ("guard_eps_e", "5.0"), ("guard_eps_s", "5.0"),
     ("guard_action", "clamp"), ("mesh.max_aspect", "2000"),
-    ("kappa_d_factor", "0"), ("tend", "60")])
+    ("kappa_d_factor", "0"), ("tend", "60"), ("soc_init", "0.5")])
 def test_removed_keys_are_unknown(tmp_path, key, value):
     """There is no heat-sign convention, unit-scale, guard-margin,
-    guard-action, mesh aspect-bound or kappa_D-scaling setting, and no
-    alias of t_end, so a scenario file cannot set them."""
+    guard-action, mesh aspect-bound or kappa_D-scaling setting, no alias of
+    t_end and no key setting both initial SoCs, so a scenario file cannot
+    set them."""
     f = tmp_path / "scn.txt"
     f.write_text(f"dt = 6\n{key} = {value}\n")
     with pytest.raises(ConfigError,

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_records_and_extras_alignment(short_run):
     assert result.records[-1].t_s == pytest.approx(60.0, rel=1e-12)
     # snapshots at t=0, 30, 60 s
     assert len(result.snapshots) == 3
+
+
+@pytest.mark.parametrize("every, t_end, times", [
+    (10.0, 36.0, [0.0, 12.0, 24.0, 30.0, 36.0]),
+    (7.0, 42.0, [0.0, 12.0, 18.0, 24.0, 30.0, 36.0, 42.0]),
+    (1e-9, 12.0, [0.0, 6.0, 12.0])])
+def test_snapshot_cadence(every, t_end, times):
+    """A snapshot is taken at t = 0, at the first step that reaches each
+    multiple of the cadence and at the last step.  Finding the next multiple
+    costs the same whatever the cadence: 1e-9 s under 6 s steps is no
+    slower than 10 s."""
+    cfg = preset("high_discharge").replace(
+        mesh=MeshSpec.coarse(), dt=6.0, t_end=t_end, snapshot_every=every)
+    start = time.perf_counter()
+    result = driver.run_scenario(cfg)
+    assert time.perf_counter() - start < 20.0
+    assert [t for t, _ in result.snapshots] == times
 
 
 def test_step_that_cannot_meet_fp_tol_fails_the_run(tmp_path):

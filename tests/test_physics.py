@@ -109,9 +109,9 @@ def _hand_set_state(prob, grad_phi_s, grad_phi_e, c_e):
     the electrolyte concentration c_e(x, y)."""
     state = prob.initial_state()
     for name, (gx, gy) in (("phi_s", grad_phi_s), ("phi_e", grad_phi_e)):
-        state[name] = prob.spaces[name].interpolate(
-            lambda x, y, gx=gx, gy=gy: gx * x + gy * y)
-    state["c_e"] = prob.s_ce.interpolate(c_e)
+        x, y = prob.spaces[name].node_xy().T
+        state[name] = gx * x + gy * y
+    state["c_e"] = c_e(*prob.s_ce.node_xy().T)
     return state
 
 
@@ -311,11 +311,11 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats):
     assert np.abs(ist.eta).max() > 1e-3        # the pair is really loaded
     wc = prob.iface_w * ist.coeff
     t_s, t_e = prob.iface_tr["phi_s"], prob.iface_tr["phi_e"]
-    k_s = asm.assemble_stiffness(prob.s_ps, {
+    k_s = asm.ElementScatter(prob.s_ps).stiffness({
         geo.ANODE: mats.anode.conductivity,
         geo.CATHODE: mats.cathode.conductivity})
-    k_e = asm.assemble_stiffness(prob.s_pe,
-                                 mats.electrolyte.conductivity)
+    k_e = asm.ElementScatter(prob.s_pe).stiffness(
+        mats.electrolyte.conductivity)
     free = prob.s_ps.free
     cc = np.zeros(prob.s_ps.ndof)
     cc[free] = -prob.i_app * prob.cc_plus_load
@@ -375,8 +375,8 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
     for state in _sweep_states(prob):
         th_qp = asm.eval_qp(prob.s_th, state["theta"])
         k, a = prob.cs_matrices(state, dt, th_qp)
-        k_ref = asm.assemble_stiffness(
-            prob.s_cs, prob.solid_diffusivity_qp(state, th_qp))
+        k_ref = asm.ElementScatter(prob.s_cs).stiffness(
+            prob.solid_diffusivity_qp(state, th_qp))
         assert _rel(k.toarray(), k_ref.toarray()) <= 1e-13
         assert _rel(a.toarray(),
                     (prob.m_cs + 0.5 * dt * k_ref).toarray()) <= 1e-13
@@ -389,11 +389,11 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats):
     formed densely, sweep after sweep, on one pattern."""
     prob = pattern_problem
     free = np.nonzero(prob.s_ps.free)[0]
-    k_s = asm.assemble_stiffness(prob.s_ps, {
+    k_s = asm.ElementScatter(prob.s_ps).stiffness({
         geo.ANODE: mats.anode.conductivity,
         geo.CATHODE: mats.cathode.conductivity}).toarray()
-    k_e = asm.assemble_stiffness(
-        prob.s_pe, mats.electrolyte.conductivity).toarray()
+    k_e = asm.ElementScatter(prob.s_pe).stiffness(
+        mats.electrolyte.conductivity).toarray()
     k_pot = np.block([
         [k_s[np.ix_(free, free)], np.zeros((len(free), len(k_e)))],
         [np.zeros((len(k_e), len(free))), k_e]])
@@ -825,20 +825,20 @@ def test_constrained_thermal_expansion_hand_solution(mats):
     heating expands uniaxially with u_y = 3K/(lambda+2G) alpha dT y."""
     from voltacell import spaces as sps
     from voltacell.mesh import rectangle_mesh
-    from voltacell.solve import solve_spd
+    from voltacell.solve import Solver
     mesh = rectangle_mesh(1.0, 1.0, 1, 1, degree=2, tag=geo.CATHODE)
     space = sps.build_field_space(mesh, sps.OMEGA_S, arity=2, constraints=[
         sps.EssentialBC("cc_minus", 0), sps.EssentialBC("cc_plus", 0),
         sps.EssentialBC("bottom", 1)], name="u")
     el = mats.cathode
     shear, bulk = el.lame
-    k_el = asm.assemble_elasticity(space, {geo.CATHODE: shear},
-                                   {geo.CATHODE: bulk})
+    k_el = asm.ElementScatter(space).elasticity({geo.CATHODE: shear},
+                                                {geo.CATHODE: bulk})
     d_theta = 40.0
     g_load = 3.0 * bulk * el.alpha * d_theta
     b = asm.assemble_div_load(space, g_load)
-    u = asm.expand(space, solve_spd(asm.constrain(space, k_el),
-                                    b[space.free]))
+    u = asm.expand(space, Solver().solve(asm.constrain(space, k_el),
+                                         b[space.free]))
     lam = bulk - 2.0 * shear / 3.0
     slope = 3.0 * bulk / (lam + 2.0 * shear) * el.alpha * d_theta
     xy = space.node_xy()

@@ -9,32 +9,32 @@ from voltacell import assemble as asm
 from voltacell import spaces as sps
 from voltacell.mesh import rectangle_mesh
 from voltacell import solve
-from voltacell.solve import DEFAULT_RTOL, SolveError, Solver, jacobi_solve, \
-    solve_spd
+from voltacell.solve import DEFAULT_RTOL, SolveError, Solver, jacobi_solve
 
 
 def test_identity_returns_rhs():
     a = sp.eye(5, format="csr")
     b = np.arange(5.0)
-    assert np.allclose(solve_spd(a, b), b)
+    assert np.allclose(Solver().solve(a, b), b)
 
 
 def test_hand_2x2():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = solve_spd(a, np.array([3.0, 3.0]))
+    x = Solver().solve(a, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
 def test_zero_rhs_shortcut():
     a = sp.eye(4, format="csr") * 3.0
-    assert np.array_equal(solve_spd(a, np.zeros(4)), np.zeros(4))
+    assert np.array_equal(Solver().solve(a, np.zeros(4)), np.zeros(4))
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_assembled_system_matches_dense_factorization(method):
     m = rectangle_mesh(1.0, 1.0, 4, 4, degree=2)
     s = sps.build_field_space(m, sps.OMEGA, name="t")
-    a = asm.assemble_stiffness(s, 2.0) + asm.assemble_mass(s, 1.0)
+    scatter = asm.ElementScatter(s)
+    a = scatter.stiffness(2.0) + scatter.mass(1.0)
     rng = np.random.default_rng(5)
     b = rng.normal(size=s.ndof)
     x = Solver().solve(a, b) if method == "direct" \
@@ -72,11 +72,12 @@ def _spd_pair(scale):
     a relative ``scale`` (as between two sweeps of a coupled step)."""
     m = rectangle_mesh(1.0, 1.0, 6, 6, degree=2)
     s = sps.build_field_space(m, sps.OMEGA, name="t")
-    mass = asm.assemble_mass(s, 1.0)
-    a = mass + 0.5 * asm.assemble_stiffness(s, 2.0)
+    scatter = asm.ElementScatter(s)
+    mass = scatter.mass(1.0)
+    a = mass + 0.5 * scatter.stiffness(2.0)
     rng = np.random.default_rng(11)
     coeff = 2.0 * (1.0 + scale * rng.uniform(size=s.qp.n))
-    b_mat = mass + 0.5 * asm.assemble_stiffness(s, coeff)
+    b_mat = mass + 0.5 * scatter.stiffness(coeff)
     return a.tocsr(), b_mat.tocsr(), rng.normal(size=s.ndof)
 
 
@@ -88,7 +89,7 @@ def test_held_factor_cg_matches_fresh_factor():
     x = held.solve(a_near, b)
     assert held.refactorizations == 1          # no new factor
     assert 0 < held.cg_iterations <= solve.HELD_CG_MAXITER
-    x_ref = solve_spd(a_near, b)
+    x_ref = Solver().solve(a_near, b)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -137,7 +138,7 @@ def test_held_factor_refactorizes_far_matrix():
     held.solve(a, b)
     x = held.solve(a_far, b)
     assert held.refactorizations == 2
-    assert np.allclose(x, solve_spd(a_far, b), rtol=0, atol=1e-10
+    assert np.allclose(x, Solver().solve(a_far, b), rtol=0, atol=1e-10
                        * np.abs(x).max())
     # the new factor is now the held one: the same matrix needs no CG
     iters = held.cg_iterations
@@ -159,7 +160,7 @@ def test_held_factor_nan_raises(where):
     with pytest.raises(SolveError):
         held.solve(a_near, b)
     with pytest.raises(SolveError):
-        solve_spd(a_near, b)
+        Solver().solve(a_near, b)
 
 
 def test_held_factor_uses_the_residual_check(monkeypatch):
