@@ -108,6 +108,18 @@ class FixedPattern:
         return mat
 
 
+def midpoint_matrix(m: sp.csr_matrix, k: sp.csr_matrix,
+                    dt: float) -> sp.csr_matrix:
+    """M + dt/2 K, one sum of data arrays on M's pattern arrays, which K
+    must share (one ``ElementScatter`` made both)."""
+    if k.shape != m.shape or not all(a is b or np.array_equal(a, b) for a, b
+                                     in ((k.indptr, m.indptr),
+                                         (k.indices, m.indices))):
+        raise AssemblyError("midpoint matrix: K does not share M's pattern")
+    return FixedPattern(m.indptr, m.indices, m.shape).with_data(
+        m.data + 0.5 * dt * k.data)
+
+
 @dataclass(frozen=True)
 class RefTables:
     """Reference integrals of one degree group, one row per quadrature point.
@@ -402,7 +414,8 @@ def trace_operator(grid: NodeGrid, edges: EdgeSet):
     the grid nodes; ``restrict_trace`` selects one field's columns.  With a
     field vector ``v`` and point values ``g``, ``T @ v`` is the trace of
     ``v``, ``T.T @ (w * g)`` the load <w_i, g>, ``w @ g`` the integral of
-    ``g`` over the edges and ``TraceMass(T, w).matrix(c)`` the edge mass.
+    ``g`` over the edges and ``TraceMass(T, w, B).matrix(c)`` the edge mass
+    T^T diag(w c) T added to a matrix ``B``.
     ``T`` is filled in CSR form directly, one pass per edge degree; each
     row holds the p + 1 nodes of its edge in axis order.
     """
@@ -455,8 +468,7 @@ class TraceMass(FixedPattern):
     slots that the pairs touch.
     """
 
-    def __init__(self, t: sp.spmatrix, w: np.ndarray,
-                 base: sp.spmatrix | None = None):
+    def __init__(self, t: sp.spmatrix, w: np.ndarray, base: sp.spmatrix):
         t = t.tocsr()
         n = t.shape[1]
         lens = np.diff(t.indptr)
@@ -470,7 +482,7 @@ class TraceMass(FixedPattern):
         self.pair_value = t.data[first] * t.data[second] * w[self.pair_point]
         rows, cols = t.indices[first], t.indices[second]
 
-        base = sp.csr_matrix((n, n)) if base is None else sp.csr_matrix(base)
+        base = sp.csr_matrix(base)
         base.sum_duplicates()
         pairs = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                               shape=(n, n))

@@ -94,8 +94,13 @@ def _cmd_mesh(args) -> int:
     from .postprocess import export_mesh_vtk
     if args.spec in MESH_PRESETS:
         cfg = ScenarioConfig(mesh=MESH_PRESETS[args.spec]())
-    else:
+    elif args.spec in PRESETS or os.path.isfile(args.spec):
         cfg = parse_scenario(args.spec)
+    else:
+        raise ConfigError(
+            f"spec {args.spec!r} is neither a mesh preset "
+            f"({', '.join(MESH_PRESETS)}), a scenario preset "
+            f"({', '.join(PRESETS)}) nor a readable file")
     geom = build_interdigitated_domain(cfg.dims)
     mesh = generate_layered_mesh(geom, cfg.mesh)
     report = validate_mesh(mesh, geom)

@@ -431,26 +431,22 @@ class CellProblem:
         (consistent initialization): they jump when the current switches on,
         and averaging step 1 across that jump would cost one order of
         accuracy.  At zero load state0 is the start.  The fixed c_e and theta
-        midpoint matrices M + dt/2 K are one sum of data arrays on the
-        pattern arrays that each M shares with its K (one ``ElementScatter``
-        made both), so each holds exactly nnz entries.  Held from the start,
-        the c_s factor preconditions the later c_s matrices better than a
-        factor of step 1's Euler-predicted midpoint would (on the production
-        presets 25 CG iterations per later step instead of 40)."""
+        midpoint matrices M + dt/2 K come from ``assemble.midpoint_matrix``,
+        as the c_s one does.  Held from the start, the c_s factor
+        preconditions the later c_s matrices better than a factor of step 1's
+        Euler-predicted midpoint would (on the production presets 25 CG
+        iterations per later step instead of 40)."""
         start = state0
         if self.i_app != 0.0:
             d0 = {k: state0[k] for k in self.D_FIELDS}
             start = SimState(state0.t,
                              {**d0, **self.stage2(state0.t, d0, state0)})
 
-        def midpoint(m, k):
-            return asm.FixedPattern(m.indptr, m.indices, m.shape).with_data(
-                m.data + 0.5 * dt * k.data)
-
         self.dt = dt
-        self.mid_ops = {"c_e": midpoint(self.m_ce, self.k_ce)}
+        self.mid_ops = {"c_e": asm.midpoint_matrix(self.m_ce, self.k_ce, dt)}
         if self.mode == "full":     # the heat equation is solved only here
-            self.mid_ops["theta"] = midpoint(self.m_th, self.k_th)
+            self.mid_ops["theta"] = asm.midpoint_matrix(self.m_th, self.k_th,
+                                                        dt)
         for name, mat in self.mid_ops.items():
             self.solvers[name].factorize(mat)
         self.solvers["c_s"].factorize(self.cs_matrices(
@@ -463,7 +459,7 @@ class CellProblem:
         both on M_cs's pattern."""
         k = self.cs_scatter.stiffness(
             self.solid_diffusivity_qp(state, theta_qp), "solid diffusivity")
-        return k, self.cs_scatter.with_data(self.m_cs.data + 0.5 * dt * k.data)
+        return k, asm.midpoint_matrix(self.m_cs, k, dt)
 
     def iface_loads(self, ist: InterfaceState) -> dict:
         mats = self.mats

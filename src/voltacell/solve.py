@@ -1,16 +1,16 @@
 """Sparse SPD solves with a verified residual: one ``Solver`` per system.
 
 Each SPD system of the scheme (theta, c_s, c_e, the phi_s/phi_e pair, u) has
-one ``Solver``, which holds the LU factor of one matrix of its system.  With
-that matrix a solve is one backsolve, refined (at most ``REFINEMENTS`` more)
-only while the residual check fails.  With any other matrix (the c_s and
-potential-pair matrices change with every sweep through slowly varying
-coefficients) it runs conjugate gradients preconditioned by the held factor,
-and factorizes that matrix instead when CG misses within ``HELD_CG_MAXITER``
-iterations or meets a non-finite value.  One CG loop, ``_pcg``, serves these
-solves and the Euler predictor's Jacobi-CG mass solves (``jacobi_solve``),
-and one stopping rule, the residual check of ``_residual_excess``, ends every
-solve; one that cannot meet it raises a ``SolveError`` naming the system.
+one ``Solver``, which holds the LU factor of one matrix of its system.  Every
+solve is conjugate gradients preconditioned by that factor and started from
+its backsolve, so with the factorized matrix it is one backsolve whenever
+that meets the residual check.  The c_s and potential-pair matrices change
+with every sweep through slowly varying coefficients; when CG on one of them
+misses within ``HELD_CG_MAXITER`` iterations, the solver factorizes it and
+runs the loop again.  The loop, ``_pcg``, also serves the Euler predictor's
+Jacobi-CG mass solves (``jacobi_solve``), and the residual check of
+``_meets_check`` ends every solve; one that cannot meet it raises a
+``SolveError`` naming the system and the relative residual it reached.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ except (AttributeError, OSError, TypeError):    # not a glibc process
 # solution, relative to max |A| ||x||.
 APPLY_NOISE = 1e-13
 
-# Rounds of iterative refinement a direct solve may add after its first
-# backsolve while the residual check fails.
-REFINEMENTS = 2
-
-# Preconditioned CG iterations a held factor spends on a new matrix before it
-# gives up and factorizes that matrix instead.
+# Preconditioned CG iterations a solve spends on the held factor before it
+# gives up: on a new matrix it then factorizes that matrix, on the factorized
+# one it raises.
 HELD_CG_MAXITER = 10
 
 
@@ -72,17 +69,15 @@ def _rhs_norm(rhs, name) -> float:
     raise SolveError(f"{name}: right-hand side {cause} (max |b| = {b_max:.1e})")
 
 
-def _residual_excess(norm_r, norm_b, a_max, x, rtol) -> float | None:
-    """The residual norm ||A x - b|| when it fails the residual check
-    ||A x - b|| <= rtol ||b|| + APPLY_NOISE max|A| ||x||, else None.
+def _meets_check(norm_r, norm_b, a_max, x) -> bool:
+    """Whether a residual norm ||A x - b|| is finite and meets the residual
+    check ||A x - b|| <= DEFAULT_RTOL ||b|| + APPLY_NOISE max|A| ||x||.
 
     The second term is the irreducible float64 noise of applying A to the
     solution, which matters when b is a near-converged correction many orders
     below A's scale (it sits ~6 orders under any genuine solver failure)."""
-    allowed = rtol * norm_b + APPLY_NOISE * a_max * np.linalg.norm(x)
-    if not np.isfinite(norm_r) or norm_r > allowed:
-        return float(norm_r)
-    return None
+    allowed = DEFAULT_RTOL * norm_b + APPLY_NOISE * a_max * np.linalg.norm(x)
+    return bool(np.isfinite(norm_r) and norm_r <= allowed)
 
 
 def _abs_max(mat) -> float:
@@ -90,17 +85,17 @@ def _abs_max(mat) -> float:
     return float(max(mat.data.max(), -mat.data.min())) if mat.nnz else 0.0
 
 
-def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
-    """Conjugate gradients on ``mat`` preconditioned by ``precond`` and
-    started from ``precond(rhs)``.
+def _pcg(mat, rhs, norm_b, a_max, precond, maxiter):
+    """Conjugate gradients on ``mat``, whose max |A| is ``a_max``,
+    preconditioned by ``precond`` and started from ``precond(rhs)``.
 
     It stops at the first iterate whose recurrence residual meets the
     residual check's bound, confirmed on the true residual; when the true
-    residual fails, it iterates on.  Returns (x, iterations, converged):
-    not converged after ``maxiter`` iterations, on a non-finite residual, or
+    residual fails, it iterates on.  Returns (x, iterations, achieved), where
+    ``achieved`` is None at convergence and otherwise the relative true
+    residual of x: after ``maxiter`` iterations, on a non-finite residual, or
     where ``mat`` is not positive definite along a search direction.
     """
-    a_max = _abs_max(mat)
     x = precond(rhs)
     r = rhs - mat @ x
     p = rz = None
@@ -109,11 +104,10 @@ def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
         if not np.isfinite(norm_r):
             break
         # at it == 0, r = rhs - A x is the true residual already
-        if (_residual_excess(norm_r, norm_b, a_max, x, rtol) is None
-                and (it == 0 or _residual_excess(
-                    np.linalg.norm(mat @ x - rhs), norm_b, a_max, x,
-                    rtol) is None)):
-            return x, it, True
+        if _meets_check(norm_r, norm_b, a_max, x) and (
+                it == 0 or _meets_check(np.linalg.norm(mat @ x - rhs),
+                                        norm_b, a_max, x)):
+            return x, it, None
         if it == maxiter:
             break
         z = precond(r)
@@ -127,7 +121,9 @@ def _pcg(mat, rhs, norm_b, rtol, precond, maxiter):
         alpha = rz / p_ap
         x = x + alpha * p
         r = r - alpha * ap
-    return x, it, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        achieved = np.linalg.norm(mat @ x - rhs) / norm_b
+    return x, it, float(achieved)
 
 
 class Solver:
@@ -137,9 +133,8 @@ class Solver:
     ``refactorizations`` and ``cg_iterations`` count the work done so far.
     """
 
-    def __init__(self, name: str = "SPD system", rtol: float = DEFAULT_RTOL):
+    def __init__(self, name: str = "SPD system"):
         self.name = name
-        self.rtol = rtol
         self.refactorizations = 0
         self.cg_iterations = 0
         # The factorized matrix, held weakly: the solver only recognises it,
@@ -170,32 +165,22 @@ class Solver:
             return np.zeros(mat.shape[0])
         if self._lu is None:
             self.factorize(mat)
-        elif mat is not self._held():
-            x, iters, converged = _pcg(mat.tocsr(), rhs, norm_b, self.rtol,
-                                       self._lu.solve, HELD_CG_MAXITER)
+        # at most two passes: a miss on another matrix factorizes it
+        while True:
+            own = mat is self._held()
+            x, iters, achieved = _pcg(
+                mat.tocsr(), rhs, norm_b,
+                self._a_max if own else _abs_max(mat), self._lu.solve,
+                HELD_CG_MAXITER)
             self.cg_iterations += iters
-            if converged:
+            if achieved is None:
                 return x
+            if own:
+                raise SolveError(
+                    f"{self.name}: solve residual {achieved:.3e} "
+                    f"(relative) exceeds tolerance {DEFAULT_RTOL:.1e}",
+                    achieved=achieved)
             self.factorize(mat)
-        return self._backsolve(mat, rhs, norm_b)
-
-    def _backsolve(self, mat, rhs, norm_b) -> np.ndarray:
-        """Solve with the factorized matrix: refine only while the residual
-        check fails; up to REFINEMENTS rounds recover the tolerance on poorly
-        scaled systems."""
-        x = self._lu.solve(rhs)
-        for refinement in range(REFINEMENTS + 1):
-            res = rhs - mat @ x
-            excess = _residual_excess(np.linalg.norm(res), norm_b,
-                                      self._a_max, x, self.rtol)
-            if excess is None:
-                return x
-            if refinement < REFINEMENTS:
-                x = x + self._lu.solve(res)
-        raise SolveError(
-            f"{self.name}: solve residual {excess / norm_b:.3e} "
-            f"(relative) exceeds tolerance {self.rtol:.1e}",
-            achieved=excess / norm_b)
 
 
 def jacobi_solve(mat: sp.spmatrix, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -210,11 +195,9 @@ def jacobi_solve(mat: sp.spmatrix, rhs: np.ndarray, name: str) -> np.ndarray:
     diag = mat.diagonal()
     if np.any(diag <= 0.0):
         raise SolveError(f"{name}: CG preconditioner needs positive diagonal")
-    x, iters, converged = _pcg(mat, rhs, norm_b, DEFAULT_RTOL,
-                               lambda v: v / diag, 20 * mat.shape[0])
-    if not converged:
-        with np.errstate(over="ignore", invalid="ignore"):
-            achieved = np.linalg.norm(mat @ x - rhs) / norm_b
+    x, iters, achieved = _pcg(mat, rhs, norm_b, _abs_max(mat),
+                              lambda v: v / diag, 20 * mat.shape[0])
+    if achieved is not None:
         raise SolveError(
             f"{name}: CG did not converge in {iters} iterations; "
             f"achieved relative residual {achieved:.3e}", achieved=achieved)

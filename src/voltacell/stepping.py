@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import assemble as asm
 from .solve import Solver, SolveError, jacobi_solve
 from .state import History, SimState, extrapolate
 
@@ -183,7 +184,7 @@ class LinearSurrogate:
     def prepare(self, state0: SimState, dt: float) -> SimState:
         """Factorize the midpoint matrix M + dt/2 K; state0 is the start."""
         self.dt = dt
-        self.mid_matrix = self.mass + 0.5 * dt * self.stiffness
+        self.mid_matrix = asm.midpoint_matrix(self.mass, self.stiffness, dt)
         self.solvers["d"].factorize(self.mid_matrix)
         return state0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from voltacell import assemble as asm
 from voltacell import geometry as geo
@@ -165,6 +166,21 @@ def test_element_scatter_reassembles_on_one_pattern():
         assert m_.has_canonical_format
 
 
+def test_midpoint_matrix_needs_the_mass_pattern():
+    """M + dt/2 K lies on M's pattern arrays and equals scipy's sum; a K on
+    another pattern is refused."""
+    s = _space(mixed_degree_mesh(), sps.OMEGA_S)
+    scatter = asm.ElementScatter(s)
+    m, k = scatter.mass(1.0), scatter.stiffness(2.0)
+    a = asm.midpoint_matrix(m, k, 6.0)
+    assert a.indptr is m.indptr and a.indices is m.indices
+    assert np.array_equal(a.toarray(), (m + 3.0 * k).toarray())
+    # a copy of K's pattern is the same pattern
+    assert np.array_equal(asm.midpoint_matrix(m, k.copy(), 6.0).data, a.data)
+    with pytest.raises(asm.AssemblyError, match="pattern"):
+        asm.midpoint_matrix(m, sp.eye(s.ndof, format="csr"), 6.0)
+
+
 # ---------------------------------------------------------------------------
 # elasticity
 # ---------------------------------------------------------------------------
@@ -226,19 +242,24 @@ def _interface_trace(mesh, space):
     return asm.restrict_trace(space, t), w
 
 
+def _edge_mass(t, w):
+    """The interface's edge masses T^T diag(w c) T alone (a zero base)."""
+    return asm.TraceMass(t, w, sp.csr_matrix((t.shape[1], t.shape[1])))
+
+
 def test_edge_mass_row_sums_are_edge_length():
     m = two_cell_interface_mesh(p=2)
     s = _space(m, sps.OMEGA_S)
     edges = m.interface_edges()
     assert len(edges) == 1
-    em = asm.TraceMass(*_interface_trace(m, s)).matrix(1.0)
+    em = _edge_mass(*_interface_trace(m, s)).matrix(1.0)
     assert em.sum() == pytest.approx(edges.length[0], rel=1e-14)
 
 
 def test_edge_mass_zero_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
-    em = asm.TraceMass(*_interface_trace(m, s)).matrix(0.0)
+    em = _edge_mass(*_interface_trace(m, s)).matrix(0.0)
     assert em.nnz == 0 or np.abs(em.data).max() == 0.0
 
 
@@ -248,7 +269,7 @@ def test_edge_mass_matches_dense_oracle():
     edges = m.interface_edges()
     t, w = _interface_trace(m, s)
     y = t @ s.node_xy()[:, 1]     # exact: y is in the space
-    sparse = asm.TraceMass(t, w).matrix(1.0 + y ** 2)
+    sparse = _edge_mass(t, w).matrix(1.0 + y ** 2)
     dense = oracles.dense_edge_mass(s, edges, lambda x, y: 1.0 + y * y)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
@@ -257,7 +278,7 @@ def test_edge_mass_rejects_negative_coefficient():
     m = two_cell_interface_mesh()
     s = _space(m, sps.OMEGA_S)
     with pytest.raises(asm.AssemblyError):
-        asm.TraceMass(*_interface_trace(m, s)).matrix(-1.0)
+        _edge_mass(*_interface_trace(m, s)).matrix(-1.0)
 
 
 def test_trace_mass_with_base_keeps_one_pattern():

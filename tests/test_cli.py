@@ -90,3 +90,14 @@ def test_mesh_subcommand(tmp_path, capsys):
     assert (out / "quality_report.txt").exists()
     assert (out / "domain.svg").exists()
     assert "no invariant violations" in capsys.readouterr().out
+
+
+def test_mesh_missing_spec_names_the_mesh_presets(tmp_path, capsys):
+    """``mesh --spec`` takes a mesh preset, a scenario preset or a file; its
+    message for a missing file names all three."""
+    missing = str(tmp_path / "missing.txt")
+    assert run_cli(["mesh", "--spec", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "coarse, production" in err and "high_discharge" in err
+    assert repr(missing) in err

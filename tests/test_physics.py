@@ -908,7 +908,13 @@ def test_one_solver_per_system(coarse_mesh, mats, monkeypatch, mode):
     for name in names:
         prob = conftest.make_problem(coarse_mesh, mats, mode=mode)
         prob.set_load(20.0)
-        prob.solvers[name].rtol = 1e-30
+
+        def strict(mat, rhs, solve_=prob.solvers[name].solve):
+            with monkeypatch.context() as patch:
+                patch.setattr(solve, "DEFAULT_RTOL", 1e-30)
+                return solve_(mat, rhs)
+
+        prob.solvers[name].solve = strict
         with pytest.raises(SolveError) as err:
             next(march(prob, prob.initial_state(),
                        TimeGrid(dt=6.0, n_steps=1)))

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -61,9 +62,10 @@ def test_non_convergence_reports_residual():
     assert err.value.achieved > DEFAULT_RTOL
 
 
-def test_rtol_enforced():
+def test_rtol_enforced(monkeypatch):
+    monkeypatch.setattr(solve, "DEFAULT_RTOL", 1e-10)
     a = sp.eye(3, format="csr")
-    x = Solver(rtol=1e-10).solve(a, np.ones(3))
+    x = Solver().solve(a, np.ones(3))
     assert np.allclose(x, 1.0)
 
 
@@ -93,20 +95,15 @@ def test_held_factor_cg_matches_fresh_factor():
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
-def _reference_cg_iterations(a, a_lu, b, rtol, target_factor=1.0):
-    """Iterations of a textbook CG on ``a`` preconditioned by ``a_lu`` and
-    started from its solve of b, to the first iterate whose true residual
-    meets target_factor * rtol ||b|| + APPLY_NOISE max|A| ||x||."""
-    norm_b, a_max = np.linalg.norm(b), np.abs(a.data).max()
+def _reference_cg(a, a_lu, b):
+    """The iterates of a textbook CG on ``a`` preconditioned by ``a_lu`` and
+    started from its solve of b."""
     x = a_lu.solve(b)
     r = b - a @ x
     z = a_lu.solve(r)
     p = z.copy()
-    for k in range(100):
-        allowed = target_factor * rtol * norm_b \
-            + solve.APPLY_NOISE * a_max * np.linalg.norm(x)
-        if np.linalg.norm(b - a @ x) <= allowed:
-            return k
+    while True:
+        yield x
         ap = a @ p
         alpha = (r @ z) / (p @ ap)
         x = x + alpha * p
@@ -114,6 +111,17 @@ def _reference_cg_iterations(a, a_lu, b, rtol, target_factor=1.0):
         z_new = a_lu.solve(r_new)
         p = z_new + (r_new @ z_new) / (r @ z) * p
         r, z = r_new, z_new
+
+
+def _reference_cg_iterations(a, a_lu, b, rtol, target_factor=1.0):
+    """Iterations of ``_reference_cg`` to the first iterate whose true
+    residual meets target_factor * rtol ||b|| + APPLY_NOISE max|A| ||x||."""
+    norm_b, a_max = np.linalg.norm(b), np.abs(a.data).max()
+    for k, x in zip(range(100), _reference_cg(a, a_lu, b)):
+        allowed = target_factor * rtol * norm_b \
+            + solve.APPLY_NOISE * a_max * np.linalg.norm(x)
+        if np.linalg.norm(b - a @ x) <= allowed:
+            return k
     raise AssertionError("reference CG did not converge")
 
 
@@ -168,7 +176,7 @@ def test_held_factor_uses_the_residual_check(monkeypatch):
     solver meets fails CG on the held factor and a fresh factor's solve the
     same way."""
     a, a_near, b = _spd_pair(0.05)
-    held = Solver(rtol=1e-10)
+    held = Solver()
     held.solve(a, b)
     x = held.solve(a_near, b)
     allowed = 1e-10 * np.linalg.norm(b) \
@@ -176,11 +184,12 @@ def test_held_factor_uses_the_residual_check(monkeypatch):
     assert np.linalg.norm(a_near @ x - b) <= allowed
 
     monkeypatch.setattr(solve, "APPLY_NOISE", 0.0)
+    monkeypatch.setattr(solve, "DEFAULT_RTOL", 1e-30)
     messages = []
-    held = Solver(rtol=1e-30)
+    held = Solver()
     held.factorize(a)
     for solver in (lambda: held.solve(a_near, b),
-                   lambda: Solver(rtol=1e-30).solve(a_near, b)):
+                   lambda: Solver().solve(a_near, b)):
         with pytest.raises(SolveError, match="exceeds tolerance") as err:
             solver()
         messages.append(str(err.value).split(" (relative)")[1])
@@ -214,23 +223,24 @@ class _CountingLU:
         return self.lu.solve(rhs)
 
 
-def _factor_with_lu_of(mat, lu_mat, rtol=DEFAULT_RTOL):
+def _factor_with_lu_of(mat, lu_mat):
     """A solver holding ``mat`` whose LU is that of ``lu_mat``, with its
     backsolves counted."""
-    factor = Solver(rtol=rtol)
+    factor = Solver()
     factor.factorize(mat)
     factor._lu = _CountingLU(spla.splu(lu_mat.tocsc(),
                                        permc_spec=solve.PERMC_SPEC))
     return factor
 
 
-def test_passing_first_backsolve_is_not_refined():
+def test_passing_first_backsolve_is_not_refined(monkeypatch):
     """A solve whose first backsolve passes the residual check returns it:
-    one backsolve, and the same x as the bare LU solve.  At rtol 1e-15 the
-    first residual passes only through the check's float64 noise term, as in
-    the heat equation's solves."""
+    one backsolve, and the same x as the bare LU solve.  At DEFAULT_RTOL
+    1e-15 the first residual passes only through the check's float64 noise
+    term, as in the heat equation's solves."""
+    monkeypatch.setattr(solve, "DEFAULT_RTOL", 1e-15)
     a, _, b = _spd_pair(0.05)
-    factor = _factor_with_lu_of(a, a, rtol=1e-15)
+    factor = _factor_with_lu_of(a, a)
     x0 = factor._lu.lu.solve(b)
     assert np.linalg.norm(a @ x0 - b) > 1e-15 * np.linalg.norm(b)
     x = factor.solve(a, b)
@@ -238,25 +248,53 @@ def test_passing_first_backsolve_is_not_refined():
     assert np.array_equal(x, x0)
 
 
-def test_refinement_recovers_a_slightly_wrong_factor():
+def test_held_cg_recovers_a_slightly_wrong_factor():
     """With the LU of a slightly perturbed matrix the first backsolve fails
-    the check, and refinement brings the residual under the tolerance."""
+    the check, and CG on the factorized matrix meets it within
+    HELD_CG_MAXITER iterations, one backsolve each, counted in
+    ``cg_iterations``."""
     a, _, b = _spd_pair(0.05)
     factor = _factor_with_lu_of(a, a * (1.0 + 1e-7))
     x0 = factor._lu.lu.solve(b)
     assert np.linalg.norm(a @ x0 - b) > DEFAULT_RTOL * np.linalg.norm(b)
     x = factor.solve(a, b)
-    assert 2 <= factor._lu.backsolves <= 1 + solve.REFINEMENTS
+    assert 1 <= factor.cg_iterations <= solve.HELD_CG_MAXITER
+    assert factor._lu.backsolves == 1 + factor.cg_iterations
+    assert factor.refactorizations == 1
     assert np.linalg.norm(a @ x - b) <= DEFAULT_RTOL * np.linalg.norm(b)
 
 
-def test_grossly_wrong_factor_raises_after_refinement():
-    """The LU of 2 A leaves the residual at b / 2^k after k backsolves: the
-    refinements cannot recover it, and the error carries the residual."""
+def test_unresolved_factor_raises_after_held_cg():
+    """The LU of A + I spreads the preconditioned eigenvalues lambda /
+    (lambda + 1) of this 169-DOF system over (0.006, 0.9), which
+    HELD_CG_MAXITER iterations cannot resolve: the solve raises after 1 +
+    HELD_CG_MAXITER backsolves, carrying the residual CG reached."""
     a, _, b = _spd_pair(0.05)
-    factor = _factor_with_lu_of(a, 2.0 * a)
+    shifted = a + sp.eye(a.shape[0], format="csr")
+    factor = _factor_with_lu_of(a, shifted)
     with pytest.raises(SolveError, match="exceeds tolerance") as err:
         factor.solve(a, b)
-    assert factor._lu.backsolves == 1 + solve.REFINEMENTS
+    assert factor._lu.backsolves == 1 + solve.HELD_CG_MAXITER
+    assert factor.refactorizations == 1
+    x_ref = next(itertools.islice(_reference_cg(a, factor._lu.lu, b),
+                                  solve.HELD_CG_MAXITER, None))
     assert err.value.achieved == pytest.approx(
-        0.5 ** (1 + solve.REFINEMENTS), rel=1e-6)
+        np.linalg.norm(a @ x_ref - b) / np.linalg.norm(b), rel=1e-6)
+    assert err.value.achieved > DEFAULT_RTOL
+
+
+def test_solve_with_the_factorized_matrix_scans_no_entries(monkeypatch):
+    """The residual check of a solve with the factorized matrix takes max |A|
+    from the factorization; only a solve with another matrix scans it."""
+    a, a_near, b = _spd_pair(0.05)
+    factor = Solver()
+    factor.factorize(a)
+    scanned = []
+    abs_max = solve._abs_max
+    monkeypatch.setattr(solve, "_abs_max",
+                        lambda mat: scanned.append(mat) or abs_max(mat))
+    for k in range(3):
+        factor.solve(a, (k + 1.0) * b)
+    assert scanned == []
+    factor.solve(a_near, b)
+    assert len(scanned) == 1 and scanned[0] is a_near
