@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .geometry import CellDimensions
+from .geometry import LAYOUT_BLOCKS, CellDimensions
 from .materials import MaterialSet, default_materials
 from .mesh import MESH_PRESETS, MeshSpec
 from .stepping import TimeGrid
@@ -74,6 +74,11 @@ class ScenarioConfig:
                     TimeGrid.from_duration(self.t_end, self.dt)
                 except ValueError as exc:
                     errs.append(str(exc))
+        for nm, n in LAYOUT_BLOCKS.items():
+            got = len(getattr(self.mesh, nm))
+            if got != n:
+                errs.append(f"mesh.{nm} has {got} entries; the layout has "
+                            f"{n} blocks")
         for nm in ("soc_init_anode", "soc_init_cathode"):
             v = getattr(self, nm)
             if not 0.0 < v < 1.0:
@@ -229,8 +234,8 @@ def parse_scenario(path) -> ScenarioConfig:
                 if value in MESH_PRESETS:
                     values["mesh"] = MESH_PRESETS[value]()
                 else:
-                    errors.append(f"mesh.preset must be 'coarse' or "
-                                  f"'production', got {value!r}")
+                    errors.append(f"line {lineno}: mesh.preset must be "
+                                  f"'coarse' or 'production', got {value!r}")
             elif key in _KEYS:
                 field_path, conv = _KEYS[key]
                 values[field_path] = conv(value)

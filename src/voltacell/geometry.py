@@ -38,6 +38,10 @@ ELYTE = 2
 SOLID = (ANODE, CATHODE)
 TAG_NAMES = {ANODE: "sa", CATHODE: "sc", ELYTE: "e"}
 
+# Blocks of the interdigitated layout, by the MeshSpec field that gives each
+# its base cell counts: 4 columns (between the x cuts) and 3 rows
+LAYOUT_BLOCKS = {"nx_blocks": 4, "ny_blocks": 3}
+
 # Boundary part codes (edge tags >= 10; see mesh module)
 CC_MINUS = "cc_minus"
 CC_PLUS = "cc_plus"

@@ -12,8 +12,9 @@ turning into an interface mass term with coefficient I_c*F/(R*theta) plus
 load terms, while the full nonlinear sinh expression feeds the concentration
 and heat loads through one record of the interface (``InterfaceState``).
 Each support (theta; c_s, phi_s; c_e, phi_e) has one interface trace operator.
-``CellProblem.prepare`` makes the start of a run's steps and the midpoint
-matrices of its dt, which ``stage1`` reads.
+``CellProblem.parabolic`` gives each parabolic field's semi-discrete system
+M d' + K d = b, which ``stepping.stage1`` advances; ``CellProblem.prepare``
+makes the start of a run's steps and the midpoint matrices of its dt.
 
 Sign conventions: the interface normal points from the electrode into the
 electrolyte; the reaction current I_BV is positive when lithium leaves the
@@ -37,7 +38,7 @@ from .materials import ElectrodeConstants, MaterialSet, \
     diffusional_conductivity, hooke_plane_strain, hydrostatic_pressure, \
     stress_diffusivity, von_mises, StressState
 from .mesh import Mesh
-from .solve import Solver, jacobi_solve
+from .solve import Solver
 from .state import Guard, SimState
 
 log = logging.getLogger(__name__)
@@ -122,6 +123,7 @@ class CellProblem:
 
     D_FIELDS = ("theta", "c_s", "c_e")
     S_FIELDS = ("phi_s", "phi_e", "u")
+    STARTUP_FIELDS = ("theta",)     # backward Euler across the load switch-on
 
     def __init__(self, mesh: Mesh, mats: MaterialSet, mode: str = "full",
                  soc_init: tuple[float, float] = (0.5, 0.5)):
@@ -420,7 +422,7 @@ class CellProblem:
         return q
 
     # ------------------------------------------------------------------
-    # Stage 1: parabolic systems at the midpoint
+    # Stage 1: the parabolic systems
     # ------------------------------------------------------------------
 
     def prepare(self, state0: SimState, dt: float) -> SimState:
@@ -431,9 +433,10 @@ class CellProblem:
         (consistent initialization): they jump when the current switches on,
         and averaging step 1 across that jump would cost one order of
         accuracy.  At zero load state0 is the start.  The fixed c_e and theta
-        midpoint matrices M + dt/2 K come from ``assemble.midpoint_matrix``,
-        as the c_s one does.  Held from the start, the c_s factor
-        preconditions the later c_s matrices better than a factor of step 1's
+        midpoint matrices M + dt/2 K, which ``stepping.stage1`` reads from
+        ``mid_ops``, come from ``assemble.midpoint_matrix``, as the c_s one of
+        each sweep does.  Held from the start, the c_s factor preconditions
+        the later c_s matrices better than a factor of step 1's
         Euler-predicted midpoint would (on the production presets 25 CG
         iterations per later step instead of 40)."""
         start = state0
@@ -449,17 +452,15 @@ class CellProblem:
                                                         dt)
         for name, mat in self.mid_ops.items():
             self.solvers[name].factorize(mat)
-        self.solvers["c_s"].factorize(self.cs_matrices(
-            start, dt, self.theta_points(start["theta"]))[1])
+        k_cs = self.cs_stiffness(start, self.theta_points(start["theta"]))
+        self.solvers["c_s"].factorize(asm.midpoint_matrix(self.m_cs, k_cs, dt))
         return start
 
-    def cs_matrices(self, state: SimState, dt: float, theta_qp):
+    def cs_stiffness(self, state: SimState, theta_qp) -> sp.csr_matrix:
         """K_cs at the solid diffusivity of ``state`` (with theta at the
-        quadrature points given) and the midpoint matrix M_cs + dt/2 K_cs,
-        both on M_cs's pattern."""
-        k = self.cs_scatter.stiffness(
+        quadrature points given), on M_cs's pattern."""
+        return self.cs_scatter.stiffness(
             self.solid_diffusivity_qp(state, theta_qp), "solid diffusivity")
-        return k, asm.midpoint_matrix(self.m_cs, k, dt)
 
     def iface_loads(self, ist: InterfaceState) -> dict:
         mats = self.mats
@@ -470,84 +471,30 @@ class CellProblem:
                 "c_e": tr_t["c_e"] @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
                 "theta": tr_t["theta"] @ (w * ist.eta * ist.i_bv)}
 
-    def stage1(self, prev: SimState, mid: SimState, heat_start: bool = False):
-        """Solve the three parabolic updates over the prepared dt; returns
-        the new d-fields and the InterfaceState of ``mid``, whose current
-        loads them.
+    def parabolic(self, state: SimState):
+        """The semi-discrete parabolic systems M d' + K d = b with their
+        coefficients frozen at ``state``: returns the InterfaceState of
+        ``state``, whose current loads them, and ``{field: (M, K, b)}``.
 
-        Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
-        solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev),
-        which avoids the cancellation of the large constant background in the
-        explicit operator.  The c_s matrix carries the solid diffusivity at the
-        midpoint, so it changes with every sweep; its solver's held factor
-        preconditions CG on it.  c_e and theta have the fixed matrices that
-        ``prepare`` built and factorized.
-
-        With ``heat_start`` (the step across the load switch-on) the heat
-        equation instead takes two backward-Euler half-steps,
-        (M + dt/2 K) delta_k = dt/2 (b - K theta_k), which reuse the prepared
-        midpoint matrix.  Switching the load on excites thermal modes far
-        stiffer than dt; the midpoint factor tends to -1 on them and leaves
-        them ringing, while backward Euler damps them.  The heat source b
-        stays evaluated at the midpoint, and c_s, c_e keep the midpoint rule.
+        c_s carries the solid diffusivity of ``state``, so its K changes with
+        every sweep; c_e and theta have fixed M and K.  The heat load is the
+        Ohmic source plus the interface polarization heat.  The
+        electrochemical model has no heat system, so its theta stays put.
         """
-        dt, ops = self.dt, self.mid_ops
-        ist = self.interface_state(mid)
-        loads = self.iface_loads(ist)
-        # one evaluation serves the c_s diffusivity and the heat source
-        theta_qp = self.theta_points(mid["theta"])
-
-        k_cs, a_cs = self.cs_matrices(mid, dt, theta_qp)
-        b_cs = dt * (loads["c_s"] - k_cs @ prev["c_s"])
-        b_ce = dt * (loads["c_e"] - self.k_ce @ prev["c_e"])
-
-        solvers = self.solvers
-        new = {"c_s": prev["c_s"] + solvers["c_s"].solve(a_cs, b_cs),
-               "c_e": prev["c_e"] + solvers["c_e"].solve(ops["c_e"], b_ce)}
-        if self.mode == "full":
-            q_load = asm.assemble_load(self.s_th,
-                                       self.heat_source_qp(mid, theta_qp))
-            source = q_load + loads["theta"]
-            h, n_sub = (0.5 * dt, 2) if heat_start else (dt, 1)
-            theta = prev["theta"]
-            for _ in range(n_sub):
-                theta = theta + solvers["theta"].solve(
-                    ops["theta"], h * (source - self.k_th @ theta))
-            new["theta"] = theta
-        else:
-            new["theta"] = prev["theta"].copy()
-        return new, ist
-
-    def d_rate(self, state: SimState) -> dict:
-        """f_d = M^-1 (-K d + b) at the given state (Euler predictor).
-
-        A run needs this once, for its first step.  Jacobi-CG solves the
-        well-conditioned mass matrices in a few dozen iterations, faster than
-        a factorization and without its memory.
-        """
-        def solve_mass(mass, rhs, field):
-            return jacobi_solve(mass, rhs, name=f"{field} mass")
-
         ist = self.interface_state(state)
         loads = self.iface_loads(ist)
-        rates = {}
+        # one evaluation serves the c_s diffusivity and the heat source
         theta_qp = self.theta_points(state["theta"])
-        k_cs, _ = self.cs_matrices(state, 0.0, theta_qp)
-        rates["c_s"] = solve_mass(self.m_cs,
-                                  -(k_cs @ state["c_s"]) + loads["c_s"], "c_s")
-        rates["c_e"] = solve_mass(self.m_ce,
-                                  -(self.k_ce @ state["c_e"]) + loads["c_e"],
-                                  "c_e")
+        systems = {
+            "c_s": (self.m_cs, self.cs_stiffness(state, theta_qp),
+                    loads["c_s"]),
+            "c_e": (self.m_ce, self.k_ce, loads["c_e"]),
+        }
         if self.mode == "full":
             q_load = asm.assemble_load(self.s_th,
                                        self.heat_source_qp(state, theta_qp))
-            rates["theta"] = solve_mass(
-                self.m_th,
-                -(self.k_th @ state["theta"]) + q_load + loads["theta"],
-                "theta")
-        else:
-            rates["theta"] = np.zeros_like(state["theta"])
-        return rates
+            systems["theta"] = (self.m_th, self.k_th, q_load + loads["theta"])
+        return ist, systems
 
     # ------------------------------------------------------------------
     # Stage 2: quasi-static potentials and displacement

@@ -23,14 +23,19 @@ rule in every step.
 The pair of stages is then re-swept (the fresh iterate replacing the predictor
 midpoint) until the relative update is below ``fp_tol``; after ``MAX_SWEEPS``
 sweeps a step raises ``SolveError`` naming the step, the sweeps, the update
-and the field with the largest one.  Backends provide ``prepare(state0,
-dt)`` (factorizes what the steps of dt reuse, returns their start),
-``stage1(prev, mid, heat_start)`` over the prepared dt, ``stage2``,
-``d_rate``, ``initial_state``, field name tuples and ``solvers`` (one
-``solve.Solver`` per linear system); the battery problem and the linear
-verification surrogate both implement it.  ``stage1`` also returns the
-``physics.InterfaceState`` of its midpoint (None without an interface), whose
-diagnostics the step reports for its accepted sweep.
+and the field with the largest one.
+
+Backends describe their parabolic fields as data: ``parabolic(state)``
+returns the ``physics.InterfaceState`` of ``state`` (None without an
+interface; a step reports the one of its accepted sweep) and ``{field: (M,
+K, b)}``, the system M d' + K d = b with coefficients frozen at ``state``,
+which ``stage1`` and the Euler predictor read.  Backends also provide
+``prepare(state0, dt)`` (sets ``dt``, factorizes the midpoint matrices it
+holds in ``mid_ops``, returns the start), ``stage2``, ``initial_state``, the
+field name tuples ``D_FIELDS``, ``S_FIELDS`` and ``STARTUP_FIELDS`` (those
+taking the backward-Euler start-up), the ``field_scales`` of the update norm
+and ``solvers`` (one ``solve.Solver`` per linear system); the battery problem
+and the linear verification surrogate both implement it.
 """
 
 from __future__ import annotations
@@ -94,21 +99,58 @@ def predict(backend, history: History, dt: float) -> SimState:
     """Predictor for the new-time state.
 
     With two history levels both field groups extrapolate linearly; on the
-    first step the dynamic fields take an Euler step and the quasi-static
-    fields re-solve against that prediction.
+    first step the dynamic fields take an Euler step, d + dt M^-1 (b - K d)
+    on the systems of ``backend.parabolic``, and the quasi-static fields
+    re-solve against that prediction.  A run takes this Euler step once, so
+    Jacobi-CG solves the well-conditioned mass matrices, faster than a
+    factorization and without its memory.
     """
     prev = history.prev
     t_new = prev.t + dt
     if history.depth >= 2:
         return extrapolate(prev, history.prev2, t_new)
-    rates = backend.d_rate(prev)
-    fields = {k: prev[k] + dt * rates[k] for k in backend.D_FIELDS}
-    pred = SimState(t_new, {**{k: prev[k].copy() for k in backend.S_FIELDS},
-                            **fields})
-    if backend.S_FIELDS:
-        s_new = backend.stage2(t_new, fields, prev)
-        pred.fields.update(s_new)
-    return pred
+    _, systems = backend.parabolic(prev)
+    fields = {f: prev[f].copy() for f in backend.D_FIELDS if f not in systems}
+    for name, (m, k, b) in systems.items():
+        fields[name] = prev[name] + dt * jacobi_solve(
+            m, b - k @ prev[name], f"{name} mass")
+    return SimState(t_new, {**fields,
+                            **backend.stage2(t_new, fields, prev)})
+
+
+def stage1(backend, prev: SimState, mid: SimState, heat_start: bool):
+    """Advance the parabolic fields over the prepared dt with coefficients
+    frozen at ``mid``; returns the new d-fields and the InterfaceState of
+    ``mid``.
+
+    Each midpoint system (M + dt/2 K) d_n = (M - dt/2 K) d_prev + dt b is
+    solved in increment form, (M + dt/2 K) delta = dt (b - K d_prev), which
+    avoids the cancellation of the large constant background in the explicit
+    operator.  The matrix is the one ``prepare`` put in ``backend.mid_ops``
+    for a fixed K, else it is formed from this sweep's K (c_s, whose solid
+    diffusivity changes with the midpoint; its solver's held factor
+    preconditions CG on it).
+
+    With ``heat_start`` (the step across the load switch-on) the fields in
+    ``backend.STARTUP_FIELDS`` instead take two backward-Euler half-steps,
+    (M + dt/2 K) delta_k = dt/2 (b - K d_k), which reuse the midpoint matrix;
+    b stays evaluated at the midpoint.  A dynamic field without a system
+    keeps its previous values.
+    """
+    iface, systems = backend.parabolic(mid)
+    dt = backend.dt
+    new = {f: prev[f].copy() for f in backend.D_FIELDS if f not in systems}
+    for name, (m, k, b) in systems.items():
+        mat = backend.mid_ops.get(name)
+        if mat is None:
+            mat = asm.midpoint_matrix(m, k, dt)
+        n_sub = 2 if heat_start and name in backend.STARTUP_FIELDS else 1
+        h = dt / n_sub
+        d = prev[name]
+        for _ in range(n_sub):
+            d = d + backend.solvers[name].solve(mat, h * (b - k @ d))
+        new[name] = d
+    return new, iface
 
 
 def step(backend, history: History, grid: TimeGrid, n: int,
@@ -121,7 +163,6 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     prev = history.prev
     dt = grid.dt
     t_new = prev.t + dt
-    scales = getattr(backend, "field_scales", None)
     solvers = backend.solvers.values()
     refac0 = sum(s.refactorizations for s in solvers)
     cg0 = sum(s.cg_iterations for s in solvers)
@@ -130,10 +171,10 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     updates = []
     for _ in range(MAX_SWEEPS):
         mid = prev.midpoint(iterate)
-        d_new, iface = backend.stage1(prev, mid, heat_start=n == 1)
-        s_new = backend.stage2(t_new, d_new, iterate) if backend.S_FIELDS else {}
-        new_state = SimState(t_new, {**d_new, **s_new})
-        diffs = new_state.rel_diffs(iterate, scales)
+        d_new, iface = stage1(backend, prev, mid, n == 1)
+        new_state = SimState(t_new, {**d_new,
+                                     **backend.stage2(t_new, d_new, iterate)})
+        diffs = new_state.rel_diffs(iterate, backend.field_scales)
         worst = max(diffs, key=diffs.get)
         updates.append(diffs[worst])
         iterate = new_state
@@ -163,12 +204,14 @@ def step(backend, history: History, grid: TimeGrid, n: int,
 class LinearSurrogate:
     """Fixed-coefficient linear system M d' + K d = b for scheme verification.
 
-    Runs through the identical predictor/midpoint code path as the coupled
-    problem, with no quasi-static stage.
+    Runs through the identical predictor and ``stage1`` code as the coupled
+    problem, with no quasi-static stage and no start-up field.
     """
 
     D_FIELDS = ("d",)
     S_FIELDS = ()
+    STARTUP_FIELDS = ()
+    field_scales = {}           # d is measured against its own size
 
     def __init__(self, mass, stiffness, load, d0):
         self.mass = mass
@@ -176,7 +219,7 @@ class LinearSurrogate:
         self.load = np.asarray(load, dtype=float)
         self.d0 = np.asarray(d0, dtype=float)
         self.solvers = {"d": Solver("d")}
-        self.dt = self.mid_matrix = None      # set by prepare
+        self.dt, self.mid_ops = None, {}    # set by prepare
 
     def initial_state(self) -> SimState:
         return SimState(0.0, {"d": self.d0.copy()})
@@ -184,20 +227,13 @@ class LinearSurrogate:
     def prepare(self, state0: SimState, dt: float) -> SimState:
         """Factorize the midpoint matrix M + dt/2 K; state0 is the start."""
         self.dt = dt
-        self.mid_matrix = asm.midpoint_matrix(self.mass, self.stiffness, dt)
-        self.solvers["d"].factorize(self.mid_matrix)
+        self.mid_ops = {"d": asm.midpoint_matrix(self.mass, self.stiffness,
+                                                 dt)}
+        self.solvers["d"].factorize(self.mid_ops["d"])
         return state0
 
-    def d_rate(self, state: SimState) -> dict:
-        return {"d": jacobi_solve(self.mass, self.load
-                                  - self.stiffness @ state["d"], "d mass")}
-
-    def stage1(self, prev: SimState, mid: SimState, heat_start: bool = False):
-        # CellProblem.stage1's signature and increment form; with no heat
-        # equation, the field takes the midpoint rule in every step.
-        rhs = self.dt * (self.load - self.stiffness @ prev["d"])
-        delta = self.solvers["d"].solve(self.mid_matrix, rhs)
-        return {"d": prev["d"] + delta}, None
+    def parabolic(self, state: SimState):
+        return None, {"d": (self.mass, self.stiffness, self.load)}
 
     def stage2(self, t, d_new, s_guess):
         return {}

@@ -250,7 +250,8 @@ def _system_matrices(problem, dt):
     mats = {}
     mats["theta system"] = problem.mid_ops["theta"]
     th_qp = asm.eval_qp(problem.s_th, s0["theta"])
-    mats["c_s system"] = problem.cs_matrices(s0, dt, th_qp)[1]
+    m_cs, k_cs, _ = problem.parabolic(s0)[1]["c_s"]
+    mats["c_s system"] = asm.midpoint_matrix(m_cs, k_cs, dt)
     mats["c_e system"] = problem.mid_ops["c_e"]
     mats["potential block system"], _ = problem.potential_system(
         s0["theta"], s0["c_s"], s0["c_e"], th_qp)
@@ -355,7 +356,8 @@ def test_criterion_11_oracle_equivalence():
     k_dense = oracles.dense_stiffness(prob.s_cs, lambda x, y, t: d_s[t])
     dt = 2.0 * np.abs(m_dense).max() / np.abs(k_dense).max()  # both count
     worst["c_s system (fixed pattern)"] = rel(
-        prob.cs_matrices(s0, dt, asm.eval_qp(prob.s_th, s0["theta"]))[1],
+        asm.midpoint_matrix(prob.m_cs, prob.cs_stiffness(
+            s0, asm.eval_qp(prob.s_th, s0["theta"])), dt),
         m_dense + 0.5 * dt * k_dense)
 
     from voltacell.physics import exchange_current

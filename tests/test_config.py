@@ -163,6 +163,29 @@ def test_repeated_key_is_an_error(tmp_path, lines, key, first, again):
         parse_scenario(str(f))
 
 
+def test_bad_mesh_preset_names_its_line(tmp_path):
+    f = tmp_path / "scn.txt"
+    f.write_text("preset = high_discharge\nmesh.preset = fine\n")
+    with pytest.raises(ConfigError, match=(
+            "(?m)^  line 2: mesh.preset must be 'coarse' or 'production', "
+            "got 'fine'$")):
+        parse_scenario(str(f))
+
+
+def test_block_counts_checked_with_the_other_errors(tmp_path):
+    """A mesh.nx or mesh.ny with the wrong number of entries is reported by
+    validation, named by its dotted key and next to the other errors, not
+    left to fail the mesh build."""
+    f = tmp_path / "scn.txt"
+    f.write_text("mesh.nx = 1 3 2\nmesh.ny = 1 2 1 1\nsoc_init_anode = 2\n")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(str(f))
+    msg = str(err.value)
+    assert "\n  mesh.nx_blocks has 3 entries; the layout has 4 blocks" in msg
+    assert "\n  mesh.ny_blocks has 4 entries; the layout has 3 blocks" in msg
+    assert "soc_init_anode" in msg
+
+
 def test_parse_error_carries_line_number(tmp_path):
     f = tmp_path / "scn.txt"
     f.write_text("dt = 6\nnot a config line\n")

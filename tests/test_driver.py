@@ -35,7 +35,8 @@ def test_run_directory_contents(short_run):
 
 def test_manifest_contents(short_run):
     result, out = short_run
-    man = json.load(open(os.path.join(out, "manifest.json")))
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        man = json.load(fh)
     assert man["status"] == "completed"
     assert man["steps_completed"] == 10
     assert man["error"] is None
@@ -153,17 +154,17 @@ def test_guard_violation_preserves_prefix(tmp_path, monkeypatch):
     """A real bound violation (stage 1 drives c_e below the guard's floor
     from step 3 on) raises GuardViolation naming c_e, and leaves the rows of
     the completed steps, in the 8-column schema, and a failed manifest."""
-    real_stage1 = CellProblem.stage1
+    real_stage1 = stepping.stage1
     dt = DESK["dt"]
 
-    def depleting_stage1(self, prev, mid, **kw):
-        d_new, iface = real_stage1(self, prev, mid, **kw)
+    def depleting_stage1(backend, prev, mid, heat_start):
+        d_new, iface = real_stage1(backend, prev, mid, heat_start)
         if prev.t >= 2 * dt - 1e-9:
-            floor = self.guard.eps_e
+            floor = backend.guard.eps_e
             d_new["c_e"] = np.full_like(d_new["c_e"], 0.5 * floor)
         return d_new, iface
 
-    monkeypatch.setattr(CellProblem, "stage1", depleting_stage1)
+    monkeypatch.setattr(stepping, "stage1", depleting_stage1)
     cfg = preset("high_discharge").replace(**DESK)
     out = tmp_path / "guarded"
     with pytest.raises(GuardViolation, match="c_e"):
@@ -184,13 +185,13 @@ def test_loaded_run_starts_from_initial_state(tmp_path, monkeypatch):
     """The t = 0 row of a loaded run is the problem's initial state, and the
     first step starts from t = 0."""
     starts = []
-    real_stage1 = CellProblem.stage1
+    real_stage1 = stepping.stage1
 
-    def recording_stage1(self, prev, mid, **kw):
+    def recording_stage1(backend, prev, mid, heat_start):
         starts.append(prev.t)
-        return real_stage1(self, prev, mid, **kw)
+        return real_stage1(backend, prev, mid, heat_start)
 
-    monkeypatch.setattr(CellProblem, "stage1", recording_stage1)
+    monkeypatch.setattr(stepping, "stage1", recording_stage1)
     cfg = preset("high_discharge").replace(**{**DESK, "t_end": 12.0})
     result = driver.run_scenario(cfg, out_dir=str(tmp_path))
     prob = result.problem

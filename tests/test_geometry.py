@@ -11,6 +11,9 @@ def test_table_dimensions_bounding_box():
     assert w == pytest.approx(1000e-6, rel=1e-12, abs=0.0)
     assert h == pytest.approx(100e-6, rel=1e-12, abs=0.0)
     assert len(g.interface) == 2
+    # the block counts that scenario validation checks the mesh spec against
+    assert geo.LAYOUT_BLOCKS == {"nx_blocks": len(g.x_cuts) - 1,
+                                 "ny_blocks": len(g.y_cuts) - 1}
 
 
 def test_symmetric_dimensions_still_valid():

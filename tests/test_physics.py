@@ -6,6 +6,7 @@ from voltacell import geometry as geo
 from voltacell import materials as mat
 from voltacell import physics as phys
 from voltacell import spaces as sps
+from voltacell import stepping
 from voltacell.mesh import Mesh
 from voltacell.solve import DEFAULT_RTOL
 from voltacell.state import Guard, SimState
@@ -179,7 +180,7 @@ def test_stage1_concentration_system_hand_oracle(mats):
     s0 = prob.initial_state()
     dt = 25.0
     systems_prev = prob.prepare(s0.copy(), dt)
-    new, _ = prob.stage1(systems_prev, s0.copy())
+    new, _ = stepping.stage1(prob, systems_prev, s0.copy(), False)
 
     # reconstruct the element matrices by hand: c_s space is two disconnected
     # bilinear cells, block order follows the node numbering
@@ -374,7 +375,8 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
     pattern = (prob.m_cs.indptr, prob.m_cs.indices)
     for state in _sweep_states(prob):
         th_qp = asm.eval_qp(prob.s_th, state["theta"])
-        k, a = prob.cs_matrices(state, dt, th_qp)
+        k = prob.cs_stiffness(state, th_qp)
+        a = asm.midpoint_matrix(prob.m_cs, k, dt)
         k_ref = asm.ElementScatter(prob.s_cs).stiffness(
             prob.solid_diffusivity_qp(state, th_qp))
         assert _rel(k.toarray(), k_ref.toarray()) <= 1e-13
@@ -627,7 +629,7 @@ def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     d_qp[i] = -1.0
     prob.solid_diffusivity_qp = lambda state, theta_qp: d_qp
     with pytest.raises(asm.AssemblyError) as err:
-        prob.cs_matrices(s0, 6.0, th_qp)
+        prob.cs_stiffness(s0, th_qp)
     assert str(err.value) == (
         f"nonpositive solid diffusivity sample -1 at quadrature point "
         f"({prob.qp.x[i]:.6g}, {prob.qp.y[i]:.6g})")
@@ -708,7 +710,7 @@ def test_stage1_uniform_state_is_stationary(coarse_problem):
     prob = coarse_problem
     prob.set_load(0.0)
     s0 = prob.prepare(prob.initial_state(), 6.0)
-    new, iface = prob.stage1(s0, s0.copy())
+    new, iface = stepping.stage1(prob, s0, s0.copy(), False)
     for name in ("theta", "c_s", "c_e"):
         scale = np.abs(s0[name]).max()
         assert np.abs(new[name] - s0[name]).max() < 1e-9 * scale
@@ -725,8 +727,8 @@ def test_stage1_heat_start_is_two_backward_euler_half_steps(coarse_problem):
     prob.set_load(20.0)
     dt = 6.0
     s0 = mid = prob.prepare(prob.initial_state(), dt)   # the loaded start
-    plain, _ = prob.stage1(s0, mid)
-    start, _ = prob.stage1(s0, mid, heat_start=True)
+    plain, _ = stepping.stage1(prob, s0, mid, False)
+    start, _ = stepping.stage1(prob, s0, mid, True)
     for name in ("c_s", "c_e"):
         assert np.array_equal(start[name], plain[name])
     assert not np.array_equal(start["theta"], plain["theta"])

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from voltacell import geometry as geo
 from voltacell import state as vstate
+from voltacell import stepping
 from voltacell.driver import march
 from voltacell.state import Guard, History, SimState
 from voltacell.stepping import LinearSurrogate, TimeGrid, predict
@@ -165,21 +166,45 @@ def test_extra_sweeps_are_idempotent_on_linear_problem():
         assert rep.update_history[1] == 0.0
 
 
-def test_heat_start_only_on_step_one():
+def test_heat_start_only_on_step_one(monkeypatch):
     """The stepper asks for the heat start-up in every sweep of step 1, the
     step from t = 0, and in no other step."""
-    class Recording(LinearSurrogate):
-        def stage1(self, prev, mid, heat_start=False):
-            self.calls.append((prev.t, heat_start))
-            return super().stage1(prev, mid, heat_start=heat_start)
+    calls = []
+    real_stage1 = stepping.stage1
 
-    sur = Recording(sp.eye(1, format="csr"), sp.eye(1, format="csr"),
-                    np.array([0.0]), np.array([1.0]))
-    sur.calls = []
+    def stage1(backend, prev, mid, heat_start):
+        calls.append((prev.t, heat_start))
+        return real_stage1(backend, prev, mid, heat_start)
+
+    monkeypatch.setattr(stepping, "stage1", stage1)
+    sur = LinearSurrogate(sp.eye(1, format="csr"), sp.eye(1, format="csr"),
+                          np.array([0.0]), np.array([1.0]))
     list(march(sur, sur.initial_state(), TimeGrid(dt=0.5, n_steps=3)))
-    starts = [t for t, flag in sur.calls if flag]
+    starts = [t for t, flag in calls if flag]
     assert starts == [0.0, 0.0]
-    assert len(sur.calls) == 6
+    assert len(calls) == 6
+
+
+def test_one_stage1_steps_the_surrogate_and_the_cell(coarse_mesh, mats,
+                                                     monkeypatch):
+    """The temporal order study and a loaded coupled step both advance
+    their parabolic fields through ``stepping.stage1``."""
+    backends = []
+    real_stage1 = stepping.stage1
+
+    def stage1(backend, prev, mid, heat_start):
+        backends.append(type(backend).__name__)
+        return real_stage1(backend, prev, mid, heat_start)
+
+    monkeypatch.setattr(stepping, "stage1", stage1)
+    from voltacell.verification import temporal_order_study
+    temporal_order_study()
+    assert backends and set(backends) == {"LinearSurrogate"}
+    prob = conftest.make_problem(coarse_mesh, mats)
+    prob.set_load(20.0)
+    [(_, rep)] = march(prob, prob.initial_state(),
+                       TimeGrid(dt=6.0, n_steps=1))
+    assert backends.count("CellProblem") == rep.sweeps > 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +233,21 @@ def test_fixed_point_contraction_on_load_step(coarse_mesh, mats):
         assert all(b <= a * 1.001 + 1e-12 for a, b in zip(ups, ups[1:])), ups
 
 
-def test_step_reports_the_interface_of_its_accepted_sweep(coarse_mesh, mats):
+def test_step_reports_the_interface_of_its_accepted_sweep(coarse_mesh, mats,
+                                                         monkeypatch):
     """A step's interface diagnostics are those of the InterfaceState that
     stage 1 returned in its last sweep."""
     prob = conftest.make_problem(coarse_mesh, mats)
     prob.set_load(20.0)
     returned = []
-    real_stage1 = prob.stage1
+    real_stage1 = stepping.stage1
 
-    def stage1(*args, **kw):
-        out = real_stage1(*args, **kw)
+    def stage1(*args):
+        out = real_stage1(*args)
         returned.append(out[1])
         return out
 
-    prob.stage1 = stage1
+    monkeypatch.setattr(stepping, "stage1", stage1)
     [(_, rep)] = march(prob, prob.initial_state(),
                        TimeGrid(dt=6.0, n_steps=1))
     assert len(returned) == rep.sweeps > 1
