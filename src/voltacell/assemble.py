@@ -13,15 +13,20 @@ field space; ``constrain`` reduces one to its free-DOF block (the essential
 constraints are homogeneous and eliminated by reduction, never by penalties,
 so SPD structure survives).
 
-Coefficients may be given as a scalar, a per-subdomain-tag dict, a callable
-``f(x, y)`` evaluated at quadrature points, or a flat array over the mesh's
-quadrature points (``spaces.QuadPoints``) as produced by ``eval_qp``.  The
-assemblers and evaluators slice flat arrays per degree group for their
-matmuls.  The per-sweep kernels follow the same idiom: evaluating a field at
-the points is the gather ``vec[dofs]`` times a transposed reference table,
-one BLAS matmul per degree group, and a volume load is one matmul per group
-whose element vectors are summed into the DOFs by a single ``np.bincount``
-over all groups (``FieldSpace.cell_dofs``).
+Pointwise data lives on the field space's support: an array over the
+support's quadrature points in their global order (``FieldSpace.points``),
+as ``eval_qp`` returns it, with vector quantities component-major (a
+gradient is (2, n), a strain (3, n)), so each component is contiguous.
+Each degree group's points are one contiguous block of such an array
+(``FieldSpace.occupied``), which reshapes without a copy to the group's
+(n_member, nq) rows.  Coefficients may be given as a scalar, a
+per-subdomain-tag dict, a callable ``f(x, y)`` evaluated at the support's
+points, or a support array.  The per-sweep kernels follow one idiom:
+evaluating a field at the points is the gather ``vec[dofs]`` times a
+transposed reference table, one BLAS matmul per degree group written into
+its block, and a volume load is one matmul per group whose element vectors
+are summed into the DOFs by a single ``np.bincount`` over all groups
+(``FieldSpace.cell_dofs``).
 """
 
 from __future__ import annotations
@@ -48,16 +53,18 @@ class AssemblyError(ValueError):
 # ---------------------------------------------------------------------------
 
 def coeff_arrays(space: FieldSpace, coeff) -> list:
-    """Resolve a coefficient spec into (n_member, nq) arrays, one per group
-    the space occupies (see ``FieldSpace.occupied``)."""
-    qp = space.qp
+    """Resolve a coefficient spec into (n_member, nq) views of a support
+    array, one per group the space occupies (see ``FieldSpace.occupied``)."""
+    qp, pts = space.qp, space.points
     if callable(coeff):
-        coeff = coeff(qp.x, qp.y)
+        coeff = coeff(qp.x[pts], qp.y[pts])
     elif isinstance(coeff, dict):
-        coeff = tag_values(coeff, qp.tag)
-    flat = np.broadcast_to(np.asarray(coeff, dtype=float), (qp.n,))
-    return [flat[block].reshape(g.n_elems, -1)[rows]
-            for g, rows, _, block in space.occupied()]
+        coeff = tag_values(coeff, qp.tag[pts])
+    flat = np.asarray(coeff, dtype=float)
+    if flat.shape != pts.shape:
+        flat = np.broadcast_to(flat, pts.shape)
+    return [flat[sl].reshape(len(rows), -1)
+            for _, rows, _, sl in space.occupied]
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +169,10 @@ class ElementScatter(FixedPattern):
 
     Its entries are those of every element matrix, degree group after degree
     group, each flattened row-major; ``groups`` holds (master group, member
-    rows, slice of its entries, block of the quadrature layout) for the
-    groups the space occupies.  The
-    pattern depends only on the support, so one scatter serves every field
-    on it, and a matrix assembled again with new coefficients keeps it.
+    rows, slice of its entries, block of the support's points) for the
+    groups the space occupies.  The pattern depends only on the support, so
+    one scatter serves every field on it, and a matrix assembled again with
+    new coefficients keeps it.
     """
 
     def __init__(self, space: FieldSpace):
@@ -177,7 +184,7 @@ class ElementScatter(FixedPattern):
         # level) holds its (row, level) key and its first column node.
         nny, nnx = space.grid.nny, space.grid.nnx
         keys, firsts, widths, start = [], [], [], 0
-        for g, rows, dofs, block in space.occupied():
+        for g, rows, dofs, block in space.occupied:
             m, n = dofs.shape
             nbx = g.px + 1
             level = g.nodes[rows, ::nbx] // nnx              # (m, nby)
@@ -242,10 +249,10 @@ class ElementScatter(FixedPattern):
         for (g, rows, _, block), c in zip(self.groups,
                                           coeff_arrays(self.space, coeff)):
             if np.any(c <= 0.0):
-                e, q = np.unravel_index(int(np.argmin(c)), c.shape)
-                i = block.start + rows[e] * c.shape[1] + q
+                j = int(np.argmin(c))
+                i = self.space.points[block.start + j]
                 raise AssemblyError(
-                    f"nonpositive {coeff_name} sample {c[e, q]:.6g} at "
+                    f"nonpositive {coeff_name} sample {c.flat[j]:.6g} at "
                     f"quadrature point ({qp.x[i]:.6g}, {qp.y[i]:.6g})")
             hx, hy = g.hx[rows], g.hy[rows]
             products.append((np.hstack([c * (hy / hx)[:, None],
@@ -302,19 +309,20 @@ def assemble_load(space: FieldSpace, f) -> np.ndarray:
     return _sum_cells(space, [
         (fa * (0.25 * g.hx[rows] * g.hy[rows])[:, None])
         @ ref_tables(g.px, g.py).load
-        for (g, rows, _, _), fa in zip(space.occupied(),
+        for (g, rows, _, _), fa in zip(space.occupied,
                                        coeff_arrays(space, f))])
 
 
 def assemble_grad_load(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
-    """(grad w_i, v) with a vector field v given as a flat (n_qp, 2) array."""
+    """(grad w_i, v) with a vector field v given as a (2, n) support
+    array."""
     blocks = []
-    for g, rows, _, block in space.occupied():
+    for g, rows, _, block in space.occupied:
         hx, hy = g.hx[rows], g.hy[rows]
-        v = vec[block].reshape(g.n_elems, -1, 2)[rows]
+        vx = vec[0, block].reshape(len(rows), -1)
+        vy = vec[1, block].reshape(len(rows), -1)
         # (2/hx) * detJ = hy/2 ; (2/hy) * detJ = hx/2
-        c = np.hstack([v[:, :, 0] * (0.5 * hy)[:, None],
-                       v[:, :, 1] * (0.5 * hx)[:, None]])
+        c = np.hstack([vx * (0.5 * hy)[:, None], vy * (0.5 * hx)[:, None]])
         blocks.append(c @ ref_tables(g.px, g.py).grad_load)
     return _sum_cells(space, blocks)
 
@@ -324,7 +332,7 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
     if space.arity != 2:
         raise AssemblyError("div load needs a 2-vector space")
     blocks = []
-    for (g, rows, _, _), fa in zip(space.occupied(), coeff_arrays(space, f)):
+    for (g, rows, _, _), fa in zip(space.occupied, coeff_arrays(space, f)):
         hx, hy = g.hx[rows], g.hy[rows]
         nq = fa.shape[1]
         table = ref_tables(g.px, g.py).grad_load
@@ -336,38 +344,39 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
 
 
 def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
-    """Scalar field values at the quadrature points, (n_qp,) (zeros
-    off-support)."""
-    out = np.zeros(space.qp.n)
-    for g, rows, dofs, block in space.occupied():
-        out[block].reshape(g.n_elems, -1)[rows] = vec[dofs] @ g.ref.values.T
+    """Scalar field values at the support's quadrature points, (n,)."""
+    out = np.empty(len(space.points))
+    for g, rows, dofs, block in space.occupied:
+        np.matmul(vec[dofs], g.ref.values.T,
+                  out=out[block].reshape(len(rows), -1))
     return out
 
 
 def eval_grad_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
-    """Scalar field gradients at the quadrature points, (n_qp, 2)."""
-    out = np.zeros((space.qp.n, 2))
-    for g, rows, dofs, block in space.occupied():
-        arr = out[block].reshape(g.n_elems, -1, 2)
-        c = vec[dofs]
-        arr[rows, :, 0] = (c @ g.ref.grad_x.T) * (2.0 / g.hx[rows])[:, None]
-        arr[rows, :, 1] = (c @ g.ref.grad_y.T) * (2.0 / g.hy[rows])[:, None]
+    """Scalar field gradients at the support's quadrature points, (2, n)."""
+    out = np.empty((2, len(space.points)))
+    for g, rows, dofs, block in space.occupied:
+        m, c = len(rows), vec[dofs]
+        np.multiply(c @ g.ref.grad_x.T, (2.0 / g.hx[rows])[:, None],
+                    out=out[0, block].reshape(m, -1))
+        np.multiply(c @ g.ref.grad_y.T, (2.0 / g.hy[rows])[:, None],
+                    out=out[1, block].reshape(m, -1))
     return out
 
 
 def eval_strain_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
-    """(eps11, eps22, eps12) of a displacement field at the quadrature
-    points, (n_qp, 3)."""
+    """(eps11, eps22, eps12) of a displacement field at the support's
+    quadrature points, (3, n)."""
     return _eval_strain(space, vec, [(g.ref.grad_x, g.ref.grad_y)
-                                     for g in space.master])
+                                     for g, *_ in space.occupied])
 
 
 def eval_strain_nodes(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """(eps11, eps22, eps12) of a displacement field at the nodes of every
-    cell, (n, 3): the cells in the order of the quadrature layout, each
-    cell's nodes in the order of ``MasterGroup.nodes``."""
+    support cell, (3, n): the cells in the order of the support's points,
+    each cell's nodes in the order of ``MasterGroup.nodes``."""
     tables = []
-    for g in space.master:
+    for g, *_ in space.occupied:
         _, grads = basis.shape_eval((g.px, g.py), g.ref.node_grid())
         tables.append((grads[:, :, 0], grads[:, :, 1]))
     return _eval_strain(space, vec, tables)
@@ -375,31 +384,29 @@ def eval_strain_nodes(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
 
 def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
     """Strains at the points whose basis gradients ``tables`` holds, one
-    (grad_x, grad_y) pair per master group (zeros off-support)."""
+    (grad_x, grad_y) pair per occupied group, cell after cell."""
     if space.arity != 2:
         raise AssemblyError("strain evaluation needs a 2-vector space")
-    sizes = [g.n_elems * len(gx) for g, (gx, _) in zip(space.master, tables)]
+    sizes = [len(rows) * len(gx)
+             for (_, rows, _, _), (gx, _) in zip(space.occupied, tables)]
     offsets = np.cumsum([0] + sizes)
-    out = np.zeros((offsets[-1], 3))
-    for k, (g, rows, node_dofs) in enumerate(zip(
-            space.master, space.member_rows, space.cell_node_dofs)):
-        if len(rows) == 0:
-            continue
-        dx, dy = tables[k][0].T, tables[k][1].T
+    out = np.empty((3, offsets[-1]))
+    for k, ((g, rows, node_dofs, _), (gx, gy)) in enumerate(
+            zip(space.occupied, tables)):
+        m, block = len(rows), slice(offsets[k], offsets[k + 1])
+        dx, dy = gx.T, gy.T
         sx, sy = (2.0 / g.hx[rows])[:, None], (2.0 / g.hy[rows])[:, None]
-        ux = vec[node_dofs * 2]
-        uy = vec[node_dofs * 2 + 1]
-        arr = out[offsets[k]:offsets[k + 1]].reshape(g.n_elems, -1, 3)
-        arr[rows, :, 0] = (ux @ dx) * sx
-        arr[rows, :, 1] = (uy @ dy) * sy
-        arr[rows, :, 2] = 0.5 * ((ux @ dy) * sy + (uy @ dx) * sx)
+        ux, uy = vec[0::2][node_dofs], vec[1::2][node_dofs]
+        e11, e22, e12 = (out[c, block].reshape(m, -1) for c in range(3))
+        np.multiply(ux @ dx, sx, out=e11)
+        np.multiply(uy @ dy, sy, out=e22)
+        np.multiply(0.5, (ux @ dy) * sy + (uy @ dx) * sx, out=e12)
     return out
 
 
 def integrate(space: FieldSpace, values: np.ndarray) -> float:
-    """Integral over the support of a flat quadrature-point array that is
-    zero off it (as ``eval_qp`` returns fields)."""
-    return float(space.qp.weight @ values)
+    """Integral over the support of a support array."""
+    return float(space.qp.weight[space.points] @ values)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ predictor from that start.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
-cadence, and a manifest recording the run status, the configuration hash,
-parameter values, code version, the count of completed steps and, for a
-failed run, the error that stopped it.  Every quantity is in SI units, from
+cadence (a run first deletes the snapshots that the manifest already in the
+directory lists), and a manifest recording the run status, the
+configuration hash, parameter values, code version, the count of completed
+steps and, for a failed run, the error that stopped it.  Every quantity is in SI units, from
 the configuration through the solves to the outputs.
 """
 
@@ -20,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass
 
 from . import postprocess as post
@@ -32,6 +34,9 @@ from .state import History, SimState
 from .stepping import StepReport, TimeGrid, step
 
 log = logging.getLogger(__name__)
+
+# the file names of ``emit_snapshot`` in ``run_scenario``
+_SNAPSHOT_NAME = re.compile(r"snapshot_\d+_t\d+s\.vtk")
 
 
 @dataclass
@@ -119,6 +124,24 @@ def _write_manifest(path, config, status, reports, snapshots, error=None):
         fh.write("\n")
 
 
+def _remove_listed_snapshots(out_dir):
+    """Delete the snapshot files that the manifest in ``out_dir``, left by an
+    earlier run, lists; nothing else, and only names of the form
+    ``run_scenario`` writes (no path leaves the directory)."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            listed = json.load(fh)["snapshots"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in listed:
+        if isinstance(name, str) and _SNAPSHOT_NAME.fullmatch(name):
+            try:
+                os.remove(os.path.join(out_dir, name))
+            except FileNotFoundError:
+                pass
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     """Execute one scenario end to end.
 
@@ -137,6 +160,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     snapshot_names: list[str] = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        _remove_listed_snapshots(out_dir)
         csv_path = os.path.join(out_dir, "timeseries.csv")
         manifest_path = os.path.join(out_dir, "manifest.json")
         csv_fh = open(csv_path, "w", encoding="utf-8", newline="\n")

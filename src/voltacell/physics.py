@@ -236,7 +236,7 @@ class CellProblem:
         # invariant) or a lithium integral 1 . (M v).
         def mean_w(space, region=None):
             w = asm.assemble_load(space, 1.0 if region is None
-                                  else qp.tag == region)
+                                  else qp.tag[space.points] == region)
             return w / w.sum()
 
         rho_cv_w = self.m_th @ np.ones(self.s_th.ndof)
@@ -253,11 +253,10 @@ class CellProblem:
         # Strain-free reference concentrations (initial state of charge).
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
                         CATHODE: soc_init[1] * c.c_max}
-        # The pointwise laws run once over the solid or the electrolyte
-        # quadrature points, with the electrode constants of each point.
-        self.solid_qp = np.flatnonzero(qp.tag != ELYTE)
-        self.elyte_qp = np.flatnonzero(qp.tag == ELYTE)
-        self.solid_tags = qp.tag[self.solid_qp]
+        # The pointwise laws run once over the points of the solid support
+        # (c_s, phi_s and u share its layout) or of the electrolyte support
+        # (c_e, phi_e), each solid point with its electrode's constants.
+        self.solid_tags = qp.tag[self.s_cs.points]
         self.solid = self.electrode_constants(self.solid_tags)
         self.iface_el = self.electrode_constants(self.iface_tags)
         self.dt, self.mid_ops = None, {}    # set by ``prepare``
@@ -290,7 +289,7 @@ class CellProblem:
         """Field nodes of the space's cells with the given tag."""
         return np.unique(np.concatenate(
             [dofs[g.tag[rows] == tag].ravel()
-             for g, rows, dofs, _ in space.occupied()]))
+             for g, rows, dofs, _ in space.occupied]))
 
     def initial_state(self) -> SimState:
         """Uniform equilibrium start: zero strain, reference temperature,
@@ -362,27 +361,26 @@ class CellProblem:
 
     def _guarded_cs_qp(self, cs_v) -> np.ndarray:
         """c_s at the solid quadrature points, guarded."""
-        cs = asm.eval_qp(self.s_cs, cs_v)[self.solid_qp]
-        return self.guard.c_s(cs, self.solid.c_max, _CS_VOLUME,
-                              self.solid_tags)
+        return self.guard.c_s(asm.eval_qp(self.s_cs, cs_v), self.solid.c_max,
+                              _CS_VOLUME, self.solid_tags)
 
     def solid_stress(self, strain, theta, c_s,
                      el: ElectrodeConstants) -> StressState:
-        """Hooke's law at solid points: strains (n, 3), theta and c_s (n,),
+        """Hooke's law at solid points: strains (3, n), theta and c_s (n,),
         and the electrode constants ``el`` of the points."""
-        return hooke_plane_strain(strain[:, 0], strain[:, 1], strain[:, 2],
+        return hooke_plane_strain(strain[0], strain[1], strain[2],
                                   theta, c_s, el, self.mats, el.c_s_ref)
 
     def solid_pressure_qp(self, u_v, theta_qp, cs_solid) -> np.ndarray:
         """Hydrostatic pressure at the solid quadrature points, from theta at
-        the quadrature points (flat, as ``eval_qp`` returns it) and c_s at
-        the solid points; zero in the electrochemical model, which reads
+        the quadrature points (on theta's support, the whole domain) and c_s
+        at the solid points; zero in the electrochemical model, which reads
         neither (``theta_qp`` may be None there)."""
         if self.mode == "electrochemical":
-            return np.zeros(len(self.solid_qp))
-        s = self.solid_qp
-        stress = self.solid_stress(asm.eval_strain_qp(self.s_u, u_v)[s],
-                                   theta_qp[s], cs_solid, self.solid)
+            return np.zeros(len(self.solid_tags))
+        stress = self.solid_stress(asm.eval_strain_qp(self.s_u, u_v),
+                                   theta_qp[self.s_cs.points], cs_solid,
+                                   self.solid)
         return hydrostatic_pressure(stress)
 
     def theta_points(self, theta_v) -> np.ndarray | None:
@@ -394,30 +392,29 @@ class CellProblem:
         return asm.eval_qp(self.s_th, theta_v)
 
     def solid_diffusivity_qp(self, mid: SimState, theta_qp) -> np.ndarray:
-        """D_s at the quadrature points (1 off the solid), with theta at the
-        quadrature points given (see ``solid_pressure_qp``)."""
+        """D_s at the solid quadrature points, with theta at the quadrature
+        points given (see ``solid_pressure_qp``)."""
         cs = self._guarded_cs_qp(mid["c_s"])
         pi = self.solid_pressure_qp(mid["u"], theta_qp, cs)
-        d = np.ones(self.qp.n)
-        d[self.solid_qp] = stress_diffusivity(cs, pi, self.solid, self.mats)
-        return d
+        return stress_diffusivity(cs, pi, self.solid, self.mats)
 
     def heat_source_qp(self, mid: SimState, theta_qp) -> np.ndarray:
-        """Ohmic volumetric source at the quadrature points: gamma
-        |grad phi_s|^2 in the solid, kappa |grad phi_e|^2 + kappa_D grad c_e
-        . grad phi_e / c_e in the electrolyte, with theta at the quadrature
-        points given (flat)."""
-        mats, s, e = self.mats, self.solid_qp, self.elyte_qp
-        q = np.zeros(self.qp.n)
-        gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])[s]
-        q[s] = self.solid.conductivity * (gs ** 2).sum(axis=-1)
-        ge = asm.eval_grad_qp(self.s_pe, mid["phi_e"])[e]
-        gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])[e]
-        ce = self.guard.c_e(asm.eval_qp(self.s_ce, mid["c_e"])[e],
+        """Ohmic volumetric source at the quadrature points (on theta's
+        support, the whole domain): gamma |grad phi_s|^2 in the solid,
+        kappa |grad phi_e|^2 + kappa_D grad c_e . grad phi_e / c_e in the
+        electrolyte, with theta at the quadrature points given."""
+        mats, e = self.mats, self.s_ce.points
+        q = np.empty(self.qp.n)
+        gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])
+        q[self.s_cs.points] = self.solid.conductivity \
+            * (gs[0] ** 2 + gs[1] ** 2)
+        ge = asm.eval_grad_qp(self.s_pe, mid["phi_e"])
+        gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])
+        ce = self.guard.c_e(asm.eval_qp(self.s_ce, mid["c_e"]),
                             "c_e volume (heat source)")
         kd = diffusional_conductivity(theta_qp[e], mats)
-        cross = (gc * ge).sum(axis=-1) / ce
-        q[e] = mats.electrolyte.conductivity * (ge ** 2).sum(axis=-1) \
+        cross = (gc[0] * ge[0] + gc[1] * ge[1]) / ce
+        q[e] = mats.electrolyte.conductivity * (ge[0] ** 2 + ge[1] ** 2) \
             + kd * cross
         return q
 
@@ -502,19 +499,16 @@ class CellProblem:
 
     def _kappa_d_grad_load(self, theta_qp, ce_v) -> np.ndarray:
         """(grad psi_e, kappa_D grad ln c_e) load vector (full DOFs), with
-        theta at the quadrature points given (flat)."""
-        e = self.elyte_qp
-        ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v)[e],
+        theta at the quadrature points given."""
+        ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v),
                             "c_e volume (kappa_D load)")
-        kd = diffusional_conductivity(theta_qp[e], self.mats)
-        vec = np.zeros((self.qp.n, 2))
-        vec[e] = kd[:, None] * asm.eval_grad_qp(self.s_ce, ce_v)[e] \
-            / ce[:, None]
-        return asm.assemble_grad_load(self.s_pe, vec)
+        kd = diffusional_conductivity(theta_qp[self.s_ce.points], self.mats)
+        return asm.assemble_grad_load(
+            self.s_pe, kd * asm.eval_grad_qp(self.s_ce, ce_v) / ce)
 
     def potential_system(self, theta_v, cs_v, ce_v, theta_qp):
         """The linearized phi_s/phi_e pair as one reduced block system, with
-        theta given as a vector and at the quadrature points (flat).
+        theta given as a vector and at the quadrature points.
 
         Unknowns are phi_s on its free DOFs followed by phi_e.  With the
         interface jump operator D = [T_s, -T_e] and W_c = diag(w I_c F/(R
@@ -537,14 +531,13 @@ class CellProblem:
 
     def elasticity_load(self, theta_qp, cs_v) -> np.ndarray:
         """(div v, 3K(alpha dtheta + omega dc)) load on the solid, with theta
-        at the quadrature points given (flat)."""
-        s, el = self.solid_qp, self.solid
-        th = theta_qp[s]
-        cs = asm.eval_qp(self.s_cs, cs_v)[s]
-        load = np.zeros(self.qp.n)
-        load[s] = 3.0 * el.bulk * (el.alpha * (th - self.mats.theta_ref)
-                                   + el.omega * (cs - el.c_s_ref))
-        return asm.assemble_div_load(self.s_u, load)
+        at the quadrature points given."""
+        el = self.solid
+        th = theta_qp[self.s_cs.points]
+        cs = asm.eval_qp(self.s_cs, cs_v)
+        return asm.assemble_div_load(self.s_u, 3.0 * el.bulk * (
+            el.alpha * (th - self.mats.theta_ref)
+            + el.omega * (cs - el.c_s_ref)))
 
     def stage2(self, t: float, d_new: dict, s_guess: SimState) -> dict:
         """Solve the quasi-static fields at the new time, then u.
@@ -588,18 +581,17 @@ class CellProblem:
 
     def stress_qp(self, state: SimState) -> StressState:
         """Stress at the solid quadrature points."""
-        s = self.solid_qp
-        return self.solid_stress(asm.eval_strain_qp(self.s_u, state["u"])[s],
-                                 asm.eval_qp(self.s_th, state["theta"])[s],
-                                 asm.eval_qp(self.s_cs, state["c_s"])[s],
-                                 self.solid)
+        return self.solid_stress(
+            asm.eval_strain_qp(self.s_u, state["u"]),
+            asm.eval_qp(self.s_th, state["theta"])[self.s_cs.points],
+            asm.eval_qp(self.s_cs, state["c_s"]), self.solid)
 
     def von_mises_qp(self, state: SimState):
-        """Von Mises stress at the quadrature points (zero off the solid);
-        returns (flat array, max value, location of the max)."""
-        vm = np.zeros(self.qp.n)
-        vm[self.solid_qp] = von_mises(self.stress_qp(state))
-        i = int(np.argmax(vm))
-        if vm[i] > 0.0:
-            return vm, float(vm[i]), (float(self.qp.x[i]), float(self.qp.y[i]))
+        """Von Mises stress at the solid quadrature points; returns (the
+        array, max value, location of the max)."""
+        vm = von_mises(self.stress_qp(state))
+        j = int(np.argmax(vm))
+        if vm[j] > 0.0:
+            i = self.s_cs.points[j]
+            return vm, float(vm[j]), (float(self.qp.x[i]), float(self.qp.y[i]))
         return vm, 0.0, (np.nan, np.nan)

@@ -157,12 +157,13 @@ def _cell_points(problem):
 
 def _nodal_von_mises(problem, state: SimState, node_ids, tags) -> np.ndarray:
     """Von Mises stress at the cell nodes of ``_cell_points`` (zero off the
-    solid), from each cell's strain and the nodal theta and c_s."""
+    solid), from each cell's strain and the nodal theta and c_s.  The solid
+    cells' nodes keep their order, which is the order of u's support."""
     solid = tags != ELYTE
     ids = node_ids[solid]
     vm = np.zeros(len(tags))
     vm[solid] = von_mises(problem.solid_stress(
-        asm.eval_strain_nodes(problem.s_u, state["u"])[solid],
+        asm.eval_strain_nodes(problem.s_u, state["u"]),
         state["theta"][problem.s_th.node_index[ids]],
         state["c_s"][problem.s_cs.node_index[ids]],
         problem.electrode_constants(tags[solid])))

@@ -130,13 +130,15 @@ class Solver:
     """The solver of one SPD system, holding the LU factor of one matrix (see
     the module docstring); its first solve factorizes the matrix it is given.
     ``name`` labels the system in the messages of ``SolveError``, and
-    ``refactorizations`` and ``cg_iterations`` count the work done so far.
+    ``refactorizations``, ``cg_iterations`` and ``backsolves`` (of the held
+    factor) count the work done so far.
     """
 
     def __init__(self, name: str = "SPD system"):
         self.name = name
         self.refactorizations = 0
         self.cg_iterations = 0
+        self.backsolves = 0
         # The factorized matrix, held weakly: the solver only recognises it,
         # and the held c_s and pair matrices are 4 MB on the production mesh.
         self._held = self._lu = None
@@ -158,6 +160,10 @@ class Solver:
         self._a_max = _abs_max(mat)
         self.refactorizations += 1
 
+    def _backsolve(self, v: np.ndarray) -> np.ndarray:
+        self.backsolves += 1
+        return self._lu.solve(v)
+
     def solve(self, mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         norm_b = _rhs_norm(rhs, self.name)
@@ -170,7 +176,7 @@ class Solver:
             own = mat is self._held()
             x, iters, achieved = _pcg(
                 mat.tocsr(), rhs, norm_b,
-                self._a_max if own else _abs_max(mat), self._lu.solve,
+                self._a_max if own else _abs_max(mat), self._backsolve,
                 HELD_CG_MAXITER)
             self.cg_iterations += iters
             if achieved is None:

@@ -11,10 +11,13 @@ Element bookkeeping is organized around the mesh-wide "master" grouping of
 cells by degree pair; field spaces store, per master group, which rows they
 occupy.  The node tables of a group's cells, the support of a field and its
 constrained DOFs are computed with array operations over all cells or edges
-at once.  Pointwise data lives in one flat layout of the mesh's quadrature
-points (``QuadPoints``: group after group), shared by every field, so fields
-exchange pointwise data (sources, couplings) without re-indexing and a
-pointwise law runs once over all the points it applies to.
+at once.  The mesh's quadrature points have one global order (``QuadPoints``:
+group after group).  A field's pointwise data lives on its own support's
+points only, in that global order (``FieldSpace.points``), so each group's
+points are one contiguous block of a support array and a pointwise law runs
+once over exactly the points it applies to.  The fields on one support share
+its layout; theta's support is the whole domain, so its layout is the global
+one, and a law on a smaller support reads theta through ``points``.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ class QuadPoints:
     """The quadrature points of every mesh cell in one flat layout.
 
     Points run master group after master group, each group's cells in row
-    order and each cell's points in reference order: group k owns the block
-    ``block(k)``, and that block of a flat array reshapes to (n_elems, nq).
+    order and each cell's points in reference order: group k owns the points
+    ``offsets[k]`` up to ``offsets[k + 1]``.  A field's support keeps this
+    order on its own points (``FieldSpace.points``).
     """
 
     offsets: np.ndarray     # (n_groups + 1,) first point of each group
@@ -167,9 +171,6 @@ class QuadPoints:
     @property
     def n(self) -> int:
         return len(self.tag)
-
-    def block(self, k: int) -> slice:
-        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
     @classmethod
     def build(cls, master: list) -> "QuadPoints":
@@ -224,6 +225,10 @@ class FieldSpace:
     node_index: np.ndarray      # global node id -> field node index (-1 outside)
     member_rows: list           # per master group: row indices in the support
     cell_node_dofs: list        # per master group: (n_member, nbf) field node idx
+    # (master group, member rows, their field node indices, their block of
+    # the support's points) of each group the space occupies
+    occupied: tuple
+    points: np.ndarray          # global quadrature point of each support point
     constrained: np.ndarray = None
 
     @property
@@ -245,13 +250,6 @@ class FieldSpace:
     def node_xy(self) -> np.ndarray:
         return self.grid.node_xy(self.node_ids)
 
-    def occupied(self) -> list:
-        """(master group, member rows, their field node indices, the group's
-        block of the quadrature layout) of each group the space occupies."""
-        return [(g, rows, dofs, self.qp.block(k)) for k, (g, rows, dofs)
-                in enumerate(zip(self.master, self.member_rows,
-                                 self.cell_node_dofs)) if len(rows)]
-
     @cached_property
     def cell_dofs(self) -> np.ndarray:
         """The DOFs of the nodes of every occupied cell, flat: groups in the
@@ -260,7 +258,7 @@ class FieldSpace:
         laid out alike sum into a global vector with one ``np.bincount``."""
         return np.concatenate([
             (dofs[..., None] * self.arity + np.arange(self.arity)).ravel()
-            for _, _, dofs, _ in self.occupied()])
+            for _, _, dofs, _ in self.occupied])
 
     def dofs_of_nodes(self, field_nodes: np.ndarray, comp: int = 0) -> np.ndarray:
         return np.asarray(field_nodes) * self.arity + comp
@@ -315,16 +313,25 @@ def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
     node_index = np.full(grid.n_nodes, -1, dtype=int)
     node_index[node_ids] = np.arange(len(node_ids))
 
-    cell_node_dofs = []
-    for g, rows in zip(master, member_rows):
-        cell_node_dofs.append(node_index[g.nodes[rows]] if len(rows)
-                              else np.empty((0, (g.px + 1) * (g.py + 1)), dtype=int))
+    cell_node_dofs, occupied, points, start = [], [], [], 0
+    for k, (g, rows) in enumerate(zip(master, member_rows)):
+        dofs = node_index[g.nodes[rows]] if len(rows) \
+            else np.empty((0, (g.px + 1) * (g.py + 1)), dtype=int)
+        cell_node_dofs.append(dofs)
+        if len(rows):
+            nq = len(g.ref.qw)
+            occupied.append((g, rows, dofs,
+                             slice(start, start + len(rows) * nq)))
+            points.append((qp.offsets[k] + rows[:, None] * nq
+                           + np.arange(nq)).ravel())
+            start += len(rows) * nq
 
     space = FieldSpace(
         name=name, mesh=mesh, grid=grid, master=master, qp=qp,
         selector=selector,
         arity=arity, node_ids=node_ids, node_index=node_index,
         member_rows=member_rows, cell_node_dofs=cell_node_dofs,
+        occupied=tuple(occupied), points=np.concatenate(points),
     )
     space.constrained = np.zeros(space.ndof, dtype=bool)
 

@@ -93,6 +93,7 @@ class StepReport:
     eta_max: float = 0.0
     refactorizations: int = 0    # summed over the backend's solvers
     cg_iterations: int = 0       # preconditioned CG, summed likewise
+    backsolves: int = 0          # held-factor backsolves, summed likewise
 
 
 def predict(backend, history: History, dt: float) -> SimState:
@@ -166,6 +167,7 @@ def step(backend, history: History, grid: TimeGrid, n: int,
     solvers = backend.solvers.values()
     refac0 = sum(s.refactorizations for s in solvers)
     cg0 = sum(s.cg_iterations for s in solvers)
+    bs0 = sum(s.backsolves for s in solvers)
 
     iterate = predict(backend, history, dt)
     updates = []
@@ -189,15 +191,17 @@ def step(backend, history: History, grid: TimeGrid, n: int,
         n=n, t=t_new, sweeps=len(updates), update_history=updates,
         refactorizations=sum(s.refactorizations for s in solvers) - refac0,
         cg_iterations=sum(s.cg_iterations for s in solvers) - cg0,
+        backsolves=sum(s.backsolves for s in solvers) - bs0,
     )
     if iface is not None:       # the interface of the accepted sweep
         report.ibv_integral = iface.ibv_integral()
         report.eta_ibv_min = iface.eta_ibv_min()
         report.eta_max = iface.eta_max_abs()
     log.info("step %5d  t=%-10.4g sweeps=%d  max_update=%.3e  "
-             "refactorizations=%d  cg_iterations=%d",
+             "refactorizations=%d  cg_iterations=%d  backsolves=%d",
              n, t_new, report.sweeps, updates[-1],
-             report.refactorizations, report.cg_iterations)
+             report.refactorizations, report.cg_iterations,
+             report.backsolves)
     return iterate, report
 
 

@@ -109,6 +109,28 @@ def test_production_low_discharge_step_meets_fp_tol():
     assert rep.update_history[-1] < cfg.fp_tol <= rep.update_history[-2]
 
 
+def test_rerun_into_same_directory_drops_old_snapshots(tmp_path):
+    """A shorter rerun into the same directory leaves exactly the snapshots
+    its manifest lists; other files stay, even when the old manifest lists
+    them."""
+    out = str(tmp_path)
+    cfg = preset("high_discharge").replace(
+        mesh=MeshSpec.coarse(), dt=30.0, t_end=120.0, snapshot_every=60.0)
+    driver.run_scenario(cfg, out_dir=out)
+    (tmp_path / "notes.txt").write_text("kept")
+    old = json.loads((tmp_path / "manifest.json").read_text())
+    assert "snapshot_0002_t120s.vtk" in old["snapshots"]
+    old["snapshots"].append("notes.txt")
+    (tmp_path / "manifest.json").write_text(json.dumps(old))
+    driver.run_scenario(cfg.replace(t_end=60.0), out_dir=out)
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["snapshots"] == ["snapshot_0000_t0s.vtk",
+                                "snapshot_0001_t60s.vtk"]
+    assert sorted(n for n in os.listdir(out) if n.endswith(".vtk")) \
+        == man["snapshots"]
+    assert (tmp_path / "notes.txt").read_text() == "kept"
+
+
 def test_zero_duration_run():
     cfg = preset("high_discharge").replace(**{**DESK, "t_end": 0.0})
     result = driver.run_scenario(cfg)
@@ -254,6 +276,8 @@ def test_held_solvers_match_refactorizing_run(tmp_path, monkeypatch):
                for s in held.problem.solvers.values()) == lu_held
     assert all(r.cg_iterations > 0 for r in held.reports)
     assert all(r.cg_iterations == 0 for r in fresh.reports)
+    # a held-factor solve backsolves once, then once per CG iteration
+    assert all(r.backsolves > r.cg_iterations for r in held.reports)
 
     # acceptance criterion 4: each step's change of total lithium balances
     # the interface current

@@ -414,7 +414,7 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats):
 
 
 # ---------------------------------------------------------------------------
-# the flat quadrature-point layout
+# the support layout of pointwise data
 # ---------------------------------------------------------------------------
 
 # The length [m] over which the smooth test functions of the layout tests vary
@@ -428,20 +428,38 @@ def _layout_state(prob):
     state["u"] = 1e-8 * rng.standard_normal(prob.s_u.ndof)
     state["theta"] = state["theta"] + rng.uniform(0.0, 2.0,
                                                   prob.s_th.ndof)
+    state["phi_e"] = state["phi_e"] * (1.0 + 0.01 * np.sin(
+        np.arange(prob.s_pe.ndof)))
     return state
 
 
-def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
-    """Each solid quadrature point carries its own electrode's constants;
-    the solid and electrolyte points split the layout."""
+def test_support_points_follow_the_global_order(pattern_problem):
+    """Each space's points are the global quadrature points whose cell tag
+    its selector holds, in global order; the fields on one support share
+    one layout, and theta's is the global one."""
     prob = pattern_problem
     qp = prob.qp
-    assert np.array_equal(np.sort(np.concatenate(
-        [prob.solid_qp, prob.elyte_qp])), np.arange(qp.n))
-    assert np.all(qp.tag[prob.elyte_qp] == geo.ELYTE)
+    for space in prob.spaces.values():
+        assert np.array_equal(space.points, np.flatnonzero(
+            np.isin(qp.tag, list(space.selector)))), space.name
+        assert sum(sl.stop - sl.start for *_, sl in space.occupied) \
+            == len(space.points)
+    for names in (("c_s", "phi_s", "u"), ("c_e", "phi_e")):
+        for name in names[1:]:
+            assert np.array_equal(prob.spaces[name].points,
+                                  prob.spaces[names[0]].points), name
+    assert np.array_equal(prob.s_th.points, np.arange(qp.n))
+    assert len(prob.s_cs.points) + len(prob.s_ce.points) == qp.n
+
+
+def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
+    """Each solid quadrature point carries its own electrode's constants:
+    the constants of ``CellProblem.solid`` sit at c_s's support points."""
+    prob = pattern_problem
+    qp = prob.qp
+    assert np.array_equal(prob.solid_tags, qp.tag[prob.s_cs.points])
     el = prob.solid
-    for k, tag in zip(prob.solid_qp, prob.solid_tags):
-        assert qp.tag[k] == tag
+    assert len(el.c_max) == len(prob.s_cs.points)
     for tag in (geo.ANODE, geo.CATHODE):
         ref = mats.electrode(geo.TAG_NAMES[tag])
         at = prob.solid_tags == tag
@@ -457,12 +475,15 @@ def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
 
 
 def _cell_oracles(space):
-    """Per member cell of ``space``: its quadrature points in the flat
-    layout, its field node indices, and its basis values and physical x, y
-    derivatives at those points (each (nbf, nq)), built cell by cell from
-    the oracle's Lagrange polynomials."""
+    """Per member cell of ``space``: its quadrature points in the global
+    layout and their positions in the support layout (member cells one
+    after another, checked against ``space.points``), its field node
+    indices, and its basis values and physical x, y derivatives at those
+    points (each (nbf, nq)), built cell by cell from the oracle's Lagrange
+    polynomials."""
     import oracles
     qp = space.qp
+    start = 0
     for k, (g, rows, dofs) in enumerate(zip(
             space.master, space.member_rows, space.cell_node_dofs)):
         ref = g.ref
@@ -472,6 +493,9 @@ def _cell_oracles(space):
         xi, eta = ref.qp[:, 0], ref.qp[:, 1]
         for e, row in enumerate(rows):
             pts = qp.offsets[k] + row * nq + np.arange(nq)
+            at = start + np.arange(nq)
+            start += nq
+            assert np.array_equal(space.points[at], pts)
             assert np.allclose(qp.x[pts], g.x0[row] + (xi + 1) * 0.5
                                * g.hx[row], rtol=1e-14, atol=1e-12)
             assert np.allclose(qp.y[pts], g.y0[row] + (eta + 1) * 0.5
@@ -484,7 +508,8 @@ def _cell_oracles(space):
                            for a in range(g.px + 1)]) * 2.0 / g.hx[row]
             dy = np.array([dly[b](eta) * lx[a](xi) for b in range(g.py + 1)
                            for a in range(g.px + 1)]) * 2.0 / g.hy[row]
-            yield pts, dofs[e], phi, dx, dy
+            yield pts, at, dofs[e], phi, dx, dy
+    assert start == len(space.points)
 
 
 def _assert_close(got, ref, tol):
@@ -492,65 +517,79 @@ def _assert_close(got, ref, tol):
 
 
 def test_layout_matches_per_element_evaluation(pattern_problem):
-    """Flat eval_qp, eval_grad_qp, assemble_load, assemble_grad_load and
+    """eval_qp, eval_grad_qp, assemble_load, assemble_grad_load and
     integrate agree with a cell-by-cell evaluation through the oracle's
-    Lagrange polynomials."""
-    prob = pattern_problem
-    qp, space = prob.qp, prob.s_cs
-    vec = _layout_state(prob)["c_s"]
+    Lagrange polynomials, on the solid support."""
+    _check_scalar_kernels(pattern_problem, "c_s")
+
+
+@pytest.mark.parametrize("field", ["c_e", "phi_e"])
+def test_electrolyte_layout_matches_per_element_evaluation(pattern_problem,
+                                                           field):
+    """The same on the electrolyte support, where assemble_grad_load is the
+    kappa_D load's path."""
+    _check_scalar_kernels(pattern_problem, field)
+
+
+def _check_scalar_kernels(prob, field):
+    qp, space = prob.qp, prob.spaces[field]
+    vec = _layout_state(prob)[field]
     vals = asm.eval_qp(space, vec)
     grads = asm.eval_grad_qp(space, vec)
-    x, y = qp.x / LENGTH_UNIT, qp.y / LENGTH_UNIT
-    f = np.cos(x) + y ** 2                      # a flat load density
-    v = np.column_stack([np.sin(y), x * y])     # a flat vector field
+    x = qp.x[space.points] / LENGTH_UNIT
+    y = qp.y[space.points] / LENGTH_UNIT
+    f = np.cos(x) + y ** 2                      # a load density
+    v = np.stack([np.sin(y), x * y])            # a vector field, (2, n)
     load = asm.assemble_load(space, f)
     grad_load = asm.assemble_grad_load(space, v)
-    ref_vals = np.zeros(qp.n)
-    ref_grads = np.zeros((qp.n, 2))
+    assert vals.shape == (len(space.points),)
+    assert grads.shape == (2, len(space.points))
+    ref_vals = np.zeros(len(space.points))
+    ref_grads = np.zeros((2, len(space.points)))
     ref_load = np.zeros(space.ndof)
     ref_grad_load = np.zeros(space.ndof)
     total = 0.0
-    for pts, dofs, phi, dx, dy in _cell_oracles(space):
+    for pts, at, dofs, phi, dx, dy in _cell_oracles(space):
         w = qp.weight[pts]
         c = vec[dofs]
-        ref_vals[pts] = c @ phi
-        ref_grads[pts] = np.column_stack([c @ dx, c @ dy])
-        np.add.at(ref_load, dofs, phi @ (w * f[pts]))
+        ref_vals[at] = c @ phi
+        ref_grads[:, at] = np.stack([c @ dx, c @ dy])
+        np.add.at(ref_load, dofs, phi @ (w * f[at]))
         np.add.at(ref_grad_load, dofs,
-                  dx @ (w * v[pts, 0]) + dy @ (w * v[pts, 1]))
-        total += (w * vals[pts]).sum()
+                  dx @ (w * v[0, at]) + dy @ (w * v[1, at]))
+        total += (w * vals[at]).sum()
     _assert_close(vals, ref_vals, 1e-12)
     _assert_close(grads, ref_grads, 1e-10)
     _assert_close(load, ref_load, 1e-12)
     _assert_close(grad_load, ref_grad_load, 1e-12)
     assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12,
                                                        abs=0.0)
-    assert np.all(vals[prob.elyte_qp] == 0.0)
 
 
 def test_vector_kernels_match_per_element_evaluation(pattern_problem):
-    """Flat eval_strain_qp and assemble_div_load on the displacement space
-    agree with a cell-by-cell evaluation: eps = (du_x/dx, du_y/dy,
-    (du_x/dy + du_y/dx) / 2) and (div v_i, f) = (d w/dx, f) on the x DOF,
-    (d w/dy, f) on the y DOF of each node."""
+    """eval_strain_qp and assemble_div_load on the displacement space agree
+    with a cell-by-cell evaluation: eps = (du_x/dx, du_y/dy, (du_x/dy +
+    du_y/dx) / 2) and (div v_i, f) = (d w/dx, f) on the x DOF, (d w/dy, f)
+    on the y DOF of each node."""
     prob = pattern_problem
     qp, space = prob.qp, prob.s_u
     u = _layout_state(prob)["u"]
-    f = np.cos(qp.x / LENGTH_UNIT) + (qp.y / LENGTH_UNIT) ** 2
+    pts_u = space.points
+    f = np.cos(qp.x[pts_u] / LENGTH_UNIT) + (qp.y[pts_u] / LENGTH_UNIT) ** 2
     strain = asm.eval_strain_qp(space, u)
     div_load = asm.assemble_div_load(space, f)
-    ref_strain = np.zeros((qp.n, 3))
+    assert strain.shape == (3, len(pts_u))
+    ref_strain = np.zeros((3, len(pts_u)))
     ref_div_load = np.zeros(space.ndof)
-    for pts, nodes, _, dx, dy in _cell_oracles(space):
+    for pts, at, nodes, _, dx, dy in _cell_oracles(space):
         ux, uy = u[2 * nodes], u[2 * nodes + 1]
-        ref_strain[pts] = np.column_stack([
+        ref_strain[:, at] = np.stack([
             ux @ dx, uy @ dy, 0.5 * (ux @ dy + uy @ dx)])
-        wf = qp.weight[pts] * f[pts]
+        wf = qp.weight[pts] * f[at]
         np.add.at(ref_div_load, 2 * nodes, dx @ wf)
         np.add.at(ref_div_load, 2 * nodes + 1, dy @ wf)
     _assert_close(strain, ref_strain, 1e-10)
     _assert_close(div_load, ref_div_load, 1e-12)
-    assert np.all(strain[prob.elyte_qp] == 0.0)
 
 
 def test_readouts_match_quadrature_averages(pattern_problem):
@@ -561,21 +600,23 @@ def test_readouts_match_quadrature_averages(pattern_problem):
     prob = pattern_problem
     qp, mats = prob.qp, prob.mats
     state = _layout_state(prob)
-    state["phi_e"] = state["phi_e"] * (1.0 + 0.01 * np.sin(
-        np.arange(prob.s_pe.ndof)))
     everywhere = (geo.ANODE, geo.CATHODE, geo.ELYTE)
 
     def integral(space, field, tags, weight=1.0):
         vals = asm.eval_qp(space, state[field]) * weight
-        return asm.integrate(space, vals * np.isin(qp.tag, tags))
+        return asm.integrate(space, vals * in_tags(space, tags))
+
+    def in_tags(space, tags):
+        return np.isin(qp.tag[space.points], tags)
 
     def mean(space, field, tags):
         return integral(space, field, tags) \
-            / asm.integrate(space, np.isin(qp.tag, tags).astype(float))
+            / asm.integrate(space, in_tags(space, tags).astype(float))
 
     rho_cv = sps.tag_values({geo.ANODE: mats.anode.rho_cv,
                              geo.CATHODE: mats.cathode.rho_cv,
-                             geo.ELYTE: mats.electrolyte.rho_cv}, qp.tag)
+                             geo.ELYTE: mats.electrolyte.rho_cv},
+                            qp.tag[prob.s_th.points])
     expected = {
         "phi_e_avg": mean(prob.s_pe, "phi_e", [geo.ELYTE]),
         "soc_anode": mean(prob.s_cs, "c_s", [geo.ANODE]) / mats.anode.c_max,
@@ -600,23 +641,23 @@ def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
     electrode's own material at sampled solid points."""
     prob = pattern_problem
     state = _layout_state(prob)
-    s = prob.solid_qp
+    s = prob.s_cs.points
     strain = asm.eval_strain_qp(prob.s_u, state["u"])
     theta = asm.eval_qp(prob.s_th, state["theta"])
     c_s = asm.eval_qp(prob.s_cs, state["c_s"])
-    pi = prob.solid_pressure_qp(state["u"], theta, c_s[s])
+    pi = prob.solid_pressure_qp(state["u"], theta, c_s)
     vm, vmax, _ = prob.von_mises_qp(state)
     assert vmax == vm.max() > 0.0
-    assert np.all(vm[prob.elyte_qp] == 0.0)
+    assert len(vm) == len(pi) == len(s)
     for j in range(0, len(s), 7):
         k, tag = s[j], prob.solid_tags[j]
         stress = mat.hooke_plane_strain(
-            *strain[k], theta[k], c_s[k],
+            *strain[:, j], theta[k], c_s[j],
             mats.electrode(geo.TAG_NAMES[tag]), mats,
             prob.c_s_ref[tag])
         assert pi[j] == pytest.approx(mat.hydrostatic_pressure(stress),
                                       rel=1e-12, abs=1e-12 * np.abs(pi).max())
-        assert vm[k] == pytest.approx(mat.von_mises(stress), rel=1e-12)
+        assert vm[j] == pytest.approx(mat.von_mises(stress), rel=1e-12)
 
 
 def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
@@ -625,8 +666,9 @@ def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     th_qp = asm.eval_qp(prob.s_th, s0["theta"])
     d_qp = prob.solid_diffusivity_qp(s0, th_qp)
     nq = len(prob.master[0].ref.qw)
-    i = int(prob.s_cs.member_rows[0][5]) * nq + 2    # a point of group 0
-    d_qp[i] = -1.0
+    j = 5 * nq + 2              # a point of the sixth solid cell of group 0
+    i = prob.s_cs.points[j]
+    d_qp[j] = -1.0
     prob.solid_diffusivity_qp = lambda state, theta_qp: d_qp
     with pytest.raises(asm.AssemblyError) as err:
         prob.cs_stiffness(s0, th_qp)

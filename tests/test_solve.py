@@ -51,7 +51,7 @@ def test_factor_reuse():
     for k in range(3):
         b = np.full(3, float(k + 1))
         assert np.allclose(f.solve(a, b), b / np.array([1.0, 2.0, 4.0]))
-    assert (f.refactorizations, f.cg_iterations) == (1, 0)
+    assert (f.refactorizations, f.cg_iterations, f.backsolves) == (1, 0, 3)
 
 
 def test_non_convergence_reports_residual():
@@ -260,6 +260,7 @@ def test_held_cg_recovers_a_slightly_wrong_factor():
     x = factor.solve(a, b)
     assert 1 <= factor.cg_iterations <= solve.HELD_CG_MAXITER
     assert factor._lu.backsolves == 1 + factor.cg_iterations
+    assert factor.backsolves == 1 + factor.cg_iterations
     assert factor.refactorizations == 1
     assert np.linalg.norm(a @ x - b) <= DEFAULT_RTOL * np.linalg.norm(b)
 
@@ -275,6 +276,7 @@ def test_unresolved_factor_raises_after_held_cg():
     with pytest.raises(SolveError, match="exceeds tolerance") as err:
         factor.solve(a, b)
     assert factor._lu.backsolves == 1 + solve.HELD_CG_MAXITER
+    assert factor.backsolves == factor._lu.backsolves
     assert factor.refactorizations == 1
     x_ref = next(itertools.islice(_reference_cg(a, factor._lu.lu, b),
                                   solve.HELD_CG_MAXITER, None))
