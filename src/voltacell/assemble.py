@@ -14,11 +14,11 @@ constraints are homogeneous and eliminated by reduction, never by penalties,
 so SPD structure survives).
 
 Pointwise data lives on the field space's support: an array over the
-support's quadrature points in their global order (``FieldSpace.points``),
+support's quadrature points in their global order (``Support.points``),
 as ``eval_qp`` returns it, with vector quantities component-major (a
 gradient is (2, n), a strain (3, n)), so each component is contiguous.
 Each degree group's points are one contiguous block of such an array
-(``FieldSpace.occupied``), which reshapes without a copy to the group's
+(``Support.occupied``), which reshapes without a copy to the group's
 (n_member, nq) rows.  Coefficients may be given as a scalar, a
 per-subdomain-tag dict, a callable ``f(x, y)`` evaluated at the support's
 points, or a support array.  The per-sweep kernels follow one idiom:
@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from . import basis
 from .mesh import EdgeSet
-from .spaces import FieldSpace, NodeGrid, tag_values
+from .spaces import FieldSpace, NodeGrid, Support, tag_values
 
 EDGE_QUAD_EXTRA = 2
 
@@ -52,10 +52,10 @@ class AssemblyError(ValueError):
 # Coefficient resolution
 # ---------------------------------------------------------------------------
 
-def coeff_arrays(space: FieldSpace, coeff) -> list:
+def coeff_arrays(support: Support, coeff) -> list:
     """Resolve a coefficient spec into (n_member, nq) views of a support
-    array, one per group the space occupies (see ``FieldSpace.occupied``)."""
-    qp, pts = space.qp, space.points
+    array, one per group the support occupies (see ``Support.occupied``)."""
+    qp, pts = support.qp, support.points
     if callable(coeff):
         coeff = coeff(qp.x[pts], qp.y[pts])
     elif isinstance(coeff, dict):
@@ -64,7 +64,7 @@ def coeff_arrays(space: FieldSpace, coeff) -> list:
     if flat.shape != pts.shape:
         flat = np.broadcast_to(flat, pts.shape)
     return [flat[sl].reshape(len(rows), -1)
-            for _, rows, _, sl in space.occupied]
+            for _, rows, _, sl in support.occupied]
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +165,26 @@ def ref_tables(px: int, py: int) -> RefTables:
 
 
 class ElementScatter(FixedPattern):
-    """The pattern of the node couplings of a field space's elements.
+    """The pattern of the node couplings of a support's elements.
 
     Its entries are those of every element matrix, degree group after degree
     group, each flattened row-major; ``groups`` holds (master group, member
     rows, slice of its entries, block of the support's points) for the
-    groups the space occupies.  The pattern depends only on the support, so
-    one scatter serves every field on it, and a matrix assembled again with
-    new coefficients keeps it.
+    groups the support occupies.  One scatter serves every field on the
+    support, and a matrix assembled again with new coefficients keeps its
+    pattern.
     """
 
-    def __init__(self, space: FieldSpace):
-        self.space = space
+    def __init__(self, support: Support):
+        self.support = support
         self.groups = []
         # On the tensor grid, the columns of one pattern row on one y-node
-        # level are consecutive field nodes, so an element's nbx nodes on a
+        # level are consecutive support nodes, so an element's nbx nodes on a
         # level take consecutive slots.  One record per (element, row node,
         # level) holds its (row, level) key and its first column node.
-        nny, nnx = space.grid.nny, space.grid.nnx
+        nny, nnx = support.grid.nny, support.grid.nnx
         keys, firsts, widths, start = [], [], [], 0
-        for g, rows, dofs, block in space.occupied:
+        for g, rows, dofs, block in support.occupied:
             m, n = dofs.shape
             nbx = g.px + 1
             level = g.nodes[rows, ::nbx] // nnx              # (m, nby)
@@ -207,7 +207,7 @@ class ElementScatter(FixedPattern):
         lo = np.minimum.reduceat(firsts[order], heads)
         width = np.maximum.reduceat(ends[order], heads) - lo
         run_slot = np.cumsum(width) - width
-        n, nnz = space.n_nodes, int(width.sum())
+        n, nnz = support.n_nodes, int(width.sum())
         row_len = np.bincount(keys[order[heads]] // nny, width, n)
         super().__init__(np.r_[0, np.cumsum(row_len)].astype(int),
                          np.repeat(lo - run_slot, width) + np.arange(nnz),
@@ -231,7 +231,7 @@ class ElementScatter(FixedPattern):
         """Weighted L2 mass matrix (w_i, c w_j) over the support."""
         products = []
         for (g, rows, _, _), c in zip(self.groups,
-                                      coeff_arrays(self.space, coeff)):
+                                      coeff_arrays(self.support, coeff)):
             if np.any(c <= 0.0):
                 raise AssemblyError("mass coefficient must be strictly "
                                     "positive")
@@ -245,12 +245,12 @@ class ElementScatter(FixedPattern):
         """Scalar diffusion matrix (grad w_i, c grad w_j); c must stay
         positive."""
         products = []
-        qp = self.space.qp
+        qp = self.support.qp
         for (g, rows, _, block), c in zip(self.groups,
-                                          coeff_arrays(self.space, coeff)):
+                                          coeff_arrays(self.support, coeff)):
             if np.any(c <= 0.0):
                 j = int(np.argmin(c))
-                i = self.space.points[block.start + j]
+                i = self.support.points[block.start + j]
                 raise AssemblyError(
                     f"nonpositive {coeff_name} sample {c.flat[j]:.6g} at "
                     f"quadrature point ({qp.x[i]:.6g}, {qp.y[i]:.6g})")
@@ -271,8 +271,8 @@ class ElementScatter(FixedPattern):
         """
         xx, xy, yx, yy = products = ([], [], [], [])
         for (g, rows, _, _), shr, bulk_c in zip(
-                self.groups, coeff_arrays(self.space, shear),
-                coeff_arrays(self.space, bulk)):
+                self.groups, coeff_arrays(self.support, shear),
+                coeff_arrays(self.support, bulk)):
             if np.any(shr <= 0.0) or np.any(bulk_c <= 0.0):
                 raise AssemblyError("elastic moduli must be positive")
             lam = bulk_c - 2.0 * shr / 3.0
@@ -309,15 +309,15 @@ def assemble_load(space: FieldSpace, f) -> np.ndarray:
     return _sum_cells(space, [
         (fa * (0.25 * g.hx[rows] * g.hy[rows])[:, None])
         @ ref_tables(g.px, g.py).load
-        for (g, rows, _, _), fa in zip(space.occupied,
-                                       coeff_arrays(space, f))])
+        for (g, rows, _, _), fa in zip(space.support.occupied,
+                                       coeff_arrays(space.support, f))])
 
 
 def assemble_grad_load(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """(grad w_i, v) with a vector field v given as a (2, n) support
     array."""
     blocks = []
-    for g, rows, _, block in space.occupied:
+    for g, rows, _, block in space.support.occupied:
         hx, hy = g.hx[rows], g.hy[rows]
         vx = vec[0, block].reshape(len(rows), -1)
         vy = vec[1, block].reshape(len(rows), -1)
@@ -332,7 +332,8 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
     if space.arity != 2:
         raise AssemblyError("div load needs a 2-vector space")
     blocks = []
-    for (g, rows, _, _), fa in zip(space.occupied, coeff_arrays(space, f)):
+    for (g, rows, _, _), fa in zip(space.support.occupied,
+                                   coeff_arrays(space.support, f)):
         hx, hy = g.hx[rows], g.hy[rows]
         nq = fa.shape[1]
         table = ref_tables(g.px, g.py).grad_load
@@ -345,8 +346,8 @@ def assemble_div_load(space: FieldSpace, f) -> np.ndarray:
 
 def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """Scalar field values at the support's quadrature points, (n,)."""
-    out = np.empty(len(space.points))
-    for g, rows, dofs, block in space.occupied:
+    out = np.empty(len(space.support.points))
+    for g, rows, dofs, block in space.support.occupied:
         np.matmul(vec[dofs], g.ref.values.T,
                   out=out[block].reshape(len(rows), -1))
     return out
@@ -354,8 +355,8 @@ def eval_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
 
 def eval_grad_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """Scalar field gradients at the support's quadrature points, (2, n)."""
-    out = np.empty((2, len(space.points)))
-    for g, rows, dofs, block in space.occupied:
+    out = np.empty((2, len(space.support.points)))
+    for g, rows, dofs, block in space.support.occupied:
         m, c = len(rows), vec[dofs]
         np.multiply(c @ g.ref.grad_x.T, (2.0 / g.hx[rows])[:, None],
                     out=out[0, block].reshape(m, -1))
@@ -368,7 +369,7 @@ def eval_strain_qp(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     """(eps11, eps22, eps12) of a displacement field at the support's
     quadrature points, (3, n)."""
     return _eval_strain(space, vec, [(g.ref.grad_x, g.ref.grad_y)
-                                     for g, *_ in space.occupied])
+                                     for g, *_ in space.support.occupied])
 
 
 def eval_strain_nodes(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
@@ -376,7 +377,7 @@ def eval_strain_nodes(space: FieldSpace, vec: np.ndarray) -> np.ndarray:
     support cell, (3, n): the cells in the order of the support's points,
     each cell's nodes in the order of ``MasterGroup.nodes``."""
     tables = []
-    for g, *_ in space.occupied:
+    for g, *_ in space.support.occupied:
         _, grads = basis.shape_eval((g.px, g.py), g.ref.node_grid())
         tables.append((grads[:, :, 0], grads[:, :, 1]))
     return _eval_strain(space, vec, tables)
@@ -388,11 +389,12 @@ def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
     if space.arity != 2:
         raise AssemblyError("strain evaluation needs a 2-vector space")
     sizes = [len(rows) * len(gx)
-             for (_, rows, _, _), (gx, _) in zip(space.occupied, tables)]
+             for (_, rows, _, _), (gx, _) in zip(space.support.occupied,
+                                                 tables)]
     offsets = np.cumsum([0] + sizes)
     out = np.empty((3, offsets[-1]))
     for k, ((g, rows, node_dofs, _), (gx, gy)) in enumerate(
-            zip(space.occupied, tables)):
+            zip(space.support.occupied, tables)):
         m, block = len(rows), slice(offsets[k], offsets[k + 1])
         dx, dy = gx.T, gy.T
         sx, sy = (2.0 / g.hx[rows])[:, None], (2.0 / g.hy[rows])[:, None]
@@ -404,9 +406,9 @@ def _eval_strain(space: FieldSpace, vec: np.ndarray, tables: list):
     return out
 
 
-def integrate(space: FieldSpace, values: np.ndarray) -> float:
+def integrate(support: Support, values: np.ndarray) -> float:
     """Integral over the support of a support array."""
-    return float(space.qp.weight[space.points] @ values)
+    return float(support.qp.weight[support.points] @ values)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +420,7 @@ def trace_operator(grid: NodeGrid, edges: EdgeSet):
 
     Rows of ``T`` are the edge quadrature points (``degree +
     EDGE_QUAD_EXTRA`` Gauss points per edge, edges in order), columns
-    the grid nodes; ``restrict_trace`` selects one field's columns.  With a
+    the grid nodes; ``restrict_trace`` selects one support's columns.  With a
     field vector ``v`` and point values ``g``, ``T @ v`` is the trace of
     ``v``, ``T.T @ (w * g)`` the load <w_i, g>, ``w @ g`` the integral of
     ``g`` over the edges and ``TraceMass(T, w, B).matrix(c)`` the edge mass
@@ -453,16 +455,15 @@ def trace_operator(grid: NodeGrid, edges: EdgeSet):
                          shape=(n_pts, grid.n_nodes)), weights
 
 
-def restrict_trace(space: FieldSpace, t: sp.csr_matrix) -> sp.csr_matrix:
-    """Restrict a grid-node trace operator to the DOFs of a scalar field."""
-    if space.arity != 1:
-        raise AssemblyError("traces are implemented for scalar fields")
-    cols = space.node_index[t.indices]
+def restrict_trace(support: Support, t: sp.csr_matrix) -> sp.csr_matrix:
+    """Restrict a grid-node trace operator to the nodes of a support, which
+    are the DOFs of every scalar field on it."""
+    cols = support.node_index[t.indices]
     if np.any(cols < 0):
         raise ValueError(f"trace operator reaches outside the support of "
-                         f"field '{space.name}'")
+                         f"tags {set(support.selector)}")
     return sp.csr_matrix((t.data, cols, t.indptr),
-                         shape=(t.shape[0], space.ndof))
+                         shape=(t.shape[0], support.n_nodes))
 
 
 class TraceMass(FixedPattern):

@@ -11,7 +11,7 @@ Butler-Volmer interface current is linearized in the potential equations,
 turning into an interface mass term with coefficient I_c*F/(R*theta) plus
 load terms, while the full nonlinear sinh expression feeds the concentration
 and heat loads through one record of the interface (``InterfaceState``).
-Each support (theta; c_s, phi_s; c_e, phi_e) has one interface trace operator.
+Each support (theta; c_s, phi_s, u; c_e, phi_e) has one scatter and trace.
 ``CellProblem.parabolic`` gives each parabolic field's semi-discrete system
 M d' + K d = b, which ``stepping.stage1`` advances; ``CellProblem.prepare``
 makes the start of a run's steps and the midpoint matrices of its dt.
@@ -136,27 +136,23 @@ class CellProblem:
         self.soc_init = soc_init
         self.i_app = 0.0
 
-        grid = sps.NodeGrid.build(mesh)
-        master = sps.build_master_groups(mesh, grid)
-        qp = sps.QuadPoints.build(master)
-        self.grid, self.master, self.qp = grid, master, qp
-
-        def space(name, sel, arity=1, bcs=()):
-            return sps.build_field_space(mesh, sel, arity, bcs, name=name,
-                                         grid=grid, master=master, qp=qp)
-
-        self.s_th = space("theta", sps.OMEGA)
-        self.s_cs = space("c_s", sps.OMEGA_S)
-        self.s_ce = space("c_e", sps.OMEGA_E)
-        self.s_ps = space("phi_s", sps.OMEGA_S,
-                          bcs=[sps.EssentialBC("cc_minus", 0)])
-        self.s_pe = space("phi_e", sps.OMEGA_E)
-        self.s_u = space("u", sps.OMEGA_S, arity=2, bcs=[
+        supports = sps.MeshSupports(mesh)
+        self.grid, self.master, self.qp = (supports.grid, supports.master,
+                                           supports.qp)
+        omega, solid, elyte = (supports[s] for s in
+                               (sps.OMEGA, sps.OMEGA_S, sps.OMEGA_E))
+        self.s_th = sps.build_field_space(omega, name="theta")
+        self.s_cs = sps.build_field_space(solid, name="c_s")
+        self.s_ce = sps.build_field_space(elyte, name="c_e")
+        self.s_ps = sps.build_field_space(
+            solid, constraints=[sps.EssentialBC("cc_minus", 0)], name="phi_s")
+        self.s_pe = sps.build_field_space(elyte, name="phi_e")
+        self.s_u = sps.build_field_space(solid, arity=2, constraints=[
             sps.EssentialBC("cc_minus", 0),
             sps.EssentialBC("cc_plus", 0),
             sps.EssentialBC("top", 1),
             sps.EssentialBC("bottom", 1),
-        ])
+        ], name="u")
         self.spaces = {"theta": self.s_th, "c_s": self.s_cs, "c_e": self.s_ce,
                        "phi_s": self.s_ps, "phi_e": self.s_pe, "u": self.s_u}
 
@@ -164,18 +160,33 @@ class CellProblem:
         rho_cv = {ANODE: a.rho_cv, CATHODE: c.rho_cv, ELYTE: e.rho_cv}
         lam = {ANODE: a.thermal_k, CATHODE: c.thermal_k, ELYTE: e.thermal_k}
         gam = {ANODE: a.conductivity, CATHODE: c.conductivity}
-        # One scatter per support serves every field on it; the c_s matrices
-        # are re-assembled every sweep on M_cs's pattern, and the c_e and
-        # theta midpoint matrices of the prepared dt sit on M_ce's and M_th's.
-        th_scatter = asm.ElementScatter(self.s_th)
-        self.m_th = th_scatter.mass(rho_cv)
-        self.k_th = th_scatter.stiffness(lam, "thermal conductivity")
-        self.cs_scatter = asm.ElementScatter(self.s_cs)   # c_s, phi_s, u
-        self.m_cs = self.cs_scatter.mass(1.0)
-        ce_scatter = asm.ElementScatter(self.s_ce)        # c_e, phi_e
-        self.m_ce = ce_scatter.mass(1.0)
-        self.k_ce = ce_scatter.stiffness(e.diffusivity,
-                                         "electrolyte diffusivity")
+        # One element scatter and one interface trace per support, shared by
+        # the fields on it; the interface points are those of the anode
+        # edges, then those of the cathode.  K_cs alone is assembled again,
+        # every sweep on M_cs's pattern (the solid scatter is kept for it;
+        # the others' slots take 3 MB on the production mesh), and the c_e
+        # and theta midpoint matrices of the prepared dt sit on M_ce's and
+        # M_th's.
+        edges = mesh.interface_edges()
+        if not len(edges):
+            raise ValueError("mesh carries no interface edges")
+        side = edges.solid_tag(mesh.cell_tag)
+        order = np.argsort(side, kind="stable")       # ANODE < CATHODE
+        edges, side = edges[order], side[order]
+        t_iface, self.iface_w = asm.trace_operator(self.grid, edges)
+        self.iface_tags = np.repeat(side, edges.degree + asm.EDGE_QUAD_EXTRA)
+        scatters, self.iface_tr, self.iface_tr_t = {}, {}, {}
+        for sup in (omega, solid, elyte):
+            scatters[sup] = asm.ElementScatter(sup)
+            self.iface_tr[sup] = asm.restrict_trace(sup, t_iface)
+            self.iface_tr_t[sup] = self.iface_tr[sup].T
+        self.cs_scatter = scatters[solid]
+        self.m_th = scatters[omega].mass(rho_cv)
+        self.k_th = scatters[omega].stiffness(lam, "thermal conductivity")
+        self.m_cs = scatters[solid].mass(1.0)
+        self.m_ce = scatters[elyte].mass(1.0)
+        self.k_ce = scatters[elyte].stiffness(e.diffusivity,
+                                              "electrolyte diffusivity")
         # One solver per system.  The c_s and potential-pair matrices change
         # between sweeps and steps only through slowly varying coefficients,
         # so one held factor each preconditions them for the whole run; the
@@ -190,34 +201,17 @@ class CellProblem:
         if mode == "full":
             ga, ka = a.lame
             gc, kc = c.lame
-            self.k_u_red = asm.constrain(self.s_u, self.cs_scatter.elasticity(
+            self.k_u_red = asm.constrain(self.s_u, scatters[solid].elasticity(
                 {ANODE: ga, CATHODE: gc}, {ANODE: ka, CATHODE: kc}))
             self.solvers["u"].factorize(self.k_u_red)
-
-        # Interface traces: the points of the anode interface edges, then
-        # those of the cathode, with one trace operator per support, shared
-        # by the fields on it.
-        edges = mesh.interface_edges()
-        if not len(edges):
-            raise ValueError("mesh carries no interface edges")
-        solid = edges.solid_tag(mesh.cell_tag)
-        order = np.argsort(solid, kind="stable")       # ANODE < CATHODE
-        edges, solid = edges[order], solid[order]
-        t_iface, self.iface_w = asm.trace_operator(grid, edges)
-        self.iface_tags = np.repeat(solid, edges.degree + asm.EDGE_QUAD_EXTRA)
-        self.iface_tr, self.iface_tr_t = {}, {}
-        for fields in (("theta",), ("c_s", "phi_s"), ("c_e", "phi_e")):
-            t = asm.restrict_trace(self.spaces[fields[0]], t_iface)
-            self.iface_tr.update(dict.fromkeys(fields, t))
-            self.iface_tr_t.update(dict.fromkeys(fields, t.T))
 
         # The linearized potential pair on [phi_s free DOFs, phi_e]: bulk
         # stiffness blocks and the interface jump operator D = [T_s, -T_e].
         free_s = self.s_ps.free
-        k_ps = self.cs_scatter.stiffness(gam, "electronic conductivity")
-        k_pe = ce_scatter.stiffness(e.conductivity, "ionic conductivity")
-        self.iface_jump = sp.hstack([self.iface_tr["phi_s"][:, free_s],
-                                     -self.iface_tr["phi_e"]], format="csr")
+        k_ps = scatters[solid].stiffness(gam, "electronic conductivity")
+        k_pe = scatters[elyte].stiffness(e.conductivity, "ionic conductivity")
+        self.iface_jump = sp.hstack([self.iface_tr[solid][:, free_s],
+                                     -self.iface_tr[elyte]], format="csr")
         self.iface_jump_t = self.iface_jump.T
         # blockdiag(K_s, K_e) + D^T diag(w c) D on one pattern for every c
         self.pot_mass = asm.TraceMass(
@@ -226,8 +220,9 @@ class CellProblem:
         # The positive collector face: w_cc . (T_ps phi_s) integrates phi_s
         # over it, so T_ps^T w_cc is both its weight vector (V_out) and the
         # unit current load.
-        t_cc, w_cc = asm.trace_operator(grid, mesh.boundary_edges(CC_PLUS))
-        self.cc_plus_w = asm.restrict_trace(self.s_ps, t_cc).T @ w_cc
+        t_cc, w_cc = asm.trace_operator(self.grid,
+                                        mesh.boundary_edges(CC_PLUS))
+        self.cc_plus_w = asm.restrict_trace(solid, t_cc).T @ w_cc
         self.cc_plus_len = float(w_cc.sum())
         self.cc_plus_load = self.cc_plus_w[free_s]
         # Every other recorded summary is likewise one dot product, w . v:
@@ -236,7 +231,7 @@ class CellProblem:
         # invariant) or a lithium integral 1 . (M v).
         def mean_w(space, region=None):
             w = asm.assemble_load(space, 1.0 if region is None
-                                  else qp.tag[space.points] == region)
+                                  else {region: 1.0})
             return w / w.sum()
 
         rho_cv_w = self.m_th @ np.ones(self.s_th.ndof)
@@ -254,9 +249,9 @@ class CellProblem:
         self.c_s_ref = {ANODE: soc_init[0] * a.c_max,
                         CATHODE: soc_init[1] * c.c_max}
         # The pointwise laws run once over the points of the solid support
-        # (c_s, phi_s and u share its layout) or of the electrolyte support
-        # (c_e, phi_e), each solid point with its electrode's constants.
-        self.solid_tags = qp.tag[self.s_cs.points]
+        # (c_s, phi_s and u) or of the electrolyte support (c_e, phi_e), each
+        # solid point with its electrode's constants.
+        self.solid_tags = self.qp.tag[solid.points]
         self.solid = self.electrode_constants(self.solid_tags)
         self.iface_el = self.electrode_constants(self.iface_tags)
         self.dt, self.mid_ops = None, {}    # set by ``prepare``
@@ -285,12 +280,6 @@ class CellProblem:
             tags, tuple(self.mats.electrode(TAG_NAMES[t]) for t in SOLID),
             tuple(self.c_s_ref[t] for t in SOLID))
 
-    def nodes_of_tag(self, space: sps.FieldSpace, tag: int) -> np.ndarray:
-        """Field nodes of the space's cells with the given tag."""
-        return np.unique(np.concatenate(
-            [dofs[g.tag[rows] == tag].ravel()
-             for g, rows, dofs, _ in space.occupied]))
-
     def initial_state(self) -> SimState:
         """Uniform equilibrium start: zero strain, reference temperature,
         potentials matching the open-circuit values at the initial SoC."""
@@ -299,11 +288,12 @@ class CellProblem:
         ocp_a = mats.anode.ocp(soc_a)
         ocp_c = mats.cathode.ocp(soc_c)
 
+        solid = self.s_cs.support
         c_s = self.s_cs.zeros()
-        c_s[self.nodes_of_tag(self.s_cs, ANODE)] = soc_a * mats.anode.c_max
-        c_s[self.nodes_of_tag(self.s_cs, CATHODE)] = soc_c * mats.cathode.c_max
+        c_s[solid.nodes_of_tag(ANODE)] = soc_a * mats.anode.c_max
+        c_s[solid.nodes_of_tag(CATHODE)] = soc_c * mats.cathode.c_max
         phi_s = self.s_ps.zeros()
-        phi_s[self.nodes_of_tag(self.s_ps, CATHODE)] = ocp_c - ocp_a
+        phi_s[solid.nodes_of_tag(CATHODE)] = ocp_c - ocp_a
         fields = {
             "theta": self.s_th.constant(mats.theta_ref),
             "c_s": c_s,
@@ -331,9 +321,10 @@ class CellProblem:
         linearized-BV coefficient at the interface points.  Inside the
         guard's bounds c_hat lies inside both open-circuit fits' domains."""
         mats, tr, el = self.mats, self.iface_tr, self.iface_el
-        th = tr["theta"] @ theta_v
-        ce = self.guard.c_e(tr["c_e"] @ ce_v, "c_e trace (interface)")
-        cs = self.guard.c_s(tr["c_s"] @ cs_v, el.c_max, _CS_TRACE,
+        th = tr[self.s_th.support] @ theta_v
+        ce = self.guard.c_e(tr[self.s_ce.support] @ ce_v,
+                            "c_e trace (interface)")
+        cs = self.guard.c_s(tr[self.s_cs.support] @ cs_v, el.c_max, _CS_TRACE,
                             self.iface_tags)
         c_hat = cs / el.c_max
         anode = self.iface_tags == ANODE
@@ -348,8 +339,8 @@ class CellProblem:
         """The traces and kinetics of ``state`` at the interface points."""
         kin = self._interface_kinetics(state["theta"], state["c_s"],
                                        state["c_e"])
-        ps = self.iface_tr["phi_s"] @ state["phi_s"]
-        pe = self.iface_tr["phi_e"] @ state["phi_e"]
+        ps = self.iface_tr[self.s_ps.support] @ state["phi_s"]
+        pe = self.iface_tr[self.s_pe.support] @ state["phi_e"]
         eta = ps - pe - kin["ocp"]
         i_bv = butler_volmer_current(kin["i_c"], eta, kin["theta"], self.mats)
         return InterfaceState(tags=self.iface_tags, weights=self.iface_w,
@@ -379,7 +370,8 @@ class CellProblem:
         if self.mode == "electrochemical":
             return np.zeros(len(self.solid_tags))
         stress = self.solid_stress(asm.eval_strain_qp(self.s_u, u_v),
-                                   theta_qp[self.s_cs.points], cs_solid,
+                                   theta_qp[self.s_cs.support.points],
+                                   cs_solid,
                                    self.solid)
         return hydrostatic_pressure(stress)
 
@@ -403,10 +395,10 @@ class CellProblem:
         support, the whole domain): gamma |grad phi_s|^2 in the solid,
         kappa |grad phi_e|^2 + kappa_D grad c_e . grad phi_e / c_e in the
         electrolyte, with theta at the quadrature points given."""
-        mats, e = self.mats, self.s_ce.points
+        mats, e = self.mats, self.s_ce.support.points
         q = np.empty(self.qp.n)
         gs = asm.eval_grad_qp(self.s_ps, mid["phi_s"])
-        q[self.s_cs.points] = self.solid.conductivity \
+        q[self.s_cs.support.points] = self.solid.conductivity \
             * (gs[0] ** 2 + gs[1] ** 2)
         ge = asm.eval_grad_qp(self.s_pe, mid["phi_e"])
         gc = asm.eval_grad_qp(self.s_ce, mid["c_e"])
@@ -464,9 +456,10 @@ class CellProblem:
         inv_f = 1.0 / mats.faraday
         t_plus = mats.electrolyte.t_plus
         tr_t, w = self.iface_tr_t, self.iface_w
-        return {"c_s": tr_t["c_s"] @ (w * -ist.i_bv * inv_f),
-                "c_e": tr_t["c_e"] @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
-                "theta": tr_t["theta"] @ (w * ist.eta * ist.i_bv)}
+        return {"c_s": tr_t[self.s_cs.support] @ (w * -ist.i_bv * inv_f),
+                "c_e": tr_t[self.s_ce.support]
+                @ (w * (1.0 - t_plus) * inv_f * ist.i_bv),
+                "theta": tr_t[self.s_th.support] @ (w * ist.eta * ist.i_bv)}
 
     def parabolic(self, state: SimState):
         """The semi-discrete parabolic systems M d' + K d = b with their
@@ -502,7 +495,8 @@ class CellProblem:
         theta at the quadrature points given."""
         ce = self.guard.c_e(asm.eval_qp(self.s_ce, ce_v),
                             "c_e volume (kappa_D load)")
-        kd = diffusional_conductivity(theta_qp[self.s_ce.points], self.mats)
+        kd = diffusional_conductivity(theta_qp[self.s_ce.support.points],
+                                      self.mats)
         return asm.assemble_grad_load(
             self.s_pe, kd * asm.eval_grad_qp(self.s_ce, ce_v) / ce)
 
@@ -533,7 +527,7 @@ class CellProblem:
         """(div v, 3K(alpha dtheta + omega dc)) load on the solid, with theta
         at the quadrature points given."""
         el = self.solid
-        th = theta_qp[self.s_cs.points]
+        th = theta_qp[self.s_cs.support.points]
         cs = asm.eval_qp(self.s_cs, cs_v)
         return asm.assemble_div_load(self.s_u, 3.0 * el.bulk * (
             el.alpha * (th - self.mats.theta_ref)
@@ -583,7 +577,7 @@ class CellProblem:
         """Stress at the solid quadrature points."""
         return self.solid_stress(
             asm.eval_strain_qp(self.s_u, state["u"]),
-            asm.eval_qp(self.s_th, state["theta"])[self.s_cs.points],
+            asm.eval_qp(self.s_th, state["theta"])[self.s_cs.support.points],
             asm.eval_qp(self.s_cs, state["c_s"]), self.solid)
 
     def von_mises_qp(self, state: SimState):
@@ -592,6 +586,6 @@ class CellProblem:
         vm = von_mises(self.stress_qp(state))
         j = int(np.argmax(vm))
         if vm[j] > 0.0:
-            i = self.s_cs.points[j]
+            i = self.s_cs.support.points[j]
             return vm, float(vm[j]), (float(self.qp.x[i]), float(self.qp.y[i]))
         return vm, 0.0, (np.nan, np.nan)

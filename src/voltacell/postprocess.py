@@ -120,7 +120,7 @@ def format_record(rec: TimeSeriesRecord) -> str:
 def _nodal_values(problem, space, vec, comp=0):
     """Per-global-node values of a field, zero outside its support."""
     out = np.zeros(problem.grid.n_nodes)
-    out[space.node_ids] = vec[comp::space.arity] if space.arity > 1 else vec
+    out[space.support.node_ids] = vec[comp::space.arity]
     return out
 
 
@@ -145,7 +145,7 @@ def _cell_points(problem):
         a, b = np.meshgrid(np.arange(g.px), np.arange(g.py))
         i0 = (b * nxl + a).ravel()
         quads = np.stack([i0, i0 + 1, i0 + nxl + 1, i0 + nxl], axis=1)
-        firsts = start + len(ref_nodes) * np.arange(g.n_elems)
+        firsts = start + len(ref_nodes) * np.arange(len(g.cells))
         cells.append((firsts[:, None, None] + quads).reshape(-1, 4))
         start += g.nodes.size
     return (np.vstack(xy),
@@ -164,8 +164,8 @@ def _nodal_von_mises(problem, state: SimState, node_ids, tags) -> np.ndarray:
     vm = np.zeros(len(tags))
     vm[solid] = von_mises(problem.solid_stress(
         asm.eval_strain_nodes(problem.s_u, state["u"]),
-        state["theta"][problem.s_th.node_index[ids]],
-        state["c_s"][problem.s_cs.node_index[ids]],
+        state["theta"][problem.s_th.support.node_index[ids]],
+        state["c_s"][problem.s_cs.support.node_index[ids]],
         problem.electrode_constants(tags[solid])))
     return vm
 

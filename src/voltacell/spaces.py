@@ -3,21 +3,21 @@
 Global nodes form a tensor grid themselves: along each axis, the Gauss-Lobatto
 nodes of every cell interval, with shared interval endpoints.  Conformity of
 the variable-degree basis is automatic because degrees are assigned per
-column/row.  A FieldSpace restricts the global node set to the cells of its
-supporting subdomain(s) and marks the DOFs that its homogeneous essential
-constraints hold at zero.
+column/row.  The six fields live on three subdomain supports: Omega (theta),
+Omega_s (c_s, phi_s, u) and Omega_e (c_e, phi_e).  A ``Support`` restricts the
+global nodes to the cells of its subdomains; ``MeshSupports`` builds each one
+once, over the mesh's one grid, one grouping of the cells by degree pair (the
+"master" groups) and one quadrature layout.  A ``FieldSpace`` is a support
+plus a name, the number of components per node and the DOFs that its
+homogeneous essential constraints hold at zero.
 
-Element bookkeeping is organized around the mesh-wide "master" grouping of
-cells by degree pair; field spaces store, per master group, which rows they
-occupy.  The node tables of a group's cells, the support of a field and its
-constrained DOFs are computed with array operations over all cells or edges
-at once.  The mesh's quadrature points have one global order (``QuadPoints``:
-group after group).  A field's pointwise data lives on its own support's
-points only, in that global order (``FieldSpace.points``), so each group's
-points are one contiguous block of a support array and a pointwise law runs
-once over exactly the points it applies to.  The fields on one support share
-its layout; theta's support is the whole domain, so its layout is the global
-one, and a law on a smaller support reads theta through ``points``.
+The quadrature points have one global order (``QuadPoints``: group after
+group).  Pointwise data lives on a support's points only, in that order
+(``Support.points``), so each occupied group's points are one contiguous
+block of a support array and a pointwise law runs once over exactly the
+points it applies to.  Theta's support is the whole domain, so its layout is
+the global one, and a law on a smaller support reads theta through
+``points``.
 """
 
 from __future__ import annotations
@@ -127,10 +127,6 @@ class MasterGroup:
     nodes: np.ndarray      # (ne, nbf) global node ids
 
     @property
-    def n_elems(self) -> int:
-        return len(self.cells)
-
-    @property
     def ref(self) -> basis.RefElement:
         return basis.ref_element(self.px, self.py)
 
@@ -159,7 +155,7 @@ class QuadPoints:
     Points run master group after master group, each group's cells in row
     order and each cell's points in reference order: group k owns the points
     ``offsets[k]`` up to ``offsets[k + 1]``.  A field's support keeps this
-    order on its own points (``FieldSpace.points``).
+    order on its own points (``Support.points``).
     """
 
     offsets: np.ndarray     # (n_groups + 1,) first point of each group
@@ -210,34 +206,105 @@ class EssentialBC:
     comp: int = 0
 
 
-@dataclass
-class FieldSpace:
-    """One unknown field's discrete space: support, DOF map, constraints."""
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The layout of one subdomain selector: its node maps, the master groups
+    it occupies and its quadrature points, over the grid, master groups and
+    quadrature layout that every support of the mesh shares.  Compared and
+    hashed by identity."""
 
-    name: str
     mesh: Mesh
     grid: NodeGrid
     master: list
     qp: QuadPoints
     selector: frozenset
-    arity: int
     node_ids: np.ndarray        # sorted global node ids in the support
-    node_index: np.ndarray      # global node id -> field node index (-1 outside)
-    member_rows: list           # per master group: row indices in the support
-    cell_node_dofs: list        # per master group: (n_member, nbf) field node idx
-    # (master group, member rows, their field node indices, their block of
-    # the support's points) of each group the space occupies
+    node_index: np.ndarray      # global node id -> support node (-1 outside)
+    # (master group, member rows, their support node indices, their block of
+    # the support's points) of each group the support occupies
     occupied: tuple
     points: np.ndarray          # global quadrature point of each support point
-    constrained: np.ndarray = None
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
+    def node_xy(self) -> np.ndarray:
+        return self.grid.node_xy(self.node_ids)
+
+    def edge_nodes(self, edges: EdgeSet) -> np.ndarray:
+        """Support node indices along the edges (laid out as
+        ``NodeGrid.edge_nodes``); every edge must lie in the support."""
+        ids = self.node_index[self.grid.edge_nodes(edges)]
+        if np.any(ids < 0):
+            k = np.repeat(np.arange(len(edges)), edges.degree + 1)[
+                np.argmax(ids < 0)]
+            raise ValueError(f"edge {edges.label(k)} is outside the support "
+                             f"of tags {set(self.selector)}")
+        return ids
+
+    def nodes_of_tag(self, tag: int) -> np.ndarray:
+        """Support nodes of the support's cells with the given tag."""
+        return np.unique(np.concatenate(
+            [nodes[g.tag[rows] == tag].ravel()
+             for g, rows, nodes, _ in self.occupied]))
+
+
+class MeshSupports:
+    """The supports of one mesh: the node grid, the master groups and the
+    quadrature layout, built once, and each selector's ``Support``, built on
+    its first request (a single-subdomain mesh never builds the others)."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.grid = NodeGrid.build(mesh)
+        self.master = build_master_groups(mesh, self.grid)
+        self.qp = QuadPoints.build(self.master)
+        self._built = {}
+
+    def __getitem__(self, selector: frozenset) -> Support:
+        if selector in self._built:
+            return self._built[selector]
+        grid, master = self.grid, self.master
+        in_support = np.isin(list(TAG_NAMES), list(selector))     # per tag
+        member = [np.flatnonzero(in_support[g.tag]) for g in master]
+        if not any(len(rows) for rows in member):
+            raise ValueError(f"no elements carry tags {set(selector)}")
+        used = np.zeros(grid.n_nodes, dtype=bool)
+        for g, rows in zip(master, member):
+            used[g.nodes[rows].ravel()] = True
+        node_ids = np.nonzero(used)[0]
+        node_index = np.full(grid.n_nodes, -1, dtype=int)
+        node_index[node_ids] = np.arange(len(node_ids))
+
+        occupied, points, start = [], [], 0
+        for k, (g, rows) in enumerate(zip(master, member)):
+            if len(rows):
+                nq = len(g.ref.qw)
+                occupied.append((g, rows, node_index[g.nodes[rows]],
+                                 slice(start, start + len(rows) * nq)))
+                points.append((self.qp.offsets[k] + rows[:, None] * nq
+                               + np.arange(nq)).ravel())
+                start += len(rows) * nq
+        support = self._built[selector] = Support(
+            self.mesh, grid, master, self.qp, selector, node_ids, node_index,
+            tuple(occupied), np.concatenate(points))
+        return support
+
+
+@dataclass(frozen=True)
+class FieldSpace:
+    """One unknown field's discrete space: a support, the number of
+    components at each of its nodes, and its constrained DOFs."""
+
+    name: str
+    support: Support
+    arity: int
+    constrained: np.ndarray
+
     @property
     def ndof(self) -> int:
-        return self.n_nodes * self.arity
+        return self.support.n_nodes * self.arity
 
     @property
     def n_free(self) -> int:
@@ -247,32 +314,16 @@ class FieldSpace:
     def free(self) -> np.ndarray:
         return ~self.constrained
 
-    def node_xy(self) -> np.ndarray:
-        return self.grid.node_xy(self.node_ids)
-
     @cached_property
     def cell_dofs(self) -> np.ndarray:
         """The DOFs of the nodes of every occupied cell, flat: groups in the
-        order of ``occupied``, member cells in order, each cell's nodes in
-        local order with their components side by side.  Element vectors
-        laid out alike sum into a global vector with one ``np.bincount``."""
+        order of ``Support.occupied``, member cells in order, each cell's
+        nodes in local order with their components side by side.  Element
+        vectors laid out alike sum into a global vector with one
+        ``np.bincount``."""
         return np.concatenate([
-            (dofs[..., None] * self.arity + np.arange(self.arity)).ravel()
-            for _, _, dofs, _ in self.occupied])
-
-    def dofs_of_nodes(self, field_nodes: np.ndarray, comp: int = 0) -> np.ndarray:
-        return np.asarray(field_nodes) * self.arity + comp
-
-    def edge_field_nodes(self, edges: EdgeSet) -> np.ndarray:
-        """Field node indices along the edges (laid out as
-        ``NodeGrid.edge_nodes``); every edge must lie in the support."""
-        ids = self.node_index[self.grid.edge_nodes(edges)]
-        if np.any(ids < 0):
-            k = np.repeat(np.arange(len(edges)), edges.degree + 1)[
-                np.argmax(ids < 0)]
-            raise ValueError(f"edge {edges.label(k)} is outside the support "
-                             f"of field '{self.name}'")
-        return ids
+            (nodes[..., None] * self.arity + np.arange(self.arity)).ravel()
+            for _, _, nodes, _ in self.support.occupied])
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.ndof)
@@ -283,65 +334,18 @@ class FieldSpace:
         return np.full(self.ndof, float(value))
 
 
-def build_field_space(mesh: Mesh, selector: frozenset, arity: int = 1,
+def build_field_space(support: Support, arity: int = 1,
                       constraints: Sequence[EssentialBC] = (),
-                      name: str = "field",
-                      grid: NodeGrid | None = None,
-                      master: list | None = None,
-                      qp: QuadPoints | None = None) -> FieldSpace:
-    """Build the DOF map of a field supported on ``selector`` subdomains.
-
-    Fields that exchange pointwise data share ``grid``, ``master`` and
-    ``qp``; each is built here when not given.
-    """
-    grid = grid or NodeGrid.build(mesh)
-    master = master if master is not None else build_master_groups(mesh, grid)
-    qp = qp or QuadPoints.build(master)
-
-    in_support = np.isin(list(TAG_NAMES), list(selector))     # per tag
-    member = in_support[mesh.cell_tag].ravel()
-    if not member.any():
-        raise ValueError(f"field '{name}': no elements carry tags {set(selector)}")
-    member_rows = []
-    used = np.zeros(grid.n_nodes, dtype=bool)
-    for g in master:
-        rows = np.flatnonzero(in_support[g.tag])
-        member_rows.append(rows)
-        used[g.nodes[rows].ravel()] = True
-
-    node_ids = np.nonzero(used)[0]
-    node_index = np.full(grid.n_nodes, -1, dtype=int)
-    node_index[node_ids] = np.arange(len(node_ids))
-
-    cell_node_dofs, occupied, points, start = [], [], [], 0
-    for k, (g, rows) in enumerate(zip(master, member_rows)):
-        dofs = node_index[g.nodes[rows]] if len(rows) \
-            else np.empty((0, (g.px + 1) * (g.py + 1)), dtype=int)
-        cell_node_dofs.append(dofs)
-        if len(rows):
-            nq = len(g.ref.qw)
-            occupied.append((g, rows, dofs,
-                             slice(start, start + len(rows) * nq)))
-            points.append((qp.offsets[k] + rows[:, None] * nq
-                           + np.arange(nq)).ravel())
-            start += len(rows) * nq
-
-    space = FieldSpace(
-        name=name, mesh=mesh, grid=grid, master=master, qp=qp,
-        selector=selector,
-        arity=arity, node_ids=node_ids, node_index=node_index,
-        member_rows=member_rows, cell_node_dofs=cell_node_dofs,
-        occupied=tuple(occupied), points=np.concatenate(points),
-    )
-    space.constrained = np.zeros(space.ndof, dtype=bool)
-
+                      name: str = "field") -> FieldSpace:
+    """The space of a field with ``arity`` components on ``support``, with
+    the DOFs of its essential constraints marked."""
+    member = np.isin(support.mesh.cell_tag, list(support.selector)).ravel()
+    constrained = np.zeros(support.n_nodes * arity, dtype=bool)
     for bc in constraints:
         if not 0 <= bc.comp < arity:
             raise ValueError(f"constraint component {bc.comp} out of range")
         # the part's edges with an adjacent cell in the support
-        edges = mesh.boundary_edges(bc.part)
+        edges = support.mesh.boundary_edges(bc.part)
         edges = edges[np.any((edges.cells >= 0) & member[edges.cells], axis=1)]
-        fnodes = space.edge_field_nodes(edges)
-        dofs = space.dofs_of_nodes(fnodes, bc.comp)
-        space.constrained[dofs] = True
-    return space
+        constrained[support.edge_nodes(edges) * arity + bc.comp] = True
+    return FieldSpace(name, support, arity, constrained)

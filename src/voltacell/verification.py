@@ -61,13 +61,13 @@ def _surrogate_system():
     every grid point of the refinement inside the asymptotic dt^2 regime.
     """
     mesh = rectangle_mesh(1.0, 1.0, 3, 2, degree=1)
-    space = sps.build_field_space(mesh, sps.OMEGA, name="surrogate")
-    scatter = asm.ElementScatter(space)
+    support = sps.MeshSupports(mesh)[sps.OMEGA]
+    scatter = asm.ElementScatter(support)
     mass = scatter.mass(1.0)
     stiff = scatter.stiffness(8e-4) + 0.04 * mass
     rng = np.random.default_rng(7)
-    load = rng.normal(size=space.ndof)
-    d0 = rng.normal(size=space.ndof)
+    load = rng.normal(size=support.n_nodes)
+    d0 = rng.normal(size=support.n_nodes)
     return mass, stiff, load, d0
 
 
@@ -107,16 +107,17 @@ def poisson_h1_error(n: int, degree: int) -> float:
     u_exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f_rhs = lambda x, y: 2.0 * np.pi ** 2 * u_exact(x, y)
     bcs = [sps.EssentialBC(part) for part in (CC_MINUS, CC_PLUS, TOP, BOTTOM)]
-    space = sps.build_field_space(mesh, sps.OMEGA, 1, bcs, name="mms")
-    mat = asm.constrain(space, asm.ElementScatter(space).stiffness(1.0))
+    support = sps.MeshSupports(mesh)[sps.OMEGA]
+    space = sps.build_field_space(support, constraints=bcs, name="mms")
+    mat = asm.constrain(space, asm.ElementScatter(support).stiffness(1.0))
     rhs = asm.assemble_load(space, f_rhs)[space.free]
     u = asm.expand(space, Solver("poisson").solve(mat, rhs))
 
     grad = asm.eval_grad_qp(space, u)
-    qx, qy = space.qp.x[space.points], space.qp.y[space.points]
+    qx, qy = support.qp.x[support.points], support.qp.y[support.points]
     ex = grad[0] - np.pi * np.cos(np.pi * qx) * np.sin(np.pi * qy)
     ey = grad[1] - np.pi * np.sin(np.pi * qx) * np.cos(np.pi * qy)
-    return np.sqrt(asm.integrate(space, ex ** 2 + ey ** 2))
+    return np.sqrt(asm.integrate(support, ex ** 2 + ey ** 2))
 
 
 def spatial_order_study() -> dict:

@@ -24,8 +24,7 @@ def lagrange_polys(p):
 def _cells_of(space):
     """Flatten a FieldSpace into per-cell records the oracle iterates over."""
     cells = []
-    for g, rows, dofs in zip(space.master, space.member_rows,
-                             space.cell_node_dofs):
+    for g, rows, dofs, _ in space.support.occupied:
         for k, row in enumerate(rows):
             cells.append(dict(
                 x0=g.x0[row], y0=g.y0[row], hx=g.hx[row], hy=g.hy[row],
@@ -136,11 +135,11 @@ def dense_edge_coupling(space_a, space_b, edges, coeff_fn, n_quad=12):
     between two fields' bases (the interface terms of a field pair)."""
     out = np.zeros((space_a.ndof, space_b.ndof))
     pts, wts = _tensor_rule(n_quad)
-    x, y = space_a.mesh.x, space_a.mesh.y
+    x, y = space_a.support.mesh.x, space_a.support.mesh.y
     for k in range(len(edges)):
         polys = lagrange_polys(int(edges.degree[k]))
-        dofs_a = space_a.dofs_of_nodes(space_a.edge_field_nodes(edges[k]))
-        dofs_b = space_b.dofs_of_nodes(space_b.edge_field_nodes(edges[k]))
+        dofs_a = space_a.support.edge_nodes(edges[k]) * space_a.arity
+        dofs_b = space_b.support.edge_nodes(edges[k]) * space_b.arity
         i, j = edges.i[k], edges.j[k]
         p0 = np.array([x[i], y[j]])
         p1 = np.array([x[i], y[j + 1]]) if edges.vertical[k] \
@@ -272,14 +271,15 @@ def record_nodes(mesh, grid, record):
 def constrained_dofs(space, bcs):
     """The mask of a field space's constrained DOFs, edge by edge."""
     from voltacell.mesh import PART_CODE
-    mesh, grid = space.mesh, space.grid
+    sup = space.support
+    mesh, grid = sup.mesh, sup.grid
     mask = np.zeros(space.ndof, dtype=bool)
     for bc in bcs:
         for record in edge_records(mesh, (PART_CODE[bc.part],)):
-            if not any(mesh.cell_tag[c] in space.selector for c in record[3]):
+            if not any(mesh.cell_tag[c] in sup.selector for c in record[3]):
                 continue
             for node in record_nodes(mesh, grid, record):
-                mask[space.node_index[node] * space.arity + bc.comp] = True
+                mask[sup.node_index[node] * space.arity + bc.comp] = True
     return mask
 
 

@@ -300,9 +300,9 @@ def test_criterion_11_oracle_equivalence():
     worst = {}
     # mass and stiffness on a 2x2 quadratic mesh (4 elements)
     m = rectangle_mesh(1.3, 0.8, 2, 2, degree=2)
-    s = sps.build_field_space(m, sps.OMEGA, name="t")
+    s = sps.build_field_space(sps.MeshSupports(m)[sps.OMEGA], name="t")
     coeff = lambda x, y: 1.5 + x + 0.25 * y
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     worst["mass"] = rel(scatter.mass(coeff),
                         oracles.dense_mass(s, lambda x, y, t: coeff(x, y)))
     worst["stiffness"] = rel(
@@ -316,11 +316,12 @@ def test_criterion_11_oracle_equivalence():
         np.array([[geo.ANODE, geo.ELYTE]], dtype=np.int8),
         lambda side, c: {"left": "cc_minus", "right": "cc_plus",
                          "top": "top", "bottom": "bottom"}[side])
-    s2 = sps.build_field_space(m2, sps.OMEGA_E, name="phi_e")
+    s2 = sps.build_field_space(sps.MeshSupports(m2)[sps.OMEGA_E],
+                               name="phi_e")
     edges = m2.interface_edges()
-    t_grid, w = asm.trace_operator(s2.grid, edges)
-    t = asm.restrict_trace(s2, t_grid)
-    y = t @ s2.node_xy()[:, 1]   # exact: y is in the space
+    t_grid, w = asm.trace_operator(s2.support.grid, edges)
+    t = asm.restrict_trace(s2.support, t_grid)
+    y = t @ s2.support.node_xy()[:, 1]   # exact: y is in the space
     zero = sp.csr_matrix((s2.ndof, s2.ndof))
     worst["interface mass"] = rel(
         asm.TraceMass(t, w, zero).matrix(2.0 + y),
@@ -328,11 +329,12 @@ def test_criterion_11_oracle_equivalence():
 
     # elasticity on a 2x2 mixed-degree solid mesh
     m3 = rectangle_mesh(0.9, 1.1, 2, 2, degree=2, tag=geo.CATHODE)
-    s3 = sps.build_field_space(m3, sps.OMEGA_S, arity=2, name="u")
+    s3 = sps.build_field_space(sps.MeshSupports(m3)[sps.OMEGA_S], arity=2,
+                               name="u")
     shear, bulk = mat.lame_from_e_nu(2.5e9, 0.3)
     worst["elasticity"] = rel(
-        asm.ElementScatter(s3).elasticity({geo.CATHODE: shear},
-                                          {geo.CATHODE: bulk}),
+        asm.ElementScatter(s3.support).elasticity({geo.CATHODE: shear},
+                                                  {geo.CATHODE: bulk}),
         oracles.dense_elasticity(s3, lambda t: shear, lambda t: bulk))
 
     # the per-sweep systems of a cell problem, on their fixed patterns, at

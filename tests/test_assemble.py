@@ -15,7 +15,8 @@ ORACLE_RTOL = 1e-12
 
 
 def _space(mesh, selector=sps.OMEGA, arity=1, bcs=()):
-    return sps.build_field_space(mesh, selector, arity, bcs, name="t")
+    return sps.build_field_space(sps.MeshSupports(mesh)[selector], arity, bcs,
+                                 name="t")
 
 
 def _max_rel(a_sparse, dense):
@@ -53,14 +54,14 @@ def two_cell_interface_mesh(p=1):
 def test_mass_row_sums_equal_area():
     m = rectangle_mesh(2.0, 3.0, 1, 1, degree=1)
     s = _space(m)
-    mass = asm.ElementScatter(s).mass(1.0)
+    mass = asm.ElementScatter(s.support).mass(1.0)
     assert mass.sum() == pytest.approx(6.0, rel=1e-14)
 
 
 def test_mass_scales_linearly_with_coefficient():
     m = rectangle_mesh(1.0, 1.0, 2, 2, degree=2)
     s = _space(m)
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     m1 = scatter.mass(2.5)
     m2 = scatter.mass(1.0)
     assert _max_rel(m1, 2.5 * m2.toarray()) < 1e-14
@@ -71,7 +72,7 @@ def test_mass_matches_dense_oracle(degree):
     m = rectangle_mesh(1.3, 0.7, 2, 2, degree=degree)
     s = _space(m)
     coeff = lambda x, y: 1.0 + x + 0.5 * y * y
-    sparse = asm.ElementScatter(s).mass(coeff)
+    sparse = asm.ElementScatter(s.support).mass(coeff)
     dense = oracles.dense_mass(s, lambda x, y, tag: coeff(x, y))
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
@@ -80,7 +81,7 @@ def test_mass_requires_positive_coefficient():
     m = rectangle_mesh(1.0, 1.0, 1, 1, degree=1)
     s = _space(m)
     with pytest.raises(asm.AssemblyError, match="positive"):
-        asm.ElementScatter(s).mass(0.0)
+        asm.ElementScatter(s.support).mass(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_mass_requires_positive_coefficient():
 def test_stiffness_kills_constants():
     m = rectangle_mesh(2.0, 1.0, 3, 2, degree=3)
     s = _space(m)
-    k = asm.ElementScatter(s).stiffness(4.0)
+    k = asm.ElementScatter(s.support).stiffness(4.0)
     const = np.ones(s.ndof)
     assert np.abs(k @ const).max() < 1e-12 * np.abs(k.data).max()
 
@@ -98,7 +99,7 @@ def test_stiffness_kills_constants():
 def test_stiffness_constant_scaling():
     m = rectangle_mesh(1.0, 1.0, 1, 1, degree=2)
     s = _space(m)
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     k1 = scatter.stiffness(1.0)
     k7 = scatter.stiffness(7.0)
     assert _max_rel(k7, 7.0 * k1.toarray()) < 1e-14
@@ -109,13 +110,13 @@ def test_stiffness_matches_dense_oracle(degree):
     m = rectangle_mesh(0.9, 1.4, 2, 2, degree=degree)
     s = _space(m)
     coeff = lambda x, y: 2.0 + np.sin(x) * np.cos(y)
-    sparse = asm.ElementScatter(s).stiffness(coeff)
+    sparse = asm.ElementScatter(s.support).stiffness(coeff)
     dense = oracles.dense_stiffness(s, lambda x, y, tag: coeff(x, y))
     # the coefficient is non-polynomial, so match the production quadrature
     # by comparing against an oracle on the same integrand degree: use a
     # polynomial coefficient for the tight comparison instead
     coeff_poly = lambda x, y: 2.0 + x * y
-    sparse_p = asm.ElementScatter(s).stiffness(coeff_poly)
+    sparse_p = asm.ElementScatter(s.support).stiffness(coeff_poly)
     dense_p = oracles.dense_stiffness(s, lambda x, y, tag: coeff_poly(x, y))
     assert _max_rel(sparse_p, dense_p) < ORACLE_RTOL
     # and the smooth coefficient still agrees to quadrature accuracy
@@ -126,7 +127,7 @@ def test_stiffness_rejects_nonpositive_sample_with_location():
     m = rectangle_mesh(1.0, 1.0, 2, 2, degree=1)
     s = _space(m)
     with pytest.raises(asm.AssemblyError, match=r"at quadrature point \("):
-        asm.ElementScatter(s).stiffness(lambda x, y: x - 0.5)
+        asm.ElementScatter(s.support).stiffness(lambda x, y: x - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +136,13 @@ def test_stiffness_rejects_nonpositive_sample_with_location():
 
 def test_element_scatter_slots_point_at_their_entries():
     s = _space(mixed_degree_mesh(), sps.OMEGA_S)
-    assert len({(g.px, g.py) for g, rows in zip(s.master, s.member_rows)
-                if len(rows)}) == 4
-    scatter = asm.ElementScatter(s)
+    occupied = s.support.occupied
+    assert len({(g.px, g.py) for g, *_ in occupied}) == 4
+    scatter = asm.ElementScatter(s.support)
     rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel()
-                           for d in s.cell_node_dofs if len(d)])
+                           for _, _, d, _ in occupied])
     cols = np.concatenate([np.tile(d, (1, d.shape[1])).ravel()
-                           for d in s.cell_node_dofs if len(d)])
+                           for _, _, d, _ in occupied])
     assert len(scatter.slots) == scatter.n_entries == len(rows)
     assert np.array_equal(scatter.indices[scatter.slots], cols)
     assert np.array_equal(
@@ -152,7 +153,7 @@ def test_element_scatter_reassembles_on_one_pattern():
     """Matrices re-assembled with new coefficients share the pattern arrays
     themselves and still match the dense oracle, across degree groups."""
     s = _space(mixed_degree_mesh(), sps.OMEGA_S)
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     mats_ = [scatter.mass(1.0)]
     for k in (1.0, 2.0):
         coeff = lambda x, y: k + x * y
@@ -170,7 +171,7 @@ def test_midpoint_matrix_needs_the_mass_pattern():
     """M + dt/2 K lies on M's pattern arrays and equals scipy's sum; a K on
     another pattern is refused."""
     s = _space(mixed_degree_mesh(), sps.OMEGA_S)
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     m, k = scatter.mass(1.0), scatter.stiffness(2.0)
     a = asm.midpoint_matrix(m, k, 6.0)
     assert a.indptr is m.indptr and a.indices is m.indices
@@ -188,12 +189,12 @@ def test_midpoint_matrix_needs_the_mass_pattern():
 def test_elasticity_rigid_modes_in_kernel():
     m = rectangle_mesh(2.0, 1.0, 3, 2, degree=2, tag=geo.ANODE)
     s = _space(m, sps.OMEGA_S, arity=2)
-    k = asm.ElementScatter(s).elasticity(shear=9.6154e8, bulk=2.0833e9)
-    xy = s.node_xy()
+    k = asm.ElementScatter(s.support).elasticity(shear=9.6154e8, bulk=2.0833e9)
+    xy = s.support.node_xy()
     scale = np.abs(k.data).max()
     for mode in (
-            np.tile([1.0, 0.0], s.n_nodes),
-            np.tile([0.0, 1.0], s.n_nodes),
+            np.tile([1.0, 0.0], s.support.n_nodes),
+            np.tile([0.0, 1.0], s.support.n_nodes),
             np.column_stack([-xy[:, 1], xy[:, 0]]).ravel()):
         assert np.abs(k @ mode).max() < 1e-12 * scale * max(
             1.0, np.abs(mode).max())
@@ -204,7 +205,7 @@ def test_elasticity_matches_dense_oracle():
     s = _space(m, sps.OMEGA_S, arity=2)
     from voltacell.materials import lame_from_e_nu
     shear, bulk = lame_from_e_nu(2.5e9, 0.3)
-    sparse = asm.ElementScatter(s).elasticity({geo.CATHODE: shear},
+    sparse = asm.ElementScatter(s.support).elasticity({geo.CATHODE: shear},
                                      {geo.CATHODE: bulk})
     dense = oracles.dense_elasticity(s, lambda tag: shear, lambda tag: bulk)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
@@ -218,7 +219,7 @@ def test_elasticity_mixed_materials_dense_oracle():
     s = _space(mesh, sps.OMEGA_S, arity=2)
     shear = {geo.ANODE: 2.0, geo.CATHODE: 3.0}
     bulk = {geo.ANODE: 5.0, geo.CATHODE: 7.0}
-    sparse = asm.ElementScatter(s).elasticity(shear, bulk)
+    sparse = asm.ElementScatter(s.support).elasticity(shear, bulk)
     dense = oracles.dense_elasticity(s, lambda t: shear[t], lambda t: bulk[t])
     assert _max_rel(sparse, dense) < ORACLE_RTOL
 
@@ -227,7 +228,7 @@ def test_elasticity_mixed_degrees_dense_oracle():
     s = _space(mixed_degree_mesh(), sps.OMEGA_S, arity=2)
     shear = {geo.ANODE: 2.0, geo.CATHODE: 3.0}
     bulk = {geo.ANODE: 5.0, geo.CATHODE: 7.0}
-    sparse = asm.ElementScatter(s).elasticity(shear, bulk)
+    sparse = asm.ElementScatter(s.support).elasticity(shear, bulk)
     dense = oracles.dense_elasticity(s, lambda t: shear[t], lambda t: bulk[t],
                                      n_quad=MIXED_QUAD)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
@@ -238,8 +239,8 @@ def test_elasticity_mixed_degrees_dense_oracle():
 # ---------------------------------------------------------------------------
 
 def _interface_trace(mesh, space):
-    t, w = asm.trace_operator(space.grid, mesh.interface_edges())
-    return asm.restrict_trace(space, t), w
+    t, w = asm.trace_operator(space.support.grid, mesh.interface_edges())
+    return asm.restrict_trace(space.support, t), w
 
 
 def _edge_mass(t, w):
@@ -268,7 +269,7 @@ def test_edge_mass_matches_dense_oracle():
     s = _space(m, sps.OMEGA_E)
     edges = m.interface_edges()
     t, w = _interface_trace(m, s)
-    y = t @ s.node_xy()[:, 1]     # exact: y is in the space
+    y = t @ s.support.node_xy()[:, 1]     # exact: y is in the space
     sparse = _edge_mass(t, w).matrix(1.0 + y ** 2)
     dense = oracles.dense_edge_mass(s, edges, lambda x, y: 1.0 + y * y)
     assert _max_rel(sparse, dense) < ORACLE_RTOL
@@ -286,7 +287,7 @@ def test_trace_mass_with_base_keeps_one_pattern():
     m = mixed_degree_mesh()
     s = _space(m, sps.OMEGA_S)
     t, w = _interface_trace(m, s)
-    base = asm.ElementScatter(s).stiffness(1.0)
+    base = asm.ElementScatter(s.support).stiffness(1.0)
     tm = asm.TraceMass(t, w, base=base)
     td = t.toarray()
     out = []
@@ -306,7 +307,7 @@ def test_trace_and_load_partition_of_unity():
     edges = m.interface_edges()
     assert len(edges) == 1
     t, w = _interface_trace(m, s)
-    f = 3.0 * s.node_xy()[:, 1] + 1.0
+    f = 3.0 * s.support.node_xy()[:, 1] + 1.0
     gauss, _ = np.polynomial.legendre.leggauss(
         edges.degree[0] + asm.EDGE_QUAD_EXTRA)
     assert edges.vertical[0]
@@ -324,10 +325,10 @@ def test_edge_side_mismatch_raises():
     # a boundary edge of the electrolyte cell is outside the solid support
     elyte_right = m.boundary_edges("cc_plus")
     with pytest.raises(ValueError, match="outside the support"):
-        s_solid.edge_field_nodes(elyte_right[0])
-    t, _ = asm.trace_operator(s_solid.grid, elyte_right)
+        s_solid.support.edge_nodes(elyte_right[0])
+    t, _ = asm.trace_operator(s_solid.support.grid, elyte_right)
     with pytest.raises(ValueError, match="outside the support"):
-        asm.restrict_trace(s_solid, t)
+        asm.restrict_trace(s_solid.support, t)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +341,9 @@ def test_constrain_and_expand_round_trip():
     vector that is 0 there survives the round trip through its free part."""
     m = rectangle_mesh(1.0, 1.0, 2, 2, degree=2)
     s = _space(m, bcs=[sps.EssentialBC(p) for p in ("cc_minus", "top")])
-    xy = s.node_xy()
+    xy = s.support.node_xy()
     assert np.array_equal(s.constrained, (xy[:, 0] == 0.0) | (xy[:, 1] == 1.0))
-    k = asm.ElementScatter(s).stiffness(1.0)
+    k = asm.ElementScatter(s.support).stiffness(1.0)
     assert np.array_equal(asm.constrain(s, k).toarray(),
                           k.toarray()[np.ix_(s.free, s.free)])
     v = np.random.default_rng(3).normal(size=s.ndof)
@@ -359,16 +360,16 @@ def test_galerkin_reproduces_polynomial_solution():
     rhs = lambda x, y: 2.0 * (x * (1.0 - x) + y * (1.0 - y))  # -lap(exact)
     s = _space(m, bcs=[sps.EssentialBC(part) for part in
                        ("cc_minus", "cc_plus", "top", "bottom")])
-    a_red = asm.constrain(s, asm.ElementScatter(s).stiffness(1.0))
+    a_red = asm.constrain(s, asm.ElementScatter(s.support).stiffness(1.0))
     b_red = asm.assemble_load(s, rhs)[s.free]
     u = asm.expand(s, Solver().solve(a_red, b_red))
-    assert np.allclose(u, exact(*s.node_xy().T), rtol=0.0, atol=1e-12)
+    assert np.allclose(u, exact(*s.support.node_xy().T), rtol=0.0, atol=1e-12)
 
 
 def test_integrate_constant_gives_area():
     g = geo.build_interdigitated_domain()
     mesh = generate_layered_mesh(g, MeshSpec.coarse())
-    s = _space(mesh)
+    s = sps.MeshSupports(mesh)[sps.OMEGA]
     assert asm.integrate(s, np.ones(s.qp.n)) == pytest.approx(
         1000e-6 * 100e-6, rel=1e-12, abs=0.0)
     anode = (s.qp.tag == geo.ANODE).astype(float)
@@ -379,11 +380,11 @@ def test_integrate_constant_gives_area():
 def test_eval_qp_consistency():
     m = rectangle_mesh(1.0, 2.0, 2, 3, degree=2)
     s = _space(m)
-    x, y = s.node_xy().T
+    x, y = s.support.node_xy().T
     f = x * y + y * y
     vals = asm.eval_qp(s, f)
     grads = asm.eval_grad_qp(s, f)
-    qx, qy = s.qp.x[s.points], s.qp.y[s.points]
+    qx, qy = s.support.qp.x[s.support.points], s.support.qp.y[s.support.points]
     assert np.allclose(vals, qx * qy + qy * qy, atol=1e-12)
     assert np.allclose(grads[0], qy, atol=1e-12)
     assert np.allclose(grads[1], qx + 2 * qy, atol=1e-12)
@@ -392,7 +393,7 @@ def test_eval_qp_consistency():
 def test_eval_strain_linear_field():
     m = rectangle_mesh(1.0, 1.0, 2, 2, degree=1, tag=geo.ANODE)
     s = _space(m, sps.OMEGA_S, arity=2)
-    xy = s.node_xy()
+    xy = s.support.node_xy()
     u = np.empty(s.ndof)
     u[0::2] = 2.0 * xy[:, 0] + 0.5 * xy[:, 1]       # u_x
     u[1::2] = -0.25 * xy[:, 0] + 3.0 * xy[:, 1]     # u_y
@@ -406,7 +407,7 @@ def test_relative_asymmetry_of_assembled_matrices():
     g = geo.build_interdigitated_domain()
     mesh = generate_layered_mesh(g, MeshSpec.coarse())
     s = _space(mesh)
-    scatter = asm.ElementScatter(s)
+    scatter = asm.ElementScatter(s.support)
     for mat_ in (scatter.mass({geo.ANODE: 2.0, geo.CATHODE: 1.0,
                                geo.ELYTE: 3.0}),
                  scatter.stiffness(lambda x, y: 1 + x)):

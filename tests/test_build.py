@@ -50,8 +50,9 @@ def test_array_build_matches_per_cell_oracle(geom, mats, spec):
     iface = oracles.interface_records(mesh)
     t, w = oracles.trace_rows(mesh, prob.grid, [r for _, r in iface],
                               asm.EDGE_QUAD_EXTRA)
-    assert np.array_equal(prob.s_th.node_ids, np.arange(prob.grid.n_nodes))
-    assert same_csr(prob.iface_tr["theta"], t)
+    assert np.array_equal(prob.s_th.support.node_ids,
+                          np.arange(prob.grid.n_nodes))
+    assert same_csr(prob.iface_tr[prob.s_th.support], t)
     assert np.array_equal(prob.iface_w, w)
     tags = [tag for tag, r in iface
             for _ in range((mesh.py[r[1]] if r[0] else mesh.px[r[2]])
@@ -62,7 +63,8 @@ def test_array_build_matches_per_cell_oracle(geom, mats, spec):
         mesh, prob.grid, oracles.edge_records(mesh, (PART_CODE[CC_PLUS],)),
         asm.EDGE_QUAD_EXTRA)
     assert np.array_equal(prob.cc_plus_w,
-                          asm.restrict_trace(prob.s_ps, t_cc).T @ w_cc)
+                          asm.restrict_trace(prob.s_ps.support, t_cc).T
+                          @ w_cc)
 
 
 def _held_matrices(obj, depth=2):

@@ -110,9 +110,9 @@ def _hand_set_state(prob, grad_phi_s, grad_phi_e, c_e):
     the electrolyte concentration c_e(x, y)."""
     state = prob.initial_state()
     for name, (gx, gy) in (("phi_s", grad_phi_s), ("phi_e", grad_phi_e)):
-        x, y = prob.spaces[name].node_xy().T
+        x, y = prob.spaces[name].support.node_xy().T
         state[name] = gx * x + gy * y
-    state["c_e"] = c_e(*prob.s_ce.node_xy().T)
+    state["c_e"] = c_e(*prob.s_ce.support.node_xy().T)
     return state
 
 
@@ -188,18 +188,16 @@ def test_stage1_concentration_system_hand_oracle(mats):
                                  mats.anode, mats)
     d_c = mat.stress_diffusivity(0.5 * mats.cathode.c_max, 0.0,
                                  mats.cathode, mats)
-    cs_space = prob.s_cs
+    occupied = prob.s_cs.support.occupied
     a_hand = np.zeros((8, 8))
-    for g, rows, dofs in zip(cs_space.master, cs_space.member_rows,
-                             cs_space.cell_node_dofs):
+    for g, rows, dofs, _ in occupied:
         for k, row in enumerate(rows):
             d = d_a if g.tag[row] == geo.ANODE else d_c
             idx = dofs[k]
             a_hand[np.ix_(idx, idx)] += M1 + 0.5 * dt * d * K1
     # at equilibrium the interface load vanishes, so A c_new = M c_prev
     b_hand = np.zeros(8)
-    for g, rows, dofs in zip(cs_space.master, cs_space.member_rows,
-                             cs_space.cell_node_dofs):
+    for g, rows, dofs, _ in occupied:
         for k, row in enumerate(rows):
             idx = dofs[k]
             b_hand[np.ix_(idx)] += M1 @ s0["c_s"][idx] \
@@ -238,8 +236,9 @@ def test_potential_system_hand_oracle(mats):
     # phi_s space: nodes of the anode cell then the cathode cell; phi_e
     # space: the electrolyte cell, its left edge facing the anode
     ps, pe = prob.s_ps, prob.s_pe
-    xy, xe = ps.node_xy(), pe.node_xy()
-    dofs_e = pe.cell_node_dofs[0][0]
+    xy, xe = ps.support.node_xy(), pe.support.node_xy()
+    _, _, nodes_e, _ = pe.support.occupied[0]
+    dofs_e = nodes_e[0]
     left = dofs_e[np.isclose(xe[dofs_e, 0], 1.0)]
     right = dofs_e[np.isclose(xe[dofs_e, 0], 2.0)]
     a_ss = np.zeros((8, 8))
@@ -248,7 +247,7 @@ def test_potential_system_hand_oracle(mats):
     a_ee = np.zeros((4, 4))
     b_e = np.zeros(4)
     a_ee[np.ix_(dofs_e, dofs_e)] += mats.electrolyte.conductivity * K1
-    for g, rows, dofs in zip(ps.master, ps.member_rows, ps.cell_node_dofs):
+    for g, rows, dofs, _ in ps.support.occupied:
         for k, row in enumerate(rows):
             idx = dofs[k]
             tag = int(g.tag[row])
@@ -311,11 +310,12 @@ def test_stage2_solves_potential_pair_exactly(coarse_mesh, mats):
     ist = prob.interface_state(SimState(0.0, {**s0.fields, **new}))
     assert np.abs(ist.eta).max() > 1e-3        # the pair is really loaded
     wc = prob.iface_w * ist.coeff
-    t_s, t_e = prob.iface_tr["phi_s"], prob.iface_tr["phi_e"]
-    k_s = asm.ElementScatter(prob.s_ps).stiffness({
+    t_s = prob.iface_tr[prob.s_ps.support]
+    t_e = prob.iface_tr[prob.s_pe.support]
+    k_s = asm.ElementScatter(prob.s_ps.support).stiffness({
         geo.ANODE: mats.anode.conductivity,
         geo.CATHODE: mats.cathode.conductivity})
-    k_e = asm.ElementScatter(prob.s_pe).stiffness(
+    k_e = asm.ElementScatter(prob.s_pe.support).stiffness(
         mats.electrolyte.conductivity)
     free = prob.s_ps.free
     cc = np.zeros(prob.s_ps.ndof)
@@ -377,7 +377,7 @@ def test_cs_matrices_keep_the_c_s_pattern(pattern_problem):
         th_qp = asm.eval_qp(prob.s_th, state["theta"])
         k = prob.cs_stiffness(state, th_qp)
         a = asm.midpoint_matrix(prob.m_cs, k, dt)
-        k_ref = asm.ElementScatter(prob.s_cs).stiffness(
+        k_ref = asm.ElementScatter(prob.s_cs.support).stiffness(
             prob.solid_diffusivity_qp(state, th_qp))
         assert _rel(k.toarray(), k_ref.toarray()) <= 1e-13
         assert _rel(a.toarray(),
@@ -391,10 +391,10 @@ def test_potential_matrix_keeps_one_pattern(pattern_problem, mats):
     formed densely, sweep after sweep, on one pattern."""
     prob = pattern_problem
     free = np.nonzero(prob.s_ps.free)[0]
-    k_s = asm.ElementScatter(prob.s_ps).stiffness({
+    k_s = asm.ElementScatter(prob.s_ps.support).stiffness({
         geo.ANODE: mats.anode.conductivity,
         geo.CATHODE: mats.cathode.conductivity}).toarray()
-    k_e = asm.ElementScatter(prob.s_pe).stiffness(
+    k_e = asm.ElementScatter(prob.s_pe.support).stiffness(
         mats.electrolyte.conductivity).toarray()
     k_pot = np.block([
         [k_s[np.ix_(free, free)], np.zeros((len(free), len(k_e)))],
@@ -440,16 +440,38 @@ def test_support_points_follow_the_global_order(pattern_problem):
     prob = pattern_problem
     qp = prob.qp
     for space in prob.spaces.values():
-        assert np.array_equal(space.points, np.flatnonzero(
-            np.isin(qp.tag, list(space.selector)))), space.name
-        assert sum(sl.stop - sl.start for *_, sl in space.occupied) \
-            == len(space.points)
+        sup = space.support
+        assert np.array_equal(sup.points, np.flatnonzero(
+            np.isin(qp.tag, list(sup.selector)))), space.name
+        assert sum(sl.stop - sl.start for *_, sl in sup.occupied) \
+            == len(sup.points)
     for names in (("c_s", "phi_s", "u"), ("c_e", "phi_e")):
         for name in names[1:]:
-            assert np.array_equal(prob.spaces[name].points,
-                                  prob.spaces[names[0]].points), name
-    assert np.array_equal(prob.s_th.points, np.arange(qp.n))
-    assert len(prob.s_cs.points) + len(prob.s_ce.points) == qp.n
+            assert np.array_equal(prob.spaces[name].support.points,
+                                  prob.spaces[names[0]].support.points), name
+    assert np.array_equal(prob.s_th.support.points, np.arange(qp.n))
+    assert len(prob.s_cs.support.points) + len(prob.s_ce.support.points) \
+        == qp.n
+
+
+def test_fields_share_one_support_per_selector(pattern_problem):
+    """c_s, phi_s and u hold one Support object, c_e and phi_e a second and
+    theta a third; each support has one interface trace operator, with its
+    transpose, and the c_s matrices are assembled on the solid support."""
+    prob = pattern_problem
+    solid, elyte = prob.s_cs.support, prob.s_ce.support
+    assert prob.s_ps.support is solid and prob.s_u.support is solid
+    assert prob.s_pe.support is elyte
+    supports = [prob.s_th.support, solid, elyte]
+    assert len({id(s) for s in supports}) == 3
+    assert [s.selector for s in supports] == [sps.OMEGA, sps.OMEGA_S,
+                                              sps.OMEGA_E]
+    assert prob.cs_scatter.support is solid
+    for table in (prob.iface_tr, prob.iface_tr_t):
+        assert list(table) == supports
+    for sup in supports:
+        assert prob.iface_tr[sup].shape[1] == sup.n_nodes
+        assert prob.iface_tr_t[sup].shape == prob.iface_tr[sup].shape[::-1]
 
 
 def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
@@ -457,9 +479,9 @@ def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
     the constants of ``CellProblem.solid`` sit at c_s's support points."""
     prob = pattern_problem
     qp = prob.qp
-    assert np.array_equal(prob.solid_tags, qp.tag[prob.s_cs.points])
+    assert np.array_equal(prob.solid_tags, qp.tag[prob.s_cs.support.points])
     el = prob.solid
-    assert len(el.c_max) == len(prob.s_cs.points)
+    assert len(el.c_max) == len(prob.s_cs.support.points)
     for tag in (geo.ANODE, geo.CATHODE):
         ref = mats.electrode(geo.TAG_NAMES[tag])
         at = prob.solid_tags == tag
@@ -477,25 +499,26 @@ def test_layout_constants_follow_the_point_tags(pattern_problem, mats):
 def _cell_oracles(space):
     """Per member cell of ``space``: its quadrature points in the global
     layout and their positions in the support layout (member cells one
-    after another, checked against ``space.points``), its field node
+    after another, checked against ``Support.points``), its support node
     indices, and its basis values and physical x, y derivatives at those
     points (each (nbf, nq)), built cell by cell from the oracle's Lagrange
     polynomials."""
     import oracles
-    qp = space.qp
+    sup = space.support
+    qp = sup.qp
+    first = {id(g): offset for g, offset in zip(sup.master, qp.offsets)}
     start = 0
-    for k, (g, rows, dofs) in enumerate(zip(
-            space.master, space.member_rows, space.cell_node_dofs)):
+    for g, rows, dofs, _ in sup.occupied:
         ref = g.ref
         nq = len(ref.qw)
         lx, ly = oracles.lagrange_polys(g.px), oracles.lagrange_polys(g.py)
         dlx, dly = [p.deriv() for p in lx], [p.deriv() for p in ly]
         xi, eta = ref.qp[:, 0], ref.qp[:, 1]
         for e, row in enumerate(rows):
-            pts = qp.offsets[k] + row * nq + np.arange(nq)
+            pts = first[id(g)] + row * nq + np.arange(nq)
             at = start + np.arange(nq)
             start += nq
-            assert np.array_equal(space.points[at], pts)
+            assert np.array_equal(sup.points[at], pts)
             assert np.allclose(qp.x[pts], g.x0[row] + (xi + 1) * 0.5
                                * g.hx[row], rtol=1e-14, atol=1e-12)
             assert np.allclose(qp.y[pts], g.y0[row] + (eta + 1) * 0.5
@@ -509,7 +532,7 @@ def _cell_oracles(space):
             dy = np.array([dly[b](eta) * lx[a](xi) for b in range(g.py + 1)
                            for a in range(g.px + 1)]) * 2.0 / g.hy[row]
             yield pts, at, dofs[e], phi, dx, dy
-    assert start == len(space.points)
+    assert start == len(sup.points)
 
 
 def _assert_close(got, ref, tol):
@@ -533,19 +556,20 @@ def test_electrolyte_layout_matches_per_element_evaluation(pattern_problem,
 
 def _check_scalar_kernels(prob, field):
     qp, space = prob.qp, prob.spaces[field]
+    points = space.support.points
     vec = _layout_state(prob)[field]
     vals = asm.eval_qp(space, vec)
     grads = asm.eval_grad_qp(space, vec)
-    x = qp.x[space.points] / LENGTH_UNIT
-    y = qp.y[space.points] / LENGTH_UNIT
+    x = qp.x[points] / LENGTH_UNIT
+    y = qp.y[points] / LENGTH_UNIT
     f = np.cos(x) + y ** 2                      # a load density
     v = np.stack([np.sin(y), x * y])            # a vector field, (2, n)
     load = asm.assemble_load(space, f)
     grad_load = asm.assemble_grad_load(space, v)
-    assert vals.shape == (len(space.points),)
-    assert grads.shape == (2, len(space.points))
-    ref_vals = np.zeros(len(space.points))
-    ref_grads = np.zeros((2, len(space.points)))
+    assert vals.shape == (len(points),)
+    assert grads.shape == (2, len(points))
+    ref_vals = np.zeros(len(points))
+    ref_grads = np.zeros((2, len(points)))
     ref_load = np.zeros(space.ndof)
     ref_grad_load = np.zeros(space.ndof)
     total = 0.0
@@ -562,8 +586,8 @@ def _check_scalar_kernels(prob, field):
     _assert_close(grads, ref_grads, 1e-10)
     _assert_close(load, ref_load, 1e-12)
     _assert_close(grad_load, ref_grad_load, 1e-12)
-    assert asm.integrate(space, vals) == pytest.approx(total, rel=1e-12,
-                                                       abs=0.0)
+    assert asm.integrate(space.support, vals) == pytest.approx(
+        total, rel=1e-12, abs=0.0)
 
 
 def test_vector_kernels_match_per_element_evaluation(pattern_problem):
@@ -574,7 +598,7 @@ def test_vector_kernels_match_per_element_evaluation(pattern_problem):
     prob = pattern_problem
     qp, space = prob.qp, prob.s_u
     u = _layout_state(prob)["u"]
-    pts_u = space.points
+    pts_u = space.support.points
     f = np.cos(qp.x[pts_u] / LENGTH_UNIT) + (qp.y[pts_u] / LENGTH_UNIT) ** 2
     strain = asm.eval_strain_qp(space, u)
     div_load = asm.assemble_div_load(space, f)
@@ -604,19 +628,19 @@ def test_readouts_match_quadrature_averages(pattern_problem):
 
     def integral(space, field, tags, weight=1.0):
         vals = asm.eval_qp(space, state[field]) * weight
-        return asm.integrate(space, vals * in_tags(space, tags))
+        return asm.integrate(space.support, vals * in_tags(space, tags))
 
     def in_tags(space, tags):
-        return np.isin(qp.tag[space.points], tags)
+        return np.isin(qp.tag[space.support.points], tags)
 
     def mean(space, field, tags):
-        return integral(space, field, tags) \
-            / asm.integrate(space, in_tags(space, tags).astype(float))
+        return integral(space, field, tags) / asm.integrate(
+            space.support, in_tags(space, tags).astype(float))
 
     rho_cv = sps.tag_values({geo.ANODE: mats.anode.rho_cv,
                              geo.CATHODE: mats.cathode.rho_cv,
                              geo.ELYTE: mats.electrolyte.rho_cv},
-                            qp.tag[prob.s_th.points])
+                            qp.tag[prob.s_th.support.points])
     expected = {
         "phi_e_avg": mean(prob.s_pe, "phi_e", [geo.ELYTE]),
         "soc_anode": mean(prob.s_cs, "c_s", [geo.ANODE]) / mats.anode.c_max,
@@ -624,7 +648,7 @@ def test_readouts_match_quadrature_averages(pattern_problem):
         / mats.cathode.c_max,
         "theta_avg": mean(prob.s_th, "theta", everywhere),
         "theta_weighted": integral(prob.s_th, "theta", everywhere, rho_cv)
-        / asm.integrate(prob.s_th, rho_cv),
+        / asm.integrate(prob.s_th.support, rho_cv),
         "int_cs": integral(prob.s_cs, "c_s", [geo.ANODE, geo.CATHODE]),
         "int_ce": integral(prob.s_ce, "c_e", [geo.ELYTE]),
     }
@@ -641,7 +665,7 @@ def test_layout_stress_laws_match_hooke_per_electrode(pattern_problem,
     electrode's own material at sampled solid points."""
     prob = pattern_problem
     state = _layout_state(prob)
-    s = prob.s_cs.points
+    s = prob.s_cs.support.points
     strain = asm.eval_strain_qp(prob.s_u, state["u"])
     theta = asm.eval_qp(prob.s_th, state["theta"])
     c_s = asm.eval_qp(prob.s_cs, state["c_s"])
@@ -667,7 +691,7 @@ def test_nonpositive_solid_diffusivity_located_per_sweep(coarse_problem):
     d_qp = prob.solid_diffusivity_qp(s0, th_qp)
     nq = len(prob.master[0].ref.qw)
     j = 5 * nq + 2              # a point of the sixth solid cell of group 0
-    i = prob.s_cs.points[j]
+    i = prob.s_cs.support.points[j]
     d_qp[j] = -1.0
     prob.solid_diffusivity_qp = lambda state, theta_qp: d_qp
     with pytest.raises(asm.AssemblyError) as err:
@@ -683,7 +707,7 @@ def test_negative_interface_coefficient_raises(coarse_problem):
     potential pair's interface mass."""
     prob = coarse_problem
     s0 = prob.initial_state()
-    tr = prob.iface_tr["theta"]
+    tr = prob.iface_tr[prob.s_th.support]
     anode_nodes = np.unique(tr[prob.iface_tags == geo.ANODE].indices)
     theta = s0["theta"].copy()
     theta[anode_nodes] *= -1.0
@@ -693,14 +717,15 @@ def test_negative_interface_coefficient_raises(coarse_problem):
 
 
 def test_one_trace_operator_per_support(coarse_problem):
-    """The fields on one support share one interface trace operator and its
-    transpose: c_s with phi_s, c_e with phi_e (their DOF maps agree)."""
+    """The fields on one support reach one interface trace operator and its
+    transpose through their shared support: c_s with phi_s, c_e with phi_e
+    (one DOF map each)."""
     prob = coarse_problem
     for a, b in (("c_s", "phi_s"), ("c_e", "phi_e")):
-        assert np.array_equal(prob.spaces[a].node_index,
-                              prob.spaces[b].node_index)
-        assert prob.iface_tr[a] is prob.iface_tr[b]
-        assert prob.iface_tr_t[a] is prob.iface_tr_t[b]
+        sup = prob.spaces[a].support
+        assert prob.spaces[b].support is sup
+        assert np.array_equal(prob.iface_tr_t[sup].toarray(),
+                              prob.iface_tr[sup].T.toarray())
     assert len({id(t) for t in prob.iface_tr.values()}) == 3
 
 
@@ -871,13 +896,14 @@ def test_constrained_thermal_expansion_hand_solution(mats):
     from voltacell.mesh import rectangle_mesh
     from voltacell.solve import Solver
     mesh = rectangle_mesh(1.0, 1.0, 1, 1, degree=2, tag=geo.CATHODE)
-    space = sps.build_field_space(mesh, sps.OMEGA_S, arity=2, constraints=[
-        sps.EssentialBC("cc_minus", 0), sps.EssentialBC("cc_plus", 0),
-        sps.EssentialBC("bottom", 1)], name="u")
+    space = sps.build_field_space(
+        sps.MeshSupports(mesh)[sps.OMEGA_S], 2, [
+            sps.EssentialBC("cc_minus", 0), sps.EssentialBC("cc_plus", 0),
+            sps.EssentialBC("bottom", 1)], name="u")
     el = mats.cathode
     shear, bulk = el.lame
-    k_el = asm.ElementScatter(space).elasticity({geo.CATHODE: shear},
-                                                {geo.CATHODE: bulk})
+    k_el = asm.ElementScatter(space.support).elasticity(
+        {geo.CATHODE: shear}, {geo.CATHODE: bulk})
     d_theta = 40.0
     g_load = 3.0 * bulk * el.alpha * d_theta
     b = asm.assemble_div_load(space, g_load)
@@ -885,7 +911,7 @@ def test_constrained_thermal_expansion_hand_solution(mats):
                                          b[space.free]))
     lam = bulk - 2.0 * shear / 3.0
     slope = 3.0 * bulk / (lam + 2.0 * shear) * el.alpha * d_theta
-    xy = space.node_xy()
+    xy = space.support.node_xy()
     assert np.allclose(u[0::2], 0.0, atol=1e-12)
     assert np.allclose(u[1::2], slope * xy[:, 1], rtol=1e-9, atol=1e-14)
 

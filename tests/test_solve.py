@@ -33,11 +33,11 @@ def test_zero_rhs_shortcut():
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_assembled_system_matches_dense_factorization(method):
     m = rectangle_mesh(1.0, 1.0, 4, 4, degree=2)
-    s = sps.build_field_space(m, sps.OMEGA, name="t")
+    s = sps.MeshSupports(m)[sps.OMEGA]
     scatter = asm.ElementScatter(s)
     a = scatter.stiffness(2.0) + scatter.mass(1.0)
     rng = np.random.default_rng(5)
-    b = rng.normal(size=s.ndof)
+    b = rng.normal(size=s.n_nodes)
     x = Solver().solve(a, b) if method == "direct" \
         else jacobi_solve(a, b, "t")
     x_dense = np.linalg.solve(a.toarray(), b)
@@ -73,14 +73,14 @@ def _spd_pair(scale):
     """An assembled SPD matrix and a copy with its coefficients perturbed by
     a relative ``scale`` (as between two sweeps of a coupled step)."""
     m = rectangle_mesh(1.0, 1.0, 6, 6, degree=2)
-    s = sps.build_field_space(m, sps.OMEGA, name="t")
+    s = sps.MeshSupports(m)[sps.OMEGA]
     scatter = asm.ElementScatter(s)
     mass = scatter.mass(1.0)
     a = mass + 0.5 * scatter.stiffness(2.0)
     rng = np.random.default_rng(11)
     coeff = 2.0 * (1.0 + scale * rng.uniform(size=s.qp.n))
     b_mat = mass + 0.5 * scatter.stiffness(coeff)
-    return a.tocsr(), b_mat.tocsr(), rng.normal(size=s.ndof)
+    return a.tocsr(), b_mat.tocsr(), rng.normal(size=s.n_nodes)
 
 
 def test_held_factor_cg_matches_fresh_factor():
