@@ -21,13 +21,15 @@ cathode digit (top).  Canonical layout, with X = l + L + w and Y = 2*H_s + H_e
     - electrolyte fills the complement; each digit tip faces a gap of width w
       (anode tip vs. end cap, cathode tip vs. left wall).
 
-The interface has exactly two connected components (one polyline around each
-electrode); its normal is oriented from the electrode into the electrolyte.
+``LAYOUT`` is the one description of this layout: the subdomain of each
+block and the boundary part of each row's left face.  The areas, the
+electrode-electrolyte interface (the block sides between an electrode and the
+electrolyte) and the collector faces all follow from it and the cuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +40,6 @@ ELYTE = 2
 SOLID = (ANODE, CATHODE)
 TAG_NAMES = {ANODE: "sa", CATHODE: "sc", ELYTE: "e"}
 
-# Blocks of the interdigitated layout, by the MeshSpec field that gives each
-# its base cell counts: 4 columns (between the x cuts) and 3 rows
-LAYOUT_BLOCKS = {"nx_blocks": 4, "ny_blocks": 3}
-
 # Boundary part codes (edge tags >= 10; see mesh module)
 CC_MINUS = "cc_minus"
 CC_PLUS = "cc_plus"
@@ -49,6 +47,19 @@ TOP = "top"
 BOTTOM = "bottom"
 WALL = "wall"      # exterior electrolyte wall segments (natural BC only)
 BOUNDARY_PARTS = (CC_MINUS, CC_PLUS, TOP, BOTTOM, WALL)
+
+# The layout, one row of blocks per entry, bottom to top: the subdomain of
+# each block (the columns between the x cuts, left to right) and the boundary
+# part of the row's left face.  The right face is cc+ in every row.
+LAYOUT = (
+    ((ANODE, ANODE, ELYTE, CATHODE), CC_MINUS),      # y in [0, h_s]
+    ((ELYTE, ELYTE, ELYTE, CATHODE), WALL),          # y in [h_s, Y - h_s]
+    ((ELYTE, CATHODE, CATHODE, CATHODE), WALL),      # y in [Y - h_s, Y]
+)
+
+# Blocks of the layout, by the MeshSpec field that gives each its base cell
+# counts
+LAYOUT_BLOCKS = {"nx_blocks": len(LAYOUT[0][0]), "ny_blocks": len(LAYOUT)}
 
 
 @dataclass(frozen=True)
@@ -84,33 +95,24 @@ class CellDimensions:
         return 2.0 * self.h_s + self.h_e
 
 
-def _shoelace(poly) -> float:
-    pts = np.asarray(poly, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 @dataclass(frozen=True)
 class DomainGeometry:
     """Block-structured description of the cell domain.
 
     ``x_cuts``/``y_cuts`` are the grid lines of the coarsest block
     decomposition; ``block_tag[j][i]`` is the subdomain of block
-    (x_cuts[i..i+1]) x (y_cuts[j..j+1]).  Polygons are CCW vertex loops,
-    interface polylines are oriented so that walking them keeps the electrode
-    on the side the normal points away from (normal = electrode -> electrolyte).
-    The boundary parts (``BOUNDARY_PARTS``) are tagged on the mesh edges by
-    ``mesh.generate_layered_mesh``.
+    (x_cuts[i..i+1]) x (y_cuts[j..j+1]), as ``LAYOUT`` gives it.  The boundary
+    parts (``BOUNDARY_PARTS``) are tagged on the mesh edges by
+    ``mesh.generate_layered_mesh``, through ``boundary_part``.
     """
 
     dims: CellDimensions
     x_cuts: tuple[float, ...]
     y_cuts: tuple[float, ...]
-    block_tag: tuple[tuple[int, ...], ...]       # [row][col]
-    polygons: dict = field(repr=False)           # tag -> list[(x, y)]
-    interface: tuple = field(repr=False)         # (electrode_tag, [(x, y), ...])
-    interface_x_lines: tuple[float, ...] = ()
-    interface_y_lines: tuple[float, ...] = ()
+
+    @property
+    def block_tag(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tags for tags, _ in LAYOUT)
 
     @property
     def bounding_box(self) -> tuple[float, float]:
@@ -119,80 +121,56 @@ class DomainGeometry:
     def subdomain_at(self, x, y):
         """Tag of the block containing each point (interior points only);
         ``x`` and ``y`` are numbers or arrays that broadcast together."""
-        i = np.clip(np.searchsorted(self.x_cuts, x) - 1, 0, len(self.x_cuts) - 2)
-        j = np.clip(np.searchsorted(self.y_cuts, y) - 1, 0, len(self.y_cuts) - 2)
-        return np.asarray(self.block_tag)[j, i]
+        return np.asarray(self.block_tag)[_block(self.y_cuts, y),
+                                          _block(self.x_cuts, x)]
 
     def area(self, tag: int) -> float:
-        return abs(_shoelace(self.polygons[tag]))
+        blocks = np.outer(np.diff(self.y_cuts), np.diff(self.x_cuts))
+        return float(blocks[np.asarray(self.block_tag) == tag].sum())
+
+    @property
+    def interface_sides(self) -> list[tuple[float, float, float, float]]:
+        """The block sides between an electrode and the electrolyte, each
+        as its end points (x0, y0, x1, y1)."""
+        elyte = np.asarray(self.block_tag) == ELYTE
+        x, y = self.x_cuts, self.y_cuts
+        vertical = np.argwhere(elyte[:, :-1] != elyte[:, 1:])
+        horizontal = np.argwhere(elyte[:-1] != elyte[1:])
+        return ([(x[i + 1], y[j], x[i + 1], y[j + 1]) for j, i in vertical]
+                + [(x[i], y[j + 1], x[i + 1], y[j + 1]) for j, i in horizontal])
+
+    @property
+    def interface_lines(self) -> tuple[set, set]:
+        """The x cuts and the y cuts that the interface runs along."""
+        sides = self.interface_sides
+        return ({x0 for x0, _, x1, _ in sides if x0 == x1},
+                {y0 for _, y0, _, y1 in sides if y0 == y1})
+
+    def boundary_part(self, side: str, coords):
+        """The boundary part of the exterior edges of one side (left, right,
+        bottom or top) at ``coords`` along it: a left face takes its row's
+        part, as ``Mesh.from_grid`` asks."""
+        if side == "left":
+            parts = np.asarray([part for _, part in LAYOUT])
+            return parts[_block(self.y_cuts, coords)]
+        return {"right": CC_PLUS, "bottom": BOTTOM, "top": TOP}[side]
+
+
+def _block(cuts, v):
+    """Index of the block between ``cuts`` that holds each value."""
+    return np.clip(np.searchsorted(cuts, v) - 1, 0, len(cuts) - 2)
 
 
 def build_interdigitated_domain(dims: CellDimensions | None = None) -> DomainGeometry:
     """Construct the canonical interdigitated unit-cell geometry."""
     dims = dims or CellDimensions()
-    hs, he, length, gap, cap = dims.h_s, dims.h_e, dims.length, dims.gap, dims.cap
-    width, height = dims.width, dims.height
-    x_tip_a = length                  # anode digit tip
-    x_cap = width - cap               # end-cap inner face
-    x_tip_c = gap                     # cathode digit tip
-    y_a = hs                          # anode digit top
-    y_c = height - hs                 # cathode digit bottom
-
-    x_cuts = (0.0, x_tip_c, x_tip_a, x_cap, width)
-    y_cuts = (0.0, y_a, y_c, height)
+    x_cuts = (0.0, dims.gap, dims.length, dims.width - dims.cap, dims.width)
+    y_cuts = (0.0, dims.h_s, dims.height - dims.h_s, dims.height)
     if not all(a < b for a, b in zip(x_cuts, x_cuts[1:])):
         raise ValueError(f"degenerate layout: x cuts not increasing: {x_cuts}")
     if not all(a < b for a, b in zip(y_cuts, y_cuts[1:])):
         raise ValueError(f"degenerate layout: y cuts not increasing: {y_cuts}")
-
-    block_tag = (
-        (ANODE, ANODE, ELYTE, CATHODE),      # y in [0, hs]
-        (ELYTE, ELYTE, ELYTE, CATHODE),      # y in [hs, Y-hs]
-        (ELYTE, CATHODE, CATHODE, CATHODE),  # y in [Y-hs, Y]
-    )
-
-    polygons = {
-        ANODE: [(0.0, 0.0), (x_tip_a, 0.0), (x_tip_a, y_a), (0.0, y_a)],
-        CATHODE: [(x_cap, 0.0), (width, 0.0), (width, height),
-                  (x_tip_c, height), (x_tip_c, y_c), (x_cap, y_c)],
-        ELYTE: [(0.0, y_a), (x_tip_a, y_a), (x_tip_a, 0.0), (x_cap, 0.0),
-                (x_cap, y_c), (x_tip_c, y_c), (x_tip_c, height), (0.0, height)],
-    }
-
-    # Oriented interface polylines (electrode on the inside):
-    interface = (
-        (ANODE, [(x_tip_a, 0.0), (x_tip_a, y_a), (0.0, y_a)]),
-        (CATHODE, [(x_cap, 0.0), (x_cap, y_c), (x_tip_c, y_c), (x_tip_c, height)]),
-    )
-
-    geom = DomainGeometry(
-        dims=dims,
-        x_cuts=x_cuts,
-        y_cuts=y_cuts,
-        block_tag=block_tag,
-        polygons=polygons,
-        interface=interface,
-        interface_x_lines=(x_tip_c, x_tip_a, x_cap),
-        interface_y_lines=(y_a, y_c),
-    )
-
-    # Constructor self-checks: bounding box and subdomain area consistency.
-    # Purely relative (atol=0): lengths in metres sit far below numpy's
-    # default absolute tolerance.
-    if not np.allclose(geom.bounding_box, (width, height), atol=0.0):
-        raise AssertionError("bounding box disagrees with the dimensions")
-    block_areas = {ANODE: 0.0, CATHODE: 0.0, ELYTE: 0.0}
-    for j in range(3):
-        for i in range(4):
-            dx = x_cuts[i + 1] - x_cuts[i]
-            dy = y_cuts[j + 1] - y_cuts[j]
-            block_areas[block_tag[j][i]] += dx * dy
-    for tag in (ANODE, CATHODE, ELYTE):
-        if not np.isclose(block_areas[tag], geom.area(tag), rtol=1e-12,
-                          atol=0.0):
-            raise AssertionError(
-                f"block decomposition disagrees with the {TAG_NAMES[tag]} polygon")
-    return geom
+    return DomainGeometry(dims=dims, x_cuts=x_cuts, y_cuts=y_cuts)
 
 
 def domain_svg(geom: DomainGeometry) -> str:
@@ -203,34 +181,38 @@ def domain_svg(geom: DomainGeometry) -> str:
     w_px, h_px = width * scale + 2 * pad, height * scale + 2 * pad
     colors = {ANODE: "#7f9fd4", CATHODE: "#d48f7f", ELYTE: "#d9e8d4"}
 
-    def pt(x, y):
+    def px(x):
+        return pad + x * scale
+
+    def py(y):
         # flip y so the drawing matches the usual orientation
-        return f"{pad + x * scale:.1f},{pad + (height - y) * scale:.1f}"
+        return pad + (height - y) * scale
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px:.0f}" '
              f'height="{h_px:.0f}" viewBox="0 0 {w_px:.0f} {h_px:.0f}">']
-    for tag in (ELYTE, ANODE, CATHODE):
-        pts = " ".join(pt(x, y) for x, y in geom.polygons[tag])
-        parts.append(f'<polygon points="{pts}" fill="{colors[tag]}" '
-                     'stroke="#333" stroke-width="1"/>')
-    for _, line in geom.interface:
-        pts = " ".join(pt(x, y) for x, y in line)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#b00" '
+    x, y = geom.x_cuts, geom.y_cuts
+    for j, row in enumerate(geom.block_tag):
+        for i, tag in enumerate(row):
+            parts.append(f'<rect x="{px(x[i]):.1f}" y="{py(y[j + 1]):.1f}" '
+                         f'width="{(x[i + 1] - x[i]) * scale:.1f}" '
+                         f'height="{(y[j + 1] - y[j]) * scale:.1f}" '
+                         f'fill="{colors[tag]}"/>')
+    for x0, y0, x1, y1 in geom.interface_sides:
+        parts.append(f'<line x1="{px(x0):.1f}" y1="{py(y0):.1f}" '
+                     f'x2="{px(x1):.1f}" y2="{py(y1):.1f}" stroke="#b00" '
                      'stroke-width="2.5"/>')
     labels = [("anode (sa)", 0.25 * width, geom.dims.h_s / 2),
               ("cathode (sc)", 0.55 * width, height - geom.dims.h_s / 2),
               ("electrolyte (e)", 0.4 * width, height / 2)]
-    for text, x, y in labels:
-        parts.append(f'<text x="{pad + x * scale:.1f}" '
-                     f'y="{pad + (height - y) * scale + 4:.1f}" '
+    for text, lx, ly in labels:
+        parts.append(f'<text x="{px(lx):.1f}" y="{py(ly) + 4:.1f}" '
                      'font-size="14" text-anchor="middle">%s</text>' % text)
     edge_labels = [("cc-", -0.02 * width, geom.dims.h_s / 2),
                    ("cc+", 1.02 * width, height / 2),
                    ("top", 0.5 * width, height * 1.04),
                    ("bottom", 0.5 * width, -0.06 * height)]
-    for text, x, y in edge_labels:
-        parts.append(f'<text x="{pad + x * scale:.1f}" '
-                     f'y="{pad + (height - y) * scale:.1f}" font-size="12" '
+    for text, lx, ly in edge_labels:
+        parts.append(f'<text x="{px(lx):.1f}" y="{py(ly):.1f}" font-size="12" '
                      'text-anchor="middle" fill="#555">%s</text>' % text)
     parts.append("</svg>")
     return "\n".join(parts)

@@ -331,8 +331,7 @@ class EdgeSet:
 def generate_layered_mesh(geom: DomainGeometry, spec: MeshSpec | None = None) -> Mesh:
     """Mesh the interdigitated domain with graded layers toward the interface."""
     spec = spec or MeshSpec()
-    xi = set(geom.interface_x_lines)
-    yi = set(geom.interface_y_lines)
+    xi, yi = geom.interface_lines
 
     def build_axis(cuts, n_blocks, iface_lines):
         points = [cuts[0]]
@@ -360,24 +359,11 @@ def generate_layered_mesh(geom: DomainGeometry, spec: MeshSpec | None = None) ->
     xmid = 0.5 * (x[:-1] + x[1:])
     ymid = 0.5 * (y[:-1] + y[1:])
     cell_tag = geom.subdomain_at(xmid[None, :], ymid[:, None]).astype(np.int8)
-
-    hs = geom.dims.h_s
-
-    def boundary_part(side: str, coords: np.ndarray):
-        if side == "bottom":
-            return geo.BOTTOM
-        if side == "top":
-            return geo.TOP
-        if side == "right":
-            return geo.CC_PLUS
-        return np.where(coords < hs, geo.CC_MINUS, geo.WALL)
-
-    return Mesh.from_grid(x, y, px, py, cell_tag, boundary_part)
+    return Mesh.from_grid(x, y, px, py, cell_tag, geom.boundary_part)
 
 
 def rectangle_mesh(width: float, height: float, nx: int, ny: int,
-                   degree: int = 1, degree_y: int | None = None,
-                   tag: int = ELYTE) -> Mesh:
+                   degree: int = 1, tag: int = ELYTE) -> Mesh:
     """Uniform single-material rectangle, for verification problems.
 
     Boundary parts reuse the cell naming: left=cc_minus, right=cc_plus,
@@ -386,7 +372,7 @@ def rectangle_mesh(width: float, height: float, nx: int, ny: int,
     x = np.linspace(0.0, width, nx + 1)
     y = np.linspace(0.0, height, ny + 1)
     px = np.full(nx, degree, dtype=int)
-    py = np.full(ny, degree if degree_y is None else degree_y, dtype=int)
+    py = np.full(ny, degree, dtype=int)
     cell_tag = np.full((ny, nx), tag, dtype=np.int8)
     sides = {"left": geo.CC_MINUS, "right": geo.CC_PLUS,
              "bottom": geo.BOTTOM, "top": geo.TOP}
@@ -481,10 +467,10 @@ def validate_mesh(mesh: Mesh,
     if geom is not None:
         for tag in (ANODE, CATHODE, ELYTE):
             a_mesh = mesh.area_of(tag)
-            a_poly = geom.area(tag)
+            a_layout = geom.area(tag)
             rep.areas[geo.TAG_NAMES[tag]] = a_mesh
-            if abs(a_mesh - a_poly) > 1e-10 * max(a_poly, 1e-300):
+            if abs(a_mesh - a_layout) > 1e-10 * max(a_layout, 1e-300):
                 rep.violations.append(
                     f"subdomain {geo.TAG_NAMES[tag]} area mismatch: mesh "
-                    f"{a_mesh!r} vs polygon {a_poly!r}")
+                    f"{a_mesh!r} vs layout {a_layout!r}")
     return rep

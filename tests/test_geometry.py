@@ -10,17 +10,18 @@ def test_table_dimensions_bounding_box():
     w, h = g.bounding_box
     assert w == pytest.approx(1000e-6, rel=1e-12, abs=0.0)
     assert h == pytest.approx(100e-6, rel=1e-12, abs=0.0)
-    assert len(g.interface) == 2
     # the block counts that scenario validation checks the mesh spec against
     assert geo.LAYOUT_BLOCKS == {"nx_blocks": len(g.x_cuts) - 1,
                                  "ny_blocks": len(g.y_cuts) - 1}
 
 
+SYMMETRIC = geo.CellDimensions(h_s=40e-6, h_e=40e-6, length=50e-6,
+                               gap=49e-6, cap=50e-6)
+
+
 def test_symmetric_dimensions_still_valid():
-    d = geo.CellDimensions(h_s=40e-6, h_e=40e-6, length=50e-6, gap=49e-6,
-                           cap=50e-6)
-    g = geo.build_interdigitated_domain(d)
-    assert len(g.interface) == 2
+    g = geo.build_interdigitated_domain(SYMMETRIC)
+    assert g.bounding_box == (SYMMETRIC.width, SYMMETRIC.height)
 
 
 def test_degenerate_gap_rejected():
@@ -47,17 +48,6 @@ def test_subdomain_areas():
         total - g.area(geo.ANODE) - g.area(geo.CATHODE), rel=1e-12, abs=0.0)
 
 
-def test_area_self_check_is_relative(monkeypatch):
-    """The constructor's area self-check catches a 1e-9 relative
-    disagreement on the default dimensions in metres, whose areas (2.7e-8
-    to 4e-8 m^2) sit far below numpy's default absolute tolerance."""
-    area = geo.DomainGeometry.area
-    monkeypatch.setattr(geo.DomainGeometry, "area",
-                        lambda self, tag: area(self, tag) * (1.0 + 1e-9))
-    with pytest.raises(AssertionError, match="block decomposition"):
-        geo.build_interdigitated_domain(geo.CellDimensions())
-
-
 def test_subdomain_lookup():
     g = geo.build_interdigitated_domain()
     assert g.subdomain_at(450e-6, 15e-6) == geo.ANODE
@@ -68,14 +58,14 @@ def test_subdomain_lookup():
     assert g.subdomain_at(20e-6, 85e-6) == geo.ELYTE      # cathode tip gap
 
 
-def test_interface_polylines_touch_both_media():
-    g = geo.build_interdigitated_domain()
-    tags = [tag for tag, _ in g.interface]
-    assert sorted(tags) == [geo.ANODE, geo.CATHODE]
-    # each polyline is connected (consecutive points share a coordinate)
-    for _, line in g.interface:
-        for p, q in zip(line, line[1:]):
-            assert p[0] == q[0] or p[1] == q[1]
+def test_interface_lines_are_the_digit_faces():
+    """The grid lines that the interface runs along, derived from the
+    layout: the cathode tip, the anode tip and the end-cap face in x, the
+    two digit faces in y."""
+    for d in (geo.CellDimensions(), SYMMETRIC):
+        g = geo.build_interdigitated_domain(d)
+        assert g.interface_lines == ({d.gap, d.length, d.width - d.cap},
+                                     {d.h_s, d.height - d.h_s})
 
 
 def test_electrodes_not_adjacent():
@@ -106,4 +96,7 @@ def test_domain_svg_renders():
     g = geo.build_interdigitated_domain()
     svg = geo.domain_svg(g)
     assert svg.startswith("<svg")
-    assert "polygon" in svg and "polyline" in svg
+    # one rect per block of the 4 x 3 layout
+    assert svg.count("<rect ") == 12
+    # the interface: 3 block sides around the anode, 5 around the cathode
+    assert svg.count('<line ') == svg.count('stroke="#b00"') == 8

@@ -59,10 +59,13 @@ def _accepted_sweeps(monkeypatch, config):
     return prob, steps()
 
 
-@pytest.mark.parametrize("config", [_coarse("high_discharge", 50),
-                                    _production("low_discharge", 4)],
-                         ids=["coarse high_discharge",
-                              "production low_discharge"])
+@pytest.mark.parametrize("config", [
+    _coarse("high_discharge", 50),
+    _production("low_discharge", 4),
+    _production("low_charge", 4),
+    _coarse("high_charge", 50).replace(model="electrochemical"),
+], ids=["coarse high_discharge", "production low_discharge",
+        "production low_charge", "coarse high_charge electrochemical"])
 def test_lithium_balance_per_electrode(monkeypatch, config):
     prob, steps = _accepted_sweeps(monkeypatch, config)
     mats, dt = prob.mats, config.dt

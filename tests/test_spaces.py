@@ -26,7 +26,7 @@ def test_conforming_shared_nodes():
 
 
 def test_variable_degree_rows_stay_conforming():
-    m = rectangle_mesh(1.0, 1.0, 2, 2, degree=2, degree_y=2)
+    m = rectangle_mesh(1.0, 1.0, 2, 2, degree=2)
     m.py[1] = 4   # boost one row; trace degree along vertical edges follows py
     grid = sps.NodeGrid.build(m)
     top_left, top_right = grid.cell_nodes(m, [1, 1], [0, 1]).reshape(2, 5, 3)
