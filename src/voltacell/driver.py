@@ -8,11 +8,13 @@ predictor from that start.
 
 A run directory receives the time-series CSV (written incrementally, so an
 aborted run keeps its completed prefix), VTK snapshots at the configured
-cadence (a run first deletes the snapshots that the manifest already in the
-directory lists), and a manifest recording the run status, the
-configuration hash, parameter values, code version, the count of completed
-steps and, for a failed run, the error that stopped it.  Every quantity is in SI units, from
-the configuration through the solves to the outputs.
+cadence, each a rectilinear grid of the H1 nodes (a run first deletes the
+snapshots that the manifest already in the directory lists), and a manifest
+recording the run status, the configuration hash, parameter values, code
+version, the BLAS/OpenMP thread variables (results can differ in the last
+bits between thread counts), the count of completed steps and, for a failed
+run, the error that stopped it.  Every quantity is in SI units, from the
+configuration through the solves to the outputs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ log = logging.getLogger(__name__)
 
 # the file names of ``emit_snapshot`` in ``run_scenario``
 _SNAPSHOT_NAME = re.compile(r"snapshot_\d+_t\d+s\.vtk")
+
+# the environment variables that size the BLAS/OpenMP thread pools
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
 
 
 @dataclass
@@ -114,6 +121,7 @@ def _write_manifest(path, config, status, reports, snapshots, error=None):
         "status": status,
         "config_hash": config_hash(config),
         "config": config.to_dict(),
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
         "steps_completed": len(reports),
         "error": error,
         "snapshots": snapshots,

@@ -32,11 +32,10 @@ from .geometry import ANODE, CATHODE, ELYTE, BOUNDARY_PARTS, DomainGeometry
 
 # Edge tag codes
 INTERIOR = 0
-IFACE_SOLID_LO = 1     # solid cell on the low-index side; normal points +axis
-IFACE_SOLID_HI = 2     # solid cell on the high-index side; normal points -axis
+IFACE = 1              # electrode on one side, electrolyte on the other
+                       # (EdgeSet.solid_tag gives the electrode's tag)
 BOUNDARY_BASE = 10
 PART_CODE = {name: BOUNDARY_BASE + k for k, name in enumerate(BOUNDARY_PARTS)}
-CODE_PART = {v: k for k, v in PART_CODE.items()}
 
 # The largest cell aspect ratio that validate_mesh accepts (the production
 # mesh reaches 178, the coarse mesh 43)
@@ -172,38 +171,17 @@ class Mesh:
         mask = self.cell_tag == tag
         return float((np.outer(self.hy, self.hx) * mask).sum())
 
-    # ---- generic (unstructured-style) views -----------------------------
-
-    def corner_coords(self) -> np.ndarray:
-        """All grid corner nodes, shape ((ncy+1)*(ncx+1), 2), x fastest."""
-        xx, yy = np.meshgrid(self.x, self.y)
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def connectivity(self) -> np.ndarray:
-        """Quad corner indices per cell (CCW), shape (n_cells, 4)."""
-        nxp = self.ncx + 1
-        i = np.arange(self.ncx)
-        j = np.arange(self.ncy)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        v0 = jj * nxp + ii
-        return np.column_stack([v0.ravel(), (v0 + 1).ravel(),
-                                (v0 + nxp + 1).ravel(), (v0 + nxp).ravel()])
-
-    def element_tags(self) -> np.ndarray:
-        return self.cell_tag.ravel()
-
     # ---- edge sets -------------------------------------------------------
 
     def interface_edges(self) -> "EdgeSet":
-        return self._edges((IFACE_SOLID_LO, IFACE_SOLID_HI))
+        return self._edges(IFACE)
 
     def boundary_edges(self, part: str) -> "EdgeSet":
-        return self._edges((PART_CODE[part],))
+        return self._edges(PART_CODE[part])
 
-    def _edges(self, codes) -> "EdgeSet":
-        """The edges tagged with one of ``codes``, in the order of
-        ``edges``."""
-        return self.edges[np.isin(self.edges.tag, codes)]
+    def _edges(self, code: int) -> "EdgeSet":
+        """The edges tagged ``code``, in the order of ``edges``."""
+        return self.edges[self.edges.tag == code]
 
     @cached_property
     def edges(self) -> "EdgeSet":
@@ -231,8 +209,7 @@ class Mesh:
     def edge_tag_counts(self) -> dict:
         flat = np.concatenate([self.v_edge_tag.ravel(), self.h_edge_tag.ravel()])
         counts = {"interior": int(np.count_nonzero(flat == INTERIOR)),
-                  "interface": int(np.count_nonzero(
-                      (flat == IFACE_SOLID_LO) | (flat == IFACE_SOLID_HI)))}
+                  "interface": int(np.count_nonzero(flat == IFACE))}
         for name, code in PART_CODE.items():
             counts[name] = int(np.count_nonzero(flat == code))
         counts["total"] = flat.size
@@ -263,9 +240,7 @@ class Mesh:
             if np.any((tag_lo != tag_hi) & (tag_lo != ELYTE) & (tag_hi != ELYTE)):
                 raise ValueError(
                     "electrode subdomains touch directly (no electrolyte between)")
-            return np.where(tag_lo == tag_hi, INTERIOR,
-                            np.where(tag_lo == ELYTE, IFACE_SOLID_HI,
-                                     IFACE_SOLID_LO))
+            return np.where(tag_lo == tag_hi, INTERIOR, IFACE)
 
         def part_codes(side, mids):
             names, which = np.unique(np.broadcast_to(

@@ -3,6 +3,11 @@
 The solver computes in SI units, so every value stored in TimeSeriesRecord or
 written to disk is SI as it stands (with Celsius and W/dm^3 convenience values
 where customary).
+
+Both VTK files are legacy ASCII rectilinear grids, since every mesh is a
+tensor grid: a snapshot lies on the grid of the H1 nodes (``NodeGrid.xn`` x
+``NodeGrid.yn``), whose cells are the nodal subcells of the mesh cells, and
+the mesh dump on the mesh's grid lines.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assemble as asm
-from .geometry import ELYTE
 from .materials import von_mises
 from .mesh import Mesh
 from .state import SimState
@@ -130,105 +134,98 @@ def _rows(fmt: str, values) -> str:
     return (fmt + "\n") * len(values) % tuple(values.ravel().tolist())
 
 
-def _cell_points(problem):
-    """The nodes of every cell, cells in the order of the quadrature layout:
-    coordinates (n, 2), global node ids, cell tags, and the point indices of
-    the corners of each cell's (px x py) nodal subcells."""
-    xy, cells, start = [], [], 0
-    for g in problem.master:
-        ref_nodes = g.ref.node_grid()
-        nxl = g.px + 1
-        xy.append(np.stack([
-            g.x0[:, None] + (ref_nodes[:, 0] + 1) * 0.5 * g.hx[:, None],
-            g.y0[:, None] + (ref_nodes[:, 1] + 1) * 0.5 * g.hy[:, None]],
-            axis=-1).reshape(-1, 2))
-        a, b = np.meshgrid(np.arange(g.px), np.arange(g.py))
-        i0 = (b * nxl + a).ravel()
-        quads = np.stack([i0, i0 + 1, i0 + nxl + 1, i0 + nxl], axis=1)
-        firsts = start + len(ref_nodes) * np.arange(len(g.cells))
-        cells.append((firsts[:, None, None] + quads).reshape(-1, 4))
-        start += g.nodes.size
-    return (np.vstack(xy),
-            np.concatenate([g.nodes.ravel() for g in problem.master]),
-            np.concatenate([np.repeat(g.tag, g.nodes.shape[1])
-                            for g in problem.master]),
-            np.vstack(cells))
-
-
-def _nodal_von_mises(problem, state: SimState, node_ids, tags) -> np.ndarray:
-    """Von Mises stress at the cell nodes of ``_cell_points`` (zero off the
-    solid), from each cell's strain and the nodal theta and c_s.  The solid
-    cells' nodes keep their order, which is the order of u's support."""
-    solid = tags != ELYTE
-    ids = node_ids[solid]
-    vm = np.zeros(len(tags))
-    vm[solid] = von_mises(problem.solid_stress(
+def _subcell_von_mises(problem, state: SimState) -> np.ndarray:
+    """Von Mises stress on each nodal subcell of the node grid, (nny - 1,
+    nnx - 1): the mean of its element's nodal stress at its four corners,
+    from the element's strain and the nodal theta and c_s; zero in the
+    electrolyte."""
+    grid = problem.grid
+    out = np.zeros((grid.nny - 1, grid.nnx - 1))
+    if problem.mode != "full":
+        return out
+    occupied = problem.s_u.support.occupied
+    ids = np.concatenate([g.nodes[rows].ravel() for g, rows, _, _ in occupied])
+    tags = np.concatenate([np.repeat(g.tag[rows], g.nodes.shape[1])
+                           for g, rows, _, _ in occupied])
+    vm = von_mises(problem.solid_stress(
         asm.eval_strain_nodes(problem.s_u, state["u"]),
         state["theta"][problem.s_th.support.node_index[ids]],
         state["c_s"][problem.s_cs.support.node_index[ids]],
-        problem.electrode_constants(tags[solid])))
-    return vm
+        problem.electrode_constants(tags)))
+    start = 0
+    for g, rows, _, _ in occupied:
+        v = vm[start:start + len(rows) * g.nodes.shape[1]].reshape(
+            len(rows), g.py + 1, g.px + 1)
+        start += v.size
+        j, i = g.cells[rows].T
+        iy = (grid.row_start[j][:, None] + np.arange(g.py))[:, :, None]
+        ix = (grid.col_start[i][:, None] + np.arange(g.px))[:, None, :]
+        out[iy, ix] = 0.25 * (v[:, :-1, :-1] + v[:, :-1, 1:]
+                              + v[:, 1:, :-1] + v[:, 1:, 1:])
+    return out
 
 
-def export_vtk(problem, state: SimState, path):
-    """Legacy ASCII VTK unstructured grid snapshot.
+def _write_vtk(path, title: str, x, y, point_data: dict, cell_data: dict):
+    """Legacy ASCII VTK rectilinear grid on the lines ``x`` x ``y``.
 
-    High-order elements are linearized into their (px x py) nodal subcells;
-    each field is written as point data, zero-filled outside its support.
+    ``point_data`` and ``cell_data`` map names to arrays in VTK order (x
+    fastest): a 1-D array is written as scalars (int or double by its
+    dtype), an (n, 2) array as vectors with a zero third component.
     """
-    xy, node_ids, tags, cells = _cell_points(problem)
-    data = {k: _nodal_values(problem, problem.spaces[k], state[k])[node_ids]
-            for k in ("phi_s", "phi_e", "c_s", "c_e", "theta")}
-    data["von_mises"] = (
-        _nodal_von_mises(problem, state, node_ids, tags)
-        if problem.mode == "full" else np.zeros(len(node_ids)))
-    u = np.column_stack([
-        _nodal_values(problem, problem.s_u, state["u"], comp)[node_ids]
-        for comp in (0, 1)])
-
     buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write("voltacell snapshot t=%.9g s\n" % state.t)
-    buf.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    buf.write(f"POINTS {len(xy)} double\n")
-    buf.write(_rows("%.12g %.12g 0", xy))
-    buf.write(f"\nCELLS {len(cells)} {5 * len(cells)}\n")
-    buf.write(_rows("4 %d %d %d %d", cells))
-    buf.write(f"\nCELL_TYPES {len(cells)}\n")
-    buf.write("9\n" * len(cells))
-    buf.write(f"\nPOINT_DATA {len(xy)}\n")
-    for name in ("phi_s", "phi_e", "c_s", "c_e", "theta", "von_mises"):
-        buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        buf.write(_rows("%.12g", data[name]))
-    buf.write("VECTORS u double\n")
-    buf.write(_rows("%.12g %.12g 0", u))
+    buf.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+              f"DATASET RECTILINEAR_GRID\nDIMENSIONS {len(x)} {len(y)} 1\n")
+    for axis, lines in (("X", x), ("Y", y), ("Z", [0.0])):
+        buf.write(f"{axis}_COORDINATES {len(lines)} double\n")
+        buf.write(_rows("%.12g", lines))
+    for section, n, data in (
+            ("POINT_DATA", len(x) * len(y), point_data),
+            ("CELL_DATA", (len(x) - 1) * (len(y) - 1), cell_data)):
+        if data:
+            buf.write(f"{section} {n}\n")
+        for name, values in data.items():
+            values = np.asarray(values)
+            if values.ndim == 2:
+                buf.write(f"VECTORS {name} double\n")
+                buf.write(_rows("%.12g %.12g 0", values))
+            elif values.dtype.kind in "iu":
+                buf.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
+                buf.write(_rows("%d", values))
+            else:
+                buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                buf.write(_rows("%.12g", values))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
-        raise OSError(f"failed to write VTK snapshot to {path}: {exc}") from exc
+        raise OSError(f"failed to write VTK file {path}: {exc}") from exc
+
+
+def export_vtk(problem, state: SimState, path):
+    """Legacy ASCII VTK snapshot on the grid of the H1 nodes.
+
+    The cells of the rectilinear grid are the (px x py) nodal subcells of the
+    mesh cells.  Each field is point data at the grid nodes, zero outside its
+    support; von Mises stress is cell data, each subcell's mean of its
+    element's nodal stress (see ``_subcell_von_mises``).
+    """
+    point_data = {k: _nodal_values(problem, problem.spaces[k], state[k])
+                  for k in ("phi_s", "phi_e", "c_s", "c_e", "theta")}
+    point_data["u"] = np.column_stack([
+        _nodal_values(problem, problem.s_u, state["u"], comp)
+        for comp in (0, 1)])
+    _write_vtk(path, "voltacell snapshot t=%.9g s" % state.t,
+               problem.grid.xn, problem.grid.yn, point_data,
+               {"von_mises": _subcell_von_mises(problem, state).ravel()})
 
 
 def export_mesh_vtk(mesh: Mesh, path):
-    """Mesh-only VTK dump: corner quads with subdomain tag and degrees."""
-    coords = mesh.corner_coords()
-    conn = mesh.connectivity()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\nvoltacell mesh\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(coords)} double\n")
-        fh.write(_rows("%.12g %.12g 0", coords))
-        fh.write(f"\nCELLS {len(conn)} {5 * len(conn)}\n")
-        fh.write(_rows("4 %d %d %d %d", conn))
-        fh.write(f"\nCELL_TYPES {len(conn)}\n")
-        fh.write("9\n" * len(conn))
-        fh.write(f"\nCELL_DATA {len(conn)}\n")
-        fh.write("SCALARS subdomain int 1\nLOOKUP_TABLE default\n")
-        fh.write(_rows("%d", mesh.element_tags()))
-        deg = mesh.cell_degrees().reshape(-1, 2)
-        for name, col in (("degree_x", 0), ("degree_y", 1)):
-            fh.write(f"SCALARS {name} int 1\nLOOKUP_TABLE default\n")
-            fh.write(_rows("%d", deg[:, col]))
+    """Mesh-only VTK dump on the grid lines: per cell, the subdomain tag and
+    the degrees."""
+    deg = mesh.cell_degrees().reshape(-1, 2)
+    _write_vtk(path, "voltacell mesh", mesh.x, mesh.y, {},
+               {"subdomain": mesh.cell_tag.ravel(),
+                "degree_x": deg[:, 0], "degree_y": deg[:, 1]})
 
 
 # ---------------------------------------------------------------------------

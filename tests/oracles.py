@@ -163,18 +163,6 @@ def relative_asymmetry(mat):
     return float(err / scale)
 
 
-def vtk_counts(mesh):
-    """(points, cells) the subcell decomposition of a VTK snapshot emits for
-    a mesh: (px + 1)(py + 1) points and px py cells per mesh cell."""
-    n_pts = n_cells = 0
-    for j in range(mesh.ncy):
-        for i in range(mesh.ncx):
-            px, py = int(mesh.px[i]), int(mesh.py[j])
-            n_pts += (px + 1) * (py + 1)
-            n_cells += px * py
-    return n_pts, n_cells
-
-
 # ---------------------------------------------------------------------------
 # Problem construction, cell by cell and edge by edge
 # ---------------------------------------------------------------------------
@@ -203,10 +191,8 @@ def layered_edge_tags(geom, mesh):
     def classify(lo, hi):
         if lo == hi:
             return vm.INTERIOR
-        if lo == ELYTE:
-            return vm.IFACE_SOLID_HI
-        if hi == ELYTE:
-            return vm.IFACE_SOLID_LO
+        if ELYTE in (lo, hi):
+            return vm.IFACE
         raise ValueError("electrode subdomains touch directly")
 
     ncy, ncx = mesh.cell_tag.shape
@@ -311,7 +297,7 @@ def interface_records(mesh):
     from voltacell import mesh as vm
     from voltacell.geometry import ANODE, CATHODE, ELYTE
     by_tag = {ANODE: [], CATHODE: []}
-    for record in edge_records(mesh, (vm.IFACE_SOLID_LO, vm.IFACE_SOLID_HI)):
+    for record in edge_records(mesh, (vm.IFACE,)):
         solid = [mesh.cell_tag[c] for c in record[3]
                  if mesh.cell_tag[c] != ELYTE]
         by_tag[int(solid[0])].append(record)

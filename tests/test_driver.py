@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -15,6 +16,19 @@ from voltacell.physics import CellProblem
 from voltacell.state import GuardViolation
 
 DESK = dict(mesh=MeshSpec.coarse(), dt=6.0, t_end=60.0, snapshot_every=30.0)
+
+
+def _perfbench_thread_vars():
+    """``THREAD_VARS`` of perfbench/run.py, read without running it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "THREAD_VARS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no THREAD_VARS")
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +61,10 @@ def test_manifest_contents(short_run):
     assert man["config"]["i_app"] == 20.0
     assert "scales" not in man
     assert man["version"]
+    # the thread variables that the benchmark pins, as the run saw them
+    assert tuple(driver.THREAD_VARS) == _perfbench_thread_vars()
+    assert man["threads"] == {v: os.environ.get(v)
+                              for v in driver.THREAD_VARS}
 
 
 def test_records_and_extras_alignment(short_run):

@@ -95,9 +95,12 @@ def test_lithium_balance_per_electrode(monkeypatch, config):
 
 
 def test_adiabatic_heat_balance(monkeypatch):
-    """The residual is the row-sum leak of K_theta, dt 1^T K_theta
-    theta_mid.  Step 1 advances theta by two backward-Euler half-steps, so
-    the check starts at step 2."""
+    """The residual is float64 cancellation in the matvec K_theta theta of
+    the step at theta ~ 298 K: it equals dt 1^T (K_theta theta_prev) as
+    float64 computes it, while the same sum over theta_prev - theta_ref is
+    four orders smaller, so K_theta's row sums do not cause it.  Step 1
+    advances theta by two backward-Euler half-steps, so the check starts at
+    step 2."""
     config = _coarse("high_discharge", 50)
     prob, steps = _accepted_sweeps(monkeypatch, config)
     heat = np.ones(prob.s_th.ndof) @ prob.m_th

@@ -1,11 +1,15 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voltacell import assemble as asm
+from voltacell import materials as mat
 from voltacell import postprocess as post
+from voltacell.basis import gauss_lobatto_nodes
 from voltacell.config import preset
+from voltacell.geometry import ELYTE, TAG_NAMES
 from voltacell.state import SimState
 
 import conftest
@@ -143,28 +147,68 @@ def test_csv_round_trip_precision(csv_run):
 # VTK output
 # ---------------------------------------------------------------------------
 
-def test_vtk_snapshot_format(problem_state, tmp_path):
-    prob, s0 = problem_state
-    path = tmp_path / "snap.vtk"
-    post.export_vtk(prob, s0, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "# vtk DataFile Version 3.0"
-    n_pts, n_cells = oracles.vtk_counts(prob.mesh)
-    assert f"POINTS {n_pts} double" in text
-    assert f"CELL_TYPES {n_cells}" in text
-    # the displacement block is all zeros at the initial state
-    u_start = text.index("VECTORS u double") + 1
-    uvals = np.array([[float(v) for v in line.split()]
-                      for line in text[u_start:u_start + n_pts]])
-    assert np.all(uvals == 0.0)
-    # the listed point-data fields are all present
-    for name in ("phi_s", "phi_e", "c_s", "c_e", "theta", "von_mises"):
-        assert f"SCALARS {name} double 1" in text
+def read_vtk(path):
+    """A legacy ASCII rectilinear-grid VTK file: its header lines, dataset,
+    dimensions, X/Y/Z coordinates and its POINT_DATA and CELL_DATA arrays by
+    name (vectors as (n, 3))."""
+    lines = iter(path.read_text().splitlines())
+    out = {"header": [next(lines) for _ in range(3)],
+           "POINT_DATA": {}, "CELL_DATA": {}}
+    for line in lines:
+        word, *rest = line.split()
+        if word == "DATASET":
+            out["dataset"] = rest[0]
+        elif word == "DIMENSIONS":
+            out["dims"] = tuple(int(v) for v in rest)
+        elif word.endswith("_COORDINATES"):
+            out[word[0]] = np.array([float(next(lines))
+                                     for _ in range(int(rest[0]))])
+        elif word in ("POINT_DATA", "CELL_DATA"):
+            section, n = out[word], int(rest[0])
+        elif word == "SCALARS":
+            assert next(lines) == "LOOKUP_TABLE default"
+            section[rest[0]] = np.array([float(next(lines)) for _ in range(n)])
+        elif word == "VECTORS":
+            section[rest[0]] = np.array([[float(v) for v in next(lines).split()]
+                                         for _ in range(n)])
+        else:
+            raise AssertionError(f"unexpected line {line!r}")
+    return out
+
+
+def printed(values):
+    """``values`` as the VTK files print them (12 significant digits)."""
+    return np.array([float("%.12g" % v) for v in np.ravel(values)])
+
+
+@pytest.fixture(scope="module")
+def loaded_snapshot(csv_run):
+    """The problem, final state and final snapshot of the two-step run."""
+    result, _ = csv_run
+    assert result.final_state.t == 12.0
+    return (result.problem, result.final_state,
+            read_vtk(Path(result.out_dir) / "snapshot_0001_t12s.vtk"))
+
+
+def test_vtk_snapshot_format(loaded_snapshot):
+    """A snapshot is a rectilinear grid on the lines of the H1 nodes."""
+    prob, _, vtk = loaded_snapshot
+    grid = prob.grid
+    assert vtk["header"] == ["# vtk DataFile Version 3.0",
+                             "voltacell snapshot t=12 s", "ASCII"]
+    assert vtk["dataset"] == "RECTILINEAR_GRID"
+    assert vtk["dims"] == (grid.nnx, grid.nny, 1)
+    assert np.array_equal(vtk["X"], printed(grid.xn))
+    assert np.array_equal(vtk["Y"], printed(grid.yn))
+    assert np.array_equal(vtk["Z"], [0.0])
+    assert list(vtk["POINT_DATA"]) == ["phi_s", "phi_e", "c_s", "c_e",
+                                       "theta", "u"]
+    assert list(vtk["CELL_DATA"]) == ["von_mises"]
 
 
 def test_vtk_counts_formula(mats, geom, tmp_path):
-    """On a mesh with four degree groups the snapshot has the subcell counts
-    of every cell, and each subcell is a counterclockwise rectangle."""
+    """On a mesh with four degree groups a snapshot has a point per H1 node
+    and a cell per nodal subcell: px py per mesh cell."""
     from voltacell.mesh import MeshSpec, generate_layered_mesh
     mesh = generate_layered_mesh(geom, MeshSpec(
         nx_blocks=(1, 3, 2, 1), ny_blocks=(1, 2, 1), n_layers=1, degree=1,
@@ -173,51 +217,103 @@ def test_vtk_counts_formula(mats, geom, tmp_path):
     assert len(prob.master) == 4
     path = tmp_path / "snap.vtk"
     post.export_vtk(prob, prob.initial_state(), path)
-    text = path.read_text().splitlines()
-    n_pts, n_cells = oracles.vtk_counts(mesh)
-    k = text.index(f"POINTS {n_pts} double") + 1
-    xy = np.array([[float(v) for v in line.split()[:2]]
-                   for line in text[k:k + n_pts]])
-    k = text.index(f"CELLS {n_cells} {5 * n_cells}") + 1
-    quads = np.array([[int(v) for v in line.split()]
-                      for line in text[k:k + n_cells]])
-    assert np.all(quads[:, 0] == 4)
-    p = xy[quads[:, 1:]]                        # (n_cells, 4 corners, 2)
-    assert np.all(p[:, 1, 0] > p[:, 0, 0]) and np.all(p[:, 1, 1] == p[:, 0, 1])
-    assert np.all(p[:, 2, 0] == p[:, 1, 0]) and np.all(p[:, 2, 1] > p[:, 1, 1])
-    assert np.all(p[:, 3, 0] == p[:, 0, 0]) and np.all(p[:, 3, 1] == p[:, 2, 1])
-    # the subcells tile the domain
-    area = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 1, 1])).sum()
-    width, height = (float(mesh.x[-1] - mesh.x[0]),
-                     float(mesh.y[-1] - mesh.y[0]))
-    assert area == pytest.approx(width * height, rel=1e-9, abs=0.0)
+    vtk = read_vtk(path)
+    n_subcells = sum(int(mesh.px[i]) * int(mesh.py[j])
+                     for j in range(mesh.ncy) for i in range(mesh.ncx))
+    assert vtk["dims"] == (prob.grid.nnx, prob.grid.nny, 1)
+    assert len(vtk["POINT_DATA"]["theta"]) == prob.grid.n_nodes
+    assert len(vtk["CELL_DATA"]["von_mises"]) == n_subcells
+    assert np.all(vtk["CELL_DATA"]["von_mises"] == 0.0)
 
 
-def test_vtk_zero_fill_outside_support(problem_state, tmp_path):
-    prob, s0 = problem_state
-    path = tmp_path / "snap.vtk"
-    post.export_vtk(prob, s0, path)
-    text = path.read_text().splitlines()
-    n_pts, _ = oracles.vtk_counts(prob.mesh)
+def test_vtk_zero_fill_outside_support(loaded_snapshot):
+    """Each scalar is its field's value at each grid node (node id
+    iy * nnx + ix, x fastest), zero off the field's support; the rows of u
+    are the node's two components and a zero."""
+    prob, state, vtk = loaded_snapshot
+    data = vtk["POINT_DATA"]
+    n = prob.grid.n_nodes
+    for name in ("phi_s", "phi_e", "c_s", "c_e", "theta", "u"):
+        space = prob.spaces[name]
+        ids = space.support.node_ids
+        off = np.setdiff1d(np.arange(n), ids)
+        values = data[name].reshape(n, -1)
+        for comp in range(space.arity):
+            assert np.array_equal(values[ids, comp],
+                                  printed(state[name][comp::space.arity])), \
+                name
+            assert np.all(values[off, comp] == 0.0), name
+        if name in ("c_s", "c_e"):
+            assert len(off) and len(ids), name
+    assert np.all(data["u"][:, 2] == 0.0)
+    assert np.any(data["u"][:, :2] != 0.0)
 
-    def block(name):
-        k = text.index(f"SCALARS {name} double 1") + 2
-        return np.array([float(v) for v in text[k:k + n_pts]])
 
-    c_s = block("c_s")
-    c_e = block("c_e")
-    # both concentration fields carry zeros (outside their own support)
-    assert np.any(c_s == 0.0) and np.any(c_e == 0.0)
-    assert c_s.max() == pytest.approx(0.5 * 3.1507e4, rel=1e-9)
-    assert c_e.max() == pytest.approx(2000.0, rel=1e-9)
+def test_vtk_von_mises_cells_match_hooke_oracle(loaded_snapshot):
+    """After a loaded step each subcell's von Mises value is the mean over
+    its four corners of Hooke's law with the element's strain, from explicit
+    Lagrange polynomials cell by cell, and the nodal theta and c_s; zero on
+    electrolyte subcells."""
+    prob, state, vtk = loaded_snapshot
+    mesh, grid, mats = prob.mesh, prob.grid, prob.mats
+    expected = np.zeros((grid.nny - 1, grid.nnx - 1))
+    elyte = np.zeros(expected.shape, dtype=bool)
+    for j in range(mesh.ncy):
+        for i in range(mesh.ncx):
+            px, py, tag = int(mesh.px[i]), int(mesh.py[j]), mesh.cell_tag[j, i]
+            rows = slice(grid.row_start[j], grid.row_start[j] + py)
+            cols = slice(grid.col_start[i], grid.col_start[i] + px)
+            if tag == ELYTE:
+                elyte[rows, cols] = True
+                continue
+            nodes = ((grid.row_start[j] + np.arange(py + 1))[:, None]
+                     * grid.nnx + grid.col_start[i] + np.arange(px + 1))
+            k = prob.s_u.support.node_index[nodes]
+            ux, uy = state["u"][2 * k], state["u"][2 * k + 1]
+            lx, ly = oracles.lagrange_polys(px), oracles.lagrange_polys(py)
+            rx, ry = gauss_lobatto_nodes(px), gauss_lobatto_nodes(py)
+            # d/dx and d/dy at node (b, a) of the basis function (b', a')
+            dx = np.einsum("ac,bd->badc",
+                           [[p.deriv()(r) for p in lx] for r in rx],
+                           [[p(r) for p in ly] for r in ry])
+            dy = np.einsum("ac,bd->badc",
+                           [[p(r) for p in lx] for r in rx],
+                           [[p.deriv()(r) for p in ly] for r in ry])
+            sx, sy = 2.0 / mesh.hx[i], 2.0 / mesh.hy[j]
+            e11 = sx * np.einsum("badc,dc->ba", dx, ux)
+            e22 = sy * np.einsum("badc,dc->ba", dy, uy)
+            e12 = 0.5 * (sy * np.einsum("badc,dc->ba", dy, ux)
+                         + sx * np.einsum("badc,dc->ba", dx, uy))
+            vm = mat.von_mises(mat.hooke_plane_strain(
+                e11, e22, e12,
+                state["theta"][prob.s_th.support.node_index[nodes]],
+                state["c_s"][prob.s_cs.support.node_index[nodes]],
+                mats.electrode(TAG_NAMES[tag]), mats, prob.c_s_ref[tag]))
+            expected[rows, cols] = 0.25 * (vm[:-1, :-1] + vm[:-1, 1:]
+                                           + vm[1:, :-1] + vm[1:, 1:])
+    got = vtk["CELL_DATA"]["von_mises"].reshape(expected.shape)
+    assert np.all(got[elyte] == 0.0)
+    assert expected.max() > 1e3          # Pa: the step loaded the solid
+    assert np.abs(got - expected).max() <= 1e-11 * expected.max()
 
 
 def test_mesh_vtk_dump(coarse_mesh, tmp_path):
+    """The mesh dump is a rectilinear grid on the mesh's grid lines with
+    each cell's subdomain tag and degrees (x fastest)."""
     path = tmp_path / "mesh.vtk"
     post.export_mesh_vtk(coarse_mesh, path)
-    text = path.read_text()
-    assert text.startswith("# vtk DataFile Version 3.0")
-    assert "SCALARS subdomain int 1" in text
+    vtk = read_vtk(path)
+    mesh = coarse_mesh
+    assert vtk["header"][0] == "# vtk DataFile Version 3.0"
+    assert vtk["dataset"] == "RECTILINEAR_GRID"
+    assert vtk["dims"] == (len(mesh.x), len(mesh.y), 1)
+    assert np.array_equal(vtk["X"], printed(mesh.x))
+    assert np.array_equal(vtk["Y"], printed(mesh.y))
+    assert vtk["POINT_DATA"] == {}
+    cells = vtk["CELL_DATA"]
+    assert np.array_equal(cells["subdomain"], mesh.cell_tag.ravel())
+    assert np.array_equal(cells["degree_x"], np.tile(mesh.px, mesh.ncy))
+    assert np.array_equal(cells["degree_y"], np.repeat(mesh.py, mesh.ncx))
 
 
 # ---------------------------------------------------------------------------
